@@ -192,14 +192,17 @@ def _estimator_config(args, threads: int) -> EstimatorConfig:
     lepski = LepskiConfig(
         a=args.a, C=args.C, threshold_mult=args.threshold_mult
     )
-    return EstimatorConfig(
-        L=args.L,
-        lepski=lepski,
-        grid_size=args.grid_size,
-        trim=getattr(args, "trim", 0.1),
-        fixed_bandwidths=_parse_bandwidths(getattr(args, "bandwidth", None)),
-        threads=threads,
-    )
+    try:
+        return EstimatorConfig(
+            L=args.L,
+            lepski=lepski,
+            grid_size=args.grid_size,
+            trim=getattr(args, "trim", 0.1),
+            fixed_bandwidths=_parse_bandwidths(getattr(args, "bandwidth", None)),
+            threads=threads,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +414,11 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_BAD_INPUT, "--emit-data requires --cell")
 
     config = _estimator_config(args, threads if len(cells) == 1 else 1)
-    results = run_table(cells, runs=args.runs, seed=args.seed,
-                        config=config, threads=threads)
+    try:
+        results = run_table(cells, runs=args.runs, seed=args.seed,
+                            config=config, threads=threads)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
     write_report_csv(args.output if args.output else sys.stdout, results)
     if args.json:
         write_report_json(args.json, results,

@@ -46,6 +46,8 @@ class EstimatorConfig:
     derivative order, a sequence is indexed by j, a mapping may cover only
     some orders (the rest stay adaptive). threads > 1 runs the per-order
     derivative estimations concurrently; results do not depend on it.
+    grid_size must be at least 2, and trim (the boundary fraction that risk
+    summaries drop) must lie in [0, 0.5); other values raise ValueError.
     """
 
     L: int = 8
@@ -54,6 +56,12 @@ class EstimatorConfig:
     trim: float = 0.1
     fixed_bandwidths: object = None
     threads: int = 1
+
+    def __post_init__(self):
+        if self.grid_size < 2:
+            raise ValueError("evaluation grid size must be at least 2")
+        if not (0.0 <= self.trim < 0.5):
+            raise ValueError("trim must lie in [0, 0.5)")
 
     def fixed_bandwidth(self, j: int):
         fb = self.fixed_bandwidths
@@ -188,7 +196,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         Q = np.empty((grid.size, R))
         for lv in np.unique(lam[j]):
             cols = np.nonzero(lam[j] == lv)[0]
-            W = design.weight_matrix(j, cfg.L, lv, grid, cfg.lepski.weights)
+            W = design.weight_matrix(j, cfg.L, lv, grid)
             Q[:, cols] = W @ V[:, cols]
         return Q
 

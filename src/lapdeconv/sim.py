@@ -232,8 +232,17 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     Noise is drawn from a counter-based generator keyed by (seed, run), so
     any replication can be regenerated independently and the report is a
     pure function of the scenario. Estimator failures mark their runs as
-    failed instead of aborting the batch.
+    failed instead of aborting the batch. Raises ValueError when no point of
+    the evaluation grid lies in the trimmed risk window.
     """
+    trim = sc.config.trim
+    grid = np.linspace(0.0, sc.T, sc.config.grid_size)
+    mask = (grid >= trim * sc.T - 1e-12) & (grid <= (1.0 - trim) * sc.T + 1e-12)
+    if not np.any(mask):
+        raise ValueError(
+            "no evaluation grid point lies in the trimmed window; raise the "
+            "grid size or lower the trim"
+        )
     g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
     times = np.arange(1, sc.n + 1) * (sc.T / sc.n)
@@ -244,7 +253,7 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     Y *= sc.sigma
     Y += q[:, None]
     try:
-        grid, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config)
+        _, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config)
     except EstimationError as exc:
         return ExperimentReport(
             scenario=sc,
@@ -256,8 +265,6 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
             bandwidth_counts=(),
             error=str(exc),
         )
-    trim = sc.config.trim
-    mask = (grid >= trim * sc.T - 1e-12) & (grid <= (1.0 - trim) * sc.T + 1e-12)
     diff = F[mask] - np.asarray(f(grid[mask]), dtype=float)[:, None]
     per_run = np.mean(diff * diff, axis=0)
     counts = []

@@ -135,15 +135,13 @@ class LepskiConfig:
     C is the comparison constant; when None it defaults to mu * ||K_j||
     with the kernel norm integrated exactly, the smallest sufficient value.
     threshold_mult 3.0 is the empirically tuned multiplier; 4.0 is the
-    conservative theoretical one. ``weights`` picks how observation weights
-    are formed: "cell" integrates the kernel over the observation cells,
-    "point" uses the classical spacing-scaled point evaluations.
-    ``probe_tol`` bounds how far a level's design weights may miss the
-    kernel's moment conditions, sum_i w_i(x) ((t_i - x)/lam)^m =
-    delta_mj j!/lam^j for m < L, on the comparison grid: the deviation is
-    measured in units of j!/lam^j at the level's own scale and, carried to
-    the monomials (t/T)^m, relative to each monomial's j-th derivative on
-    [0, T]. Levels beyond it are not admissible.
+    conservative theoretical one. ``probe_tol`` bounds how far a level's
+    design weights may miss the kernel's moment conditions,
+    sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, on the
+    comparison grid: the deviation is measured in units of j!/lam^j at the
+    level's own scale and, carried to the monomials (t/T)^m, relative to
+    each monomial's j-th derivative on [0, T]. Levels beyond it are not
+    admissible.
     """
 
     a: float = 1.2
@@ -151,7 +149,6 @@ class LepskiConfig:
     mu: float = 1.0
     threshold_mult: float = 3.0
     comparison_grid_size: int | None = None
-    weights: str = "cell"
     probe_tol: float = 0.1
 
 
@@ -198,108 +195,56 @@ def _kernel_for_point(t: float, T: float, lam: float, j: int, L: int) -> Smoothi
     return make_kernel(L, j)
 
 
-def _cell_rows(ts: np.ndarray, edges: np.ndarray, lam: float, j: int,
-               ker: SmoothingKernel) -> np.ndarray:
-    """Cell-integrated weight rows: row k holds lam^{-(j+1)} * int_cell_i K((t_k-u)/lam) du."""
-    prim = ker.antiderivative()
-    lo, hi = ker.support
-    U = (ts[:, None] - edges[None, :]) / lam
-    np.clip(U, lo, hi, out=U)
-    B = np.polynomial.polynomial.polyval(U, prim)
-    return (B[:, :-1] - B[:, 1:]) / lam**j
-
-
-def _point_rows(ts: np.ndarray, times: np.ndarray, gaps: np.ndarray, lam: float,
-                j: int, ker: SmoothingKernel) -> np.ndarray:
-    """Point-evaluated weight rows: row k holds K((t_k-t_i)/lam) * gap_i / lam^{j+1}."""
-    U = (ts[:, None] - times[None, :]) / lam
-    lo, hi = ker.support
-    inside = (U > lo) & (U < hi)
-    K = np.zeros_like(U)
-    if np.any(inside):
-        K[inside] = np.polynomial.polynomial.polyval(
-            U[inside], np.asarray(ker.coeffs)
-        )
-    return K * gaps[None, :] / lam ** (j + 1)
-
-
 def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
-                   lam: float, weights: str) -> np.ndarray:
+                   lam: float) -> np.ndarray:
     """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k].
 
-    Interior evaluation points share a single kernel and are handled in one
-    vectorized block; points within lam of an endpoint each get the boundary
-    kernel for their own relative distance (right edge reflected).
+    Interior evaluation points share one kernel and one ``_band_rows`` call;
+    points within lam of an endpoint each get the boundary kernel for their
+    own relative distance (right edge reflected). Bands are added into W,
+    not assigned, because their zero-weight padding aliases observation n-1.
     """
     grid = np.asarray(grid, dtype=float)
-    if weights not in ("cell", "point"):
-        raise ValueError("weights must be 'cell' or 'point'")
     W = np.zeros((grid.size, times.size))
     interior = (grid >= lam) & (grid <= T - lam)
-    if weights == "cell":
-        edges = _cell_edges(times)
-        if np.any(interior):
-            W[interior] = _cell_rows(grid[interior], edges, lam, j, make_kernel(L, j))
-        for k in np.nonzero(~interior)[0]:
-            ker = _kernel_for_point(float(grid[k]), T, lam, j, L)
-            W[k] = _cell_rows(grid[k : k + 1], edges, lam, j, ker)[0]
-    else:
-        gaps = np.diff(times, prepend=0.0)
-        if np.any(interior):
-            W[interior] = _point_rows(grid[interior], times, gaps, lam, j, make_kernel(L, j))
-        for k in np.nonzero(~interior)[0]:
-            ker = _kernel_for_point(float(grid[k]), T, lam, j, L)
-            W[k] = _point_rows(grid[k : k + 1], times, gaps, lam, j, ker)[0]
+    rows = np.nonzero(interior)[0]
+    if rows.size:
+        band, cols = _band_rows(times, grid[rows], lam, j, make_kernel(L, j))
+        np.add.at(W, (rows[:, None], cols), band)
+    for k in np.nonzero(~interior)[0]:
+        ker = _kernel_for_point(float(grid[k]), T, lam, j, L)
+        band, cols = _band_rows(times, grid[k : k + 1], lam, j, ker)
+        np.add.at(W, (k, cols[0]), band[0])
     return W
 
 
 def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
-               ker: SmoothingKernel, weights: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of W for interior evaluation points, restricted to their band.
+               ker: SmoothingKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights of one kernel at each grid point, restricted to the band.
 
-    Only observations within one bandwidth of an evaluation point carry
-    weight, so row k is stored as weights ``band[k]`` on the observations
-    ``cols[k]``; padding columns carry weight zero. All rows share the
-    interior kernel; callers must pre-restrict the grid.
+    Weight i of row k is lam^-(j+1) times the integral of K((grid[k]-u)/lam)
+    over cell i: the kernel primitive differenced over the cell edges. Only
+    observations within one bandwidth carry weight, so row k is stored as
+    ``band[k]`` on the observations ``cols[k]``; padding columns alias
+    observation n-1 with weight zero.
     """
     n = times.size
-    if weights == "cell":
-        edges = _cell_edges(times)
-        s = np.searchsorted(edges, grid - lam, side="right") - 1
-        e = np.searchsorted(edges, grid + lam, side="left") + 1
-        np.clip(s, 0, edges.size - 1, out=s)
-        np.clip(e, 1, edges.size, out=e)
-        width = int(np.max(e - s))
-        idx = s[:, None] + np.arange(width)[None, :]
-        np.clip(idx, 0, edges.size - 1, out=idx)
-        U = (grid[:, None] - edges[idx]) / lam
-        lo, hi = ker.support
-        np.clip(U, lo, hi, out=U)
-        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
-        band = (B[:, :-1] - B[:, 1:]) / lam**j
-        cols = np.minimum(idx[:, :-1], n - 1)
-    else:
-        gaps = np.diff(times, prepend=0.0)
-        s = np.searchsorted(times, grid - lam, side="right")
-        e = np.searchsorted(times, grid + lam, side="left")
-        np.clip(s, 0, max(n - 1, 0), out=s)
-        width = max(int(np.max(e - s)), 1)
-        offsets = np.arange(width)
-        # columns past a row's own window are padding; index clipping would
-        # alias them onto the last observation, so mask them out explicitly
-        pad = offsets[None, :] >= (e - s)[:, None]
-        idx = s[:, None] + offsets[None, :]
-        np.clip(idx, 0, n - 1, out=idx)
-        U = (grid[:, None] - times[idx]) / lam
-        lo, hi = ker.support
-        inside = (U > lo) & (U < hi) & ~pad
-        K = np.zeros_like(U)
-        if np.any(inside):
-            K[inside] = np.polynomial.polynomial.polyval(
-                U[inside], np.asarray(ker.coeffs)
-            )
-        band = K * gaps[idx] / lam ** (j + 1)
-        cols = idx
+    edges = _cell_edges(times)
+    # past lam by a rounding margin, so every cell the kernel reaches is kept
+    reach = lam * (1.0 + 1e-6)
+    s = np.searchsorted(edges, grid - reach, side="right") - 1
+    e = np.searchsorted(edges, grid + reach, side="left") + 1
+    np.clip(s, 0, edges.size - 1, out=s)
+    np.clip(e, 1, edges.size, out=e)
+    width = int(np.max(e - s))
+    idx = s[:, None] + np.arange(width)[None, :]
+    np.clip(idx, 0, edges.size - 1, out=idx)
+    U = (grid[:, None] - edges[idx]) / lam
+    lo, hi = ker.support
+    np.clip(U, lo, hi, out=U)
+    B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
+    band = (B[:, :-1] - B[:, 1:]) / lam**j
+    cols = np.minimum(idx[:, :-1], n - 1)
     return band, cols
 
 
@@ -308,12 +253,6 @@ def _apply_band(band: np.ndarray, cols: np.ndarray, V: np.ndarray) -> np.ndarray
     for m in range(band.shape[1]):
         out += band[:, m, None] * V[cols[:, m]]
     return out
-
-
-def _banded_apply(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
-                  ker: SmoothingKernel, weights: str, V: np.ndarray) -> np.ndarray:
-    """W @ V for interior evaluation points without forming the dense W."""
-    return _apply_band(*_band_rows(times, grid, lam, j, ker, weights), V)
 
 
 class DesignWeights:
@@ -334,14 +273,13 @@ class DesignWeights:
         digest = hashlib.blake2b(grid.tobytes(), digest_size=16).hexdigest()
         return (grid.size, digest)
 
-    def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray,
-                      weights: str = "cell") -> np.ndarray:
+    def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
         grid = np.ascontiguousarray(grid, dtype=float)
-        key = (int(j), int(L), round(float(lam), 12), weights, self._grid_key(grid))
+        key = (int(j), int(L), round(float(lam), 12), self._grid_key(grid))
         with self._lock:
             W = self._store.get(key)
         if W is None:
-            W = _weight_matrix(self.times, self.T, grid, j, L, lam, weights)
+            W = _weight_matrix(self.times, self.T, grid, j, L, lam)
             with self._lock:
                 W = self._store.setdefault(key, W)
         return W
@@ -355,8 +293,7 @@ def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarra
 
 
 def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
-                *, weights: str = "cell",
-                design: DesignWeights | None = None) -> DerivativeEstimate:
+                *, design: DesignWeights | None = None) -> DerivativeEstimate:
     """Weighted-sum estimate of q^(j) at the given bandwidth.
 
     Each value is a kernel-weighted combination of the observations, with the
@@ -376,9 +313,9 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
             "points; increase the bandwidth or the sample size" % lam
         )
     if design is None:
-        W = _weight_matrix(data.times, data.T, grid, j, L, lam, weights)
+        W = _weight_matrix(data.times, data.T, grid, j, L, lam)
     else:
-        W = design.weight_matrix(j, L, lam, grid, weights)
+        W = design.weight_matrix(j, L, lam, grid)
     return DerivativeEstimate(
         j=j, grid=grid, values=W @ data.values, bandwidth=float(lam), kernel_order=L
     )
@@ -446,9 +383,10 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     the probe tolerance (see ``_moment_error``). The check reads the band
     rows the level's estimates are formed from, and only levels that pass
     it are applied to V. When no level passes, the least-biased one (the
-    smallest such error) is the only admissible level. Distances between
-    estimates are integrated over the interior zone of the larger
-    bandwidth, where neither estimate is boundary-affected.
+    smallest such error) is the only admissible level and
+    ``details["fallback"]`` is "least_biased"; otherwise it is None.
+    Distances between estimates are integrated over the interior zone of
+    the larger bandwidth, where neither estimate is boundary-affected.
     """
     n = times.size
     grid_obj = BandwidthGrid.build(j, cfg.a, n, sigma, T)
@@ -476,7 +414,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             continue
         if np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
             continue
-        band, cols = _band_rows(times, cgrid[i0:i1], lam, j, ker, cfg.weights)
+        band, cols = _band_rows(times, cgrid[i0:i1], lam, j, ker)
         rel = _moment_error(band, cols, times, cgrid[i0:i1], lam, j, L, T)
         if rel <= cfg.probe_tol:
             spans[li] = (i0, i1)
@@ -486,14 +424,16 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         # free this level's band before the next one is built
         del band, cols
     admissible = [i for i, s in enumerate(spans) if s is not None]
+    fallback = None
     if not admissible and best_bad is not None:
         # No level meets the moment conditions (coarse designs at high j);
         # estimating at the least-biased level beats refusing outright.
         _, li, (i0, i1) = best_bad
         spans[li] = (i0, i1)
-        estimates[li] = _banded_apply(times, cgrid[i0:i1], levels[li], j, ker,
-                                      cfg.weights, V)
+        band, cols = _band_rows(times, cgrid[i0:i1], levels[li], j, ker)
+        estimates[li] = _apply_band(band, cols, V)
         admissible = [li]
+        fallback = "least_biased"
     if not admissible:
         raise EstimationError(
             "no admissible bandwidth level for j=%d: the design is too sparse "
@@ -522,7 +462,6 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             if not np.any(ok):
                 break
         selected[ok & (selected < 0)] = ci
-    selected[selected < 0] = admissible[-1]
     lam_hat = levels[selected]
     details = {
         "levels": levels,
@@ -531,6 +470,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         "C": C,
         "hmin": (sigma * sigma * T * T / n) ** (1.0 / (2 * j + 1)),
         "comparison_grid_size": cgrid.size,
+        "fallback": fallback,
     }
     return lam_hat, selected, details
 
@@ -542,11 +482,11 @@ def lepski_select(data: NoisySample, j: int, L: int,
     noise-level threshold of every smaller admissible estimate on the grid.
 
     A level is admissible when its design weights meet the kernel's moment
-    conditions at the level's own scale within ``cfg.probe_tol``. Two
-    fallbacks apply: when no level is admissible, the least-biased level
-    (the one that misses the moment conditions least) is used; when no
-    admissible level passes the comparison, the smallest admissible level
-    is used.
+    conditions at the level's own scale within ``cfg.probe_tol``. When no
+    level is admissible, the least-biased level (the one that misses the
+    moment conditions least) is used and ``details["fallback"]`` reads
+    "least_biased". The smallest admissible level has nothing smaller to
+    be compared with, so it is selected when no larger level passes.
     """
     cfg = cfg or LepskiConfig()
     lam_hat, _, details = _lepski_batch(
@@ -566,7 +506,7 @@ def estimate_derivative(data: NoisySample, j: int, L: int,
     if grid is None:
         grid = np.linspace(0.0, data.T, 1024)
     lam = lepski_select(data, j, L, cfg)
-    return pc_estimate(data, j, L, lam, grid, weights=cfg.weights, design=design)
+    return pc_estimate(data, j, L, lam, grid, design=design)
 
 
 def estimate_sigma(data: NoisySample) -> float:

@@ -192,6 +192,14 @@ class TestDeconvolveCommand:
                    "--output", str(tmp_path / "f.csv")])
         assert rc == 3
 
+    def test_grid_size_one_exits_2(self, tmp_path):
+        # g4 has a convolution term, whose cell moments need two grid points
+        data = emit_cell(tmp_path)
+        rc = main(["deconvolve", "--input", data, "--kernel", G4,
+                   "--sigma", "0.01", "--grid-size", "1",
+                   "--output", str(tmp_path / "f.csv")])
+        assert rc == 2
+
     def test_diagnostic_on_stderr(self, tmp_path, capsys):
         rc = main(["deconvolve", "--input", str(tmp_path / "nope.csv"),
                    "--kernel", G2, "--sigma", "0.1",
@@ -284,6 +292,24 @@ class TestSimulateCommand:
         rc = main(["simulate", "--cell", "g2,f1,60,0", "--runs", "0",
                    "--output", str(tmp_path / "rep.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--a", "1.0"],
+            ["--L", "1"],
+            ["--grid-size", "1"],
+            ["--grid-size", "2"],
+            ["--trim", "0.6"],
+        ],
+    )
+    def test_invalid_estimator_parameter_exits_2(self, tmp_path, capsys, flags):
+        rc = main(["simulate", "--cell", "g2,f1,100,0", "--runs", "1",
+                   "--output", str(tmp_path / "rep.csv")] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: invalid parameter: ")
+        assert err.count("\n") == 1
 
     def test_emit_data_requires_cell(self, tmp_path):
         rc = main(["simulate", "--full", "--runs", "1",

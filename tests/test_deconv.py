@@ -56,6 +56,14 @@ class TestEstimatorConfig:
         assert cfg.fixed_bandwidth(1) == 0.4
         assert cfg.fixed_bandwidth(2) is None
 
+    @pytest.mark.parametrize(
+        "kw", [dict(grid_size=1), dict(grid_size=0), dict(trim=0.5),
+               dict(trim=0.6), dict(trim=-0.1)],
+    )
+    def test_rejects_grid_or_trim_without_risk(self, kw):
+        with pytest.raises(ValueError):
+            EstimatorConfig(**kw)
+
 
 class TestConvolutionTerm:
     @pytest.mark.parametrize("name", ["g3", "g4", "g5"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lapdeconv._expalg import ExpPoly
+from lapdeconv.deconv import EstimatorConfig
 from lapdeconv.sim import (
     BUILTIN_F_NAMES,
     BUILTIN_G_NAMES,
@@ -206,6 +207,13 @@ class TestRunExperiment:
         assert math.isnan(rep.mean_mse)
         assert np.all(np.isnan(rep.per_run_mse))
         assert "adaptive" in rep.error
+
+    def test_empty_trimmed_window_raises(self):
+        # grid_size=2 evaluates at 0 and T only, both outside [T/10, 9T/10]
+        sc = Scenario("g2", "f1", n=60, sigma=0.01, runs=1,
+                      config=EstimatorConfig(grid_size=2))
+        with pytest.raises(ValueError, match="trimmed window"):
+            run_experiment(sc)
 
 
 class TestTable:

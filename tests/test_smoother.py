@@ -13,7 +13,10 @@ from lapdeconv.smoother import (
     EstimationError,
     LepskiConfig,
     NoisySample,
-    _banded_apply,
+    _apply_band,
+    _band_rows,
+    _cell_edges,
+    _kernel_for_point,
     _weight_matrix,
     estimate_derivative,
     estimate_sigma,
@@ -22,6 +25,18 @@ from lapdeconv.smoother import (
 )
 
 T = 10.0
+
+
+def dense_weights(times, T, grid, j, L, lam):
+    """Oracle W: lam^-j times the kernel primitive differenced over every cell."""
+    edges = _cell_edges(times)
+    W = np.empty((grid.size, times.size))
+    for k, x in enumerate(grid):
+        ker = _kernel_for_point(float(x), T, lam, j, L)
+        U = np.clip((x - edges) / lam, *ker.support)
+        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
+        W[k] = (B[:-1] - B[1:]) / lam**j
+    return W
 
 
 def equispaced(n, fn, sigma=0.0, seed=None):
@@ -102,8 +117,8 @@ class TestPcEstimate:
         n = 2000
         times = np.arange(1, n + 1) * (T / n)
         for j in (0, 1):
-            W1 = _weight_matrix(times, T, np.array([5.0]), j, 4, 0.4, "cell")
-            W2 = _weight_matrix(times, T, np.array([5.0]), j, 4, 0.8, "cell")
+            W1 = _weight_matrix(times, T, np.array([5.0]), j, 4, 0.4)
+            W2 = _weight_matrix(times, T, np.array([5.0]), j, 4, 0.8)
             assert np.sum(W2**2) / np.sum(W1**2) == pytest.approx(
                 2.0 ** (-(2 * j + 1)), rel=1e-2
             )
@@ -130,13 +145,6 @@ class TestPcEstimate:
         a = pc_estimate(d, 1, 8, 0.9, grid).values
         b = pc_estimate(d, 1, 8, 0.9, grid).values
         np.testing.assert_array_equal(a, b)
-
-    def test_point_weights_agree_for_dense_designs(self):
-        d = equispaced(4000, np.sin)
-        grid = np.linspace(2.0, 8.0, 31)
-        ec = pc_estimate(d, 1, 4, 0.6, grid, weights="cell").values
-        ep = pc_estimate(d, 1, 4, 0.6, grid, weights="point").values
-        np.testing.assert_allclose(ec, ep, atol=5e-4)
 
 
 class TestBandwidthGrid:
@@ -170,18 +178,30 @@ class TestBandwidthGrid:
 
 
 class TestBandedApply:
-    @pytest.mark.parametrize("weights", ["cell", "point"])
-    @pytest.mark.parametrize("j", [0, 1, 3])
-    def test_matches_dense_on_nonuniform_design(self, weights, j):
+    @pytest.mark.parametrize(
+        "j", [pytest.param(j, id="%d-cell" % j) for j in (0, 1, 3)]
+    )
+    def test_matches_dense_on_nonuniform_design(self, j):
         rng = np.random.default_rng(42)
         times = np.sort(rng.uniform(0.05, T, 700))
         lam = 1.1
-        grid = np.linspace(lam, T - lam, 57)
+        grid = np.linspace(0.0, T, 57)
+        W = _weight_matrix(times, T, grid, j, 8, lam)
+        np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam))
+        inner = (grid >= lam) & (grid <= T - lam)
         V = rng.standard_normal((times.size, 3))
-        ker = make_kernel(8, j)
-        fast = _banded_apply(times, grid, lam, j, ker, weights, V)
-        W = _weight_matrix(times, T, grid, j, 8, lam, weights)
-        np.testing.assert_allclose(fast, W @ V, rtol=1e-11, atol=1e-11)
+        band, cols = _band_rows(times, grid[inner], lam, j, make_kernel(8, j))
+        np.testing.assert_allclose(_apply_band(band, cols, V), W[inner] @ V,
+                                   rtol=1e-11, atol=1e-11)
+
+    def test_band_keeps_cells_at_rounding_distance(self):
+        # grid 3.75 lies lam = 0.3 from the cell edge 3.45 up to rounding;
+        # the rounded kernel argument of that edge still falls inside the
+        # support, so the cell next to it carries a weight of order 1e-15
+        times = np.arange(1, 101) * (T / 100)
+        grid = np.linspace(0.0, T, 257)
+        W = _weight_matrix(times, T, grid, 1, 4, 0.3)
+        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.3))
 
 
 class TestLepski:
@@ -195,7 +215,7 @@ class TestLepski:
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
         _, details = lepski_select(d, 1, 8, return_details=True)
         for key in ("levels", "admissible", "selected_index", "C", "hmin",
-                    "comparison_grid_size"):
+                    "comparison_grid_size", "fallback"):
             assert key in details
 
     def test_deterministic(self):
@@ -213,6 +233,18 @@ class TestLepski:
         da = equispaced(1000, np.sin, sigma=0.01, seed=5)
         db = equispaced(1000, np.sin, sigma=0.3, seed=5)
         assert lepski_select(db, 0, 8) >= lepski_select(da, 0, 8) - 1e-12
+
+    def test_least_biased_fallback_is_recorded(self):
+        # at n = 100 no level of order 4 meets the moment conditions
+        d = equispaced(100, np.sin, sigma=0.001, seed=0)
+        _, details = lepski_select(d, 4, 8, return_details=True)
+        assert details["fallback"] == "least_biased"
+        assert len(details["admissible"]) == 1
+
+    def test_no_fallback_when_a_level_is_admissible(self):
+        d = equispaced(250, np.sin, sigma=0.01, seed=0)
+        _, details = lepski_select(d, 1, 8, return_details=True)
+        assert details["fallback"] is None
 
     def test_sigma_zero_propagates(self):
         d = equispaced(400, np.sin, sigma=0.0)
@@ -268,7 +300,7 @@ class TestDesignWeights:
         grid = np.linspace(0.0, T, 50)
         np.testing.assert_array_equal(
             dw.weight_matrix(1, 4, 0.5, grid),
-            _weight_matrix(times, T, grid, 1, 4, 0.5, "cell"),
+            _weight_matrix(times, T, grid, 1, 4, 0.5),
         )
 
 
