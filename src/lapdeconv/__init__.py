@@ -31,12 +31,8 @@ from .resolvent import (
     RationalLaplaceKernel,
     ResolventDecomposition,
     decompose,
-    evaluate_decomposition,
-    exp_poly_coefficients,
-    exp_poly_decomposition,
     exp_poly_kernel,
     partial_fraction_terms,
-    phi1_eval,
     phi_tilde,
     pole_multiset,
     polished_roots,
@@ -103,9 +99,6 @@ __all__ = [
     "estimate_derivative",
     "estimate_sigma",
     "eval_kernel",
-    "evaluate_decomposition",
-    "exp_poly_coefficients",
-    "exp_poly_decomposition",
     "exp_poly_kernel",
     "forward_convolve",
     "ladder_sigma",
@@ -115,7 +108,6 @@ __all__ = [
     "normal_quantile",
     "partial_fraction_terms",
     "pc_estimate",
-    "phi1_eval",
     "phi_tilde",
     "pole_multiset",
     "polished_roots",

@@ -89,20 +89,14 @@ class ExpPoly:
     @classmethod
     def phi_from_decomposition(cls, d: ResolventDecomposition) -> "ExpPoly":
         """The resolvent kernel phi = polynomial part + phi1 as an ExpPoly."""
-        terms = []
-        if d.a0.size:
-            poly = np.array(
-                [d.a0[j] / math.factorial(j) for j in range(d.a0.size)],
-                dtype=complex,
-            )
-            terms.append((0.0 + 0.0j, poly))
-        for term in d.poles:
-            poly = np.array(
-                [term.a[i] / math.factorial(i) for i in range(term.alpha)],
-                dtype=complex,
-            )
-            terms.append((term.s, poly))
-        return cls(terms)
+        phi1 = cls.phi1_from_decomposition(d)
+        if not d.a0.size:
+            return phi1
+        poly = np.array(
+            [d.a0[j] / math.factorial(j) for j in range(d.a0.size)],
+            dtype=complex,
+        )
+        return cls([(0.0 + 0.0j, poly)]) + phi1
 
     @classmethod
     def phi1_from_decomposition(cls, d: ResolventDecomposition) -> "ExpPoly":

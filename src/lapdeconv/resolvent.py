@@ -34,10 +34,6 @@ __all__ = [
     "rational_kernel",
     "phi_tilde",
     "decompose",
-    "phi1_eval",
-    "evaluate_decomposition",
-    "exp_poly_coefficients",
-    "exp_poly_decomposition",
     "exp_poly_kernel",
     "pole_multiset",
     "partial_fraction_terms",
@@ -557,46 +553,6 @@ def _assert_real(values: np.ndarray, label: str) -> np.ndarray:
     return values.real.copy()
 
 
-def phi1_eval(d: ResolventDecomposition, x, deriv: int = 0):
-    """Evaluate phi1^{(deriv)} at x (scalar or array), real output.
-
-    phi1(x) = sum_l sum_j a_{l,j} x^j e^{s_l x} / j!; each derivative acts
-    in closed form through the product rule, so no numerical
-    differentiation is involved.
-    """
-    if deriv < 0:
-        raise ValueError("derivative order must be nonnegative")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    total = np.zeros(xs.shape, dtype=complex)
-    m = deriv
-    for term in d.poles:
-        poly = np.zeros(term.alpha, dtype=complex)
-        for jj, a_lj in enumerate(term.a):
-            for i in range(min(m, jj) + 1):
-                poly[jj - i] += a_lj * math.comb(m, i) * term.s ** (m - i) / math.factorial(jj - i)
-        total += np.polynomial.polynomial.polyval(xs, poly) * np.exp(term.s * xs)
-    scale = np.maximum(1.0, np.abs(total))
-    resid = float(np.max(np.abs(total.imag) / scale)) if total.size else 0.0
-    if resid > 1e-10:
-        raise ValueError(f"phi1 imaginary residue {resid:.3e} beyond tolerance")
-    out = total.real
-    return float(out[0]) if scalar else out
-
-
-def evaluate_decomposition(d: ResolventDecomposition, s):
-    """Evaluate phi~ from its decomposition at complex s (round-trip check)."""
-    ss = np.asarray(s, dtype=complex)
-    out = np.zeros(ss.shape, dtype=complex)
-    for j, a in enumerate(d.a0):
-        out = out + a / ss ** (j + 1)
-    for term in d.poles:
-        for i, a in enumerate(term.a):
-            out = out + a / (ss - term.s) ** (i + 1)
-    return out
-
-
 def exp_poly_kernel(a: float, rho, r: int, description: str = "") -> RationalLaplaceKernel:
     """Rational kernel for the shifted-basis parametric family
 
@@ -616,102 +572,3 @@ def exp_poly_kernel(a: float, rho, r: int, description: str = "") -> RationalLap
     num = pz.shifted(a)
     den = Polynomial.from_roots([-a] * (k + r))
     return rational_kernel(num.real_coeffs(), den.real_coeffs(), description)
-
-
-def exp_poly_coefficients(a: float, rho, r: int):
-    """Coefficients of the shifted-basis inversion for the parametric family
-
-        g~(s) = P(s) / (s + a)^{k + r},   P(s) = sum_j rho[j] (s + a)^{k - j},
-
-    with rho[0] = 1 and P having k distinct roots. Returns (alpha, beta,
-    roots): alpha are the polynomial-part coefficients in the (s + a)
-    basis via the quotient recursion, beta the simple-pole residues
-
-        beta_l = (s_l + a)^{k + r} / prod_{m != l} (s_l - s_m).
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or rho.size < 1:
-        raise ValueError("rho must be a nonempty 1-d sequence")
-    if abs(rho[0] - 1.0) > 1e-12:
-        raise ValueError("the family is normalized so that rho[0] = 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    k = rho.size - 1
-
-    alpha = np.zeros(r + 1)
-    alpha[r] = 1.0
-    for l in range(1, r + 1):
-        acc = 0.0
-        for j in range(max(0, l - k), l):
-            acc += alpha[r - j] * rho[l - j]
-        alpha[r - l] = -acc
-
-    # P in the plain s basis: coefficients in z = s + a, then shift
-    pz = Polynomial(rho[::-1].astype(complex))
-    ps = pz.shifted(a)
-    roots = polished_roots(ps)
-    if roots.size != k:
-        raise ValueError("failed to locate all k roots of P")
-    if k >= 2:
-        dists = [
-            abs(roots[i] - roots[m])
-            for i in range(k)
-            for m in range(i + 1, k)
-        ]
-        scale = max(1.0, float(np.max(np.abs(roots))))
-        if min(dists) <= _CLUSTER_RADIUS * scale:
-            raise ValueError(
-                "P has (numerically) repeated roots; use the general "
-                "decompose() path which handles multiplicities"
-            )
-    beta = np.empty(k, dtype=complex)
-    for l in range(k):
-        prod = 1.0 + 0.0j
-        for m in range(k):
-            if m != l:
-                prod *= roots[l] - roots[m]
-        beta[l] = (roots[l] + a) ** (k + r) / prod
-    return alpha, beta, roots
-
-
-def exp_poly_decomposition(a: float, rho, r: int) -> ResolventDecomposition:
-    """ResolventDecomposition built from the shifted-basis coefficients.
-
-    Independent of decompose(): the estimator here is assembled from the
-    quotient recursion (alpha) and residues (beta), then mapped onto the
-    (a0, poles, b) representation:
-
-        b[r-1-l]   = - sum_{j=l}^{r} C(j, l) a^{j-l} alpha[j]
-        a_{l,0}    = - beta_l / s_l^r
-        a0[j]      =   b[j] - sum_l a_{l,0} s_l^j.
-    """
-    alpha, beta, roots = exp_poly_coefficients(a, rho, r)
-    k = roots.size
-
-    b = np.zeros(r, dtype=complex)
-    for l in range(r):
-        acc = 0.0
-        for j in range(l, r + 1):
-            acc += math.comb(j, l) * a ** (j - l) * alpha[j]
-        b[r - 1 - l] = -acc
-
-    if np.any(np.abs(roots) < 1e-12):
-        raise ValueError("P has a root at the origin; the family is degenerate there")
-    a_l0 = -beta / roots**r
-
-    a0 = np.zeros(r, dtype=complex)
-    for j in range(r):
-        a0[j] = b[j] - np.sum(a_l0 * roots**j)
-
-    terms = [
-        PoleTerm(complex(roots[l]), 1, (complex(a_l0[l]),)) for l in range(k)
-    ]
-    scale = max(1.0, float(np.max(np.abs(roots))) if k else 0.0)
-    terms = _symmetrize_conjugates(terms, _CLUSTER_RADIUS * scale)
-    return ResolventDecomposition(
-        a0=_assert_real(a0, "a0"),
-        poles=tuple(terms),
-        b=_assert_real(b, "b"),
-        r=r,
-        B_r=1.0,
-    )

@@ -109,8 +109,8 @@ class BandwidthGrid:
         """
         if j < 0:
             raise ValueError("derivative order j must be nonnegative")
-        if a <= 1.0:
-            raise ValueError("grid ratio a must exceed 1")
+        if not (math.isfinite(a) and a > 1.0):
+            raise ValueError("grid ratio a must be finite and exceed 1")
         if sigma == 0.0:
             raise AdaptationError(
                 "sigma = 0 gives an unbounded bandwidth grid; adaptive selection "
@@ -141,7 +141,9 @@ class LepskiConfig:
     comparison grid: the deviation is measured in units of j!/lam^j at the
     level's own scale and, carried to the monomials (t/T)^m, relative to
     each monomial's j-th derivative on [0, T]. Levels beyond it are not
-    admissible.
+    admissible. C must be None or finite and positive, mu, threshold_mult
+    and probe_tol finite and positive, and comparison_grid_size None or an
+    integer >= 2; other values raise ValueError.
     """
 
     a: float = 1.2
@@ -150,6 +152,21 @@ class LepskiConfig:
     threshold_mult: float = 3.0
     comparison_grid_size: int | None = None
     probe_tol: float = 0.1
+
+    def __post_init__(self):
+        for name in ("C", "mu", "threshold_mult", "probe_tol"):
+            value = getattr(self, name)
+            if name == "C" and value is None:
+                continue
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        size = self.comparison_grid_size
+        if size is not None and (
+            isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 2
+        ):
+            raise ValueError(
+                f"comparison_grid_size must be None or an integer >= 2, got {size!r}"
+            )
 
 
 @dataclass(frozen=True)

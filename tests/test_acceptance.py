@@ -18,11 +18,7 @@ import pytest
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import EstimatorConfig, _estimate_all
 from lapdeconv.kernels import make_boundary_kernel
-from lapdeconv.resolvent import (
-    decompose,
-    exp_poly_decomposition,
-    rational_kernel,
-)
+from lapdeconv.resolvent import decompose, rational_kernel
 from lapdeconv.sim import (
     BUILTIN_F_NAMES,
     BUILTIN_G_NAMES,
@@ -34,6 +30,7 @@ from lapdeconv.sim import (
     run_experiment,
     run_table,
 )
+from oracles import exp_poly_decomposition
 
 T = 10.0
 

@@ -8,13 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from lapdeconv.cli import (
-    _resolve_threads,
-    check_schema,
-    load_sidecar_schema,
-    main,
-    parse_kernel_spec,
-)
+from lapdeconv.cli import _resolve_threads, main, parse_kernel_spec
+from oracles import check_schema, load_sidecar_schema
 
 G2 = '{"form":"builtin","name":"g2"}'
 G3 = '{"form":"builtin","name":"g3"}'
@@ -23,6 +18,14 @@ G4_EXP_POLY = json.dumps({
     "form": "exp-poly", "a": 1.0, "r": 3,
     "rho": [1.0, 5.5, 14.5625, 6.25, 35.265625],
 })
+# selection constants LepskiConfig rejects; both commands exit 2 on them
+BAD_SELECTION_FLAGS = [
+    ["--threshold-mult", "-1"],
+    ["--threshold-mult", "nan"],
+    ["--C", "0"],
+    ["--C", "-2"],
+    ["--a", "inf"],
+]
 
 
 def write_csv(path, rows, header=("t", "y")):
@@ -75,6 +78,10 @@ class TestKernelSpecParsing:
             '{"form":"rational","num":[1],"den":[]}',
             '{"form":"exp-poly","a":1.0,"r":3,"rho":[2.0,1.0]}',
             '{"form":"exp-poly","a":1.0,"r":3}',
+            '{"form":"exp-poly","a":1.0,"r":2.7,"rho":[1.0,5.5]}',
+            '{"form":"exp-poly","a":true,"r":"2","rho":[1.0,5.5]}',
+            '{"form":"exp-poly","a":1.0,"r":true,"rho":[1.0,5.5]}',
+            '{"form":"exp-poly","a":"1.0","r":2,"rho":[1.0,5.5]}',
             '{"form":"mystery"}',
             '{"num":[1],"den":[5,1]}',
             '{broken json',
@@ -86,10 +93,15 @@ class TestKernelSpecParsing:
 
 
 class TestDeconvolveCommand:
-    def test_happy_path_with_sidecar(self, tmp_path):
-        data = emit_cell(tmp_path)
+    @pytest.mark.parametrize(
+        "cell,kernel,r,poles",
+        [("g2,f1,100,0", G2, 1, 0), ("g4,f2,100,0", G4, 3, 4)],
+        ids=["g2", "g4"],
+    )
+    def test_happy_path_with_sidecar(self, tmp_path, cell, kernel, r, poles):
+        data = emit_cell(tmp_path, cell=cell)
         out = tmp_path / "f.csv"
-        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+        rc = main(["deconvolve", "--input", data, "--kernel", kernel,
                    "--sigma", "0.01", "--output", str(out)])
         assert rc == 0
         rows = list(csv.reader(open(out)))
@@ -100,9 +112,13 @@ class TestDeconvolveCommand:
         assert side["n"] == 100
         assert side["sigma"] == 0.01
         assert side["sigma_estimated"] is False
-        assert side["kernel"]["r"] == 1
-        assert sorted(side["bandwidths"]) == ["0", "1"]
-        assert side["decomposition"]["b"] == [-5.0]
+        assert side["kernel"]["r"] == r
+        assert sorted(side["bandwidths"]) == [str(j) for j in range(r + 1)]
+        assert len(side["decomposition"]["poles"]) == poles
+        if kernel == G2:
+            assert side["decomposition"]["b"] == [-5.0]
+        else:
+            assert all(p["im"] != 0.0 for p in side["decomposition"]["poles"])
 
     def test_estimate_sigma_flag(self, tmp_path):
         data = emit_cell(tmp_path)
@@ -199,6 +215,18 @@ class TestDeconvolveCommand:
                    "--sigma", "0.01", "--grid-size", "1",
                    "--output", str(tmp_path / "f.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", BAD_SELECTION_FLAGS)
+    def test_invalid_selection_constant_exits_2(self, tmp_path, capsys, flags):
+        data = emit_cell(tmp_path)
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")]
+                  + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: invalid parameter: ")
+        assert err.count("\n") == 1
 
     def test_diagnostic_on_stderr(self, tmp_path, capsys):
         rc = main(["deconvolve", "--input", str(tmp_path / "nope.csv"),
@@ -301,6 +329,7 @@ class TestSimulateCommand:
             ["--grid-size", "1"],
             ["--grid-size", "2"],
             ["--trim", "0.6"],
+            *BAD_SELECTION_FLAGS,
         ],
     )
     def test_invalid_estimator_parameter_exits_2(self, tmp_path, capsys, flags):

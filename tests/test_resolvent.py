@@ -1,5 +1,6 @@
 """Tests for the rational-transform algebra and pole decomposition."""
 
+import importlib
 import math
 import warnings
 
@@ -11,18 +12,30 @@ from hypothesis import strategies as st
 from lapdeconv.resolvent import (
     Polynomial,
     decompose,
-    evaluate_decomposition,
-    exp_poly_coefficients,
-    exp_poly_decomposition,
     exp_poly_kernel,
     partial_fraction_terms,
-    phi1_eval,
     phi_tilde,
     pole_multiset,
     polished_roots,
     rational_kernel,
 )
 from lapdeconv.sim import builtin_g
+from oracles import (
+    evaluate_decomposition,
+    exp_poly_coefficients,
+    exp_poly_decomposition,
+    phi1_eval,
+)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["lapdeconv"] + [f"lapdeconv.{m}" for m in (
+        "cli", "deconv", "kernels", "resolvent", "sim", "smoother", "special")],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 class TestPolynomial:

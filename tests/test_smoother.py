@@ -173,8 +173,9 @@ class TestBandwidthGrid:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             BandwidthGrid.build(-1, 1.2, 1000, 0.1, T)
-        with pytest.raises(ValueError):
-            BandwidthGrid.build(0, 1.0, 1000, 0.1, T)
+        for a in (1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                BandwidthGrid.build(0, a, 1000, 0.1, T)
 
 
 class TestBandedApply:
@@ -226,6 +227,26 @@ class TestLepski:
         d = equispaced(400, np.sin, sigma=0.05, seed=3)
         _, da = lepski_select(d, 0, 8, LepskiConfig(C=2.5), return_details=True)
         assert da["C"] == 2.5
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("C", 0.0), ("C", -2.0), ("C", float("nan")), ("C", float("inf")),
+            ("mu", 0.0), ("mu", float("inf")),
+            ("threshold_mult", -1.0), ("threshold_mult", float("nan")),
+            ("probe_tol", 0.0), ("probe_tol", float("nan")),
+            ("comparison_grid_size", 1), ("comparison_grid_size", 100.0),
+            ("comparison_grid_size", True),
+        ],
+    )
+    def test_config_rejects_invalid_constants(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LepskiConfig(**{field: value})
+
+    def test_config_accepts_boundary_values(self):
+        LepskiConfig(C=None, comparison_grid_size=None)
+        LepskiConfig(C=1e-9, comparison_grid_size=2)
+        LepskiConfig(comparison_grid_size=np.int64(3))
 
     def test_smoother_noise_selects_no_smaller(self):
         # with less noise the selector may keep a smaller bandwidth; with
