@@ -1,18 +1,31 @@
 """Moment-constrained polynomial smoothing kernels for derivative estimation.
 
-A kernel of order (L, j) on support [lo, hi] is a polynomial K satisfying
+A kernel of order (L, j) on support [-1, rho], rho in (0, 1], is a
+polynomial K satisfying
 
-    integral_lo^hi t^l K(t) dt = (-1)^j j!   if l == j,   0 otherwise,
+    integral_{-1}^{rho} t^l K(t) dt = (-1)^j j!   if l == j,   0 otherwise,
 
 for l = 0 .. L-1, with K and K' vanishing at both endpoints so the
-zero-extension is C^1. We write K(t) = (t - lo)^2 (hi - t)^2 p(t) and solve
-for the minimal-degree p in exact rational arithmetic, so the moment
-constraints hold to machine precision in the returned float coefficients.
+zero-extension is C^1. rho = 1 gives the interior kernel on [-1, 1]. Near
+the left boundary of the data interval rho = (distance to boundary) /
+bandwidth; right-boundary kernels are the reflections K~(t) = (-1)^j K(-t)
+of the left ones.
 
-Interior kernels live on [-1, 1]. Near the left boundary of the data
-interval the same system is solved on [-1, rho] with rho = (distance to
-boundary) / bandwidth; right-boundary kernels are the reflections
-K~(t) = (-1)^j K(-t) of the left ones.
+Every support is the affine image t = c + h u of the reference interval
+u in [-1, 1], with c = (rho - 1)/2 and h = (rho + 1)/2. There
+K = (1 - u^2)^2 q(u), and the binomial theorem turns the targets into
+moments in u,
+
+    integral u^m K dt = C(m, j) (-c)^(m-j) h^(-m) (-1)^j j!  for m >= j,
+
+and 0 for m < j. The Gram matrix G[m][i] = integral_{-1}^{1} u^(m+i)
+(1 - u^2)^2 du does not depend on rho, so q = G^-1 mu / h with G^-1 built
+once per L, exactly, from the orthogonal polynomials of the weight
+(1 - u^2)^2. G is positive definite, so the solution of degree < L is
+unique; without its trailing zeros it is the minimal-degree kernel. q is
+mapped back to t and multiplied by the envelope (t + 1)^2 (rho - t)^2 in
+integer arithmetic over one common denominator, and every moment
+constraint is re-checked exactly in t before the kernel is returned.
 """
 
 from __future__ import annotations
@@ -42,11 +55,14 @@ class SmoothingKernel:
     support; the kernel is zero outside and at the endpoints. norm2 is the
     exact integral of K^2 over the support, converted to float.
 
-    coeffs_exact carries the same polynomial in exact rational arithmetic.
-    The moment system is solved exactly, and for the most ill-conditioned
-    boundary kernels (small rho, high j) the float64 monomial coefficients
-    alone cannot represent the solution to the full constraint accuracy, so
-    exact verification must go through coeffs_exact.
+    coeffs_exact carries the same polynomial in exact rational arithmetic:
+    the moment system is solved once per L on the reference interval
+    [-1, 1] and carried to the support by an exact affine map (see the
+    module docstring), and coeffs are its correctly rounded floats. For the
+    most ill-conditioned boundary kernels (small rho, high j) the float64
+    monomial coefficients alone cannot represent the solution to the full
+    constraint accuracy, so exact verification must go through
+    coeffs_exact.
     """
 
     L: int
@@ -88,123 +104,131 @@ class SmoothingKernel:
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for k, bk in enumerate(b):
             out[i + k] += ai * bk
     return out
 
 
-def _poly_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
-    lo_pow, hi_pow = lo, hi
-    for i, c in enumerate(coeffs):
-        total += c * (hi_pow - lo_pow) / (i + 1)
-        lo_pow *= lo
-        hi_pow *= hi
-    return total
+def _weight_moment(e: int, k: int) -> Fraction:
+    """integral_{-1}^{1} u^k (1 - u^2)^e du, exactly."""
+    if k % 2:
+        return Fraction(0)
+    return sum(
+        Fraction(2 * math.comb(e, r) * (-1) ** r, k + 2 * r + 1) for r in range(e + 1)
+    )
 
 
-def _power_moments(coeffs, lo: Fraction, hi: Fraction, pmax: int):
-    """table[p] = integral of t^p * poly(coeffs) over [lo, hi] for p = 0..pmax.
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of Fractions."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Every entry of the moment system is such an integral, so tabulating by
-    total power replaces the per-entry quadrature with a lookup.
+
+@functools.lru_cache(maxsize=None)
+def _reference_solve(L: int):
+    """Exact per-L data of the reference interval [-1, 1].
+
+    Returns (N, D, Hn, DH): G^-1 = N / D for the envelope Gram matrix
+    G[m][i] = integral u^(m+i) (1 - u^2)^2 du, m, i < L, and Hn[k] / DH =
+    integral u^k (1 - u^2)^4 du for k <= 2L - 2, the Gram entries of norm2.
+    G^-1 is the sum of p_k p_k^T / <p_k, p_k> over the monic orthogonal
+    polynomials p_0 .. p_{L-1} of the weight (1 - u^2)^2, which the
+    three-term recurrence p_k = u p_{k-1} - beta_k p_{k-2} yields without
+    any elimination (the weight is even, so there is no linear term).
     """
-    npow = pmax + len(coeffs) + 1
-    lo_pow = [Fraction(1)]
-    hi_pow = [Fraction(1)]
-    for _ in range(npow):
-        lo_pow.append(lo_pow[-1] * lo)
-        hi_pow.append(hi_pow[-1] * hi)
-    table = []
-    for p in range(pmax + 1):
-        total = Fraction(0)
-        for i, c in enumerate(coeffs):
-            k = p + i + 1
-            total += c * (hi_pow[k] - lo_pow[k]) / k
-        table.append(total)
-    return table
+    g = [_weight_moment(2, k) for k in range(2 * L - 1)]
+
+    def inner(p, r):
+        return sum(pa * rb * g[x + y] for x, pa in enumerate(p) for y, rb in enumerate(r))
+
+    polys = [[Fraction(1)]]
+    norms = [inner(polys[0], polys[0])]
+    for k in range(1, L):
+        p = [Fraction(0)] + polys[-1]
+        if k >= 2:
+            beta = norms[-1] / norms[-2]
+            for i, c in enumerate(polys[-2]):
+                p[i] -= beta * c
+        polys.append(p)
+        norms.append(inner(p, p))
+    ginv = [
+        sum(p[m] * p[i] / nk for p, nk in zip(polys, norms) if max(m, i) < len(p))
+        for m in range(L)
+        for i in range(L)
+    ]
+    flat, D = _common_denominator(ginv)
+    N = tuple(tuple(flat[m * L : (m + 1) * L]) for m in range(L))
+    Hn, DH = _common_denominator([_weight_moment(4, k) for k in range(2 * L - 1)])
+    return N, D, tuple(Hn), DH
 
 
-def _solve_exact(rows, rhs, ncols):
-    """Solve a possibly over/under-determined exact linear system.
+def _check_moments(num: list[int], den: int, a: int, b: int, L: int, j: int) -> None:
+    """Re-check every moment constraint of K = sum_k num[k] t^k / den exactly.
 
-    Gaussian elimination over Fractions. Returns a solution vector (free
-    variables pinned to zero) or None when the system is inconsistent.
+    The support is [-1, a/b]. Moment l is sum_k num[k] (a^n - (-b)^n) /
+    (n b^n den) with n = k + l + 1; scaled by lcm(1..top) b^top den it is an
+    integer sum, compared with the scaled target without any Fraction.
     """
-    m = [list(row) + [r] for row, r in zip(rows, rhs)]
-    nrows = len(m)
-    pivot_cols = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for rr in range(row, nrows):
-            if m[rr][col] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [v / pv for v in m[row]]
-        for rr in range(nrows):
-            if rr != row and m[rr][col] != 0:
-                factor = m[rr][col]
-                m[rr] = [v - factor * w for v, w in zip(m[rr], m[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for rr in range(row, nrows):
-        if all(v == 0 for v in m[rr][:ncols]) and m[rr][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for rr, col in enumerate(pivot_cols):
-        sol[col] = m[rr][ncols]
-    return sol
+    top = len(num) + L - 1
+    M = math.lcm(*range(1, top + 1))
+    w = [0] + [(a**n - (-b) ** n) * b ** (top - n) * (M // n) for n in range(1, top + 1)]
+    target = (-1) ** j * math.factorial(j) * M * b**top * den
+    for l in range(L):
+        got = sum(c * w[k + l + 1] for k, c in enumerate(num))
+        if got != (target if l == j else 0):
+            raise ArithmeticError(  # pragma: no cover
+                f"kernel ({L}, {j}) on [-1, {a}/{b}] misses moment {l}"
+            )
 
 
 @functools.lru_cache(maxsize=None)
 def _build_kernel(L: int, j: int, rho_num: int, rho_den: int) -> SmoothingKernel:
     lo = Fraction(-1)
     hi = Fraction(rho_num, rho_den)
-    # envelope (t - lo)^2 (hi - t)^2 enforces double zeros at both endpoints
-    env = _poly_mul(
-        _poly_mul([-lo, Fraction(1)], [-lo, Fraction(1)]),
-        _poly_mul([hi, Fraction(-1)], [hi, Fraction(-1)]),
+    a, b = hi.numerator, hi.denominator
+    # t = c + h u with c = -w / (2b), h = s / (2b): u = (2b t + w) / s
+    s, w, b2 = a + b, b - a, 2 * b
+    N, D, Hn, DH = _reference_solve(L)
+    # the u-moments mu_m = C(m, j) (-c)^(m-j) h^-m (-1)^j j! are
+    # (-1)^j j! b2^j nu_m / s^(L-1), so q = G^-1 mu / h = F * (N nu) with
+    # F = (-1)^j j! b2^(j+1) / (D s^L)
+    nu = [math.comb(m, j) * w ** (m - j) * s ** (L - 1 - m) if m >= j else 0
+          for m in range(L)]
+    Q = [sum(x * y for x, y in zip(row, nu)) for row in N]
+    while Q[-1] == 0:  # the minimal-degree solution: drop exact trailing zeros
+        Q.pop()
+    d = len(Q) - 1
+    # s^d q(u) / F in t: sum_i Q_i s^(d-i) (b2 t + w)^i
+    P = [0] * (d + 1)
+    lin = [1]
+    for i, qi in enumerate(Q):
+        if i:
+            lin = _poly_mul(lin, [w, b2])
+        scale = qi * s ** (d - i)
+        for k, c in enumerate(lin):
+            P[k] += scale * c
+    # (1 - u^2)^2 = 16 b^2 (1 + t)^2 (a - b t)^2 / s^4
+    env = _poly_mul([1, 2, 1], _poly_mul([a, -b], [a, -b]))
+    sigma_j = (-1) ** j * math.factorial(j)
+    lead = 16 * b * b * sigma_j * b2 ** (j + 1)
+    num = [lead * c for c in _poly_mul(env, P)]
+    den = D * s ** (L + d + 4)
+    _check_moments(num, den, a, b, L, j)
+    kc = tuple(Fraction(c, den) for c in num)
+    # norm2 = h q^T H q = b2^(2j+1) sigma_j^2 sum_n (Q * Q)_n Hn_n / (D^2 DH s^(2L-1))
+    quad = sum(c * Hn[n] for n, c in enumerate(_poly_mul(Q, Q)))
+    norm2 = Fraction(b2 ** (2 * j + 1) * sigma_j**2 * quad, D * D * DH * s ** (2 * L - 1))
+    return SmoothingKernel(
+        L=L,
+        j=j,
+        support=(float(lo), float(hi)),
+        coeffs=tuple(float(c) for c in kc),
+        norm2=float(norm2),
+        coeffs_exact=kc,
+        support_exact=(lo, hi),
     )
-    targets = [Fraction(0)] * L
-    sign = -1 if j % 2 else 1
-    targets[j] = Fraction(sign * math.factorial(j))
-
-    # minimal-degree search: grow the polynomial factor until the exact
-    # moment system becomes consistent (guaranteed at degree L - 1 since the
-    # envelope-weighted Gram matrix of monomials is nonsingular)
-    m_top = L + 1
-    env_mom = _power_moments(env, lo, hi, L - 1 + m_top)
-    for m_deg in range(m_top + 1):
-        # entry (l, i) is the moment of envelope * t^(i + l)
-        rows = [[env_mom[i + l] for i in range(m_deg + 1)] for l in range(L)]
-        sol = _solve_exact(rows, targets, m_deg + 1)
-        if sol is None:
-            continue
-        kc = _poly_mul(env, sol)
-        # defensive re-check of every constraint in exact arithmetic
-        for l in range(L):
-            shifted = [Fraction(0)] * l + kc
-            assert _poly_integral(shifted, lo, hi) == targets[l]
-        norm2 = _poly_integral(_poly_mul(kc, kc), lo, hi)
-        return SmoothingKernel(
-            L=L,
-            j=j,
-            support=(float(lo), float(hi)),
-            coeffs=tuple(float(c) for c in kc),
-            norm2=float(norm2),
-            coeffs_exact=tuple(kc),
-            support_exact=(lo, hi),
-        )
-    raise RuntimeError(f"no kernel of order ({L}, {j}) found")  # pragma: no cover
 
 
 def make_kernel(L: int, j: int) -> SmoothingKernel:

@@ -197,54 +197,71 @@ def _cell_edges(times: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _kernel_for_point(t: float, T: float, lam: float, j: int, L: int) -> SmoothingKernel:
+def _boundary_key(t: float, T: float, lam: float) -> tuple[float, bool] | None:
+    """(rho, right) of a point within lam of an endpoint; None elsewhere."""
     # The relative endpoint distance is quantized to the 1e-3 grid so that
     # boundary-kernel construction (exact rational arithmetic, done once per
     # distinct parameter) is shared across bandwidths and evaluation grids.
     # The kernel varies smoothly in rho and vanishes at its support edge, so
     # the quantization error is negligible against the estimation error.
-    dl = t
-    dr = T - t
-    if dl < lam:
-        return make_boundary_kernel(L, j, max(round(dl / lam, 3), _RHO_MIN))
-    if dr < lam:
-        return make_boundary_kernel(L, j, max(round(dr / lam, 3), _RHO_MIN)).reflected()
-    return make_kernel(L, j)
+    if t < lam:
+        return max(round(t / lam, 3), _RHO_MIN), False
+    if T - t < lam:
+        return max(round((T - t) / lam, 3), _RHO_MIN), True
+    return None
+
+
+def _kernel_for_point(t: float, T: float, lam: float, j: int, L: int) -> SmoothingKernel:
+    """The interior kernel, or the boundary variant within lam of an endpoint."""
+    key = _boundary_key(t, T, lam)
+    if key is None:
+        return make_kernel(L, j)
+    rho, right = key
+    ker = make_boundary_kernel(L, j, rho)
+    return ker.reflected() if right else ker
 
 
 def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
                    lam: float) -> np.ndarray:
     """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k].
 
-    Interior evaluation points share one kernel and one ``_band_rows`` call;
-    points within lam of an endpoint each get the boundary kernel for their
-    own relative distance (right edge reflected). Bands are added into W,
-    not assigned, because their zero-weight padding aliases observation n-1.
+    Interior evaluation points share one kernel; points within lam of an
+    endpoint each get the boundary kernel for their own relative distance
+    (right edge reflected), built once per distinct distance. All rows come
+    from one ``_band_rows`` pass. Bands are added into W, not assigned,
+    because their zero-weight padding aliases observation n-1.
     """
     grid = np.asarray(grid, dtype=float)
-    W = np.zeros((grid.size, times.size))
     interior = (grid >= lam) & (grid <= T - lam)
-    rows = np.nonzero(interior)[0]
-    if rows.size:
-        band, cols = _band_rows(times, grid[rows], lam, j, make_kernel(L, j))
-        np.add.at(W, (rows[:, None], cols), band)
-    for k in np.nonzero(~interior)[0]:
-        ker = _kernel_for_point(float(grid[k]), T, lam, j, L)
-        band, cols = _band_rows(times, grid[k : k + 1], lam, j, ker)
-        np.add.at(W, (k, cols[0]), band[0])
+    slot: dict = {}
+    kernels: list[SmoothingKernel] = []
+    which = np.empty(grid.size, dtype=int)
+    for k, (x, inner) in enumerate(zip(grid.tolist(), interior.tolist())):
+        key = None if inner else _boundary_key(x, T, lam)
+        if key not in slot:
+            slot[key] = len(kernels)
+            kernels.append(make_kernel(L, j) if inner else _kernel_for_point(x, T, lam, j, L))
+        which[k] = slot[key]
+    band, cols = _band_rows(times, grid, lam, j, kernels, which)
+    W = np.zeros((grid.size, times.size))
+    np.add.at(W, (np.arange(grid.size)[:, None], cols), band)
     return W
 
 
 def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
-               ker: SmoothingKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Cell weights of one kernel at each grid point, restricted to the band.
+               kernels, which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights of a kernel at each grid point, restricted to the band.
 
-    Weight i of row k is lam^-(j+1) times the integral of K((grid[k]-u)/lam)
-    over cell i: the kernel primitive differenced over the cell edges. Only
-    observations within one bandwidth carry weight, so row k is stored as
-    ``band[k]`` on the observations ``cols[k]``; padding columns alias
-    observation n-1 with weight zero.
+    Row k uses ``kernels`` when it is one kernel, else the kernel
+    ``kernels[which[k]]``. Weight i of row k is lam^-(j+1) times the
+    integral of K((grid[k]-u)/lam) over cell i: the kernel primitive
+    differenced over the cell edges. Only observations within one
+    bandwidth carry weight, so row k is stored as ``band[k]`` on the
+    observations ``cols[k]``; padding columns alias observation n-1 with
+    weight zero.
     """
+    if isinstance(kernels, SmoothingKernel):
+        kernels = [kernels]
     n = times.size
     edges = _cell_edges(times)
     # past lam by a rounding margin, so every cell the kernel reaches is kept
@@ -256,11 +273,26 @@ def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
     width = int(np.max(e - s))
     idx = s[:, None] + np.arange(width)[None, :]
     np.clip(idx, 0, edges.size - 1, out=idx)
-    U = (grid[:, None] - edges[idx]) / lam
-    lo, hi = ker.support
-    np.clip(U, lo, hi, out=U)
-    B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
-    band = (B[:, :-1] - B[:, 1:]) / lam**j
+    U = grid[:, None] - edges[idx]
+    U /= lam
+    # one primitive per kernel, shorter ones padded with zero top
+    # coefficients; polyval's Horner steps below, done in place, give every
+    # row exactly the values polyval gives with its own unpadded primitive
+    prims = [ker.antiderivative() for ker in kernels]
+    P = np.zeros((len(prims), max(p.size for p in prims)))
+    for r, prim in enumerate(prims):
+        P[r, : prim.size] = prim
+    support = np.array([ker.support for ker in kernels])
+    if which is not None:
+        P, support = P[which], support[which]
+    np.clip(U, support[:, :1], support[:, 1:], out=U)
+    B = U * 0
+    B += P[:, -1:]
+    for i in range(2, P.shape[1] + 1):
+        B *= U
+        B += P[:, -i, None]
+    band = B[:, :-1] - B[:, 1:]
+    band /= lam**j
     cols = np.minimum(idx[:, :-1], n - 1)
     return band, cols
 
@@ -336,6 +368,22 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
     return DerivativeEstimate(
         j=j, grid=grid, values=W @ data.values, bandwidth=float(lam), kernel_order=L
     )
+
+
+def _widest_gap(times: np.ndarray, T: float) -> tuple[float, float, float]:
+    """(lo, hi, lam) of the design gap that needs the largest bandwidth.
+
+    Every point of [0, T] must see an observation in its open window of
+    half-width lam: a gap between two observations needs lam above half its
+    length, the stretches [0, t_1] and [t_n, T] need lam above their full
+    length.
+    """
+    pts = np.concatenate(([0.0], times, [T]))
+    need = np.diff(pts) / 2
+    need[0] *= 2
+    need[-1] *= 2
+    i = int(np.argmax(need))
+    return float(pts[i]), float(pts[i + 1]), float(need[i])
 
 
 def _comparison_grid(n: int, T: float, cfg: LepskiConfig) -> np.ndarray:
@@ -452,9 +500,12 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         admissible = [li]
         fallback = "least_biased"
     if not admissible:
+        lo, hi, need = _widest_gap(times, T)
         raise EstimationError(
-            "no admissible bandwidth level for j=%d: the design is too sparse "
-            "for every level of the grid" % j
+            "no admissible bandwidth level for j=%d: the widest design gap, from "
+            "t=%g to t=%g, needs a bandwidth above %g, and the grid's levels run "
+            "from %g down to %g and may not exceed T/2 = %g"
+            % (j, lo, hi, need, levels[0], levels[-1], T / 2)
         )
 
     R = V.shape[1]

@@ -1,4 +1,4 @@
-"""Independent oracles for the resolvent layer and the sidecar schema.
+"""Independent oracles for the kernels, the resolvent layer and the sidecar schema.
 
 These reference implementations are used only by the tests. They
 recompute what the package computes along a different route, so a test
@@ -10,17 +10,23 @@ can compare the two:
 - ``exp_poly_coefficients`` / ``exp_poly_decomposition`` build the
   decomposition of the shifted-basis family from the quotient recursion
   and simple-pole residues, independently of ``decompose``.
+- ``reference_boundary_kernel`` builds a boundary kernel by the
+  minimal-degree search: Gaussian elimination over Fractions of the
+  moment system on [-1, rho] for each trial degree until it is
+  consistent; the package solves once on the reference interval instead.
 - ``check_schema`` validates a JSON document against the vocabulary the
   shipped sidecar schema uses (type/required/properties/items/enum).
 """
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 import lapdeconv
+from lapdeconv.kernels import SmoothingKernel
 from lapdeconv.resolvent import (
     _CLUSTER_RADIUS,
     PoleTerm,
@@ -173,6 +179,131 @@ def exp_poly_decomposition(a: float, rho, r: int) -> ResolventDecomposition:
         r=r,
         B_r=1.0,
     )
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b):
+            out[i + k] += ai * bk
+    return out
+
+
+def _poly_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
+    total = Fraction(0)
+    lo_pow, hi_pow = lo, hi
+    for i, c in enumerate(coeffs):
+        total += c * (hi_pow - lo_pow) / (i + 1)
+        lo_pow *= lo
+        hi_pow *= hi
+    return total
+
+
+def _power_moments(coeffs, lo: Fraction, hi: Fraction, pmax: int):
+    """table[p] = integral of t^p * poly(coeffs) over [lo, hi] for p = 0..pmax.
+
+    Every entry of the moment system is such an integral, so tabulating by
+    total power replaces the per-entry quadrature with a lookup.
+    """
+    npow = pmax + len(coeffs) + 1
+    lo_pow = [Fraction(1)]
+    hi_pow = [Fraction(1)]
+    for _ in range(npow):
+        lo_pow.append(lo_pow[-1] * lo)
+        hi_pow.append(hi_pow[-1] * hi)
+    table = []
+    for p in range(pmax + 1):
+        total = Fraction(0)
+        for i, c in enumerate(coeffs):
+            k = p + i + 1
+            total += c * (hi_pow[k] - lo_pow[k]) / k
+        table.append(total)
+    return table
+
+
+def _solve_exact(rows, rhs, ncols):
+    """Solve a possibly over/under-determined exact linear system.
+
+    Gaussian elimination over Fractions. Returns a solution vector (free
+    variables pinned to zero) or None when the system is inconsistent.
+    """
+    m = [list(row) + [r] for row, r in zip(rows, rhs)]
+    nrows = len(m)
+    pivot_cols = []
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for rr in range(row, nrows):
+            if m[rr][col] != 0:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        m[row] = [v / pv for v in m[row]]
+        for rr in range(nrows):
+            if rr != row and m[rr][col] != 0:
+                factor = m[rr][col]
+                m[rr] = [v - factor * w for v, w in zip(m[rr], m[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == nrows:
+            break
+    for rr in range(row, nrows):
+        if all(v == 0 for v in m[rr][:ncols]) and m[rr][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for rr, col in enumerate(pivot_cols):
+        sol[col] = m[rr][ncols]
+    return sol
+
+
+def _build_kernel(L: int, j: int, rho_num: int, rho_den: int) -> SmoothingKernel:
+    lo = Fraction(-1)
+    hi = Fraction(rho_num, rho_den)
+    # envelope (t - lo)^2 (hi - t)^2 enforces double zeros at both endpoints
+    env = _poly_mul(
+        _poly_mul([-lo, Fraction(1)], [-lo, Fraction(1)]),
+        _poly_mul([hi, Fraction(-1)], [hi, Fraction(-1)]),
+    )
+    targets = [Fraction(0)] * L
+    sign = -1 if j % 2 else 1
+    targets[j] = Fraction(sign * math.factorial(j))
+
+    # minimal-degree search: grow the polynomial factor until the exact
+    # moment system becomes consistent (guaranteed at degree L - 1 since the
+    # envelope-weighted Gram matrix of monomials is nonsingular)
+    m_top = L + 1
+    env_mom = _power_moments(env, lo, hi, L - 1 + m_top)
+    for m_deg in range(m_top + 1):
+        # entry (l, i) is the moment of envelope * t^(i + l)
+        rows = [[env_mom[i + l] for i in range(m_deg + 1)] for l in range(L)]
+        sol = _solve_exact(rows, targets, m_deg + 1)
+        if sol is None:
+            continue
+        kc = _poly_mul(env, sol)
+        # defensive re-check of every constraint in exact arithmetic
+        for l in range(L):
+            shifted = [Fraction(0)] * l + kc
+            assert _poly_integral(shifted, lo, hi) == targets[l]
+        norm2 = _poly_integral(_poly_mul(kc, kc), lo, hi)
+        return SmoothingKernel(
+            L=L,
+            j=j,
+            support=(float(lo), float(hi)),
+            coeffs=tuple(float(c) for c in kc),
+            norm2=float(norm2),
+            coeffs_exact=tuple(kc),
+            support_exact=(lo, hi),
+        )
+    raise RuntimeError(f"no kernel of order ({L}, {j}) found")  # pragma: no cover
+
+
+def reference_boundary_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
+    """Boundary kernel of order (L, j) on [-1, rho] by the minimal-degree
+    search, with rho quantized to 1e-6 as ``make_boundary_kernel`` does."""
+    return _build_kernel(L, j, round(rho * 10**6), 10**6)
 
 
 def load_sidecar_schema() -> dict:

@@ -216,6 +216,16 @@ class TestDeconvolveCommand:
                    "--output", str(tmp_path / "f.csv")])
         assert rc == 2
 
+    def test_gapped_design_exits_4(self, tmp_path, capsys):
+        times = np.concatenate([np.linspace(0.0, 1.0, 91)[1:], np.linspace(9.1, 10.0, 10)])
+        data = write_csv(tmp_path / "gapped.csv", zip(times, np.sin(times)))
+        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: estimator: no admissible bandwidth level")
+        assert "from t=1 to t=9.1, needs a bandwidth above 4.05" in err
+
     @pytest.mark.parametrize("flags", BAD_SELECTION_FLAGS)
     def test_invalid_selection_constant_exits_2(self, tmp_path, capsys, flags):
         data = emit_cell(tmp_path)

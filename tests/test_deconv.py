@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
@@ -12,7 +14,7 @@ from lapdeconv.deconv import (
     deconvolve,
     risk_mse,
 )
-from lapdeconv.resolvent import decompose
+from lapdeconv.resolvent import decompose, rational_kernel
 from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, standard_normals
 from lapdeconv.smoother import EstimationError, NoisySample
 
@@ -236,3 +238,45 @@ class TestResultValidation:
                 config=EstimatorConfig(), g=builtin_g("g2"),
                 decomposition=decompose(builtin_g("g2")),
             )
+
+
+@st.composite
+def stable_transforms(draw):
+    """(num, den) with real negative poles and zeros and 1 <= r <= 4."""
+    rate = st.floats(min_value=0.1, max_value=20.0)
+    poles = draw(st.lists(rate, min_size=1, max_size=4))
+    zeros = draw(st.lists(rate, max_size=len(poles) - 1))
+    num = np.polynomial.polynomial.polyfromroots([-z for z in zeros])
+    den = np.polynomial.polynomial.polyfromroots([-p for p in poles])
+    return num, den
+
+
+@st.composite
+def designs(draw):
+    """Sorted designs in (0, T] with 2..200 points: a blend, by a drawn
+    weight, of the equispaced design and sorted uniform draws."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    mix = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    uniform = np.sort(rng.uniform(0.0, T, n))
+    return (1.0 - mix) * np.arange(1, n + 1) * (T / n) + mix * uniform
+
+
+class TestProperty:
+    @given(transform=stable_transforms(), times=designs(),
+           sigma=st.floats(min_value=1e-4, max_value=0.1),
+           freq=st.floats(min_value=0.0, max_value=3.0),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_finite_estimate_or_typed_error(self, transform, times, sigma, freq, seed):
+        y = np.sin(freq * times) + sigma * standard_normals(seed, 0, times.size)
+        data = NoisySample(times, y, T, sigma)
+        try:
+            # a draw whose zero meets a pole is refused with ValueError
+            result = deconvolve(data, rational_kernel(*transform))
+        except (EstimationError, ValueError) as exc:
+            event(type(exc).__name__)
+            return
+        event("finite")
+        assert np.all(np.isfinite(result.f_hat))

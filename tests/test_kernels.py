@@ -14,6 +14,7 @@ from lapdeconv.kernels import (
     make_boundary_kernel,
     make_kernel,
 )
+from oracles import reference_boundary_kernel
 
 
 def exact_moment(k: SmoothingKernel, power: int) -> Fraction:
@@ -59,6 +60,25 @@ class TestMomentExactness:
         k = make_boundary_kernel(L, j, rho_millis / 1000.0)
         for power in range(L):
             assert exact_moment(k, power) == moment_target(j, power)
+
+
+class TestReferenceSearch:
+    """The reference-interval solve equals the minimal-degree search."""
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 6, 8, 10])
+    @pytest.mark.parametrize(
+        "rho",
+        # the last four are make-kernel --rho values that 1e-6 quantizes
+        [0.001, 0.002, 0.137, 0.5, 0.999, 1.0, 0.1234, 0.123457, 0.0000015, 0.6543214],
+    )
+    def test_identical_to_search(self, L, rho):
+        for j in range(L):
+            got = make_boundary_kernel(L, j, rho)
+            want = reference_boundary_kernel(L, j, rho)
+            assert got.coeffs_exact == want.coeffs_exact, (L, j, rho)
+            assert got.coeffs == want.coeffs, (L, j, rho)
+            assert got.norm2 == want.norm2, (L, j, rho)
+            assert got.support_exact == want.support_exact
 
 
 class TestStructure:

@@ -267,6 +267,15 @@ class TestLepski:
         _, details = lepski_select(d, 1, 8, return_details=True)
         assert details["fallback"] is None
 
+    def test_gapped_design_names_widest_gap(self):
+        # 90 points on (0, 1] and 10 on [9.1, 10]: no level of the grid
+        # bridges (1, 9.1), which needs lam above half its length
+        times = np.concatenate([np.linspace(0.0, 1.0, 91)[1:], np.linspace(9.1, T, 10)])
+        d = NoisySample(times, np.sin(times), T, 0.01)
+        with pytest.raises(EstimationError,
+                           match=r"gap, from t=1 to t=9\.1, needs a bandwidth above 4\.05"):
+            lepski_select(d, 0, 8)
+
     def test_sigma_zero_propagates(self):
         d = equispaced(400, np.sin, sigma=0.0)
         with pytest.raises(AdaptationError):
