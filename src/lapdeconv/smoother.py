@@ -225,26 +225,32 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
                    lam: float) -> np.ndarray:
     """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k].
 
-    Interior evaluation points share one kernel; points within lam of an
-    endpoint each get the boundary kernel for their own relative distance
-    (right edge reflected), built once per distinct distance. All rows come
-    from one ``_band_rows`` pass. Bands are added into W, not assigned,
-    because their zero-weight padding aliases observation n-1.
+    Interior evaluation points share one kernel and one ``_band_rows``
+    call; points within lam of an endpoint each get the boundary kernel for
+    their own relative distance (right edge reflected), built once per
+    distinct distance, and share a second call. Bands are added into W,
+    not assigned, because their zero-weight padding aliases observation n-1.
     """
     grid = np.asarray(grid, dtype=float)
-    interior = (grid >= lam) & (grid <= T - lam)
-    slot: dict = {}
-    kernels: list[SmoothingKernel] = []
-    which = np.empty(grid.size, dtype=int)
-    for k, (x, inner) in enumerate(zip(grid.tolist(), interior.tolist())):
-        key = None if inner else _boundary_key(x, T, lam)
-        if key not in slot:
-            slot[key] = len(kernels)
-            kernels.append(make_kernel(L, j) if inner else _kernel_for_point(x, T, lam, j, L))
-        which[k] = slot[key]
-    band, cols = _band_rows(times, grid, lam, j, kernels, which)
     W = np.zeros((grid.size, times.size))
-    np.add.at(W, (np.arange(grid.size)[:, None], cols), band)
+    interior = (grid >= lam) & (grid <= T - lam)
+    rows = np.nonzero(interior)[0]
+    if rows.size:
+        band, cols = _band_rows(times, grid[rows], lam, j, make_kernel(L, j))
+        np.add.at(W, (rows[:, None], cols), band)
+    rows = np.nonzero(~interior)[0]
+    if rows.size:
+        slot: dict = {}
+        kernels: list[SmoothingKernel] = []
+        which = np.empty(rows.size, dtype=int)
+        for r, x in enumerate(grid[rows].tolist()):
+            key = _boundary_key(x, T, lam)
+            if key not in slot:
+                slot[key] = len(kernels)
+                kernels.append(_kernel_for_point(x, T, lam, j, L))
+            which[r] = slot[key]
+        band, cols = _band_rows(times, grid[rows], lam, j, kernels, which)
+        np.add.at(W, (rows[:, None], cols), band)
     return W
 
 
