@@ -211,9 +211,8 @@ def _boundary_key(t: float, T: float, lam: float) -> tuple[float, bool] | None:
     return None
 
 
-def _kernel_for_point(t: float, T: float, lam: float, j: int, L: int) -> SmoothingKernel:
-    """The interior kernel, or the boundary variant within lam of an endpoint."""
-    key = _boundary_key(t, T, lam)
+def _kernel_for_key(key: tuple[float, bool] | None, j: int, L: int) -> SmoothingKernel:
+    """The interior kernel for key None, else the boundary variant of ``_boundary_key``."""
     if key is None:
         return make_kernel(L, j)
     rho, right = key
@@ -236,7 +235,7 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
     interior = (grid >= lam) & (grid <= T - lam)
     rows = np.nonzero(interior)[0]
     if rows.size:
-        band, cols = _band_rows(times, grid[rows], lam, j, make_kernel(L, j))
+        band, cols = _band_rows(times, grid[rows], lam, j, [make_kernel(L, j)])
         np.add.at(W, (rows[:, None], cols), band)
     rows = np.nonzero(~interior)[0]
     if rows.size:
@@ -247,7 +246,7 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
             key = _boundary_key(x, T, lam)
             if key not in slot:
                 slot[key] = len(kernels)
-                kernels.append(_kernel_for_point(x, T, lam, j, L))
+                kernels.append(_kernel_for_key(key, j, L))
             which[r] = slot[key]
         band, cols = _band_rows(times, grid[rows], lam, j, kernels, which)
         np.add.at(W, (rows[:, None], cols), band)
@@ -255,19 +254,18 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
 
 
 def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
-               kernels, which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               kernels: list[SmoothingKernel],
+               which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cell weights of a kernel at each grid point, restricted to the band.
 
-    Row k uses ``kernels`` when it is one kernel, else the kernel
-    ``kernels[which[k]]``. Weight i of row k is lam^-(j+1) times the
-    integral of K((grid[k]-u)/lam) over cell i: the kernel primitive
-    differenced over the cell edges. Only observations within one
+    Row k uses the kernel ``kernels[which[k]]``, or ``kernels[0]`` for
+    every row when ``which`` is None. Weight i of row k is lam^-(j+1)
+    times the integral of K((grid[k]-u)/lam) over cell i: the kernel
+    primitive differenced over the cell edges. Only observations within one
     bandwidth carry weight, so row k is stored as ``band[k]`` on the
     observations ``cols[k]``; padding columns alias observation n-1 with
     weight zero.
     """
-    if isinstance(kernels, SmoothingKernel):
-        kernels = [kernels]
     n = times.size
     edges = _cell_edges(times)
     # past lam by a rounding margin, so every cell the kernel reaches is kept
@@ -376,20 +374,34 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
     )
 
 
-def _widest_gap(times: np.ndarray, T: float) -> tuple[float, float, float]:
-    """(lo, hi, lam) of the design gap that needs the largest bandwidth.
+def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
+                     checked: float | None, size: int) -> str:
+    """Why no bandwidth level reached the moment check in ``_lepski_batch``.
 
-    Every point of [0, T] must see an observation in its open window of
-    half-width lam: a gap between two observations needs lam above half its
-    length, the stretches [0, t_1] and [t_n, T] need lam above their full
-    length.
+    A level is tested only when it fits in T/2 and leaves two comparison
+    points in its interior zone [lam, T - lam]; ``checked`` is the largest
+    level that did (None when none did), and every tested level then met an
+    empty observation window. Every point of [0, T] must see an
+    observation in its open window of half-width lam: a gap between two
+    observations needs lam above half its length, the stretches [0, t_1]
+    and [t_n, T] need lam above their full length, so the widest such need
+    is at least ``checked``.
     """
+    if levels[-1] > T / 2:
+        return "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
+            levels[0], levels[-1], T / 2)
+    if checked is None:
+        return ("the comparison grid of %d points leaves fewer than two points in "
+                "the interior zone [lam, T - lam] of every level up to T/2 = %g"
+                % (size, T / 2))
     pts = np.concatenate(([0.0], times, [T]))
     need = np.diff(pts) / 2
     need[0] *= 2
     need[-1] *= 2
     i = int(np.argmax(need))
-    return float(pts[i]), float(pts[i + 1]), float(need[i])
+    return ("the widest design gap, from t=%g to t=%g, needs a bandwidth above %g, "
+            "and the largest level tested (within T/2 = %g and the comparison "
+            "grid) is %g" % (pts[i], pts[i + 1], need[i], T / 2, checked))
 
 
 def _comparison_grid(n: int, T: float, cfg: LepskiConfig) -> np.ndarray:
@@ -472,6 +484,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     spans: list[tuple[int, int] | None] = [None] * levels.size
     estimates: list[np.ndarray | None] = [None] * levels.size
     best_bad = None
+    checked = None
     for li, lam in enumerate(levels):
         if lam > T / 2:
             continue
@@ -479,13 +492,15 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         i1 = int(np.searchsorted(cgrid, T - lam + 1e-12, side="right"))
         if i1 - i0 < 2:
             continue
+        if checked is None:
+            checked = float(lam)
         # windows must be nonempty on the whole interval, endpoints included,
         # so that the selected level remains usable on a full [0, T] grid
         if np.any(_check_windows(times, cgrid[i0:i1], lam) == 0):
             continue
         if np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
             continue
-        band, cols = _band_rows(times, cgrid[i0:i1], lam, j, ker)
+        band, cols = _band_rows(times, cgrid[i0:i1], lam, j, [ker])
         rel = _moment_error(band, cols, times, cgrid[i0:i1], lam, j, L, T)
         if rel <= cfg.probe_tol:
             spans[li] = (i0, i1)
@@ -501,18 +516,13 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         # estimating at the least-biased level beats refusing outright.
         _, li, (i0, i1) = best_bad
         spans[li] = (i0, i1)
-        band, cols = _band_rows(times, cgrid[i0:i1], levels[li], j, ker)
+        band, cols = _band_rows(times, cgrid[i0:i1], levels[li], j, [ker])
         estimates[li] = _apply_band(band, cols, V)
         admissible = [li]
         fallback = "least_biased"
     if not admissible:
-        lo, hi, need = _widest_gap(times, T)
-        raise EstimationError(
-            "no admissible bandwidth level for j=%d: the widest design gap, from "
-            "t=%g to t=%g, needs a bandwidth above %g, and the grid's levels run "
-            "from %g down to %g and may not exceed T/2 = %g"
-            % (j, lo, hi, need, levels[0], levels[-1], T / 2)
-        )
+        raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
+            j, _no_level_reason(times, T, levels, checked, cgrid.size)))
 
     R = V.shape[1]
     selected = np.full(R, -1, dtype=int)

@@ -15,8 +15,9 @@ from lapdeconv.smoother import (
     NoisySample,
     _apply_band,
     _band_rows,
+    _boundary_key,
     _cell_edges,
-    _kernel_for_point,
+    _kernel_for_key,
     _weight_matrix,
     estimate_derivative,
     estimate_sigma,
@@ -32,7 +33,7 @@ def dense_weights(times, T, grid, j, L, lam):
     edges = _cell_edges(times)
     W = np.empty((grid.size, times.size))
     for k, x in enumerate(grid):
-        ker = _kernel_for_point(float(x), T, lam, j, L)
+        ker = _kernel_for_key(_boundary_key(float(x), T, lam), j, L)
         U = np.clip((x - edges) / lam, *ker.support)
         B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
         W[k] = (B[:-1] - B[1:]) / lam**j
@@ -191,7 +192,7 @@ class TestBandedApply:
         np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam))
         inner = (grid >= lam) & (grid <= T - lam)
         V = rng.standard_normal((times.size, 3))
-        band, cols = _band_rows(times, grid[inner], lam, j, make_kernel(8, j))
+        band, cols = _band_rows(times, grid[inner], lam, j, [make_kernel(8, j)])
         np.testing.assert_allclose(_apply_band(band, cols, V), W[inner] @ V,
                                    rtol=1e-11, atol=1e-11)
 
@@ -274,6 +275,27 @@ class TestLepski:
         d = NoisySample(times, np.sin(times), T, 0.01)
         with pytest.raises(EstimationError,
                            match=r"gap, from t=1 to t=9\.1, needs a bandwidth above 4\.05"):
+            lepski_select(d, 0, 8)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("gapped", [False, True])
+    def test_coarse_comparison_grid_is_named_not_the_gap(self, size, gapped):
+        # with 2 or 3 comparison points no level up to T/2 keeps two of them
+        # in its interior zone, so no level reaches the window check
+        times = np.arange(1, 101) * (T / 100)
+        if gapped:
+            times = np.concatenate([np.linspace(0.0, 1.0, 91)[1:], np.linspace(9.1, T, 10)])
+        d = NoisySample(times, np.sin(times), T, 0.01)
+        with pytest.raises(EstimationError, match="comparison grid of %d points" % size) as exc:
+            lepski_select(d, 0, 8, LepskiConfig(comparison_grid_size=size))
+        assert "gap" not in str(exc.value)
+
+    def test_levels_above_half_interval_are_named(self):
+        # T = 1 and sigma^2 T^2 / n = 0.9 give the one-level grid {1} > T/2
+        times = np.arange(1, 11) * 0.1
+        d = NoisySample(times, np.sin(times), 1.0, 3.0)
+        with pytest.raises(EstimationError,
+                           match=r"every level of the grid, from 1 down to 1, exceeds T/2 = 0\.5"):
             lepski_select(d, 0, 8)
 
     def test_sigma_zero_propagates(self):

@@ -1,10 +1,11 @@
 """Run the three perfbench workloads untraced and record one trajectory point.
 
-    python3 tools/bench_all.py --k 6 [--seed 1] [--seconds 20]
+    python3 tools/bench_all.py --k 6
 
 Run it from anywhere inside a checkout; it uses that checkout's
 perfbench/run.py and src/. Each workload (cli-cold, large-n, mc-cells) runs
-once, one after the other, at the given seed with --trace 0, and
+once, one after the other, at seed 1 for the run_seconds of
+BENCHMARK.json with --trace 0, so every trajectory point is comparable, and
 BENCH_<k>.json at the root of the checkout gets each workload's result line
 (the last line perfbench prints) next to the environment: nproc, the CPU
 model, the Python version and the git commit ("+dirty" when tracked files
@@ -25,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli-cold", "large-n", "mc-cells")
+SEED = 1
 
 
 def cpu_model() -> str:
@@ -56,9 +58,9 @@ def git_commit() -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
+def run_workload(name: str, seconds: float) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", repr(seconds), "--trace", "0"]
     started = time.monotonic()
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -77,13 +79,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=int, required=True,
                     help="trajectory index: writes BENCH_<k>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = float(bench["run_seconds"])
     record = {
         "k": args.k,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "env": {
             "nproc": os.cpu_count(),
             "cpu_model": cpu_model(),
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
     }
     for name in WORKLOADS:
         try:
-            record["workloads"][name] = run_workload(name, args.seed, args.seconds)
+            record["workloads"][name] = run_workload(name, seconds)
         except RuntimeError as exc:
             print(f"bench_all: {exc}", file=sys.stderr)
             return 1
