@@ -282,7 +282,10 @@ def cmd_deconvolve(args) -> int:
         sigma = float(args.sigma)
     else:
         sigma = estimate_sigma(probe)
-    data = NoisySample(times=times, values=values, T=T, sigma=sigma)
+    try:
+        data = NoisySample(times=times, values=values, T=T, sigma=sigma)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"input: {exc}") from None
 
     threads = _resolve_threads(args.threads)
     cfg = _estimator_config(args, threads)

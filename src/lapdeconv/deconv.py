@@ -159,8 +159,7 @@ def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndar
 
 
 def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
-                  g: RationalLaplaceKernel, cfg: EstimatorConfig,
-                  design: DesignWeights | None = None):
+                  g: RationalLaplaceKernel, cfg: EstimatorConfig):
     """Batched pipeline core over the columns of V (n x R).
 
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
@@ -174,8 +173,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             "kernel order L=%d must exceed the inversion order r=%d" % (cfg.L, r)
         )
     grid = np.linspace(0.0, T, cfg.grid_size)
-    if design is None:
-        design = DesignWeights(times, T)
+    design = DesignWeights(times, T)
     R = V.shape[1]
 
     lam = np.empty((r + 1, R))
@@ -227,8 +225,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
 
 
 def deconvolve(data: NoisySample, g: RationalLaplaceKernel,
-               cfg: EstimatorConfig | None = None,
-               *, design: DesignWeights | None = None) -> DeconvolutionResult:
+               cfg: EstimatorConfig | None = None) -> DeconvolutionResult:
     """Estimate f from noisy samples of q = g * f.
 
     Runs one derivative estimation per order j = 0..r (each with its own
@@ -240,7 +237,7 @@ def deconvolve(data: NoisySample, g: RationalLaplaceKernel,
     """
     cfg = cfg or EstimatorConfig()
     grid, F, terms, lam, d = _estimate_all(
-        data.times, data.T, data.values[:, None], data.sigma, g, cfg, design
+        data.times, data.T, data.values[:, None], data.sigma, g, cfg
     )
     return DeconvolutionResult(
         grid=grid,

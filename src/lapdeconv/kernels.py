@@ -240,7 +240,7 @@ def make_boundary_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
     """Left-boundary kernel of order (L, j) on [-1, rho], rho in (0, 1].
 
     rho = 1 reproduces the interior kernel. Results are memoized with rho
-    rounded to 1e-6.
+    rounded to 1e-6; a rho that rounds to 0 is rejected.
     """
     if not isinstance(L, (int, np.integer)) or not isinstance(j, (int, np.integer)):
         raise TypeError("L and j must be integers")
@@ -249,6 +249,8 @@ def make_boundary_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     rho_num = round(rho * 10**_RHO_DECIMALS)
+    if rho_num == 0:
+        raise ValueError(f"rho = {rho} rounds to 0 at 1e-{_RHO_DECIMALS}")
     return _build_kernel(int(L), int(j), rho_num, 10**_RHO_DECIMALS)
 
 

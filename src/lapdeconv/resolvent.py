@@ -123,15 +123,6 @@ class Polynomial:
             desc = desc[:-1]
         return Polynomial(out)
 
-    def deflate(self, root: complex) -> "Polynomial":
-        """Quotient after synthetic division by (s - root)."""
-        desc = self.coeffs[::-1].copy()
-        for i in range(1, desc.size):
-            desc[i] += root * desc[i - 1]
-        if desc.size == 1:
-            return Polynomial([0.0])
-        return Polynomial(desc[:-1][::-1])
-
     def real_coeffs(self, tol: float = _REALNESS_TOL) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         resid = float(np.max(np.abs(self.coeffs.imag)))

@@ -8,9 +8,7 @@ statistically indistinguishable from all smaller ones.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,33 +307,19 @@ def _apply_band(band: np.ndarray, cols: np.ndarray, V: np.ndarray) -> np.ndarray
 
 
 class DesignWeights:
-    """Thread-safe memo of weight matrices for one fixed observation design.
+    """Weight matrices of one fixed observation design.
 
-    Monte-Carlo replications share the design, so every bandwidth/grid
-    combination is built once and reused across runs and threads.
+    A plain forwarder to the weight-row builder that stores nothing
+    between calls; the deconvolution pipeline evaluates every order
+    through it.
     """
 
     def __init__(self, times: np.ndarray, T: float):
         self.times = np.ascontiguousarray(times, dtype=float)
         self.T = float(T)
-        self._lock = threading.Lock()
-        self._store: dict = {}
-
-    @staticmethod
-    def _grid_key(grid: np.ndarray) -> tuple:
-        digest = hashlib.blake2b(grid.tobytes(), digest_size=16).hexdigest()
-        return (grid.size, digest)
 
     def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
-        grid = np.ascontiguousarray(grid, dtype=float)
-        key = (int(j), int(L), round(float(lam), 12), self._grid_key(grid))
-        with self._lock:
-            W = self._store.get(key)
-        if W is None:
-            W = _weight_matrix(self.times, self.T, grid, j, L, lam)
-            with self._lock:
-                W = self._store.setdefault(key, W)
-        return W
+        return _weight_matrix(self.times, self.T, grid, j, L, lam)
 
 
 def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarray:
@@ -345,8 +329,7 @@ def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarra
     return hi - lo
 
 
-def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
-                *, design: DesignWeights | None = None) -> DerivativeEstimate:
+def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> DerivativeEstimate:
     """Weighted-sum estimate of q^(j) at the given bandwidth.
 
     Each value is a kernel-weighted combination of the observations, with the
@@ -365,10 +348,7 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid,
             "bandwidth %g leaves an empty observation window at some evaluation "
             "points; increase the bandwidth or the sample size" % lam
         )
-    if design is None:
-        W = _weight_matrix(data.times, data.T, grid, j, L, lam)
-    else:
-        W = design.weight_matrix(j, L, lam, grid)
+    W = _weight_matrix(data.times, data.T, grid, j, L, lam)
     return DerivativeEstimate(
         j=j, grid=grid, values=W @ data.values, bandwidth=float(lam), kernel_order=L
     )
@@ -583,14 +563,13 @@ def lepski_select(data: NoisySample, j: int, L: int,
 
 
 def estimate_derivative(data: NoisySample, j: int, L: int,
-                        cfg: LepskiConfig | None = None, grid=None,
-                        *, design: DesignWeights | None = None) -> DerivativeEstimate:
+                        cfg: LepskiConfig | None = None, grid=None) -> DerivativeEstimate:
     """Adaptive-bandwidth estimate of q^(j): select, then evaluate."""
     cfg = cfg or LepskiConfig()
     if grid is None:
         grid = np.linspace(0.0, data.T, 1024)
     lam = lepski_select(data, j, L, cfg)
-    return pc_estimate(data, j, L, lam, grid, design=design)
+    return pc_estimate(data, j, L, lam, grid)
 
 
 def estimate_sigma(data: NoisySample) -> float:

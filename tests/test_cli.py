@@ -195,10 +195,11 @@ class TestDeconvolveCommand:
                    "--output", str(tmp_path / "f.csv")])
         assert rc == 2
 
-    def test_negative_sigma_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_negative_sigma_exits_2(self, tmp_path, sigma):
         data = emit_cell(tmp_path)
         rc = main(["deconvolve", "--input", data, "--kernel", G2,
-                   "--sigma", "-1", "--output", str(tmp_path / "f.csv")])
+                   "--sigma", sigma, "--output", str(tmp_path / "f.csv")])
         assert rc == 2
 
     def test_order_too_low_exits_3(self, tmp_path):
@@ -383,6 +384,7 @@ class TestMakeKernel:
             ["make-kernel", "--L", "0", "--j", "0"],
             ["make-kernel", "--L", "4", "--j", "0", "--rho", "0"],
             ["make-kernel", "--L", "4", "--j", "0", "--rho", "1.5"],
+            ["make-kernel", "--L", "4", "--j", "0", "--rho", "1e-7"],
         ],
     )
     def test_invalid_orders_exit_3(self, argv):

@@ -1,5 +1,7 @@
 """Tests for the full deconvolution pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -17,6 +19,7 @@ from lapdeconv.deconv import (
 from lapdeconv.resolvent import decompose, rational_kernel
 from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, standard_normals
 from lapdeconv.smoother import EstimationError, NoisySample
+from oracles import convolve_exp_poly
 
 T = 10.0
 
@@ -77,10 +80,18 @@ class TestConvolutionTerm:
         d = decompose(g)
         gex = ExpPoly.from_rational(g.num.real_coeffs(), g.den.real_coeffs())
         fex = ExpPoly([(-1.0, np.array([0.0, 0.0, 1.0]))])
-        q = gex.convolve(fex)
+        # g has the single rate -1 of f, and int_0^t (t-x)^a x^2 dx =
+        # 2 a! t^(a+3) / (a+3)!, so q = g * f is an ExpPoly of that rate
+        ((s, c),) = gex.terms
+        qc = np.zeros(c.size + 3, dtype=complex)
+        for a, ca in enumerate(c):
+            qc[a + 3] = ca * 2.0 * math.factorial(a) / math.factorial(a + 3)
+        q = ExpPoly([(s, qc)])
         phi1_r = ExpPoly.phi1_from_decomposition(d).derivatives(d.r)
         grid = np.linspace(0.0, T, 1024)
-        exact = q.convolve(phi1_r).eval_real(grid)
+        np.testing.assert_allclose(q(grid), convolve_exp_poly(gex, fex, grid),
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(q(grid))))
+        exact = convolve_exp_poly(q, phi1_r, grid).real
         approx = _convolve_terms(q.eval_real(grid)[:, None], phi1_r, grid)[:, 0]
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(approx - exact)) < 1e-5 * scale

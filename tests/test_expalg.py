@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.resolvent import decompose
-from lapdeconv.sim import builtin_g
-from oracles import phi1_eval
+from lapdeconv.sim import BUILTIN_F_NAMES, BUILTIN_G_NAMES, builtin_f, builtin_g
+from oracles import convolve_exp_poly, phi1_eval, phi_from_decomposition
 
 
 def _numeric_transform(fn, s, T=60.0, n=600_000):
@@ -93,29 +93,47 @@ class TestCalculus:
         np.testing.assert_allclose(fd, f(t), rtol=1e-5, atol=1e-5)
 
 
+# the builtin targets in closed form: t^2 e^{-t} and the gamma survival
+# curves of shape 2, scale 2 and shape 3, scale 0.75
+TARGETS = {
+    "f1": ExpPoly([(-1.0, np.array([0.0, 0.0, 1.0]))]),
+    "f2": ExpPoly([(-0.5, np.array([1.0, 0.5]))]),
+    "f3": ExpPoly([(-1.0 / 0.75, np.array([1.0, 1.0 / 0.75, 1.0 / (2 * 0.75**2)]))]),
+}
+
+
+def _gauss_legendre_convolution(g, f, t, pieces=50, points=200):
+    """int_0^t g(t - x) f(x) dx by composite Gauss-Legendre quadrature."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(0.0, t, pieces + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        xs = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * np.sum(w * g(t - xs) * f(xs))
+    return total
+
+
 class TestConvolve:
     def test_exponential_pair_closed_form(self):
         # e^{-t} * e^{-2t} = e^{-t} - e^{-2t}
         f = ExpPoly([(-1.0, np.array([1.0]))])
         g = ExpPoly([(-2.0, np.array([1.0]))])
-        c = f.convolve(g)
         t = np.linspace(0.0, 6.0, 25)
-        np.testing.assert_allclose(c(t), np.exp(-t) - np.exp(-2.0 * t),
-                                   atol=1e-12)
+        np.testing.assert_allclose(convolve_exp_poly(f, g, t),
+                                   np.exp(-t) - np.exp(-2.0 * t), atol=1e-12)
 
     def test_same_rate_gives_polynomial_growth(self):
         # e^{-t} * e^{-t} = t e^{-t}
         f = ExpPoly([(-1.0, np.array([1.0]))])
-        c = f.convolve(f)
         t = np.linspace(0.0, 5.0, 21)
-        np.testing.assert_allclose(c(t), t * np.exp(-t), atol=1e-12)
+        np.testing.assert_allclose(convolve_exp_poly(f, f, t), t * np.exp(-t),
+                                   atol=1e-12)
 
     def test_against_numerical_convolution(self):
         ga = builtin_g("g3")
         gb = builtin_g("g2")
         fa = ExpPoly.from_rational(ga.num.real_coeffs(), ga.den.real_coeffs())
         fb = ExpPoly.from_rational(gb.num.real_coeffs(), gb.den.real_coeffs())
-        c = fa.convolve(fb)
         grid = np.linspace(0.0, 4.0, 4001)
         vals_a = fa(grid)
         dt = grid[1] - grid[0]
@@ -123,34 +141,27 @@ class TestConvolve:
             x = grid[: t_idx + 1]
             integrand = vals_a[: t_idx + 1] * fb(grid[t_idx] - x)
             num = np.trapezoid(integrand, dx=dt)
-            assert c(grid[t_idx]) == pytest.approx(num, rel=1e-5, abs=1e-8)
+            c = convolve_exp_poly(fa, fb, grid[t_idx])[0]
+            assert c == pytest.approx(num, rel=1e-5, abs=1e-8)
 
-    def test_transform_of_convolution_is_product(self):
-        f = ExpPoly([(-1.0, np.array([1.0, 1.0]))])
-        g = ExpPoly([(-3.0, np.array([2.0]))])
-        cn, cd = f.convolve(g).transform()
-        fn, fd = f.transform()
-        gn, gd = g.transform()
-        for s in (0.5, 1.0, 2.0):
-            assert cn(s) / cd(s) == pytest.approx(
-                fn(s) * gn(s) / (fd(s) * gd(s)), rel=1e-12
-            )
+    @pytest.mark.parametrize("name", BUILTIN_F_NAMES)
+    def test_targets_are_exp_polys(self, name):
+        t = np.linspace(0.0, 10.0, 201)
+        np.testing.assert_allclose(TARGETS[name].eval_real(t), builtin_f(name)(t),
+                                   rtol=0.0, atol=1e-14)
 
-
-class TestTransform:
-    def test_known_values(self):
-        f = ExpPoly([(-2.0, np.array([0.0, 1.0]))])  # t e^{-2t}
-        n, d = f.transform()
-        assert n(1.0) / d(1.0) == pytest.approx(1.0 / 9.0)
-
-    def test_round_trip_with_from_rational(self):
-        num = [3.0, 1.0]
-        den = [6.0, 5.0, 1.0]
-        f = ExpPoly.from_rational(num, den)
-        n, d = f.transform()
-        for s in (0.3, 1.7, 4.0):
-            want = np.polyval(num[::-1], s) / np.polyval(den[::-1], s)
-            assert n(s) / d(s) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("fname", BUILTIN_F_NAMES)
+    @pytest.mark.parametrize("gname", BUILTIN_G_NAMES)
+    def test_matches_quadrature_on_builtin_pairs(self, gname, fname):
+        # g5/f3 pairs a 9-fold pole at -1 with a 3-fold one at -4/3; at
+        # t = 0.5 the rates differ by 1/6 on the scale 1/t
+        g = builtin_g(gname)
+        gex = ExpPoly.from_rational(g.num.real_coeffs(), g.den.real_coeffs())
+        ts = np.array([0.5, 1.0, 2.5, 5.0, 10.0])
+        exact = convolve_exp_poly(gex, TARGETS[fname], ts)
+        quad = np.array([_gauss_legendre_convolution(gex.eval_real, builtin_f(fname), t)
+                         for t in ts])
+        np.testing.assert_allclose(exact, quad, rtol=1e-10, atol=0.0)
 
 
 class TestDecompositionBridge:
@@ -167,7 +178,7 @@ class TestDecompositionBridge:
 
     def test_phi_includes_polynomial_part(self):
         d = decompose(builtin_g("g3"))
-        full = ExpPoly.phi_from_decomposition(d)
+        full = phi_from_decomposition(d)
         tail = ExpPoly.phi1_from_decomposition(d)
         xs = np.linspace(0.0, 4.0, 9)
         # difference is the a0 polynomial, here a constant since a0 has size 1

@@ -176,7 +176,7 @@ class TestValidation:
             make_boundary_kernel(4, -1, 0.5)
 
     def test_rho_out_of_range(self):
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (0.0, -0.5, 1.5, 1e-7):
             with pytest.raises(ValueError):
                 make_boundary_kernel(4, 1, bad)
 

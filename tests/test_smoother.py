@@ -334,17 +334,6 @@ class TestEstimateDerivative:
 
 
 class TestDesignWeights:
-    def test_cache_returns_same_object(self):
-        n = 200
-        times = np.arange(1, n + 1) * (T / n)
-        dw = DesignWeights(times, T)
-        grid = np.linspace(0.0, T, 50)
-        W1 = dw.weight_matrix(0, 4, 0.5, grid)
-        W2 = dw.weight_matrix(0, 4, 0.5, grid)
-        assert W1 is W2
-        W3 = dw.weight_matrix(0, 4, 0.25, grid)
-        assert W3 is not W1
-
     def test_matches_direct_construction(self):
         n = 200
         times = np.arange(1, n + 1) * (T / n)

@@ -1,0 +1,135 @@
+"""Capture and compare the golden CLI outputs that a refactor must keep.
+
+    python3 tools/golden.py capture DIR [--src PATH]
+    python3 tools/golden.py compare A B
+
+`capture` writes the golden set into DIR through `python -m lapdeconv.cli`,
+importing the package from PATH (default: src/ of this checkout), so the
+outputs of another checkout can be captured by pointing --src at its src/:
+
+- `deconvolve` CSV and sidecar for g2/f1, g4/f2 and g1/f1 at n = 250 and
+  g5/f3 at n = 100, each on the first replication of noise level 0 at
+  seed 0 (written by `simulate --emit-data`, and kept with the outputs)
+  with that level's sigma;
+- `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
+  g4,f2,100,1 and g5,f3,100,0;
+- `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV.
+
+Every command runs inside DIR with relative file names, so the paths the
+sidecars record are the same for every capture. `compare` prints one line
+per file name found in A or B: "identical" when the bytes agree, otherwise
+the largest relative difference between corresponding numbers, or why the
+files cannot be matched number by number. It exits 0 only when every file
+is identical. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (kernel, target, n, sigma of noise level 0 for that kernel)
+DECONVOLVE_CELLS = (
+    ("g2", "f1", 250, "0.01"),
+    ("g4", "f2", 250, "0.002"),
+    ("g1", "f1", 250, "0.001"),
+    ("g5", "f3", 100, "0.002"),
+)
+SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def cli(out_dir: Path, src: Path, *args: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "lapdeconv.cli", *args],
+                          cwd=out_dir, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"lapdeconv {' '.join(args)} exited with "
+                           f"{proc.returncode}: {proc.stderr.strip()}")
+
+
+def capture(out_dir: Path, src: Path) -> list[str]:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for g, f, n, sigma in DECONVOLVE_CELLS:
+        stem = f"{g}_{f}_{n}"
+        cli(out_dir, src, "simulate", "--cell", f"{g},{f},{n},0", "--runs", "1",
+            "--seed", "0", "--output", os.devnull, "--emit-data", f"{stem}.in.csv")
+        cli(out_dir, src, "deconvolve", "--input", f"{stem}.in.csv",
+            "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
+            "--output", f"deconvolve_{stem}.csv")
+    for cell in SIMULATE_CELLS:
+        stem = "simulate_" + cell.replace(",", "_")
+        cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
+            "--output", f"{stem}.csv", "--json", f"{stem}.json")
+    cli(out_dir, src, "make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234",
+        "--output", "make_kernel.csv", "--json", "make_kernel.json")
+    return sorted(p.name for p in out_dir.iterdir())
+
+
+def difference(a: bytes, b: bytes) -> str:
+    """'identical', or the largest relative difference of matching numbers."""
+    if a == b:
+        return "identical"
+    ta, tb = a.decode("utf-8"), b.decode("utf-8")
+    if NUMBER.split(ta) != NUMBER.split(tb):
+        return "differs outside its numbers"
+    worst = 0.0
+    for x, y in zip(NUMBER.findall(ta), NUMBER.findall(tb)):
+        x, y = float(x), float(y)
+        if x == y:
+            continue
+        # x != y excludes 0 == 0; a nan or an infinity counts as infinitely far
+        rel = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, rel if math.isfinite(rel) else math.inf)
+    return f"max relative difference {worst:.3g}"
+
+
+def compare(a_dir: Path, b_dir: Path) -> bool:
+    names = sorted({p.name for p in a_dir.iterdir()} | {p.name for p in b_dir.iterdir()})
+    same = True
+    for name in names:
+        pa, pb = a_dir / name, b_dir / name
+        if not pa.is_file() or not pb.is_file():
+            verdict = f"only in {a_dir if pa.is_file() else b_dir}"
+        else:
+            verdict = difference(pa.read_bytes(), pb.read_bytes())
+        same = same and verdict == "identical"
+        print(f"{name}: {verdict}")
+    return same
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    cap = sub.add_parser("capture", help="write the golden set into DIR")
+    cap.add_argument("dir", type=Path)
+    cap.add_argument("--src", type=Path, default=ROOT / "src",
+                     help="directory holding the lapdeconv package "
+                          "(default: src/ of this checkout)")
+    cmp_ = sub.add_parser("compare", help="compare two captured golden sets")
+    cmp_.add_argument("a", type=Path)
+    cmp_.add_argument("b", type=Path)
+    args = ap.parse_args(argv)
+    if args.command == "capture":
+        try:
+            names = capture(args.dir.resolve(), args.src.resolve())
+        except RuntimeError as exc:
+            print(f"golden: {exc}", file=sys.stderr)
+            return 1
+        print(f"wrote {len(names)} files to {args.dir}")
+        return 0
+    return 0 if compare(args.a, args.b) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
