@@ -406,12 +406,7 @@ def _moment_error(band: np.ndarray, cols: np.ndarray, times: np.ndarray,
     The rows must realize the defining moments in the level's own variable:
     sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for every m < L. The
     deviations e_m, in units of j!/lam^j, show discretization error on the
-    scale of lam. They are also carried to the monomial probes (t/T)^m on
-    [0, T], whose estimated j-th derivative errs by
-    j!/T^j * sum_p C(m, p) (x/T)^(m-p) (lam/T)^(p-j) e_p: moments below j
-    are amplified by (T/lam)^(j-p) there. Each probe error is measured
-    against its probe's own scale, floored at the generic output scale
-    j!/T^j. The larger of the two readings is returned.
+    scale of lam; ``_moment_worst`` reads them.
     """
     D = (times[cols] - x[:, None]) / lam
     P = band * (lam**j / math.factorial(j))
@@ -420,9 +415,22 @@ def _moment_error(band: np.ndarray, cols: np.ndarray, times: np.ndarray,
         E[:, m] = np.sum(P, axis=1)
         P *= D
     E[:, j] -= 1.0
+    return _moment_worst(E, x, lam, j, T)
+
+
+def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) -> float:
+    """The larger of two readings of the moment deviations E (x.size x L).
+
+    One is max |e_m| itself. The other carries e to the monomial probes
+    (t/T)^m on [0, T], whose estimated j-th derivative errs by
+    j!/T^j * sum_p C(m, p) (x/T)^(m-p) (lam/T)^(p-j) e_p: moments below j
+    are amplified by (T/lam)^(j-p) there. Each probe error is measured
+    against its probe's own scale, floored at the generic output scale
+    j!/T^j.
+    """
     worst = float(np.max(np.abs(E)))
     u = x / T
-    for m in range(L):
+    for m in range(E.shape[1]):
         err = sum(math.comb(m, p) * (lam / T) ** (p - j) * u ** (m - p) * E[:, p]
                   for p in range(m + 1))
         scale = 1.0
@@ -430,6 +438,142 @@ def _moment_error(band: np.ndarray, cols: np.ndarray, times: np.ndarray,
             scale = max(math.comb(m, j) * float(np.max(u)) ** (m - j), 1.0)
         worst = max(worst, float(np.max(np.abs(err))) / scale)
     return worst
+
+
+# A level is estimated by windowed prefix sums (``_windowed_rows``) when its
+# widest observation window holds more than this many observations per
+# degree of the kernel; narrower levels keep the band rows, which are
+# cheaper there. For L = 8 the switch sits at 55 to 66 observations.
+_WINDOW_OBS_PER_DEGREE = 6
+
+# Elements of one chunk of blocks' prefix-sum array in ``_windowed_rows``
+_WINDOW_CHUNK = 1 << 20
+
+
+def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
+                   ker: SmoothingKernel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The band path's estimates and moment deviations, O((n + G) deg K) per column.
+
+    The columns are V's R data columns and L moment columns.
+
+    Returns (estimates of V's columns at the sorted points x, x.size x R;
+    the deviations E, x.size x L, that ``_moment_error`` forms). x must lie
+    in the interior zone [lam, T - lam], where ``ker`` is the only kernel.
+    With cell edges e_k, P the kernel primitive and y_-1 = y_n = 0,
+    summation by parts turns a band row into
+    lam^-j [P(1) y_(a-1) + sum_{a <= k < b} P((x - e_k)/lam) (y_k - y_(k-1))]
+    over the edges e_a .. e_(b-1) inside (x - lam, x + lam). The points are
+    cut into blocks less than lam/4 wide, each anchored at its first point
+    c. For a fixed edge, P((x - e_k)/lam) is a polynomial of degree deg P
+    in the offset (x - c)/lam, so the prefix sums along the block's edges
+    are too: they are formed at deg P + 1 Chebyshev nodes of [0, 1/4], with
+    P evaluated directly (Horner, arguments within 1.25 of 0), and each
+    point reads its window as the difference of two prefix sums,
+    interpolated barycentrically. Expanding P in powers of the offset
+    instead would lose up to six digits at j = 5. The moment deviations
+    run the same plan on the columns ((t - c)/lam)^q, q < L, and are
+    re-centred at x by the binomial theorem.
+    """
+    n, G, R = times.size, x.size, V.shape[1]
+    edges = _cell_edges(times)
+    prim = ker.antiderivative()
+    nodes_n = prim.size
+
+    def horner(U):
+        B = U * 0
+        B += prim[-1]
+        for c in prim[-2::-1]:
+            B *= U
+            B += c
+        return B
+
+    p_one = float(horner(np.ones(1))[0])
+    d = np.arange(nodes_n)
+    nodes = 0.125 * (1.0 - np.cos((2 * d + 1) * math.pi / (2 * nodes_n)))
+    bary = (-1.0) ** d * np.sin((2 * d + 1) * math.pi / (2 * nodes_n))
+    dY = np.diff(np.vstack((np.zeros((1, R)), V, np.zeros((1, R)))), axis=0)
+    Vlo = np.vstack((np.zeros((1, R)), V))  # row a is y_(a-1)
+    a = np.searchsorted(edges, x - lam, side="right")
+    b = np.searchsorted(edges, x + lam, side="left")
+    blk = np.floor((x - x[0]) / (0.25 * lam)).astype(int)
+    starts = np.flatnonzero(np.diff(blk, prepend=-1))
+    stops = np.append(starts[1:], G)
+    est = np.empty((G, R))
+    E = np.empty((G, L))
+    span = int(np.max(b[stops - 1] - a[starts])) + 1
+    chunk = max(1, _WINDOW_CHUNK // (span * nodes_n * (R + L)))
+    for s0 in range(0, starts.size, chunk):
+        first, last = starts[s0 : s0 + chunk], stops[s0 : s0 + chunk]
+        c = x[first]
+        A = a[first]
+        width = int(np.max(b[last - 1] - A))
+        K = A[:, None] + np.arange(width)
+        K[K >= b[last - 1][:, None]] = n + 1  # past the block's windows
+        Kc = np.minimum(K, n)
+        v = (edges[Kc] - c[:, None]) / lam
+        Pv = horner(nodes[None, None, :] - v[:, :, None])
+        Pv[K > n] = 0.0
+        # differenced columns at each edge: the data, then ((t - c)/lam)^q
+        hi = (times[np.minimum(K, n - 1)] - c[:, None]) / lam
+        lo = (times[np.clip(K - 1, 0, n - 1)] - c[:, None]) / lam
+        cols = np.empty(K.shape + (R + L,))
+        cols[..., :R] = dY[Kc]
+        cols[..., R:] = _powers(hi, L, K < n) - _powers(lo, L, K >= 1)
+        F = np.empty((first.size, width + 1, nodes_n, R + L))
+        F[:, 0] = 0.0
+        np.multiply(Pv[..., None], cols[:, :, None, :], out=F[:, 1:])
+        np.cumsum(F, axis=1, out=F)
+        pts = np.arange(first[0], last[-1])
+        bi = np.repeat(np.arange(first.size), last - first)
+        delta = (x[pts] - c[bi]) / lam
+        H = F[bi, b[pts] - A[bi]] - F[bi, a[pts] - A[bi]]
+        off = delta[:, None] - nodes
+        hit = off == 0.0
+        off[hit] = 1.0
+        ell = bary / off
+        rows = np.any(hit, axis=1)
+        ell[rows] = hit[rows]
+        ell /= np.sum(ell, axis=1, keepdims=True)
+        M = np.einsum("gd,gdc->gc", ell, H)
+        # the edges left of the window all sit at P(1)
+        ap = a[pts]
+        M[:, :R] += p_one * Vlo[ap]
+        base = (times[np.maximum(ap - 1, 0)] - c[bi]) / lam
+        M[:, R:] += p_one * _powers(base, L, ap >= 1)
+        est[pts] = M[:, :R] / lam**j
+        # re-centre at x: ((t - x)/lam)^m = sum_q C(m, q) ((t - c)/lam)^q (-delta)^(m-q)
+        shift = _powers(-delta, L, True)
+        Mq = M[:, R:] / math.factorial(j)
+        for m in range(L):
+            E[pts, m] = sum(math.comb(m, p) * shift[:, m - p] * Mq[:, p] for p in range(m + 1))
+    E[:, j] -= 1.0
+    return est, E
+
+
+def _powers(s: np.ndarray, L: int, keep) -> np.ndarray:
+    """s^q for q < L along a new last axis, zero where ``keep`` is False."""
+    out = np.empty(s.shape + (L,))
+    out[..., 0] = np.where(keep, 1.0, 0.0)
+    for q in range(1, L):
+        np.multiply(out[..., q - 1], s, out=out[..., q])
+    return out
+
+
+def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
+                 T: float, ker: SmoothingKernel, V: np.ndarray, tol: float):
+    """Moment error of one level on the comparison points x, and its
+    estimates of V's columns there when that error is within tol (else None).
+
+    Wide levels go through ``_windowed_rows``, the others through the band
+    rows (see ``_WINDOW_OBS_PER_DEGREE``).
+    """
+    if np.max(_check_windows(times, x, lam)) > _WINDOW_OBS_PER_DEGREE * ker.degree:
+        est, E = _windowed_rows(times, x, lam, j, L, ker, V)
+        rel = _moment_worst(E, x, lam, j, T)
+        return rel, (est if rel <= tol else None)
+    band, cols = _band_rows(times, x, lam, j, [ker])
+    rel = _moment_error(band, cols, times, x, lam, j, L, T)
+    return rel, (_apply_band(band, cols, V) if rel <= tol else None)
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
@@ -443,23 +587,30 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     meet the kernel's moment conditions in the level's own variable,
     sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, both at
     that scale and as carried to the monomials (t/T)^m on [0, T], within
-    the probe tolerance (see ``_moment_error``). The check reads the band
-    rows the level's estimates are formed from, and only levels that pass
-    it are applied to V. When no level passes, the least-biased one (the
+    the probe tolerance (see ``_moment_error``). Only levels that pass it
+    are applied to V. When no level passes, the least-biased one (the
     smallest such error) is the only admissible level and
     ``details["fallback"]`` is "least_biased"; otherwise it is None.
     Distances between estimates are integrated over the interior zone of
     the larger bandwidth, where neither estimate is boundary-affected.
+
+    A level's comparison-grid estimates and moment check are computed one
+    of two ways, chosen by ``_probe_level`` from the observation count of
+    its widest window alone. Narrow levels read the band rows their
+    estimates are formed from, at O(G * band) for G interior points. Wide
+    levels use windowed prefix sums (``_windowed_rows``) at O(n + G): their
+    estimates agree with the band rows' to about 1e-12 of a row's sum of
+    |w_i| |y_i|, and their moment errors to about 1e-7 relative or better,
+    the band rows' own rounding, so the same levels are admitted and
+    selected. The final evaluation on the output grid always uses the band
+    rows (``_weight_matrix``).
     """
     n = times.size
     grid_obj = BandwidthGrid.build(j, cfg.a, n, sigma, T)
     levels = grid_obj.levels
     cgrid = _comparison_grid(n, T, cfg)
-    if cfg.C is not None:
-        C = float(cfg.C)
-    else:
-        C = cfg.mu * math.sqrt(make_kernel(L, j).norm2)
     ker = make_kernel(L, j)
+    C = float(cfg.C) if cfg.C is not None else cfg.mu * math.sqrt(ker.norm2)
 
     spans: list[tuple[int, int] | None] = [None] * levels.size
     estimates: list[np.ndarray | None] = [None] * levels.size
@@ -480,15 +631,12 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             continue
         if np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
             continue
-        band, cols = _band_rows(times, cgrid[i0:i1], lam, j, [ker])
-        rel = _moment_error(band, cols, times, cgrid[i0:i1], lam, j, L, T)
-        if rel <= cfg.probe_tol:
+        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, cfg.probe_tol)
+        if est is not None:
             spans[li] = (i0, i1)
-            estimates[li] = _apply_band(band, cols, V)
+            estimates[li] = est
         elif best_bad is None or rel < best_bad[0]:
             best_bad = (rel, li, (i0, i1))
-        # free this level's band before the next one is built
-        del band, cols
     admissible = [i for i, s in enumerate(spans) if s is not None]
     fallback = None
     if not admissible and best_bad is not None:
@@ -496,8 +644,8 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         # estimating at the least-biased level beats refusing outright.
         _, li, (i0, i1) = best_bad
         spans[li] = (i0, i1)
-        band, cols = _band_rows(times, cgrid[i0:i1], levels[li], j, [ker])
-        estimates[li] = _apply_band(band, cols, V)
+        estimates[li] = _probe_level(times, cgrid[i0:i1], levels[li], j, L, T, ker, V,
+                                     math.inf)[1]
         admissible = [li]
         fallback = "least_biased"
     if not admissible:
@@ -578,6 +726,15 @@ def estimate_sigma(data: NoisySample) -> float:
     sigma_hat^2 = sum (y_i - y_{i-1})^2 / (2(n-1)); valid when the signal
     varies slowly across neighboring design points. The estimators here
     treat sigma as known; use this when no external value is available.
+    Differences or squares beyond the float range are formed from the
+    values scaled by their largest magnitude instead, so no step overflows;
+    the result is inf only when sigma_hat itself exceeds the float range.
     """
-    d = np.diff(data.values)
-    return float(np.sqrt(np.sum(d * d) / (2.0 * (data.n - 1))))
+    with np.errstate(over="ignore"):
+        d = np.diff(data.values)
+        ss = np.sum(d * d)
+    if np.isfinite(ss):
+        return float(np.sqrt(ss / (2.0 * (data.n - 1))))
+    scale = float(np.max(np.abs(data.values)))
+    d = np.diff(data.values / scale)
+    return scale * float(np.sqrt(np.sum(d * d) / (2.0 * (data.n - 1))))

@@ -202,6 +202,21 @@ class TestDeconvolveCommand:
                    "--sigma", sigma, "--output", str(tmp_path / "f.csv")])
         assert rc == 2
 
+    def test_estimate_sigma_on_huge_values_is_one_line(self, tmp_path):
+        # squaring differences near 1e200 overflows; the estimate must not
+        # warn, and the failure must be the CLI's one-line diagnostic
+        t = np.linspace(0.1, 10.0, 100)
+        y = 1e200 * np.exp(-t) * (1 + 0.5 * np.sin(50 * t))
+        data = write_csv(tmp_path / "huge.csv", [("%.17g" % a, "%.17g" % b) for a, b in zip(t, y)])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapdeconv.cli", "deconvolve", "--input", data,
+             "--kernel", G2, "--estimate-sigma", "--output", str(tmp_path / "f.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode in (2, 4)
+        assert proc.stderr.startswith("lapdeconv: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_order_too_low_exits_3(self, tmp_path):
         data = emit_cell(tmp_path)
         rc = main(["deconvolve", "--input", data, "--kernel", G2,

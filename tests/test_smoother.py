@@ -1,10 +1,13 @@
 """Tests for derivative smoothing and adaptive bandwidth selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lapdeconv import smoother
 from lapdeconv.kernels import make_kernel
 from lapdeconv.smoother import (
     AdaptationError,
@@ -18,7 +21,11 @@ from lapdeconv.smoother import (
     _boundary_key,
     _cell_edges,
     _kernel_for_key,
+    _lepski_batch,
+    _moment_error,
+    _moment_worst,
     _weight_matrix,
+    _windowed_rows,
     estimate_derivative,
     estimate_sigma,
     lepski_select,
@@ -206,6 +213,90 @@ class TestBandedApply:
         np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.3))
 
 
+def _design(kind, n):
+    if kind == "equispaced":
+        return np.arange(1, n + 1) * (T / n)
+    return np.sort(np.random.default_rng(n).uniform(0.0, T, n))
+
+
+class TestWindowedRows:
+    """The windowed prefix sums against the band rows they replace.
+
+    The band path is the oracle: `_apply_band(*_band_rows(...))` for the
+    estimates, `_moment_error` for the moment check. Estimates are compared
+    relative to the largest row sum of |w_i| |y_i|, the scale on which
+    either path rounds: for a smooth column at j = 5 the kernel sum cancels
+    to a value far below it, and both paths then sit about 1e-9 off an
+    extended-precision evaluation relative to the estimate itself. Moment
+    errors are compared relative to their value, with a floor of 1e-13
+    (T/lam)^j for the band path's own rounding: at n = 2000, j = 5 and
+    lam = 1 its moment deviations are about 1e-12 off an extended-precision
+    evaluation, and the probe reading carries them by up to (T/lam)^j.
+    """
+
+    @pytest.mark.parametrize("n", [100, 300, 2000])
+    @pytest.mark.parametrize("kind", ["equispaced", "random"])
+    def test_matches_band_path(self, kind, n):
+        times = _design(kind, n)
+        rng = np.random.default_rng(1)
+        V = np.column_stack([np.sin(times), rng.standard_normal(n), 3 * np.exp(-times)])
+        cgrid = np.linspace(0.0, T, 2000)
+        # 40 grid spacings: blocks of lam/4 then hold 11 points, fewer than
+        # the 12 or 13 interpolation nodes
+        narrow = 40 * cgrid[1]
+        for j in range(6):
+            ker = make_kernel(8, j)
+            for lam in (narrow, 0.25, 0.6, 1.0):
+                x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+                band, cols = _band_rows(times, x, lam, j, [ker])
+                want = _apply_band(band, cols, V)
+                scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)), axis=0)
+                rel = _moment_error(band, cols, times, x, lam, j, 8, T)
+                for Vr in (V, V[:, :1]):
+                    est, E = _windowed_rows(times, x, lam, j, 8, ker, Vr)
+                    r = Vr.shape[1]
+                    assert np.max(np.abs(est - want[:, :r]) / scale[:r]) <= 1e-11, (j, lam, r)
+                    got = _moment_worst(E, x, lam, j, T)
+                    assert abs(got - rel) <= 1e-7 * rel + 1e-13 * (T / lam) ** j, (j, lam, r)
+
+    def test_points_on_interpolation_nodes(self):
+        # offsets that land exactly on a Chebyshev node take the node's value
+        times = _design("random", 300)
+        lam, j = 0.8, 2
+        ker = make_kernel(8, j)
+        D = ker.antiderivative().size
+        k = np.arange(D)
+        nodes = 0.125 * (1.0 - np.cos((2 * k + 1) * math.pi / (2 * D)))
+        x = np.sort(np.concatenate([3.0 + lam * nodes, [3.0 + 0.2 * lam]]))
+        V = np.sin(times)[:, None]
+        band, cols = _band_rows(times, x, lam, j, [ker])
+        est, _ = _windowed_rows(times, x, lam, j, 8, ker, V)
+        scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)))
+        assert np.max(np.abs(est - _apply_band(band, cols, V))) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("kind,n,sigma", [
+        ("random", 300, 0.01),
+        ("equispaced", 600, 0.01),
+        ("equispaced", 100, 0.001),  # order 4 falls back to the least-biased level
+    ])
+    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma):
+        times = _design(kind, n)
+        rng = np.random.default_rng(2)
+        V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, 3))
+        for j in range(5):
+            got = []
+            for per_degree in (0, 10**9):  # every level windowed, then none
+                monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
+                got.append(_lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())[2])
+            win, band = got
+            np.testing.assert_array_equal(win["levels"], band["levels"])
+            assert win["admissible"] == band["admissible"]
+            np.testing.assert_array_equal(win["selected_index"], band["selected_index"])
+            assert win["fallback"] == band["fallback"]
+        if n == 100:
+            assert band["fallback"] == "least_biased"
+
+
 class TestLepski:
     def test_selected_bandwidth_is_grid_member(self):
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
@@ -349,6 +440,13 @@ class TestEstimateSigma:
     def test_exact_small_case(self):
         d = NoisySample([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0], T, 0.1)
         assert estimate_sigma(d) == pytest.approx(np.sqrt(3.0 / 6.0))
+
+    def test_values_beyond_the_square_range(self):
+        # squares of differences near 1e200 overflow; the scaled form does not
+        values = 1e200 * np.array([0.0, 1.0, 0.0, 1.0])
+        d = NoisySample([1.0, 2.0, 3.0, 4.0], values, T, 0.1)
+        with np.errstate(over="raise"):
+            assert estimate_sigma(d) == pytest.approx(1e200 * np.sqrt(3.0 / 6.0))
 
     def test_recovers_noise_scale(self):
         d = equispaced(5000, np.sin, sigma=0.05, seed=3)

@@ -1,0 +1,96 @@
+"""Time one warm deconvolve per sample size and fit the scaling in n.
+
+    python3 tools/scaling.py [--src PATH]
+
+For each n in 1000, 2000, 4000 and 8000 a fresh interpreter imports the
+package from PATH (default: src/ of this checkout), builds g2/f1 on the
+equispaced design of [0, 10] with the noise of level 0 (seed 0), runs one
+n = 250 estimate so that every kernel is built, and then times one
+`deconvolve` at n. It reports that time and the interpreter's peak
+resident set (import, design and warm-up included). One line per n is
+printed, then the least-squares slope of log time against log n. Only one
+interpreter runs at a time, with BLAS and OpenMP pinned to one thread.
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NS = (1000, 2000, 4000, 8000)
+T = 10.0
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def child(n: int) -> dict:
+    """Time one warm deconvolve at n in this interpreter."""
+    import resource
+    import time
+
+    import numpy as np
+
+    import lapdeconv as ld
+
+    g, f = ld.builtin_g("g2"), ld.builtin_f("f1")
+    sigma = ld.ladder_sigma("g2", 0)
+
+    def sample(size: int, stream: int):
+        times = np.arange(1, size + 1) * (T / size)
+        y = ld.forward_convolve(g, f, times) + sigma * ld.standard_normals(0, stream, size)
+        return ld.NoisySample(times=times, values=y, sigma=sigma, T=T)
+
+    ld.deconvolve(sample(250, 0), g)
+    data = sample(n, 1)
+    t0 = time.perf_counter()
+    ld.deconvolve(data, g)
+    seconds = time.perf_counter() - t0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    return {"n": n, "seconds": seconds, "peak_rss_mb": rss}
+
+
+def slope(points: list[dict]) -> float:
+    """Least-squares slope of log seconds against log n."""
+    xs = [math.log(p["n"]) for p in points]
+    ys = [math.log(p["seconds"]) for p in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory the lapdeconv package is imported from")
+    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(child(args.child)))
+        return 0
+    env = {k: v for k, v in os.environ.items() if k != "LAPDECONV_THREADS"}
+    env.update({k: "1" for k in THREAD_VARS})
+    env["PYTHONPATH"] = str(args.src.resolve())
+    points = []
+    for n in NS:
+        proc = subprocess.run([sys.executable, __file__, "--child", str(n)],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"scaling: n={n} failed:\n{proc.stderr.strip()}", file=sys.stderr)
+            return 1
+        point = json.loads(proc.stdout.strip().splitlines()[-1])
+        points.append(point)
+        print(f"n={n:5d}  {point['seconds']:8.3f} s  {point['peak_rss_mb']:7.1f} MB",
+              flush=True)
+    print(f"log-log slope {slope(points):.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
