@@ -443,7 +443,8 @@ def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) ->
 # A level is estimated by windowed prefix sums (``_windowed_rows``) when its
 # widest observation window holds more than this many observations per
 # degree of the kernel; narrower levels keep the band rows, which are
-# cheaper there. For L = 8 the switch sits at 55 to 66 observations.
+# cheaper there. For L = 8 the switch sits at 60 (even j) or 66 (odd j)
+# observations.
 _WINDOW_OBS_PER_DEGREE = 6
 
 # Elements of one chunk of blocks' prefix-sum array in ``_windowed_rows``
