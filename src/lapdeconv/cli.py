@@ -77,19 +77,30 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_threads(requested: int | None) -> int:
-    """Requested thread count clipped by the LAPDECONV_THREADS cap."""
+    """Requested thread count clipped by the LAPDECONV_THREADS cap.
+
+    Either value must be a positive integer; anything else exits 2.
+    """
     raw = os.environ.get("LAPDECONV_THREADS", "").strip()
     cap = 0
     if raw:
         try:
-            cap = max(1, int(raw))
+            cap = int(raw)
         except ValueError:
             raise CliError(
                 EXIT_BAD_INPUT, "LAPDECONV_THREADS must be an integer"
             ) from None
+        if cap < 1:
+            raise CliError(
+                EXIT_BAD_INPUT,
+                f"invalid parameter: LAPDECONV_THREADS must be at least 1, got {cap}",
+            )
     if requested is None:
         return cap if cap else 1
-    requested = max(1, requested)
+    if requested < 1:
+        raise CliError(
+            EXIT_BAD_INPUT, f"invalid parameter: --threads must be at least 1, got {requested}"
+        )
     return min(requested, cap) if cap else requested
 
 

@@ -46,8 +46,9 @@ class EstimatorConfig:
     derivative order, a sequence is indexed by j, a mapping may cover only
     some orders (the rest stay adaptive). threads > 1 runs the per-order
     derivative estimations concurrently; results do not depend on it.
-    grid_size must be at least 2, and trim (the boundary fraction that risk
-    summaries drop) must lie in [0, 0.5); other values raise ValueError.
+    grid_size must be at least 2, trim (the boundary fraction that risk
+    summaries drop) must lie in [0, 0.5), and threads must be an integer
+    of at least 1; other values raise ValueError.
     """
 
     L: int = 8
@@ -62,6 +63,9 @@ class EstimatorConfig:
             raise ValueError("evaluation grid size must be at least 2")
         if not (0.0 <= self.trim < 0.5):
             raise ValueError("trim must lie in [0, 0.5)")
+        threads = self.threads
+        if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+            raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
 
     def fixed_bandwidth(self, j: int):
         fb = self.fixed_bandwidths

@@ -306,7 +306,10 @@ def run_table(cells, runs: int = 100, seed: int = 0,
               config: EstimatorConfig | None = None, T: float = 10.0,
               threads: int = 1) -> list[tuple[tuple, ExperimentReport]]:
     """Run a list of (g, f, n, i) cells; returns [(cell, report), ...] in
-    input order regardless of execution concurrency."""
+    input order regardless of execution concurrency. threads must be an
+    integer of at least 1, else ValueError."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     config = config or EstimatorConfig()
     scenarios = [
         Scenario(

@@ -225,8 +225,8 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
     Interior evaluation points share one kernel and one ``_band_rows``
     call; points within lam of an endpoint each get the boundary kernel for
     their own relative distance (right edge reflected), built once per
-    distinct distance, and share a second call. Bands are added into W,
-    not assigned, because their zero-weight padding aliases observation n-1.
+    distinct distance, and share a second call. Each call's rows are
+    scattered into W block by block (``_band_blocks``).
     """
     grid = np.asarray(grid, dtype=float)
     W = np.zeros((grid.size, times.size))
@@ -234,7 +234,7 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
     rows = np.nonzero(interior)[0]
     if rows.size:
         band, cols = _band_rows(times, grid[rows], lam, j, [make_kernel(L, j)])
-        np.add.at(W, (rows[:, None], cols), band)
+        _scatter_band(W, rows, band, cols)
     rows = np.nonzero(~interior)[0]
     if rows.size:
         slot: dict = {}
@@ -247,8 +247,15 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
                 kernels.append(_kernel_for_key(key, j, L))
             which[r] = slot[key]
         band, cols = _band_rows(times, grid[rows], lam, j, kernels, which)
-        np.add.at(W, (rows[:, None], cols), band)
+        _scatter_band(W, rows, band, cols)
     return W
+
+
+def _scatter_band(W: np.ndarray, rows: np.ndarray, band: np.ndarray,
+                  cols: np.ndarray) -> None:
+    """Write the band rows into the rows ``rows`` of the zero matrix W."""
+    for r0, c0, D in _band_blocks(band, cols):
+        W[rows[r0 : r0 + D.shape[0], None], np.arange(c0, c0 + D.shape[1])] = D
 
 
 def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
@@ -299,10 +306,42 @@ def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
     return band, cols
 
 
+# Rows of one dense block in ``_band_blocks``
+_BAND_BLOCK_ROWS = 128
+
+
+def _band_blocks(band: np.ndarray, cols: np.ndarray):
+    """The band rows as dense blocks of ``_BAND_BLOCK_ROWS`` rows.
+
+    Yields (r0, c0, D): D holds rows r0 .. r0 + D.shape[0] - 1 over the
+    observations c0 .. c0 + D.shape[1] - 1, the block's lowest to highest
+    column, so sorted rows give blocks about one band plus the block's own
+    spread wide. Weights are scattered by ``np.bincount``, which adds,
+    because the zero-weight padding of ``_band_rows`` aliases observation
+    n-1.
+    """
+    G, B = band.shape[0], _BAND_BLOCK_ROWS
+    first = np.arange(0, G, B)
+    lo = np.minimum.reduceat(np.min(cols, axis=1), first)
+    width = np.maximum.reduceat(np.max(cols, axis=1), first) - lo + 1
+    # flat index of row r's weights in its block: (r - r0) * width + col - c0
+    offset = (np.arange(G) - np.repeat(first, B)[:G]) * np.repeat(width, B)[:G]
+    offset -= np.repeat(lo, B)[:G]
+    flat = cols + offset[:, None]
+    for r0, c0, w in zip(first.tolist(), lo.tolist(), width.tolist()):
+        r1 = min(r0 + B, G)
+        D = np.bincount(flat[r0:r1].ravel(), weights=band[r0:r1].ravel(),
+                        minlength=(r1 - r0) * w)
+        yield r0, c0, D.reshape(r1 - r0, w)
+
+
 def _apply_band(band: np.ndarray, cols: np.ndarray, V: np.ndarray) -> np.ndarray:
-    out = np.zeros((band.shape[0], V.shape[1]))
-    for m in range(band.shape[1]):
-        out += band[:, m, None] * V[cols[:, m]]
+    """The band rows applied to V's columns, one BLAS product per dense block
+    (``_band_blocks``): O(G * w * R) for G rows of w weights and R columns.
+    """
+    out = np.empty((band.shape[0], V.shape[1]))
+    for r0, c0, D in _band_blocks(band, cols):
+        np.matmul(D, V[c0 : c0 + D.shape[1]], out=out[r0 : r0 + D.shape[0]])
     return out
 
 
@@ -440,11 +479,11 @@ def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) ->
     return worst
 
 
-# A level is estimated by windowed prefix sums (``_windowed_rows``) when its
-# widest observation window holds more than this many observations per
-# degree of the kernel; narrower levels keep the band rows, which are
-# cheaper there. For L = 8 the switch sits at 60 (even j) or 66 (odd j)
-# observations.
+# A single-column level is estimated by windowed prefix sums
+# (``_windowed_rows``) when its widest observation window holds more than
+# this many observations per degree of the kernel; narrower levels keep the
+# band rows, which are cheaper there. For L = 8 that is 60 (even j) or 66
+# (odd j) observations; ``_probe_level`` scales it with the column count.
 _WINDOW_OBS_PER_DEGREE = 6
 
 # Elements of one chunk of blocks' prefix-sum array in ``_windowed_rows``
@@ -565,10 +604,20 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     """Moment error of one level on the comparison points x, and its
     estimates of V's columns there when that error is within tol (else None).
 
-    Wide levels go through ``_windowed_rows``, the others through the band
-    rows (see ``_WINDOW_OBS_PER_DEGREE``).
+    The cheaper of two paths computes them. The band rows cost about
+    G * w * (deg K + L) for G points and w observations in the widest
+    window, and reach V's R columns by a blocked BLAS product
+    (``_apply_band``) whose share of that stays small, so their cost
+    hardly grows with R. Windowed prefix sums (``_windowed_rows``) cost
+    about (n + G) per column and step over R + L + deg K of them: the data,
+    the moment columns and the Horner steps of the primitive. So the
+    single-column switch, w > 6 deg K (``_WINDOW_OBS_PER_DEGREE``), is
+    scaled by (R + L + deg K) / (1 + L + deg K): for L = 8 and R = 100 a
+    level goes windowed from 373 (even j) or 393 (odd j) observations on.
     """
-    if np.max(_check_windows(times, x, lam)) > _WINDOW_OBS_PER_DEGREE * ker.degree:
+    obs = int(np.max(_check_windows(times, x, lam)))
+    deg, R = ker.degree, V.shape[1]
+    if obs * (1 + L + deg) > _WINDOW_OBS_PER_DEGREE * deg * (R + L + deg):
         est, E = _windowed_rows(times, x, lam, j, L, ker, V)
         rel = _moment_worst(E, x, lam, j, T)
         return rel, (est if rel <= tol else None)
@@ -596,14 +645,16 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     the larger bandwidth, where neither estimate is boundary-affected.
 
     A level's comparison-grid estimates and moment check are computed one
-    of two ways, chosen by ``_probe_level`` from the observation count of
-    its widest window alone. Narrow levels read the band rows their
-    estimates are formed from, at O(G * band) for G interior points. Wide
-    levels use windowed prefix sums (``_windowed_rows``) at O(n + G): their
-    estimates agree with the band rows' to about 1e-12 of a row's sum of
-    |w_i| |y_i|, and their moment errors to about 1e-7 relative or better,
-    the band rows' own rounding, so the same levels are admitted and
-    selected. The final evaluation on the output grid always uses the band
+    of two ways, chosen by ``_probe_level`` by a cost rule in the
+    observation count of its widest window and the column count R. Narrow
+    levels read the band rows their estimates are formed from, at
+    O(G * w) for G interior points and w observations per band, and apply
+    them to V by a blocked GEMM, O(G * w * R) at BLAS speed. Wide levels
+    use windowed prefix sums (``_windowed_rows``) at O(n + G) per column:
+    their estimates agree with the band rows' to about 1e-12 of a row's
+    sum of |w_i| |y_i|, and their moment errors to about 1e-7 relative or
+    better, the band rows' own rounding, so the same levels are admitted
+    and selected. The final evaluation on the output grid always uses the band
     rows (``_weight_matrix``).
     """
     n = times.size

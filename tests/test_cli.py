@@ -449,6 +449,29 @@ class TestThreadResolution:
                    "--output", str(tmp_path / "rep.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("env,flag", [
+        (None, "0"), (None, "-3"), ("0", None), ("-2", None), ("0", "2"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "deconvolve"])
+    def test_nonpositive_threads_exit_2(self, monkeypatch, tmp_path, capsys, command, env,
+                                        flag):
+        monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
+        out = str(tmp_path / "out.csv")
+        if command == "simulate":
+            argv = ["simulate", "--cell", "g2,f1,100,0", "--runs", "1", "--output", out]
+        else:
+            argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                    "--sigma", "0.01", "--output", out]
+        if env is not None:
+            monkeypatch.setenv("LAPDECONV_THREADS", env)
+        capsys.readouterr()
+        rc = main(argv + (["--threads", flag] if flag is not None else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: invalid parameter: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSchemaChecker:
     def test_shipped_schema_loads(self):

@@ -167,6 +167,11 @@ class TestAdaptiveDeconvolve:
         with pytest.raises(EstimationError):
             deconvolve(data, g, EstimatorConfig(fixed_bandwidths=0.01))
 
+    @pytest.mark.parametrize("threads", [0, -5, 1.5, True])
+    def test_config_rejects_bad_thread_counts(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            EstimatorConfig(threads=threads)
+
     def test_deterministic(self):
         data, g, _ = noisy_sample("g2", "f1", 100, 0.01, 9)
         a = deconvolve(data, g).f_hat

@@ -203,6 +203,43 @@ class TestBandedApply:
         np.testing.assert_allclose(_apply_band(band, cols, V), W[inner] @ V,
                                    rtol=1e-11, atol=1e-11)
 
+    @pytest.mark.parametrize("R", [1, 3, 100])
+    @pytest.mark.parametrize("case", [
+        "few_rows",       # fewer rows than one block
+        "partial_block",  # a row count that is no multiple of the block size
+        "last_cell",      # bands reaching observation n-1, whose padding aliases it
+        "clustered",      # wide blocks over a clustered design
+    ])
+    def test_apply_band_matches_dense_product(self, case, R):
+        rng = np.random.default_rng(7)
+        j, lam = 1, 0.7
+        if case == "few_rows":
+            times = np.arange(1, 301) * (T / 300)
+            x = np.linspace(lam, T - lam, 57)
+        elif case == "partial_block":
+            times = np.sort(rng.uniform(0.0, T, 700))
+            x = np.linspace(lam, T - lam, 1000)
+        elif case == "last_cell":
+            times = np.arange(1, 201) * (9.5 / 200)
+            x = np.linspace(T - 2 * lam, T, 300)
+        else:
+            times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 400),
+                                            rng.uniform(0.0, T, 100)]))
+            x = np.linspace(lam, T - lam, 500)
+        assert x.size % smoother._BAND_BLOCK_ROWS != 0
+        ker = make_kernel(8, j)
+        band, cols = _band_rows(times, x, lam, j, [ker])
+        if case == "last_cell":
+            assert np.any((cols[:, :-1] == times.size - 1) & (cols[:, 1:] == times.size - 1))
+        edges = _cell_edges(times)
+        U = np.clip((x[:, None] - edges) / lam, *ker.support)
+        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
+        W = (B[:, :-1] - B[:, 1:]) / lam**j
+        V = rng.standard_normal((times.size, R))
+        scale = np.abs(W) @ np.abs(V)
+        err = np.abs(_apply_band(band, cols, V) - W @ V)
+        assert np.all(err <= 1e-12 * scale + 1e-300)
+
     def test_band_keeps_cells_at_rounding_distance(self):
         # grid 3.75 lies lam = 0.3 from the cell edge 3.45 up to rounding;
         # the rounded kernel argument of that edge still falls inside the
@@ -274,15 +311,16 @@ class TestWindowedRows:
         scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)))
         assert np.max(np.abs(est - _apply_band(band, cols, V))) <= 1e-11 * scale
 
+    @pytest.mark.parametrize("R", [3, 100])
     @pytest.mark.parametrize("kind,n,sigma", [
         ("random", 300, 0.01),
         ("equispaced", 600, 0.01),
         ("equispaced", 100, 0.001),  # order 4 falls back to the least-biased level
     ])
-    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma):
+    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma, R):
         times = _design(kind, n)
         rng = np.random.default_rng(2)
-        V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, 3))
+        V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, R))
         for j in range(5):
             got = []
             for per_degree in (0, 10**9):  # every level windowed, then none
@@ -295,6 +333,40 @@ class TestWindowedRows:
             assert win["fallback"] == band["fallback"]
         if n == 100:
             assert band["fallback"] == "least_biased"
+
+
+class TestPathSwitch:
+    """``_probe_level`` picks the windowed path by a cost rule in the widest
+    window's observation count w, the column count R and the kernel."""
+
+    @staticmethod
+    def _route(monkeypatch, n, lam, j, R):
+        """(widest window's observation count, whether the level went windowed)."""
+        calls = []
+        real = smoother._windowed_rows
+        monkeypatch.setattr(smoother, "_windowed_rows",
+                            lambda *a: calls.append(1) or real(*a))
+        times = np.arange(1, n + 1) * (T / n)
+        cgrid = np.linspace(0.0, T, max(4 * n, 2000))
+        x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+        smoother._probe_level(times, x, lam, j, 8, T, make_kernel(8, j),
+                              np.ones((n, R)), math.inf)
+        return int(np.max(smoother._check_windows(times, x, lam))), bool(calls)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_single_column_switch_sits_at_six_per_degree(self, monkeypatch, j):
+        deg = make_kernel(8, j).degree
+        seen = set()
+        for w in range(6 * deg - 3, 6 * deg + 4):
+            obs, windowed = self._route(monkeypatch, 1000, (w + 0.5) / 200, j, 1)
+            assert windowed == (obs > 6 * deg), obs
+            seen.add(windowed)
+        assert seen == {False, True}
+
+    def test_many_columns_keep_wide_levels_on_band_rows(self, monkeypatch):
+        assert self._route(monkeypatch, 1000, 1.0, 0, 1)[1]
+        assert self._route(monkeypatch, 1000, 1.0, 0, 10)[1]
+        assert not self._route(monkeypatch, 1000, 1.0, 0, 100)[1]
 
 
 class TestLepski:
