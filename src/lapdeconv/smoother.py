@@ -325,8 +325,7 @@ def _band_blocks(band: np.ndarray, cols: np.ndarray):
     lo = np.minimum.reduceat(np.min(cols, axis=1), first)
     width = np.maximum.reduceat(np.max(cols, axis=1), first) - lo + 1
     # flat index of row r's weights in its block: (r - r0) * width + col - c0
-    offset = (np.arange(G) - np.repeat(first, B)[:G]) * np.repeat(width, B)[:G]
-    offset -= np.repeat(lo, B)[:G]
+    offset = np.arange(G) % B * np.repeat(width, B)[:G] - np.repeat(lo, B)[:G]
     flat = cols + offset[:, None]
     for r0, c0, w in zip(first.tolist(), lo.tolist(), width.tolist()):
         r1 = min(r0 + B, G)

@@ -240,6 +240,14 @@ class TestBandedApply:
         err = np.abs(_apply_band(band, cols, V) - W @ V)
         assert np.all(err <= 1e-12 * scale + 1e-300)
 
+    def test_unsorted_grid(self):
+        # blocks then span their rows' lowest to highest column, not the
+        # first row's band
+        times = np.sort(np.random.default_rng(3).uniform(0.05, T, 300))
+        grid = np.random.default_rng(4).permutation(np.linspace(0.0, T, 300))
+        W = _weight_matrix(times, T, grid, 2, 8, 0.9)
+        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 2, 8, 0.9))
+
     def test_band_keeps_cells_at_rounding_distance(self):
         # grid 3.75 lies lam = 0.3 from the cell edge 3.45 up to rounding;
         # the rounded kernel argument of that edge still falls inside the
@@ -311,26 +319,26 @@ class TestWindowedRows:
         scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)))
         assert np.max(np.abs(est - _apply_band(band, cols, V))) <= 1e-11 * scale
 
-    @pytest.mark.parametrize("R", [3, 100])
     @pytest.mark.parametrize("kind,n,sigma", [
         ("random", 300, 0.01),
         ("equispaced", 600, 0.01),
         ("equispaced", 100, 0.001),  # order 4 falls back to the least-biased level
     ])
-    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma, R):
+    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma):
         times = _design(kind, n)
         rng = np.random.default_rng(2)
-        V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, R))
-        for j in range(5):
-            got = []
-            for per_degree in (0, 10**9):  # every level windowed, then none
-                monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
-                got.append(_lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())[2])
-            win, band = got
-            np.testing.assert_array_equal(win["levels"], band["levels"])
-            assert win["admissible"] == band["admissible"]
-            np.testing.assert_array_equal(win["selected_index"], band["selected_index"])
-            assert win["fallback"] == band["fallback"]
+        for R in (3, 100):  # a few columns, then a Monte-Carlo batch
+            V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, R))
+            for j in range(5):
+                got = []
+                for per_degree in (0, 10**9):  # every level windowed, then none
+                    monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
+                    got.append(_lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())[2])
+                win, band = got
+                np.testing.assert_array_equal(win["levels"], band["levels"])
+                assert win["admissible"] == band["admissible"]
+                np.testing.assert_array_equal(win["selected_index"], band["selected_index"])
+                assert win["fallback"] == band["fallback"]
         if n == 100:
             assert band["fallback"] == "least_biased"
 
