@@ -42,7 +42,7 @@ from .sim import (
     BUILTIN_G_NAMES,
     builtin_f,
     builtin_g,
-    forward_convolve,
+    cell_sample,
     ladder_sigma,
     run_table,
     table_cells,
@@ -55,7 +55,6 @@ from .smoother import (
     NoisySample,
     estimate_sigma,
 )
-from .special import standard_normals
 
 __all__ = ["main"]
 
@@ -79,7 +78,7 @@ def _fmt(x: float) -> str:
 def _resolve_threads(requested: int | None) -> int:
     """Requested thread count clipped by the LAPDECONV_THREADS cap.
 
-    Either value must be a positive integer; anything else exits 2.
+    A cap that is not a positive integer exits 2; EstimatorConfig checks the rest.
     """
     raw = os.environ.get("LAPDECONV_THREADS", "").strip()
     cap = 0
@@ -97,10 +96,6 @@ def _resolve_threads(requested: int | None) -> int:
             )
     if requested is None:
         return cap if cap else 1
-    if requested < 1:
-        raise CliError(
-            EXIT_BAD_INPUT, f"invalid parameter: --threads must be at least 1, got {requested}"
-        )
     return min(requested, cap) if cap else requested
 
 
@@ -193,13 +188,11 @@ def _parse_bandwidths(text: str | None):
     if text is None:
         return None
     try:
-        vals = [float(p) for p in text.split(",") if p.strip()]
+        vals = [float(p) for p in text.split(",")]
     except ValueError:
         raise CliError(
             EXIT_BAD_INPUT, "--bandwidth must be a float or comma-separated floats"
         ) from None
-    if not vals:
-        raise CliError(EXIT_BAD_INPUT, "--bandwidth must not be empty")
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
@@ -212,7 +205,7 @@ def _estimator_config(args, threads: int) -> EstimatorConfig:
             ),
             grid_size=args.grid_size,
             trim=getattr(args, "trim", 0.1),
-            fixed_bandwidths=_parse_bandwidths(getattr(args, "bandwidth", None)),
+            fixed_bandwidths=_parse_bandwidths(args.bandwidth),
             threads=threads,
         )
     except ValueError as exc:
@@ -346,13 +339,12 @@ def _parse_cell(text: str) -> tuple[str, str, int, int]:
 def _emit_data(path: str, cell: tuple[str, str, int, int], seed: int, T: float):
     """First-replication synthetic sample of a cell as a t,y CSV."""
     gn, fn, n, i = cell
-    times = np.arange(1, n + 1) * (T / n)
-    q = forward_convolve(builtin_g(gn), builtin_f(fn), times)
-    y = q + ladder_sigma(gn, i) * standard_normals(seed, 0, n)
+    times, Y = cell_sample(builtin_g(gn), builtin_f(fn), n, ladder_sigma(gn, i),
+                           seed, 1, T)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y"])
-        for t, v in zip(times, y):
+        for t, v in zip(times, Y[:, 0]):
             writer.writerow([_fmt(t), _fmt(v)])
 
 
@@ -367,10 +359,9 @@ def cmd_simulate(args) -> int:
     if args.emit_data and args.cell is None:
         raise CliError(EXIT_BAD_INPUT, "--emit-data requires --cell")
 
-    config = _estimator_config(args, threads if len(cells) == 1 else 1)
+    config = _estimator_config(args, threads)
     try:
-        results = run_table(cells, runs=args.runs, seed=args.seed,
-                            config=config, threads=threads)
+        results = run_table(cells, runs=args.runs, seed=args.seed, config=config)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
     write_report_csv(args.output if args.output else sys.stdout, results)
@@ -442,7 +433,7 @@ def cmd_inspect_kernel(args) -> int:
 # Parser
 
 
-def _add_estimator_flags(sub, with_bandwidth: bool, with_trim: bool) -> None:
+def _add_estimator_flags(sub, with_trim: bool) -> None:
     sub.add_argument("--L", type=int, default=8,
                      help="kernel order (default 8)")
     sub.add_argument("--a", type=float, default=1.2,
@@ -457,10 +448,9 @@ def _add_estimator_flags(sub, with_bandwidth: bool, with_trim: bool) -> None:
                      help="evaluation grid size (default 1024)")
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: LAPDECONV_THREADS or 1)")
-    if with_bandwidth:
-        sub.add_argument("--bandwidth", default=None,
-                         help="fixed bandwidth(s), scalar or comma list per "
-                              "derivative order (skips adaptation)")
+    sub.add_argument("--bandwidth", default=None,
+                     help="fixed bandwidth(s), scalar or comma list per "
+                          "derivative order (skips adaptation)")
     if with_trim:
         sub.add_argument("--trim", type=float, default=0.1,
                          help="boundary trim fraction for risk summaries "
@@ -487,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--estimate-sigma", action="store_true",
                        dest="estimate_sigma",
                        help="estimate sigma from first differences")
-    _add_estimator_flags(p_dec, with_bandwidth=True, with_trim=False)
+    _add_estimator_flags(p_dec, with_trim=False)
     p_dec.set_defaults(func=cmd_deconvolve)
 
     p_sim = subs.add_parser("simulate", help="run benchmark cells")
@@ -505,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--emit-data", default=None, dest="emit_data",
                        help="write the first replication's t,y CSV "
                             "(requires --cell)")
-    _add_estimator_flags(p_sim, with_bandwidth=True, with_trim=True)
+    _add_estimator_flags(p_sim, with_trim=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mk = subs.add_parser("make-kernel", help="construct a smoothing kernel")

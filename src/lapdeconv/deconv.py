@@ -24,8 +24,8 @@ from .smoother import (
     EstimationError,
     LepskiConfig,
     NoisySample,
-    _check_windows,
     _lepski_batch,
+    check_bandwidth,
 )
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "EstimatorConfig",
     "deconvolve",
     "risk_mse",
+    "trimmed_window",
 ]
 
 DEFAULT_GRID_SIZE = 1024
@@ -43,12 +44,12 @@ class EstimatorConfig:
     """Knobs for the full deconvolution pipeline.
 
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
-    derivative order, a sequence is indexed by j, a mapping may cover only
-    some orders (the rest stay adaptive). threads > 1 runs the per-order
-    derivative estimations concurrently; results do not depend on it.
-    grid_size must be at least 2, trim (the boundary fraction that risk
-    summaries drop) must lie in [0, 0.5), and threads must be an integer
-    of at least 1; other values raise ValueError.
+    derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
+    of at most the r + 1 orders, the rest staying adaptive. threads > 1 runs
+    the per-order derivative estimations concurrently; results do not
+    depend on it. grid_size must be at least 2, trim (the boundary
+    fraction that risk summaries drop) must lie in [0, 0.5), and threads
+    must be an integer of at least 1; other values raise ValueError.
     """
 
     L: int = 8
@@ -66,17 +67,17 @@ class EstimatorConfig:
         threads = self.threads
         if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
             raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+        fb = self.fixed_bandwidths
+        if fb is not None and not np.isscalar(fb):
+            if isinstance(fb, dict):
+                raise ValueError("fixed_bandwidths must be a number or a sequence")
+            object.__setattr__(self, "fixed_bandwidths", tuple(float(v) for v in fb))
 
     def fixed_bandwidth(self, j: int):
         fb = self.fixed_bandwidths
-        if fb is None:
-            return None
-        if isinstance(fb, dict):
-            return fb.get(j)
-        if np.isscalar(fb):
-            return float(fb)
-        seq = list(fb)
-        return float(seq[j]) if j < len(seq) else None
+        if fb is None or np.isscalar(fb):
+            return None if fb is None else float(fb)
+        return fb[j] if j < len(fb) else None
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,8 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         raise ValueError(
             "kernel order L=%d must exceed the inversion order r=%d" % (cfg.L, r)
         )
+    if isinstance(cfg.fixed_bandwidths, tuple) and len(cfg.fixed_bandwidths) > r + 1:
+        raise ValueError("more fixed bandwidths than the r + 1 = %d orders" % (r + 1))
     grid = np.linspace(0.0, T, cfg.grid_size)
     design = DesignWeights(times, T)
     R = V.shape[1]
@@ -185,12 +188,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     def select(j: int) -> np.ndarray:
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
-            if not (0.0 < fixed <= T / 2):
-                raise ValueError("fixed bandwidth for j=%d outside (0, T/2]" % j)
-            if np.any(_check_windows(times, grid, fixed) == 0):
-                raise EstimationError(
-                    "fixed bandwidth %g leaves empty observation windows" % fixed
-                )
+            check_bandwidth(times, T, grid, j, fixed)
             return np.full(R, fixed)
         return _lepski_batch(times, T, V, sigma, j, cfg.L, cfg.lepski)[0]
 
@@ -254,16 +252,26 @@ def deconvolve(data: NoisySample, g: RationalLaplaceKernel,
     )
 
 
-def risk_mse(result: DeconvolutionResult, truth, trim: float = 0.1) -> float:
-    """Grid-average squared error of f_hat against a callable truth.
-
-    Only grid points t in [trim*T, (1-trim)*T] enter the average, dropping
-    the boundary zones where high-order derivative estimates degrade.
-    """
+def trimmed_window(grid: np.ndarray, trim: float) -> np.ndarray:
+    """Mask of the points of a grid on [0, T] in [trim*T, (1-trim)*T], which
+    drops the boundary zones where high-order derivative estimates degrade.
+    ValueError when trim is outside [0, 0.5) or the window holds no point."""
     if not (0.0 <= trim < 0.5):
         raise ValueError("trim must lie in [0, 0.5)")
-    grid = result.grid
     T = grid[-1]
     mask = (grid >= trim * T - 1e-12) & (grid <= (1.0 - trim) * T + 1e-12)
+    if not np.any(mask):
+        raise ValueError(
+            "no evaluation grid point lies in the trimmed window; raise the "
+            "grid size or lower the trim"
+        )
+    return mask
+
+
+def risk_mse(result: DeconvolutionResult, truth, trim: float = 0.1) -> float:
+    """Grid-average squared error of f_hat against a callable truth over the
+    trimmed window (``trimmed_window``) of the result's grid."""
+    grid = result.grid
+    mask = trimmed_window(grid, trim)
     diff = result.f_hat[mask] - np.asarray(truth(grid[mask]), dtype=float)
     return float(np.mean(diff * diff))

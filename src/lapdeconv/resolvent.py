@@ -123,10 +123,10 @@ class Polynomial:
             desc = desc[:-1]
         return Polynomial(out)
 
-    def real_coeffs(self, tol: float = _REALNESS_TOL) -> np.ndarray:
+    def real_coeffs(self) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         resid = float(np.max(np.abs(self.coeffs.imag)))
-        if resid > tol * scale:
+        if resid > _REALNESS_TOL * scale:
             raise ValueError(f"imaginary residue {resid:.3e} exceeds tolerance")
         return self.coeffs.real.copy()
 
@@ -544,7 +544,7 @@ def _assert_real(values: np.ndarray, label: str) -> np.ndarray:
     return values.real.copy()
 
 
-def exp_poly_kernel(a: float, rho, r: int, description: str = "") -> RationalLaplaceKernel:
+def exp_poly_kernel(a: float, rho, r: int) -> RationalLaplaceKernel:
     """Rational kernel for the shifted-basis parametric family
 
         g~(s) = P(s) / (s + a)^{k + r},   P(s) = sum_j rho[j] (s + a)^{k - j},
@@ -562,4 +562,4 @@ def exp_poly_kernel(a: float, rho, r: int, description: str = "") -> RationalLap
     pz = Polynomial(rho[::-1].astype(complex))
     num = pz.shifted(a)
     den = Polynomial.from_roots([-a] * (k + r))
-    return rational_kernel(num.real_coeffs(), den.real_coeffs(), description)
+    return rational_kernel(num.real_coeffs(), den.real_coeffs())

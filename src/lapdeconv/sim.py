@@ -12,13 +12,13 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from ._expalg import ExpPoly
-from .deconv import EstimatorConfig, _estimate_all
+from .deconv import EstimatorConfig, _estimate_all, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
 from .smoother import EstimationError
 from .special import reg_lower_gamma, standard_normals
@@ -31,6 +31,7 @@ __all__ = [
     "Scenario",
     "builtin_f",
     "builtin_g",
+    "cell_sample",
     "forward_convolve",
     "ladder_sigma",
     "run_experiment",
@@ -135,12 +136,16 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def forward_convolve(g, f, times, refinement: int = 8) -> np.ndarray:
+# Quadrature points per observation interval in ``forward_convolve``
+_REFINEMENT = 8
+
+
+def forward_convolve(g, f, times) -> np.ndarray:
     """q(t_i) = int_0^{t_i} g(t_i - tau) f(tau) dtau by composite trapezoid.
 
-    The quadrature runs on the observation grid refined by the given factor.
-    Designs equispaced from 0 use a single convolution pass; general designs
-    fall back to a per-point rule on the refined mesh.
+    The quadrature runs on the observation grid refined by a fixed factor of
+    8 (``_REFINEMENT``). Designs equispaced from 0 use a single convolution
+    pass; general designs fall back to a per-point rule on the refined mesh.
     """
     times = np.asarray(times, dtype=float)
     gfun = _time_domain(g)
@@ -151,23 +156,23 @@ def forward_convolve(g, f, times, refinement: int = 8) -> np.ndarray:
     steps = np.diff(times, prepend=0.0)
     uniform = np.allclose(steps, tn / n, rtol=1e-9, atol=1e-12)
     if uniform:
-        N = n * refinement
+        N = n * _REFINEMENT
         fine = np.linspace(0.0, tn, N + 1)
         gv = np.asarray(gfun(fine), dtype=float)
         fv = np.asarray(f(fine), dtype=float)
         dx = tn / N
         q_fine = (_linear_convolve(gv, fv)[: N + 1] - 0.5 * (gv * fv[0] + gv[0] * fv)) * dx
-        return q_fine[refinement::refinement].copy()
+        return q_fine[_REFINEMENT::_REFINEMENT].copy()
     pieces = [np.array([0.0])]
     knots = np.concatenate([[0.0], times])
     for k in range(n):
-        seg = np.linspace(knots[k], knots[k + 1], refinement + 1)[1:]
+        seg = np.linspace(knots[k], knots[k + 1], _REFINEMENT + 1)[1:]
         pieces.append(seg)
     fine = np.concatenate(pieces)
     fv = np.asarray(f(fine), dtype=float)
     q = np.empty(n)
     for i, t in enumerate(times):
-        stop = 1 + (i + 1) * refinement
+        stop = 1 + (i + 1) * _REFINEMENT
         tau = fine[:stop]
         vals = np.asarray(gfun(t - tau), dtype=float) * fv[:stop]
         q[i] = np.trapezoid(vals, tau)
@@ -226,6 +231,17 @@ class ExperimentReport:
         return self.failures / self.runs
 
 
+def cell_sample(g, f, n: int, sigma: float, seed: int, runs: int,
+                T: float) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's design t_i = i T / n, i = 1..n, and its n x runs data: column
+    k is q + sigma * standard_normals(seed, k, n) with q = g * f."""
+    times = np.arange(1, n + 1) * (T / n)
+    q = forward_convolve(g, f, times)
+    Y = sigma * np.column_stack([standard_normals(seed, run, n) for run in range(runs)])
+    Y += q[:, None]
+    return times, Y
+
+
 def run_experiment(sc: Scenario) -> ExperimentReport:
     """Run one scenario: simulate, deconvolve every replication, aggregate.
 
@@ -235,23 +251,11 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     failed instead of aborting the batch. Raises ValueError when no point of
     the evaluation grid lies in the trimmed risk window.
     """
-    trim = sc.config.trim
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
-    mask = (grid >= trim * sc.T - 1e-12) & (grid <= (1.0 - trim) * sc.T + 1e-12)
-    if not np.any(mask):
-        raise ValueError(
-            "no evaluation grid point lies in the trimmed window; raise the "
-            "grid size or lower the trim"
-        )
+    mask = trimmed_window(grid, sc.config.trim)
     g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
-    times = np.arange(1, sc.n + 1) * (sc.T / sc.n)
-    q = forward_convolve(g, f, times)
-    Y = np.empty((sc.n, sc.runs))
-    for run in range(sc.runs):
-        Y[:, run] = standard_normals(sc.seed, run, sc.n)
-    Y *= sc.sigma
-    Y += q[:, None]
+    times, Y = cell_sample(g, f, sc.n, sc.sigma, sc.seed, sc.runs, sc.T)
     try:
         _, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config)
     except EstimationError as exc:
@@ -290,27 +294,33 @@ def ladder_sigma(g_name: str, i: int) -> float:
     return SIGMA0[g_name] / 2.0**i
 
 
-def table_cells(ns=(100, 250), g_names=BUILTIN_G_NAMES, f_names=BUILTIN_F_NAMES,
-                ladder=range(5)) -> list[tuple[str, str, int, int]]:
-    """Benchmark-table cell order: n blocks, kernels, targets, noise ladder."""
+def table_cells() -> list[tuple[str, str, int, int]]:
+    """The 150 benchmark-table cells (g, f, n, i) in table order: n blocks
+    (100, then 250), kernels, targets, noise ladder i = 0..4."""
     return [
         (gn, fn, n, i)
-        for n in ns
-        for gn in g_names
-        for fn in f_names
-        for i in ladder
+        for n in (100, 250)
+        for gn in BUILTIN_G_NAMES
+        for fn in BUILTIN_F_NAMES
+        for i in range(5)
     ]
 
 
 def run_table(cells, runs: int = 100, seed: int = 0,
-              config: EstimatorConfig | None = None, T: float = 10.0,
-              threads: int = 1) -> list[tuple[tuple, ExperimentReport]]:
+              config: EstimatorConfig | None = None,
+              T: float = 10.0) -> list[tuple[tuple, ExperimentReport]]:
     """Run a list of (g, f, n, i) cells; returns [(cell, report), ...] in
-    input order regardless of execution concurrency. threads must be an
-    integer of at least 1, else ValueError."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    input order regardless of execution concurrency.
+
+    config.threads > 1 splits the threads by cell when there are several
+    cells, each cell then running with threads=1, and by derivative order
+    when there is one; results do not depend on it.
+    """
     config = config or EstimatorConfig()
+    threads = config.threads
+    by_cell = threads > 1 and len(cells) > 1
+    if by_cell:
+        config = replace(config, threads=1)
     scenarios = [
         Scenario(
             g_name=gn, f_name=fn, n=n, sigma=ladder_sigma(gn, i),
@@ -318,7 +328,7 @@ def run_table(cells, runs: int = 100, seed: int = 0,
         )
         for (gn, fn, n, i) in cells
     ]
-    if threads > 1 and len(scenarios) > 1:
+    if by_cell:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(run_experiment, scenarios))
     else:

@@ -23,6 +23,7 @@ __all__ = [
     "EstimationError",
     "LepskiConfig",
     "NoisySample",
+    "check_bandwidth",
     "estimate_derivative",
     "estimate_sigma",
     "lepski_select",
@@ -34,6 +35,9 @@ __all__ = [
 # limit of the kernel family is still well defined; we approach it with a
 # small positive floor instead of constructing the degenerate case.
 _RHO_MIN = 1e-3
+
+# Largest moment deviation (``_moment_worst``) of an admissible bandwidth level
+_PROBE_TOL = 0.1
 
 
 class EstimationError(RuntimeError):
@@ -133,38 +137,24 @@ class LepskiConfig:
     C is the comparison constant; when None it defaults to mu * ||K_j||
     with the kernel norm integrated exactly, the smallest sufficient value.
     threshold_mult 3.0 is the empirically tuned multiplier; 4.0 is the
-    conservative theoretical one. ``probe_tol`` bounds how far a level's
-    design weights may miss the kernel's moment conditions,
-    sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, on the
-    comparison grid: the deviation is measured in units of j!/lam^j at the
-    level's own scale and, carried to the monomials (t/T)^m, relative to
-    each monomial's j-th derivative on [0, T]. Levels beyond it are not
-    admissible. C must be None or finite and positive, mu, threshold_mult
-    and probe_tol finite and positive, and comparison_grid_size None or an
-    integer >= 2; other values raise ValueError.
+    conservative theoretical one. C must be None or finite and positive,
+    mu and threshold_mult finite and positive; other values raise
+    ValueError. The probe tolerance (``_PROBE_TOL``) and the comparison
+    grid of max(4n, 2000) points are fixed.
     """
 
     a: float = 1.2
     C: float | None = None
     mu: float = 1.0
     threshold_mult: float = 3.0
-    comparison_grid_size: int | None = None
-    probe_tol: float = 0.1
 
     def __post_init__(self):
-        for name in ("C", "mu", "threshold_mult", "probe_tol"):
+        for name in ("C", "mu", "threshold_mult"):
             value = getattr(self, name)
             if name == "C" and value is None:
                 continue
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        size = self.comparison_grid_size
-        if size is not None and (
-            isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 2
-        ):
-            raise ValueError(
-                f"comparison_grid_size must be None or an integer >= 2, got {size!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -367,6 +357,19 @@ def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarra
     return hi - lo
 
 
+def check_bandwidth(times: np.ndarray, T: float, grid: np.ndarray, j: int,
+                    lam: float) -> None:
+    """ValueError unless 0 < lam <= T/2; EstimationError when a point of
+    grid has no observation in its open window (x - lam, x + lam)."""
+    if not (0.0 < lam <= T / 2):
+        raise ValueError("bandwidth %g for j=%d outside (0, T/2]" % (lam, j))
+    if np.any(_check_windows(times, grid, lam) == 0):
+        raise EstimationError(
+            "bandwidth %g leaves an empty observation window at some evaluation "
+            "points; increase the bandwidth or the sample size" % lam
+        )
+
+
 def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> DerivativeEstimate:
     """Weighted-sum estimate of q^(j) at the given bandwidth.
 
@@ -379,13 +382,7 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
         raise ValueError("evaluation grid must be nonempty")
     if not (0 <= j < L):
         raise ValueError("need 0 <= j < L")
-    if not (0.0 < lam <= data.T / 2):
-        raise ValueError("bandwidth must satisfy 0 < lam <= T/2")
-    if np.any(_check_windows(data.times, grid, lam) == 0):
-        raise EstimationError(
-            "bandwidth %g leaves an empty observation window at some evaluation "
-            "points; increase the bandwidth or the sample size" % lam
-        )
+    check_bandwidth(data.times, data.T, grid, j, lam)
     W = _weight_matrix(data.times, data.T, grid, j, L, lam)
     return DerivativeEstimate(
         j=j, grid=grid, values=W @ data.values, bandwidth=float(lam), kernel_order=L
@@ -420,13 +417,6 @@ def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
     return ("the widest design gap, from t=%g to t=%g, needs a bandwidth above %g, "
             "and the largest level tested (within T/2 = %g and the comparison "
             "grid) is %g" % (pts[i], pts[i + 1], need[i], T / 2, checked))
-
-
-def _comparison_grid(n: int, T: float, cfg: LepskiConfig) -> np.ndarray:
-    size = cfg.comparison_grid_size
-    if size is None:
-        size = max(4 * n, 2000)
-    return np.linspace(0.0, T, int(size))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -636,7 +626,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     meet the kernel's moment conditions in the level's own variable,
     sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, both at
     that scale and as carried to the monomials (t/T)^m on [0, T], within
-    the probe tolerance (see ``_moment_error``). Only levels that pass it
+    ``_PROBE_TOL`` (see ``_moment_error``). Only levels that pass it
     are applied to V. When no level passes, the least-biased one (the
     smallest such error) is the only admissible level and
     ``details["fallback"]`` is "least_biased"; otherwise it is None.
@@ -659,7 +649,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     n = times.size
     grid_obj = BandwidthGrid.build(j, cfg.a, n, sigma, T)
     levels = grid_obj.levels
-    cgrid = _comparison_grid(n, T, cfg)
+    cgrid = np.linspace(0.0, T, max(4 * n, 2000))
     ker = make_kernel(L, j)
     C = float(cfg.C) if cfg.C is not None else cfg.mu * math.sqrt(ker.norm2)
 
@@ -682,7 +672,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             continue
         if np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
             continue
-        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, cfg.probe_tol)
+        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL)
         if est is not None:
             spans[li] = (i0, i1)
             estimates[li] = est
@@ -745,7 +735,7 @@ def lepski_select(data: NoisySample, j: int, L: int,
     noise-level threshold of every smaller admissible estimate on the grid.
 
     A level is admissible when its design weights meet the kernel's moment
-    conditions at the level's own scale within ``cfg.probe_tol``. When no
+    conditions at the level's own scale within ``_PROBE_TOL``. When no
     level is admissible, the least-biased level (the one that misses the
     moment conditions least) is used and ``details["fallback"]`` reads
     "least_biased". The smallest admissible level has nothing smaller to

@@ -157,6 +157,35 @@ class TestDeconvolveCommand:
                    "--bandwidth", "0.5"])
         assert rc == 0
 
+    def test_empty_bandwidth_field_exits_2(self, tmp_path, capsys):
+        # skipping the empty field would give order 1 the bandwidth 0.4
+        data = emit_cell(tmp_path, cell="g2,f1,250,0")
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
+                   "--output", str(tmp_path / "f.csv"), "--bandwidth", "0.5,,0.4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: --bandwidth ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
+    def test_bandwidths_beyond_the_orders_exit_2(self, tmp_path, capsys, command):
+        # g2 has r = 1, so a third bandwidth has no order to go to
+        out = str(tmp_path / "out.csv")
+        if command == "simulate":
+            argv = ["simulate", "--cell", "g2,f1,250,0", "--runs", "1", "--output", out]
+        else:
+            argv = ["deconvolve", "--input", emit_cell(tmp_path, cell="g2,f1,250,0"),
+                    "--kernel", G2, "--sigma", "0.01", "--output", out]
+        capsys.readouterr()
+        rc = main(argv + ["--bandwidth", "0.5,0.4,0.3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: invalid parameter: ")
+        assert "r + 1 = 2" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_sigma_zero_adaptive_exits_4(self, tmp_path):
         data = emit_cell(tmp_path)
         rc = main(["deconvolve", "--input", data, "--kernel", G2,

@@ -50,11 +50,6 @@ class TestEstimatorConfig:
         assert cfg.fixed_bandwidth(0) == 0.5
         assert cfg.fixed_bandwidth(4) == 0.5
 
-    def test_mapping_is_partial(self):
-        cfg = EstimatorConfig(fixed_bandwidths={1: 0.3})
-        assert cfg.fixed_bandwidth(1) == 0.3
-        assert cfg.fixed_bandwidth(0) is None
-
     def test_sequence_indexed_by_order(self):
         cfg = EstimatorConfig(fixed_bandwidths=[0.5, 0.4])
         assert cfg.fixed_bandwidth(0) == 0.5

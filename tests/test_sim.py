@@ -227,15 +227,10 @@ class TestTable:
         assert all(c[2] == 100 for c in cells[:75])
         assert all(c[2] == 250 for c in cells[75:])
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_run_table_rejects_nonpositive_threads(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            run_table([("g2", "f1", 60, 2)], runs=1, threads=threads)
-
     def test_run_table_order_and_threads(self):
         cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2)]
         seq = run_table(cells, runs=2, seed=3)
-        par = run_table(cells, runs=2, seed=3, threads=2)
+        par = run_table(cells, runs=2, seed=3, config=EstimatorConfig(threads=2))
         assert [c for c, _ in seq] == cells
         for (_, ra), (_, rb) in zip(seq, par):
             np.testing.assert_array_equal(ra.per_run_mse, rb.per_run_mse)

@@ -406,9 +406,6 @@ class TestLepski:
             ("C", 0.0), ("C", -2.0), ("C", float("nan")), ("C", float("inf")),
             ("mu", 0.0), ("mu", float("inf")),
             ("threshold_mult", -1.0), ("threshold_mult", float("nan")),
-            ("probe_tol", 0.0), ("probe_tol", float("nan")),
-            ("comparison_grid_size", 1), ("comparison_grid_size", 100.0),
-            ("comparison_grid_size", True),
         ],
     )
     def test_config_rejects_invalid_constants(self, field, value):
@@ -416,9 +413,8 @@ class TestLepski:
             LepskiConfig(**{field: value})
 
     def test_config_accepts_boundary_values(self):
-        LepskiConfig(C=None, comparison_grid_size=None)
-        LepskiConfig(C=1e-9, comparison_grid_size=2)
-        LepskiConfig(comparison_grid_size=np.int64(3))
+        LepskiConfig(C=None)
+        LepskiConfig(C=1e-9)
 
     def test_smoother_noise_selects_no_smaller(self):
         # with less noise the selector may keep a smaller bandwidth; with
@@ -448,17 +444,17 @@ class TestLepski:
                            match=r"gap, from t=1 to t=9\.1, needs a bandwidth above 4\.05"):
             lepski_select(d, 0, 8)
 
-    @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("gapped", [False, True])
-    def test_coarse_comparison_grid_is_named_not_the_gap(self, size, gapped):
-        # with 2 or 3 comparison points no level up to T/2 keeps two of them
-        # in its interior zone, so no level reaches the window check
-        times = np.arange(1, 101) * (T / 100)
+    def test_coarse_comparison_grid_is_named_not_the_gap(self, gapped):
+        # T = 2, n = 10 and sigma = 1.5 give the one-level grid {1} = {T/2},
+        # whose interior zone [1, 1] holds no point of the 2000-point
+        # comparison grid, so no level reaches the window check
+        times = np.arange(1, 11) * 0.2
         if gapped:
-            times = np.concatenate([np.linspace(0.0, 1.0, 91)[1:], np.linspace(9.1, T, 10)])
-        d = NoisySample(times, np.sin(times), T, 0.01)
-        with pytest.raises(EstimationError, match="comparison grid of %d points" % size) as exc:
-            lepski_select(d, 0, 8, LepskiConfig(comparison_grid_size=size))
+            times = np.concatenate([np.arange(1, 6) * 0.1, 1.5 + np.arange(1, 6) * 0.1])
+        d = NoisySample(times, np.sin(times), 2.0, 1.5)
+        with pytest.raises(EstimationError, match="comparison grid of 2000 points") as exc:
+            lepski_select(d, 0, 8)
         assert "gap" not in str(exc.value)
 
     def test_levels_above_half_interval_are_named(self):

@@ -11,6 +11,8 @@ outputs of another checkout can be captured by pointing --src at its src/:
   g5/f3 at n = 100, each on the first replication of noise level 0 at
   seed 0 (written by `simulate --emit-data`, and kept with the outputs)
   with that level's sigma;
+- `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
+  which takes the fixed-bandwidth path instead of the selection;
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
   g4,f2,100,1 and g5,f3,100,0;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV.
@@ -42,6 +44,9 @@ DECONVOLVE_CELLS = (
     ("g1", "f1", 250, "0.001"),
     ("g5", "f3", 100, "0.002"),
 )
+# (kernel, target, n, sigma, --bandwidth) of the fixed-bandwidth run; its
+# input is the one written for that cell in DECONVOLVE_CELLS
+FIXED_CELL = ("g2", "f1", 250, "0.01", "0.5,0.4")
 SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -67,6 +72,11 @@ def capture(out_dir: Path, src: Path) -> list[str]:
         cli(out_dir, src, "deconvolve", "--input", f"{stem}.in.csv",
             "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
             "--output", f"deconvolve_{stem}.csv")
+    g, f, n, sigma, bandwidth = FIXED_CELL
+    stem = f"{g}_{f}_{n}"
+    cli(out_dir, src, "deconvolve", "--input", f"{stem}.in.csv",
+        "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
+        "--bandwidth", bandwidth, "--output", f"deconvolve_{stem}_fixed.csv")
     for cell in SIMULATE_CELLS:
         stem = "simulate_" + cell.replace(",", "_")
         cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
