@@ -444,17 +444,19 @@ class TestLepski:
                            match=r"gap, from t=1 to t=9\.1, needs a bandwidth above 4\.05"):
             lepski_select(d, 0, 8)
 
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
     @pytest.mark.parametrize("gapped", [False, True])
-    def test_coarse_comparison_grid_is_named_not_the_gap(self, gapped):
+    def test_coarse_comparison_grid_is_named_not_the_gap(self, j, gapped):
         # T = 2, n = 10 and sigma = 1.5 give the one-level grid {1} = {T/2},
         # whose interior zone [1, 1] holds no point of the 2000-point
-        # comparison grid, so no level reaches the window check
+        # comparison grid, so no level reaches the window check at any order
         times = np.arange(1, 11) * 0.2
         if gapped:
             times = np.concatenate([np.arange(1, 6) * 0.1, 1.5 + np.arange(1, 6) * 0.1])
         d = NoisySample(times, np.sin(times), 2.0, 1.5)
-        with pytest.raises(EstimationError, match="comparison grid of 2000 points") as exc:
-            lepski_select(d, 0, 8)
+        with pytest.raises(EstimationError,
+                           match="for j=%d: the comparison grid of 2000 points" % j) as exc:
+            lepski_select(d, j, 8)
         assert "gap" not in str(exc.value)
 
     def test_levels_above_half_interval_are_named(self):
