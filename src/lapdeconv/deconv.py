@@ -47,9 +47,10 @@ class EstimatorConfig:
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. threads > 1 runs
     the per-order derivative estimations concurrently; results do not
-    depend on it. grid_size must be at least 2, trim (the boundary
-    fraction that risk summaries drop) must lie in [0, 0.5), and threads
-    must be an integer of at least 1; other values raise ValueError.
+    depend on it. grid_size must be at least 2 and threads an integer of
+    at least 1; other values raise ValueError. trim is the boundary
+    fraction that risk summaries drop; ``trimmed_window``, its only reader,
+    checks it.
     """
 
     L: int = 8
@@ -62,8 +63,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("evaluation grid size must be at least 2")
-        if not (0.0 <= self.trim < 0.5):
-            raise ValueError("trim must lie in [0, 0.5)")
         threads = self.threads
         if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
             raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")

@@ -46,6 +46,23 @@ _COPRIME_TOL = 1e-8
 _REALNESS_TOL = 1e-8
 
 
+def _assert_real(values, label: str) -> np.ndarray:
+    """Real part of complex values, the one realness test of this module.
+
+    ValueError when the largest imaginary part exceeds ``_REALNESS_TOL``
+    times max(1, largest modulus).
+    """
+    values = np.asarray(values, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    resid = float(np.max(np.abs(values.imag)))
+    if resid > _REALNESS_TOL * scale:
+        raise ValueError(
+            f"{label} has imaginary residue {resid:.3e} beyond tolerance; "
+            "the input transform is not real"
+        )
+    return values.real.copy()
+
+
 class Polynomial:
     """Dense polynomial with ascending complex coefficients.
 
@@ -124,11 +141,7 @@ class Polynomial:
         return Polynomial(out)
 
     def real_coeffs(self) -> np.ndarray:
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        resid = float(np.max(np.abs(self.coeffs.imag)))
-        if resid > _REALNESS_TOL * scale:
-            raise ValueError(f"imaginary residue {resid:.3e} exceeds tolerance")
-        return self.coeffs.real.copy()
+        return _assert_real(self.coeffs, "polynomial")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polynomial({np.array2string(self.coeffs, precision=6)})"
@@ -317,9 +330,8 @@ def rational_kernel(num, den, description: str = "") -> RationalLaplaceKernel:
             f"deg(den) - deg(num) = {r}; the transform must be strictly proper "
             "(r >= 1) for the inversion formula to exist"
         )
-    b_r = pnum.coeffs[-1] / pden.coeffs[-1]
-    if abs(b_r.imag) > _REALNESS_TOL * max(1.0, abs(b_r)):
-        raise ValueError("leading-coefficient ratio B_r must be real")
+    b_r = float(_assert_real(pnum.coeffs[-1] / pden.coeffs[-1],
+                             "leading-coefficient ratio B_r"))
     nroots = polished_roots(pnum)
     droots = polished_roots(pden)
     scale = max(
@@ -346,7 +358,7 @@ def rational_kernel(num, den, description: str = "") -> RationalLaplaceKernel:
         num=pnum,
         den=pden,
         r=r,
-        B_r=float(b_r.real),
+        B_r=b_r,
         description=description,
         stable=stable,
     )
@@ -531,17 +543,6 @@ def _normalize_num(n: Polynomial, num_part: Polynomial) -> Polynomial:
     """Scale the numerator so the denominator is monic over its root set."""
     lead = num_part.coeffs[-1]
     return Polynomial(n.coeffs / lead)
-
-
-def _assert_real(values: np.ndarray, label: str) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    resid = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if resid > _REALNESS_TOL * scale:
-        raise ValueError(
-            f"{label} has imaginary residue {resid:.3e} beyond tolerance; "
-            "the input transform is not real"
-        )
-    return values.real.copy()
 
 
 def exp_poly_kernel(a: float, rho, r: int) -> RationalLaplaceKernel:

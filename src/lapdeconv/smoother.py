@@ -134,22 +134,22 @@ class BandwidthGrid:
 class LepskiConfig:
     """Tuning constants for the adaptive bandwidth selector.
 
-    C is the comparison constant; when None it defaults to mu * ||K_j||
-    with the kernel norm integrated exactly, the smallest sufficient value.
+    C is the comparison constant mu * ||K_j|| of the selection rule; when
+    None it defaults to ||K_j||, the kernel norm integrated exactly, which
+    is the value for the mesh ratio mu = 1 of an equispaced design.
     threshold_mult 3.0 is the empirically tuned multiplier; 4.0 is the
     conservative theoretical one. C must be None or finite and positive,
-    mu and threshold_mult finite and positive; other values raise
-    ValueError. The probe tolerance (``_PROBE_TOL``) and the comparison
-    grid of max(4n, 2000) points are fixed.
+    threshold_mult finite and positive; other values raise ValueError. The
+    probe tolerance (``_PROBE_TOL``) and the comparison grid of
+    max(4n, 2000) points are fixed.
     """
 
     a: float = 1.2
     C: float | None = None
-    mu: float = 1.0
     threshold_mult: float = 3.0
 
     def __post_init__(self):
-        for name in ("C", "mu", "threshold_mult"):
+        for name in ("C", "threshold_mult"):
             value = getattr(self, name)
             if name == "C" and value is None:
                 continue
@@ -380,8 +380,6 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
-    if not (0 <= j < L):
-        raise ValueError("need 0 <= j < L")
     check_bandwidth(data.times, data.T, grid, j, lam)
     W = _weight_matrix(data.times, data.T, grid, j, L, lam)
     return DerivativeEstimate(
@@ -651,7 +649,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     levels = grid_obj.levels
     cgrid = np.linspace(0.0, T, max(4 * n, 2000))
     ker = make_kernel(L, j)
-    C = float(cfg.C) if cfg.C is not None else cfg.mu * math.sqrt(ker.norm2)
+    C = float(cfg.C) if cfg.C is not None else math.sqrt(ker.norm2)
 
     spans: list[tuple[int, int] | None] = [None] * levels.size
     estimates: list[np.ndarray | None] = [None] * levels.size

@@ -27,6 +27,17 @@ BAD_SELECTION_FLAGS = [
     ["--a", "inf"],
 ]
 
+# what the one-line diagnostic of each malformed --cell names; the n and i
+# rules are the library's (Scenario, ladder_sigma), the rest the parser's
+BAD_CELL_TEXT = {
+    "g2,f1,100": "--cell must look like",
+    "g2,f1,5,0": "need n >= 10",
+    "g2,f1,100,9": "ladder index",
+    "g2,f1,ten,0": "--cell n and i must be integers",
+    "g9,f1,100,0": "unknown builtin pair",
+    "g2,f9,100,0": "unknown builtin pair",
+}
+
 
 def write_csv(path, rows, header=("t", "y")):
     with open(path, "w", newline="") as fh:
@@ -34,6 +45,14 @@ def write_csv(path, rows, header=("t", "y")):
         w.writerow(header)
         w.writerows(rows)
     return str(path)
+
+
+def one_error_line(capsys) -> str:
+    """The stderr of the last command, asserted to be one lapdeconv: line."""
+    err = capsys.readouterr().err
+    assert err.startswith("lapdeconv: ")
+    assert err.count("\n") == 1
+    return err
 
 
 def emit_cell(tmp_path, cell="g2,f1,100,0", seed=0, name="data.csv"):
@@ -212,11 +231,12 @@ class TestDeconvolveCommand:
                    "--sigma", "0.1", "--output", str(tmp_path / "f.csv")])
         assert rc == 2
 
-    def test_single_row_exits_2(self, tmp_path):
+    def test_single_row_exits_2(self, tmp_path, capsys):
         data = write_csv(tmp_path / "bad.csv", [[1.0, 0.1]])
         rc = main(["deconvolve", "--input", data, "--kernel", G2,
                    "--sigma", "0.1", "--output", str(tmp_path / "f.csv")])
         assert rc == 2
+        assert "need at least two observations" in one_error_line(capsys)
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["deconvolve", "--input", str(tmp_path / "nope.csv"),
@@ -225,11 +245,13 @@ class TestDeconvolveCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-    def test_negative_sigma_exits_2(self, tmp_path, sigma):
+    def test_negative_sigma_exits_2(self, tmp_path, capsys, sigma):
         data = emit_cell(tmp_path)
+        capsys.readouterr()
         rc = main(["deconvolve", "--input", data, "--kernel", G2,
                    "--sigma", sigma, "--output", str(tmp_path / "f.csv")])
         assert rc == 2
+        assert "sigma must be" in one_error_line(capsys)
 
     def test_estimate_sigma_on_huge_values_is_one_line(self, tmp_path):
         # squaring differences near 1e200 overflows; the estimate must not
@@ -246,12 +268,22 @@ class TestDeconvolveCommand:
         assert proc.stderr.startswith("lapdeconv: ")
         assert proc.stderr.count("\n") == 1
 
-    def test_order_too_low_exits_3(self, tmp_path):
-        data = emit_cell(tmp_path)
-        rc = main(["deconvolve", "--input", data, "--kernel", G2,
-                   "--sigma", "0.01", "--L", "1",
-                   "--output", str(tmp_path / "f.csv")])
-        assert rc == 3
+    @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
+    def test_order_too_low_exits_2(self, tmp_path, capsys, command):
+        # g2 has r = 1; both commands reach the estimator's one L > r rule
+        out = str(tmp_path / "out.csv")
+        if command == "simulate":
+            argv = ["simulate", "--cell", "g2,f1,100,0", "--runs", "1", "--output", out]
+        else:
+            argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                    "--sigma", "0.01", "--output", out]
+        capsys.readouterr()
+        rc = main(argv + ["--L", "1"])
+        assert rc == 2
+        assert one_error_line(capsys) == (
+            "lapdeconv: invalid parameter: kernel order L=1 must exceed the "
+            "inversion order r=1\n"
+        )
 
     def test_grid_size_one_exits_2(self, tmp_path):
         # g4 has a convolution term, whose cell moments need two grid points
@@ -366,15 +398,17 @@ class TestSimulateCommand:
             ("g2,f9,100,0", 3),
         ],
     )
-    def test_bad_cells(self, tmp_path, cell, code):
+    def test_bad_cells(self, tmp_path, capsys, cell, code):
         rc = main(["simulate", "--cell", cell, "--runs", "1",
                    "--output", str(tmp_path / "rep.csv")])
         assert rc == code
+        assert BAD_CELL_TEXT[cell] in one_error_line(capsys)
 
-    def test_zero_runs_exits_2(self, tmp_path):
+    def test_zero_runs_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--cell", "g2,f1,60,0", "--runs", "0",
                    "--output", str(tmp_path / "rep.csv")])
         assert rc == 2
+        assert "need runs >= 1" in one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "flags",

@@ -15,6 +15,7 @@ from lapdeconv.deconv import (
     _estimate_all,
     deconvolve,
     risk_mse,
+    trimmed_window,
 )
 from lapdeconv.resolvent import decompose, rational_kernel
 from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, standard_normals
@@ -56,10 +57,7 @@ class TestEstimatorConfig:
         assert cfg.fixed_bandwidth(1) == 0.4
         assert cfg.fixed_bandwidth(2) is None
 
-    @pytest.mark.parametrize(
-        "kw", [dict(grid_size=1), dict(grid_size=0), dict(trim=0.5),
-               dict(trim=0.6), dict(trim=-0.1)],
-    )
+    @pytest.mark.parametrize("kw", [dict(grid_size=1), dict(grid_size=0)])
     def test_rejects_grid_or_trim_without_risk(self, kw):
         with pytest.raises(ValueError):
             EstimatorConfig(**kw)
@@ -235,6 +233,13 @@ class TestRiskMse:
             risk_mse(res, lambda t: t, trim=0.5)
         with pytest.raises(ValueError):
             risk_mse(res, lambda t: t, trim=-0.1)
+
+    @pytest.mark.parametrize("trim", [0.5, 0.6, -0.1])
+    def test_trimmed_window_rejects_trim_outside_range(self, trim):
+        # the window is the only reader of EstimatorConfig.trim, and its only check
+        EstimatorConfig(trim=trim)
+        with pytest.raises(ValueError, match=r"trim must lie in \[0, 0\.5\)"):
+            trimmed_window(np.linspace(0.0, 10.0, 11), trim)
 
 
 class TestResultValidation:

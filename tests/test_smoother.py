@@ -404,7 +404,6 @@ class TestLepski:
         "field,value",
         [
             ("C", 0.0), ("C", -2.0), ("C", float("nan")), ("C", float("inf")),
-            ("mu", 0.0), ("mu", float("inf")),
             ("threshold_mult", -1.0), ("threshold_mult", float("nan")),
         ],
     )
