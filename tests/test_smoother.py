@@ -1,6 +1,8 @@
 """Tests for derivative smoothing and adaptive bandwidth selection."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,12 +61,6 @@ class TestNoisySample:
     def test_basic_fields(self):
         d = equispaced(100, np.sin)
         assert d.n == 100
-        assert d.mesh_mu == pytest.approx(1.0)
-
-    def test_nonuniform_mesh_ratio(self):
-        times = np.array([1.0, 2.0, 6.0, 10.0])
-        d = NoisySample(times, np.zeros(4), T, 0.1)
-        assert d.mesh_mu == pytest.approx(4.0 * 4 / 10.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -304,6 +300,22 @@ class TestWindowedRows:
                     got = _moment_worst(E, x, lam, j, T)
                     assert abs(got - rel) <= 1e-7 * rel + 1e-13 * (T / lam) ** j, (j, lam, r)
 
+    @pytest.mark.parametrize("R", [1, 3, 100])
+    def test_columns_do_not_touch_each_other(self, R):
+        # the store reuses a moment error at any R and skips the moment
+        # columns on a hit, so neither may move the other's bits
+        times = _design("random", 2000)
+        V = np.random.default_rng(5).standard_normal((times.size, R))
+        cgrid = np.linspace(0.0, T, 8000)
+        for j, lam in ((0, 1.0), (3, 0.4)):
+            x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+            ker = make_kernel(8, j)
+            est, E = _windowed_rows(times, x, lam, j, 8, ker, V)
+            alone, none = _windowed_rows(times, x, lam, j, 8, ker, V, moments=False)
+            assert none is None
+            np.testing.assert_array_equal(alone, est)
+            np.testing.assert_array_equal(E, _windowed_rows(times, x, lam, j, 8, ker, V[:, :1])[1])
+
     def test_points_on_interpolation_nodes(self):
         # offsets that land exactly on a Chebyshev node take the node's value
         times = _design("random", 300)
@@ -324,7 +336,8 @@ class TestWindowedRows:
         ("equispaced", 600, 0.01),
         ("equispaced", 100, 0.001),  # order 4 falls back to the least-biased level
     ])
-    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, kind, n, sigma):
+    def test_lepski_batch_same_decisions_on_either_path(self, monkeypatch, empty_store,
+                                                        kind, n, sigma):
         times = _design(kind, n)
         rng = np.random.default_rng(2)
         for R in (3, 100):  # a few columns, then a Monte-Carlo batch
@@ -341,6 +354,9 @@ class TestWindowedRows:
                 assert win["fallback"] == band["fallback"]
         if n == 100:
             assert band["fallback"] == "least_biased"
+        # the store keys the moment error by path, so each path read its own
+        levels = [lv for lv in smoother._design_facts(times, T).values() if lv.obs]
+        assert levels and all(set(lv.rel) == {"band", "windowed"} for lv in levels)
 
 
 class TestPathSwitch:
@@ -349,17 +365,23 @@ class TestPathSwitch:
 
     @staticmethod
     def _route(monkeypatch, n, lam, j, R):
-        """(widest window's observation count, whether the level went windowed)."""
+        """(widest window's observation count, whether the level went windowed),
+        the same on a first probe and on a second that reads the stored facts."""
         calls = []
         real = smoother._windowed_rows
         monkeypatch.setattr(smoother, "_windowed_rows",
-                            lambda *a: calls.append(1) or real(*a))
+                            lambda *a, **k: calls.append(k["moments"]) or real(*a, **k))
         times = np.arange(1, n + 1) * (T / n)
         cgrid = np.linspace(0.0, T, max(4 * n, 2000))
         x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
-        smoother._probe_level(times, x, lam, j, 8, T, make_kernel(8, j),
-                              np.ones((n, R)), math.inf)
-        return int(np.max(smoother._check_windows(times, x, lam))), bool(calls)
+        obs = int(np.max(smoother._check_windows(times, x, lam)))
+        level = smoother._Level(obs)
+        for _ in range(2):  # a miss completes the level's facts, then a hit
+            smoother._probe_level(times, x, lam, j, 8, T, make_kernel(8, j),
+                                  np.ones((n, R)), math.inf, level)
+        # the hit sums the data columns only
+        assert calls in ([], [True, False]), calls
+        return obs, bool(calls)
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_single_column_switch_sits_at_six_per_degree(self, monkeypatch, j):
@@ -375,6 +397,119 @@ class TestPathSwitch:
         assert self._route(monkeypatch, 1000, 1.0, 0, 1)[1]
         assert self._route(monkeypatch, 1000, 1.0, 0, 10)[1]
         assert not self._route(monkeypatch, 1000, 1.0, 0, 100)[1]
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty store of design facts for the test, the shared one untouched."""
+    monkeypatch.setattr(smoother, "_designs", type(smoother._designs)())
+
+
+class TestDesignStore:
+    """``_lepski_batch`` keeps each design's level facts (``_design_facts``)."""
+
+    @staticmethod
+    def _data(kind, n, sigma, R, seed):
+        times = _design(kind, n)
+        V = np.sin(times)[:, None] + sigma * np.random.default_rng(seed).standard_normal((n, R))
+        return times, V
+
+    @pytest.mark.parametrize("path,per_degree", [("band", 10**9), ("windowed", 0)])
+    @pytest.mark.parametrize("R", [1, 100])
+    @pytest.mark.parametrize("kind,n,sigma", [("random", 300, 0.01), ("equispaced", 100, 0.001)])
+    def test_repeat_matches_a_first_call(self, monkeypatch, empty_store, kind, n, sigma, R,
+                                         path, per_degree):
+        monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
+        times, V1 = self._data(kind, n, sigma, R, 1)
+        _, V2 = self._data(kind, n, sigma, R, 2)
+        moment_errors = []
+        real_moment_error = smoother._moment_error
+        monkeypatch.setattr(smoother, "_moment_error",
+                            lambda *a: moment_errors.append(1) or real_moment_error(*a))
+        windowed = []
+        real_windowed = smoother._windowed_rows
+        monkeypatch.setattr(smoother, "_windowed_rows",
+                            lambda *a, **k: windowed.append(k["moments"])
+                            or real_windowed(*a, **k))
+        fallbacks = set()
+        for j in range(5):
+            smoother._designs.clear()
+            fresh = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
+            smoother._designs.clear()
+            first = _lepski_batch(times, T, V1, sigma, j, 8, LepskiConfig())[2]
+            assert first["levels_reused"] == 0 < first["levels_probed"]
+            assert (bool(moment_errors), bool(windowed)) == (path == "band", path == "windowed")
+            del moment_errors[:], windowed[:]
+            lam, selected, repeat = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
+            np.testing.assert_array_equal(lam, fresh[0])
+            np.testing.assert_array_equal(selected, fresh[1])
+            np.testing.assert_array_equal(repeat["selected_index"], fresh[2]["selected_index"])
+            assert repeat["admissible"] == fresh[2]["admissible"]
+            assert repeat["fallback"] == fresh[2]["fallback"]
+            fallbacks.add(repeat["fallback"])
+            # every probed level is read from the store: no moment sums
+            assert repeat["levels_reused"] == repeat["levels_probed"] == first["levels_probed"]
+            assert moment_errors == [] and not any(windowed)
+        # order 4 falls back to the least-biased level on both designs
+        assert fallbacks == {None, "least_biased"}
+
+    def test_one_ulp_or_another_T_misses(self, empty_store):
+        times, V = self._data("random", 200, 0.01, 1, 0)
+        moved = times.copy()
+        moved[77] = np.nextafter(moved[77], np.inf)
+        for t, T_ in ((times, T), (moved, T), (times, np.nextafter(T, np.inf))):
+            details = _lepski_batch(t, T_, V, 0.01, 1, 8, LepskiConfig())[2]
+            assert details["levels_reused"] == 0 < details["levels_probed"]
+        assert _lepski_batch(times, T, V, 0.01, 1, 8, LepskiConfig())[2]["levels_reused"] > 0
+
+    def test_oldest_design_goes_first(self, empty_store):
+        cap = smoother._DESIGN_CAP
+        assert cap >= 4  # large-n cycles through four designs
+        designs = [np.arange(1, 51 + k) * (T / (50 + k)) for k in range(cap + 1)]
+        stores = [smoother._design_facts(t, T) for t in designs]
+        for facts in stores:
+            facts["seen"] = True
+        assert smoother._design_facts(designs[1], T) is stores[1]
+        assert smoother._design_facts(designs[0], T) == {}
+        assert len(smoother._designs) == cap
+
+    def test_concurrent_callers_agree(self, empty_store):
+        # more threads than cores, switching often, on one design and on
+        # more designs than the store keeps
+        times, V = self._data("random", 200, 0.01, 3, 0)
+        cfg = LepskiConfig()
+        want = [_lepski_batch(times, T, V, 0.01, j, 8, cfg)[1] for j in range(3)]
+        others = [np.arange(1, 41 + k) * (T / (40 + k)) for k in range(3 * smoother._DESIGN_CAP)]
+        smoother._designs.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                picks = [pool.submit(_lepski_batch, times, T, V, 0.01, k % 3, 8, cfg)
+                         for k in range(12)]
+                churn = [pool.submit(smoother._design_facts, t, T) for t in others]
+                got = [f.result(timeout=120) for f in picks]
+                for f in churn:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, (_, selected, _) in enumerate(got):
+            np.testing.assert_array_equal(selected, want[k % 3])
+        assert len(smoother._designs) == smoother._DESIGN_CAP
+
+    def test_threads_share_the_store(self, empty_store):
+        from lapdeconv import EstimatorConfig, run_table
+
+        # the three cells share one design
+        cells = [("g2", "f1", 100, 0), ("g1", "f1", 100, 2), ("g4", "f2", 100, 1)]
+        reports = []
+        for threads in (2, 1):  # each from an empty store
+            smoother._designs.clear()
+            reports.append(run_table(cells, runs=4, seed=5,
+                                     config=EstimatorConfig(threads=threads)))
+        for (_, two), (_, one) in zip(*reports):
+            np.testing.assert_array_equal(two.per_run_mse, one.per_run_mse)
+            assert two.bandwidth_counts == one.bandwidth_counts
 
 
 class TestLepski:

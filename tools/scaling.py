@@ -1,14 +1,17 @@
-"""Time one warm deconvolve per sample size and fit the scaling in n.
+"""Time a first and a repeated warm deconvolve per sample size and fit the scaling in n.
 
     python3 tools/scaling.py [--src PATH]
 
 For each n in 1000, 2000, 4000 and 8000 a fresh interpreter imports the
 package from PATH (default: src/ of this checkout), builds g2/f1 on the
 equispaced design of [0, 10] with the noise of level 0 (seed 0), runs one
-n = 250 estimate so that every kernel is built, and then times one
-`deconvolve` at n. It reports that time and the interpreter's peak
-resident set (import, design and warm-up included). One line per n is
-printed, then the least-squares slope of log time against log n. Only one
+n = 250 estimate so that every kernel is built, and then times two
+`deconvolve` calls at n on the same design with fresh noise each. The
+first call computes the design-only facts of every bandwidth level; the
+second reads them from the selection's store of design facts. It reports
+both times and the interpreter's peak resident set (import, design and
+warm-up included). One line per n is printed, then the least-squares slope
+of log time against log n for each of the two columns. Only one
 interpreter runs at a time, with BLAS and OpenMP pinned to one thread.
 Standard library and numpy only.
 """
@@ -31,7 +34,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def child(n: int) -> dict:
-    """Time one warm deconvolve at n in this interpreter."""
+    """Time a first and a repeated warm deconvolve at n in this interpreter."""
     import resource
     import time
 
@@ -48,18 +51,20 @@ def child(n: int) -> dict:
         return ld.NoisySample(times=times, values=y, sigma=sigma, T=T)
 
     ld.deconvolve(sample(250, 0), g)
-    data = sample(n, 1)
-    t0 = time.perf_counter()
-    ld.deconvolve(data, g)
-    seconds = time.perf_counter() - t0
+    seconds = []
+    for stream in (1, 2):
+        data = sample(n, stream)
+        t0 = time.perf_counter()
+        ld.deconvolve(data, g)
+        seconds.append(time.perf_counter() - t0)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-    return {"n": n, "seconds": seconds, "peak_rss_mb": rss}
+    return {"n": n, "first_s": seconds[0], "repeat_s": seconds[1], "peak_rss_mb": rss}
 
 
-def slope(points: list[dict]) -> float:
-    """Least-squares slope of log seconds against log n."""
+def slope(points: list[dict], column: str) -> float:
+    """Least-squares slope of log seconds in ``column`` against log n."""
     xs = [math.log(p["n"]) for p in points]
-    ys = [math.log(p["seconds"]) for p in points]
+    ys = [math.log(p[column]) for p in points]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
@@ -86,9 +91,10 @@ def main(argv=None) -> int:
             return 1
         point = json.loads(proc.stdout.strip().splitlines()[-1])
         points.append(point)
-        print(f"n={n:5d}  {point['seconds']:8.3f} s  {point['peak_rss_mb']:7.1f} MB",
-              flush=True)
-    print(f"log-log slope {slope(points):.2f}")
+        print(f"n={n:5d}  first {point['first_s']:8.3f} s  repeat {point['repeat_s']:8.3f} s"
+              f"  {point['peak_rss_mb']:7.1f} MB", flush=True)
+    print(f"log-log slope first {slope(points, 'first_s'):.2f}"
+          f"  repeat {slope(points, 'repeat_s'):.2f}")
     return 0
 
 
