@@ -217,126 +217,143 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
                    lam: float) -> np.ndarray:
     """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k].
 
-    Interior evaluation points share one kernel and one ``_band_rows``
-    call; points within lam of an endpoint each get the boundary kernel for
-    their own relative distance (right edge reflected, each reflection
-    built once per process by ``_right_kernel``), and share a second call.
-    Each call's rows are scattered into W block by block (``_band_blocks``).
+    Interior points share one kernel; a point within lam of an endpoint
+    gets the boundary kernel of its own relative distance (right edge
+    reflected, once per process by ``_right_kernel``). Interior, left-edge
+    and right-edge points are three groups of ``_band_blocks``, so no block
+    spans both ends, and each chunk is written into W by one assignment.
     """
     grid = np.asarray(grid, dtype=float)
     W = np.zeros((grid.size, times.size))
     interior = (grid >= lam) & (grid <= T - lam)
-    rows = np.nonzero(interior)[0]
-    if rows.size:
-        band, cols = _band_rows(times, grid[rows], lam, j, [make_kernel(L, j)])
-        _scatter_band(W, rows, band, cols)
-    rows = np.nonzero(~interior)[0]
-    if rows.size:
-        slot: dict = {}
-        kernels: list[SmoothingKernel] = []
-        which = np.empty(rows.size, dtype=int)
-        for r, x in enumerate(grid[rows].tolist()):
-            key = _boundary_key(x, T, lam)
-            if key not in slot:
-                slot[key] = len(kernels)
-                kernels.append(_kernel_for_key(key, j, L))
-            which[r] = slot[key]
-        band, cols = _band_rows(times, grid[rows], lam, j, kernels, which)
-        _scatter_band(W, rows, band, cols)
+    left = grid < lam
+    for group in (interior, left, ~(interior | left)):
+        rows = np.flatnonzero(group)
+        if not rows.size:
+            continue
+        kernels, which = [make_kernel(L, j)], None
+        if group is not interior:
+            slot: dict = {}
+            which = np.array([slot.setdefault(_boundary_key(x, T, lam), len(slot))
+                              for x in grid[rows].tolist()])
+            kernels = [_kernel_for_key(key, j, L) for key in slot]
+        blocks = _blocked(rows)
+        for blk, cells, D in _band_blocks(times, grid[rows], lam, j, kernels, which):
+            W[blocks[blk, :, None], cells[:, None, :]] = D
     return W
 
 
-def _scatter_band(W: np.ndarray, rows: np.ndarray, band: np.ndarray,
-                  cols: np.ndarray) -> None:
-    """Write the band rows into the rows ``rows`` of the zero matrix W."""
-    for r0, c0, D in _band_blocks(band, cols):
-        W[rows[r0 : r0 + D.shape[0], None], np.arange(c0, c0 + D.shape[1])] = D
+# Rows of one block of ``_band_blocks``; 8, 16 and 32 measured alike
+_BAND_BLOCK_ROWS = 16
+
+# Elements of the largest array of one chunk of blocks in ``_band_blocks``:
+# 512 KB, so a chunk's arrays stay in cache; 2^18 and 2^20 were slower at
+# one data column
+_BAND_CHUNK = 1 << 16
 
 
-def _band_rows(times: np.ndarray, grid: np.ndarray, lam: float, j: int,
-               kernels: list[SmoothingKernel],
-               which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cell weights of a kernel at each grid point, restricted to the band.
+def _horner(U: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The polynomials of coefficients P (lowest first along the last axis,
+    which broadcasts against U) at U."""
+    H = U * P[..., -1:]
+    for i in range(P.shape[-1] - 2, -1, -1):
+        H += P[..., i : i + 1]
+        if i:
+            H *= U
+    return H
+
+
+def _blocked(a: np.ndarray) -> np.ndarray:
+    """a cut into blocks of ``_BAND_BLOCK_ROWS``, the last one padded with a[-1]."""
+    pad = np.repeat(a[-1:], -a.size % _BAND_BLOCK_ROWS)
+    return np.concatenate((a, pad)).reshape(-1, _BAND_BLOCK_ROWS)
+
+
+def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int,
+                 kernels: list[SmoothingKernel], which: np.ndarray | None = None,
+                 R: int = 1):
+    """Dense cell weights of a kernel at the points x, a chunk of blocks at a time.
 
     Row k uses the kernel ``kernels[which[k]]``, or ``kernels[0]`` for
     every row when ``which`` is None. Weight i of row k is lam^-(j+1)
-    times the integral of K((grid[k]-u)/lam) over cell i: the kernel
-    primitive differenced over the cell edges. Only observations within one
-    bandwidth carry weight, so row k is stored as ``band[k]`` on the
-    observations ``cols[k]``; padding columns alias observation n-1 with
-    weight zero.
+    times the integral of K((x[k]-u)/lam) over cell i: the kernel primitive
+    differenced over the cell edges. Each block of rows (``_blocked``)
+    covers the cells from its lowest point minus lam to its highest point
+    plus lam, in one span of w cells common to all blocks, shifted left
+    where it would run past cell n-1; so x need not be sorted. A row's
+    cells outside its window clip to one support bound at both edges and
+    weigh exactly 0.
+
+    Yields (blk, cells, D) per chunk: the slice blk of the blocks, their
+    cell indices (blocks x w) and the weights D (blocks x rows x w). A
+    chunk keeps its weights, and R data columns gathered on its cells,
+    within ``_BAND_CHUNK`` elements (or holds one block).
     """
     n = times.size
     edges = _cell_edges(times)
+    xb = _blocked(x)
     # past lam by a rounding margin, so every cell the kernel reaches is kept
     reach = lam * (1.0 + 1e-6)
-    s = np.searchsorted(edges, grid - reach, side="right") - 1
-    e = np.searchsorted(edges, grid + reach, side="left") + 1
-    np.clip(s, 0, edges.size - 1, out=s)
-    np.clip(e, 1, edges.size, out=e)
-    width = int(np.max(e - s))
-    idx = s[:, None] + np.arange(width)[None, :]
-    np.clip(idx, 0, edges.size - 1, out=idx)
-    U = grid[:, None] - edges[idx]
-    U /= lam
+    lo = np.searchsorted(edges, xb.min(axis=1) - reach, side="right") - 1
+    hi = np.searchsorted(edges, xb.max(axis=1) + reach, side="left") + 1
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, n + 1)
+    span = int(np.max(hi - lo))  # edges of a block, one more than its cells
+    first = np.minimum(lo, n + 1 - span)
     # one primitive per kernel, shorter ones padded with zero top
-    # coefficients; polyval's Horner steps below, done in place, give every
-    # row exactly the values polyval gives with its own unpadded primitive
+    # coefficients; ``_horner`` gives every row exactly the values polyval
+    # gives with its own unpadded primitive
     prims = [ker.antiderivative() for ker in kernels]
     P = np.zeros((len(prims), max(p.size for p in prims)))
     for r, prim in enumerate(prims):
         P[r, : prim.size] = prim
     support = np.array([ker.support for ker in kernels])
     if which is not None:
-        P, support = P[which], support[which]
-    np.clip(U, support[:, :1], support[:, 1:], out=U)
-    B = U * 0
-    B += P[:, -1:]
-    for i in range(2, P.shape[1] + 1):
-        B *= U
-        B += P[:, -i, None]
-    band = B[:, :-1] - B[:, 1:]
-    band /= lam**j
-    cols = np.minimum(idx[:, :-1], n - 1)
-    return band, cols
+        wb = _blocked(which)
+        P, support = P[wb], support[wb]
+    chunk = max(1, _BAND_CHUNK // (span * max(_BAND_BLOCK_ROWS, R)))
+    for b0 in range(0, xb.shape[0], chunk):
+        blk = slice(b0, b0 + chunk)
+        idx = first[blk, None] + np.arange(span)
+        Pc, sc = (P, support) if which is None else (P[blk], support[blk])
+        U = xb[blk, :, None] - edges[idx][:, None, :]
+        U /= lam
+        np.clip(U, sc[..., :1], sc[..., 1:], out=U)
+        H = _horner(U, Pc)
+        D = H[..., :-1] - H[..., 1:]
+        D /= lam**j
+        yield blk, idx[:, :-1], D
 
 
-# Rows of one dense block in ``_band_blocks``
-_BAND_BLOCK_ROWS = 128
+def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
+               ker: SmoothingKernel, V: np.ndarray,
+               moments: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The band path's estimates and moment deviations, O(G (w + B n/G) deg K).
 
-
-def _band_blocks(band: np.ndarray, cols: np.ndarray):
-    """The band rows as dense blocks of ``_BAND_BLOCK_ROWS`` rows.
-
-    Yields (r0, c0, D): D holds rows r0 .. r0 + D.shape[0] - 1 over the
-    observations c0 .. c0 + D.shape[1] - 1, the block's lowest to highest
-    column, so sorted rows give blocks about one band plus the block's own
-    spread wide. Weights are scattered by ``np.bincount``, which adds,
-    because the zero-weight padding of ``_band_rows`` aliases observation
-    n-1.
+    Returns (estimates of V's columns at the points x, x.size x R; the
+    deviations E, x.size x L, or None without ``moments``) from the block
+    weights of ``_band_blocks`` with the kernel ``ker``; each chunk reaches
+    V by one stacked product. E[k, m] is sum_i w_i(x_k) ((t_i - x_k)/lam)^m
+    over the block's span in units of j!/lam^j, less 1 at m = j: the
+    deviation from the kernel's defining moments in the level's own
+    variable, which ``_moment_worst`` reads.
     """
-    G, B = band.shape[0], _BAND_BLOCK_ROWS
-    first = np.arange(0, G, B)
-    lo = np.minimum.reduceat(np.min(cols, axis=1), first)
-    width = np.maximum.reduceat(np.max(cols, axis=1), first) - lo + 1
-    # flat index of row r's weights in its block: (r - r0) * width + col - c0
-    offset = np.arange(G) % B * np.repeat(width, B)[:G] - np.repeat(lo, B)[:G]
-    flat = cols + offset[:, None]
-    for r0, c0, w in zip(first.tolist(), lo.tolist(), width.tolist()):
-        r1 = min(r0 + B, G)
-        D = np.bincount(flat[r0:r1].ravel(), weights=band[r0:r1].ravel(),
-                        minlength=(r1 - r0) * w)
-        yield r0, c0, D.reshape(r1 - r0, w)
-
-
-def _apply_band(band: np.ndarray, cols: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The band rows applied to V's columns, one BLAS product per dense block
-    (``_band_blocks``): O(G * w * R) for G rows of w weights and R columns.
-    """
-    out = np.empty((band.shape[0], V.shape[1]))
-    for r0, c0, D in _band_blocks(band, cols):
-        np.matmul(D, V[c0 : c0 + D.shape[1]], out=out[r0 : r0 + D.shape[0]])
-    return out
+    R = V.shape[1]
+    xb = _blocked(x)
+    est = np.empty(xb.shape + (R,))
+    E = np.empty(xb.shape + (L,)) if moments else None
+    for blk, cells, D in _band_blocks(times, x, lam, j, [ker], R=R):
+        np.matmul(D, V[cells], out=est[blk])
+        if not moments:
+            continue
+        d = (times[cells][:, None, :] - xb[blk, :, None]) / lam
+        P = D * (lam**j / math.factorial(j))
+        for m in range(L):
+            E[blk, :, m] = np.sum(P, axis=2)
+            P *= d
+    if moments:
+        E = E.reshape(-1, L)[: x.size]
+        E[:, j] -= 1.0
+    return est.reshape(-1, R)[: x.size], E
 
 
 class DesignWeights:
@@ -430,25 +447,6 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _moment_error(band: np.ndarray, cols: np.ndarray, times: np.ndarray,
-                  x: np.ndarray, lam: float, j: int, L: int, T: float) -> float:
-    """Worst deviation of the band rows from the kernel's moment conditions.
-
-    The rows must realize the defining moments in the level's own variable:
-    sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for every m < L. The
-    deviations e_m, in units of j!/lam^j, show discretization error on the
-    scale of lam; ``_moment_worst`` reads them.
-    """
-    D = (times[cols] - x[:, None]) / lam
-    P = band * (lam**j / math.factorial(j))
-    E = np.empty((x.size, L))
-    for m in range(L):
-        E[:, m] = np.sum(P, axis=1)
-        P *= D
-    E[:, j] -= 1.0
-    return _moment_worst(E, x, lam, j, T)
-
-
 def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) -> float:
     """The larger of two readings of the moment deviations E (x.size x L).
 
@@ -485,15 +483,15 @@ _WINDOW_CHUNK = 1 << 20
 def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
                    ker: SmoothingKernel, V: np.ndarray,
                    moments: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """The band path's estimates and moment deviations, O((n + G) deg K) per column.
+    """``_band_rows``' estimates and moment deviations, O((n + G) deg K) per column.
 
     The columns are V's R data columns and, when ``moments`` is set, L
     moment columns.
 
     Returns (estimates of V's columns at the sorted points x, x.size x R;
-    the deviations E, x.size x L, that ``_moment_error`` forms, or None
-    without ``moments``). x must lie in the interior zone [lam, T - lam],
-    where ``ker`` is the only kernel.
+    the deviations E, x.size x L, that ``_band_rows`` forms from the block
+    weights, or None without ``moments``). x must lie in the interior zone
+    [lam, T - lam], where ``ker`` is the only kernel.
     With cell edges e_k, P the kernel primitive and y_-1 = y_n = 0,
     summation by parts turns a band row into
     lam^-j [P(1) y_(a-1) + sum_{a <= k < b} P((x - e_k)/lam) (y_k - y_(k-1))]
@@ -515,16 +513,7 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     edges = _cell_edges(times)
     prim = ker.antiderivative()
     nodes_n = prim.size
-
-    def horner(U):
-        B = U * 0
-        B += prim[-1]
-        for c in prim[-2::-1]:
-            B *= U
-            B += c
-        return B
-
-    p_one = float(horner(np.ones(1))[0])
+    p_one = float(_horner(np.ones(1), prim)[0])
     d = np.arange(nodes_n)
     nodes = 0.125 * (1.0 - np.cos((2 * d + 1) * math.pi / (2 * nodes_n)))
     bary = (-1.0) ** d * np.sin((2 * d + 1) * math.pi / (2 * nodes_n))
@@ -549,7 +538,7 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
         K[K >= b[last - 1][:, None]] = n + 1  # past the block's windows
         Kc = np.minimum(K, n)
         v = (edges[Kc] - c[:, None]) / lam
-        Pv = horner(nodes[None, None, :] - v[:, :, None])
+        Pv = _horner(nodes[None, None, :] - v[:, :, None], prim)
         Pv[K > n] = 0.0
         pts = np.arange(first[0], last[-1])
         bi = np.repeat(np.arange(first.size), last - first)
@@ -681,13 +670,16 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     """Moment error of one level on the comparison points x, and its
     estimates of V's columns there when that error is within tol (else None).
 
-    The cheaper of two paths computes them. The band rows cost about
-    G * w * (deg K + L) for G points and w observations in the widest
-    window, and reach V's R columns by a blocked BLAS product
-    (``_apply_band``) whose share of that stays small, so their cost
-    hardly grows with R. Windowed prefix sums (``_windowed_rows``) cost
-    about (n + G) per column and step over R + L + deg K of them: the data,
-    the moment columns and the Horner steps of the primitive. So the
+    The cheaper of two paths computes them. The band rows
+    (``_band_rows``) form every block's dense weights at about
+    G * (w + B n/G) * deg K for G points, w observations in the widest
+    window and blocks of B = ``_BAND_BLOCK_ROWS`` rows, plus
+    G * (w + B n/G) * L for the moment sums, and reach V's R columns by
+    one stacked product per chunk of blocks, whose share of that stays
+    small, so their cost hardly grows with R. Windowed prefix sums
+    (``_windowed_rows``) cost about (n + G) per column and step over
+    R + L + deg K of them: the data, the moment columns and the Horner
+    steps of the primitive. So the
     single-column switch, w > 6 deg K (``_WINDOW_OBS_PER_DEGREE``), is
     scaled by (R + L + deg K) / (1 + L + deg K): for L = 8 and R = 100 a
     level goes windowed from 373 (even j) or 393 (odd j) observations on.
@@ -695,23 +687,20 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     ``level`` holds the level's design-only facts (``_design_facts``); it
     is read first and completed here. When it holds the moment error of
     the chosen path, that error is not formed again: a level beyond tol
-    returns at once, the band path skips ``_moment_error`` and the
-    windowed path sums the R data columns only. The estimates are the same
+    returns at once, and either path sums the R data columns only. On a
+    first probe both paths form the estimates together with the moment
+    error, also for a level that then fails it. The estimates are the same
     to the bit either way.
     """
     path = _probe_path(level.obs, L, ker, V.shape[1])
     rel = level.rel.get(path)
     if rel is not None and rel > tol:
         return rel, None
-    if path == "windowed":
-        est, E = _windowed_rows(times, x, lam, j, L, ker, V, moments=rel is None)
-        if rel is None:
-            rel = level.rel[path] = _moment_worst(E, x, lam, j, T)
-        return rel, (est if rel <= tol else None)
-    band, cols = _band_rows(times, x, lam, j, [ker])
+    rows = _windowed_rows if path == "windowed" else _band_rows
+    est, E = rows(times, x, lam, j, L, ker, V, moments=rel is None)
     if rel is None:
-        rel = level.rel[path] = _moment_error(band, cols, times, x, lam, j, L, T)
-    return rel, (_apply_band(band, cols, V) if rel <= tol else None)
+        rel = level.rel[path] = _moment_worst(E, x, lam, j, T)
+    return rel, (est if rel <= tol else None)
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
@@ -725,9 +714,9 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     meet the kernel's moment conditions in the level's own variable,
     sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, both at
     that scale and as carried to the monomials (t/T)^m on [0, T], within
-    ``_PROBE_TOL`` (see ``_moment_error``). Only levels that pass it
-    are applied to V. When no level passes, the least-biased one (the
-    smallest such error) is the only admissible level and
+    ``_PROBE_TOL`` (see ``_band_rows`` and ``_moment_worst``). Only levels
+    that pass it are applied to V. When no level passes, the least-biased
+    one (the smallest such error) is the only admissible level and
     ``details["fallback"]`` is "least_biased"; otherwise it is None.
     Distances between estimates are integrated over the interior zone of
     the larger bandwidth, where neither estimate is boundary-affected.
@@ -735,9 +724,11 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     A level's comparison-grid estimates and moment check are computed one
     of two ways, chosen by ``_probe_level`` by a cost rule in the
     observation count of its widest window and the column count R. Narrow
-    levels read the band rows their estimates are formed from, at
-    O(G * w) for G interior points and w observations per band, and apply
-    them to V by a blocked GEMM, O(G * w * R) at BLAS speed. Wide levels
+    levels read the band rows their estimates are formed from
+    (``_band_rows``): dense weights of blocks of B points, formed at
+    O(G * (w + B n/G)) for G interior points and w observations per band,
+    and applied to V by one stacked product per chunk of blocks,
+    O(G * (w + B n/G) * R) at BLAS speed. Wide levels
     use windowed prefix sums (``_windowed_rows``) at O(n + G) per column:
     their estimates agree with the band rows' to about 1e-12 of a row's
     sum of |w_i| |y_i|, and their moment errors to about 1e-7 relative or

@@ -18,13 +18,12 @@ from lapdeconv.smoother import (
     EstimationError,
     LepskiConfig,
     NoisySample,
-    _apply_band,
+    _band_blocks,
     _band_rows,
     _boundary_key,
     _cell_edges,
     _kernel_for_key,
     _lepski_batch,
-    _moment_error,
     _moment_worst,
     _weight_matrix,
     _windowed_rows,
@@ -195,15 +194,36 @@ class TestBandedApply:
         np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam))
         inner = (grid >= lam) & (grid <= T - lam)
         V = rng.standard_normal((times.size, 3))
-        band, cols = _band_rows(times, grid[inner], lam, j, [make_kernel(8, j)])
-        np.testing.assert_allclose(_apply_band(band, cols, V), W[inner] @ V,
-                                   rtol=1e-11, atol=1e-11)
+        est, _ = _band_rows(times, grid[inner], lam, j, 8, make_kernel(8, j), V)
+        np.testing.assert_allclose(est, W[inner] @ V, rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "clustered", "equispaced"])
+    def test_weight_matrix_equals_oracle(self, kind, permuted):
+        # three groups of blocks (interior, left edge, right edge) over
+        # sorted or shuffled points, boundary rows and wide levels included
+        rng = np.random.default_rng(11)
+        if kind == "random":
+            times = np.sort(rng.uniform(0.0, T, 300))
+        elif kind == "clustered":
+            times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 200),
+                                            rng.uniform(0.0, T, 100)]))
+        else:
+            times = np.arange(1, 301) * (T / 300)
+        grid = np.linspace(0.0, T, 203)
+        if permuted:
+            grid = rng.permutation(grid)
+        for j in (0, 1, 3, 4):
+            for lam in (0.6, 1.3, 2.9, T / 2):
+                W = _weight_matrix(times, T, grid, j, 8, lam)
+                np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam),
+                                              err_msg="j=%d lam=%g" % (j, lam))
 
     @pytest.mark.parametrize("R", [1, 3, 100])
     @pytest.mark.parametrize("case", [
         "few_rows",       # fewer rows than one block
         "partial_block",  # a row count that is no multiple of the block size
-        "last_cell",      # bands reaching observation n-1, whose padding aliases it
+        "last_cell",      # bands reaching observation n-1, whose block shifts left
         "clustered",      # wide blocks over a clustered design
     ])
     def test_apply_band_matches_dense_product(self, case, R):
@@ -211,7 +231,7 @@ class TestBandedApply:
         j, lam = 1, 0.7
         if case == "few_rows":
             times = np.arange(1, 301) * (T / 300)
-            x = np.linspace(lam, T - lam, 57)
+            x = np.linspace(lam, T - lam, smoother._BAND_BLOCK_ROWS - 5)
         elif case == "partial_block":
             times = np.sort(rng.uniform(0.0, T, 700))
             x = np.linspace(lam, T - lam, 1000)
@@ -224,17 +244,68 @@ class TestBandedApply:
             x = np.linspace(lam, T - lam, 500)
         assert x.size % smoother._BAND_BLOCK_ROWS != 0
         ker = make_kernel(8, j)
-        band, cols = _band_rows(times, x, lam, j, [ker])
-        if case == "last_cell":
-            assert np.any((cols[:, :-1] == times.size - 1) & (cols[:, 1:] == times.size - 1))
         edges = _cell_edges(times)
+        if case == "last_cell":
+            # some block ends at cell n-1 and starts left of its lowest
+            # point's window (one cell of slack for the rounding margin past
+            # lam), so it was shifted left to stay inside the design
+            shifted = False
+            for blk, cells, _ in _band_blocks(times, x, lam, j, [ker]):
+                xb = smoother._blocked(x)[blk]
+                lowest = np.searchsorted(edges, xb.min(axis=1) - lam, side="right") - 1
+                shifted |= np.any((cells[:, -1] == times.size - 1) & (cells[:, 0] < lowest - 1))
+            assert shifted
         U = np.clip((x[:, None] - edges) / lam, *ker.support)
         B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
         W = (B[:, :-1] - B[:, 1:]) / lam**j
         V = rng.standard_normal((times.size, R))
         scale = np.abs(W) @ np.abs(V)
-        err = np.abs(_apply_band(band, cols, V) - W @ V)
+        est, E = _band_rows(times, x, lam, j, 8, ker, V)
+        assert est.shape == (x.size, R) and E.shape == (x.size, 8)
+        err = np.abs(est - W @ V)
         assert np.all(err <= 1e-12 * scale + 1e-300)
+
+    @pytest.mark.parametrize("R", [1, 100])
+    def test_chunks_do_not_change_a_bit(self, monkeypatch, R):
+        # blocks are formed and multiplied one by one, so how many go into
+        # a chunk changes no result: one block per chunk against one chunk
+        rng = np.random.default_rng(8)
+        times = np.sort(rng.uniform(0.0, T, 500))
+        x = np.linspace(0.6, T - 0.6, 999)
+        grid = np.linspace(0.0, T, 301)
+        V = rng.standard_normal((times.size, R))
+        got = []
+        for bound in (1, 1 << 40):
+            monkeypatch.setattr(smoother, "_BAND_CHUNK", bound)
+            est, E = _band_rows(times, x, 0.6, 3, 8, make_kernel(8, 3), V)
+            got.append((est, E, _weight_matrix(times, T, grid, 3, 8, 0.6)))
+        for a, b in zip(*got):
+            np.testing.assert_array_equal(a, b)
+
+    def test_chunk_arrays_stay_within_the_bound(self, monkeypatch):
+        # n = 4000 at R = 100 with windows of about 370 observations: one
+        # chunk of every block would gather about 300 MB of data rows
+        n, R, lam = 4000, 100, 0.4625
+        times = np.arange(1, n + 1) * (T / n)
+        cgrid = np.linspace(0.0, T, 4 * n)
+        x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+        assert 360 <= np.max(smoother._check_windows(times, x, lam)) <= 380
+        sizes = []
+        real = smoother._band_blocks
+
+        def spy(*a, **k):
+            for blk, cells, D in real(*a, **k):
+                # U and the Horner values hold one more edge than D has cells
+                sizes.append((D.shape[0], max(D.size + D.shape[0] * D.shape[1],
+                                              cells.size * R)))
+                yield blk, cells, D
+
+        monkeypatch.setattr(smoother, "_band_blocks", spy)
+        V = np.random.default_rng(9).standard_normal((n, R))
+        _band_rows(times, x, lam, 0, 8, make_kernel(8, 0), V, moments=False)
+        assert len(sizes) > 1
+        assert sum(k for k, _ in sizes) == smoother._blocked(x).shape[0]
+        assert max(size for _, size in sizes) <= smoother._BAND_CHUNK
 
     def test_unsorted_grid(self):
         # blocks then span their rows' lowest to highest column, not the
@@ -252,6 +323,28 @@ class TestBandedApply:
         grid = np.linspace(0.0, T, 257)
         W = _weight_matrix(times, T, grid, 1, 4, 0.3)
         np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.3))
+        # alone in its block, the point's own window sets the block's cells
+        for x in (np.array([3.75]), np.array([6.25])):
+            np.testing.assert_array_equal(_weight_matrix(times, T, x, 1, 4, 0.3),
+                                          dense_weights(times, T, x, 1, 4, 0.3))
+
+    def test_blocks_of_a_sorted_grid_span_about_one_window(self, monkeypatch):
+        # interior, left-edge and right-edge points are blocked apart, so no
+        # block of a sorted grid spans the design from one end to the other
+        spans = []
+        real = smoother._band_blocks
+
+        def spy(*a, **k):
+            for blk, cells, D in real(*a, **k):
+                spans.append(cells.shape[1])
+                yield blk, cells, D
+
+        monkeypatch.setattr(smoother, "_band_blocks", spy)
+        times = np.arange(1, 301) * (T / 300)
+        _weight_matrix(times, T, np.linspace(0.0, T, 1024), 0, 8, 0.5)
+        # a window of 2 lam holds 30 observations; a block adds its own
+        # spread of 16 grid spacings, under 5 of them
+        assert spans and max(spans) <= 40
 
 
 def _design(kind, n):
@@ -263,8 +356,8 @@ def _design(kind, n):
 class TestWindowedRows:
     """The windowed prefix sums against the band rows they replace.
 
-    The band path is the oracle: `_apply_band(*_band_rows(...))` for the
-    estimates, `_moment_error` for the moment check. Estimates are compared
+    The band path is the oracle: `_band_rows` for the estimates and the
+    moment deviations that `_moment_worst` reads. Estimates are compared
     relative to the largest row sum of |w_i| |y_i|, the scale on which
     either path rounds: for a smooth column at j = 5 the kernel sum cancels
     to a value far below it, and both paths then sit about 1e-9 off an
@@ -289,10 +382,10 @@ class TestWindowedRows:
             ker = make_kernel(8, j)
             for lam in (narrow, 0.25, 0.6, 1.0):
                 x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
-                band, cols = _band_rows(times, x, lam, j, [ker])
-                want = _apply_band(band, cols, V)
-                scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)), axis=0)
-                rel = _moment_error(band, cols, times, x, lam, j, 8, T)
+                want, E = _band_rows(times, x, lam, j, 8, ker, V)
+                W = _weight_matrix(times, T, x, j, 8, lam)
+                scale = np.max(np.abs(W) @ np.abs(V), axis=0)
+                rel = _moment_worst(E, x, lam, j, T)
                 for Vr in (V, V[:, :1]):
                     est, E = _windowed_rows(times, x, lam, j, 8, ker, Vr)
                     r = Vr.shape[1]
@@ -326,10 +419,9 @@ class TestWindowedRows:
         nodes = 0.125 * (1.0 - np.cos((2 * k + 1) * math.pi / (2 * D)))
         x = np.sort(np.concatenate([3.0 + lam * nodes, [3.0 + 0.2 * lam]]))
         V = np.sin(times)[:, None]
-        band, cols = _band_rows(times, x, lam, j, [ker])
         est, _ = _windowed_rows(times, x, lam, j, 8, ker, V)
-        scale = np.max(_apply_band(np.abs(band), cols, np.abs(V)))
-        assert np.max(np.abs(est - _apply_band(band, cols, V))) <= 1e-11 * scale
+        scale = np.max(np.abs(_weight_matrix(times, T, x, j, 8, lam)) @ np.abs(V))
+        assert np.max(np.abs(est - _band_rows(times, x, lam, j, 8, ker, V)[0])) <= 1e-11 * scale
 
     @pytest.mark.parametrize("kind,n,sigma", [
         ("random", 300, 0.01),
@@ -368,9 +460,10 @@ class TestPathSwitch:
         """(widest window's observation count, whether the level went windowed),
         the same on a first probe and on a second that reads the stored facts."""
         calls = []
-        real = smoother._windowed_rows
-        monkeypatch.setattr(smoother, "_windowed_rows",
-                            lambda *a, **k: calls.append(k["moments"]) or real(*a, **k))
+        for name in ("_band_rows", "_windowed_rows"):
+            monkeypatch.setattr(smoother, name,
+                                lambda *a, real=getattr(smoother, name), name=name, **k:
+                                calls.append((name, k["moments"])) or real(*a, **k))
         times = np.arange(1, n + 1) * (T / n)
         cgrid = np.linspace(0.0, T, max(4 * n, 2000))
         x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
@@ -380,8 +473,9 @@ class TestPathSwitch:
             smoother._probe_level(times, x, lam, j, 8, T, make_kernel(8, j),
                                   np.ones((n, R)), math.inf, level)
         # the hit sums the data columns only
-        assert calls in ([], [True, False]), calls
-        return obs, bool(calls)
+        path = calls[0][0]
+        assert calls == [(path, True), (path, False)], calls
+        return obs, path == "_windowed_rows"
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_single_column_switch_sits_at_six_per_degree(self, monkeypatch, j):
@@ -422,15 +516,12 @@ class TestDesignStore:
         monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
         times, V1 = self._data(kind, n, sigma, R, 1)
         _, V2 = self._data(kind, n, sigma, R, 2)
-        moment_errors = []
-        real_moment_error = smoother._moment_error
-        monkeypatch.setattr(smoother, "_moment_error",
-                            lambda *a: moment_errors.append(1) or real_moment_error(*a))
-        windowed = []
-        real_windowed = smoother._windowed_rows
-        monkeypatch.setattr(smoother, "_windowed_rows",
-                            lambda *a, **k: windowed.append(k["moments"])
-                            or real_windowed(*a, **k))
+        moments = {"_band_rows": [], "_windowed_rows": []}
+        for name, seen in moments.items():
+            monkeypatch.setattr(smoother, name,
+                                lambda *a, real=getattr(smoother, name), seen=seen, **k:
+                                seen.append(k["moments"]) or real(*a, **k))
+        moment_errors, windowed = moments["_band_rows"], moments["_windowed_rows"]
         fallbacks = set()
         for j in range(5):
             smoother._designs.clear()
@@ -438,7 +529,7 @@ class TestDesignStore:
             smoother._designs.clear()
             first = _lepski_batch(times, T, V1, sigma, j, 8, LepskiConfig())[2]
             assert first["levels_reused"] == 0 < first["levels_probed"]
-            assert (bool(moment_errors), bool(windowed)) == (path == "band", path == "windowed")
+            assert (any(moment_errors), bool(windowed)) == (path == "band", path == "windowed")
             del moment_errors[:], windowed[:]
             lam, selected, repeat = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
             np.testing.assert_array_equal(lam, fresh[0])
@@ -449,7 +540,7 @@ class TestDesignStore:
             fallbacks.add(repeat["fallback"])
             # every probed level is read from the store: no moment sums
             assert repeat["levels_reused"] == repeat["levels_probed"] == first["levels_probed"]
-            assert moment_errors == [] and not any(windowed)
+            assert not any(moment_errors) and not any(windowed)
         # order 4 falls back to the least-biased level on both designs
         assert fallbacks == {None, "least_biased"}
 
