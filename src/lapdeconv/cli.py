@@ -18,7 +18,7 @@ EstimationError). Every failure prints a one-line diagnostic naming the
 violated precondition. All numeric output uses 17 significant digits so
 files round-trip losslessly, and every output is a pure function of
 (input bytes, flags, seed). The environment variable LAPDECONV_THREADS
-caps internal parallelism.
+caps internal parallelism and, like --threads, changes no output byte.
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ def _parse_bandwidths(text: str | None):
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
-def _estimator_config(args, threads: int) -> EstimatorConfig:
+def _estimator_config(args) -> EstimatorConfig:
+    threads = _resolve_threads(args.threads)
     try:
         return EstimatorConfig(
             L=args.L,
@@ -205,7 +206,6 @@ def _estimator_config(args, threads: int) -> EstimatorConfig:
                 a=args.a, C=args.C, threshold_mult=args.threshold_mult
             ),
             grid_size=args.grid_size,
-            trim=getattr(args, "trim", 0.1),
             fixed_bandwidths=_parse_bandwidths(args.bandwidth),
             threads=threads,
         )
@@ -217,9 +217,16 @@ def _estimator_config(args, threads: int) -> EstimatorConfig:
 # JSON sidecar; schema/sidecar.schema.json documents its format
 
 
+# The sidecar's "config": the settings that shape f_hat, which are the fields
+# of EstimatorConfig with its LepskiConfig's fields in place of "lepski", less
+# "threads", which changes no output byte. The parsed flags are JSON types
+# already; a tuple of fixed bandwidths is written as a list.
+SIDECAR_CONFIG = ("L", "a", "C", "threshold_mult", "grid_size", "fixed_bandwidths")
+
+
 def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool):
     d = result.decomposition
-    cfg = result.config
+    settings = {**vars(result.config), **vars(result.config.lepski)}
     return {
         "n": int(data.n),
         "T": float(data.T),
@@ -252,14 +259,7 @@ def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool)
         "bandwidths": {
             str(j): float(lam) for j, lam in enumerate(result.bandwidths)
         },
-        "config": {
-            "L": int(cfg.L),
-            "a": float(cfg.lepski.a),
-            "C": None if cfg.lepski.C is None else float(cfg.lepski.C),
-            "threshold_mult": float(cfg.lepski.threshold_mult),
-            "grid_size": int(cfg.grid_size),
-            "threads": int(cfg.threads),
-        },
+        "config": {key: settings[key] for key in SIDECAR_CONFIG},
     }
 
 
@@ -280,8 +280,7 @@ def cmd_deconvolve(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"input: {exc}") from None
 
-    threads = _resolve_threads(args.threads)
-    cfg = _estimator_config(args, threads)
+    cfg = _estimator_config(args)
     try:
         result = deconvolve(data, g, cfg)
     except EstimationError as exc:
@@ -334,7 +333,6 @@ def _emit_data(path: str, cell: tuple[str, str, int, int], seed: int, T: float):
 
 
 def cmd_simulate(args) -> int:
-    threads = _resolve_threads(args.threads)
     if args.cell is not None:
         cells = [_parse_cell(args.cell)]
     else:
@@ -342,9 +340,10 @@ def cmd_simulate(args) -> int:
     if args.emit_data and args.cell is None:
         raise CliError(EXIT_BAD_INPUT, "--emit-data requires --cell")
 
-    config = _estimator_config(args, threads)
+    config = _estimator_config(args)
     try:
-        results = run_table(cells, runs=args.runs, seed=args.seed, config=config)
+        results = run_table(cells, runs=args.runs, seed=args.seed, config=config,
+                            trim=args.trim)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
     write_report_csv(args.output if args.output else sys.stdout, results)
@@ -416,7 +415,7 @@ def cmd_inspect_kernel(args) -> int:
 # Parser
 
 
-def _add_estimator_flags(sub, with_trim: bool) -> None:
+def _add_estimator_flags(sub) -> None:
     sub.add_argument("--L", type=int, default=8,
                      help="kernel order (default 8)")
     sub.add_argument("--a", type=float, default=1.2,
@@ -434,10 +433,6 @@ def _add_estimator_flags(sub, with_trim: bool) -> None:
     sub.add_argument("--bandwidth", default=None,
                      help="fixed bandwidth(s), scalar or comma list per "
                           "derivative order (skips adaptation)")
-    if with_trim:
-        sub.add_argument("--trim", type=float, default=0.1,
-                         help="boundary trim fraction for risk summaries "
-                              "(default 0.1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--estimate-sigma", action="store_true",
                        dest="estimate_sigma",
                        help="estimate sigma from first differences")
-    _add_estimator_flags(p_dec, with_trim=False)
+    _add_estimator_flags(p_dec)
     p_dec.set_defaults(func=cmd_deconvolve)
 
     p_sim = subs.add_parser("simulate", help="run benchmark cells")
@@ -478,7 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--emit-data", default=None, dest="emit_data",
                        help="write the first replication's t,y CSV "
                             "(requires --cell)")
-    _add_estimator_flags(p_sim, with_trim=True)
+    _add_estimator_flags(p_sim)
+    p_sim.add_argument("--trim", type=float, default=0.1,
+                       help="boundary trim fraction for risk summaries "
+                            "(default 0.1)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mk = subs.add_parser("make-kernel", help="construct a smoothing kernel")

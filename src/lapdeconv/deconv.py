@@ -41,22 +41,20 @@ DEFAULT_GRID_SIZE = 1024
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for the full deconvolution pipeline.
+    """Settings of the full deconvolution pipeline.
 
+    L, lepski, grid_size and fixed_bandwidths shape f_hat; threads > 1 runs
+    the per-order derivative estimations concurrently and changes no result.
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
-    of at most the r + 1 orders, the rest staying adaptive. threads > 1 runs
-    the per-order derivative estimations concurrently; results do not
-    depend on it. grid_size must be at least 2 and threads an integer of
-    at least 1; other values raise ValueError. trim is the boundary
-    fraction that risk summaries drop; ``trimmed_window``, its only reader,
-    checks it.
+    of at most the r + 1 orders, the rest staying adaptive. grid_size must
+    be at least 2 and threads an integer of at least 1; other values raise
+    ValueError. The risk window is the harness's (``sim.Scenario.trim``).
     """
 
     L: int = 8
     lepski: LepskiConfig = field(default_factory=LepskiConfig)
     grid_size: int = DEFAULT_GRID_SIZE
-    trim: float = 0.1
     fixed_bandwidths: object = None
     threads: int = 1
 

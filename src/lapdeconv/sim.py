@@ -181,7 +181,8 @@ def forward_convolve(g, f, times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One Monte-Carlo cell: a (kernel, target) pair at one noise level."""
+    """One Monte-Carlo cell: a (kernel, target) pair at one noise level,
+    whose risks drop the boundary fraction trim (``trimmed_window``)."""
 
     g_name: str
     f_name: str
@@ -191,6 +192,7 @@ class Scenario:
     seed: int = 0
     T: float = 10.0
     config: EstimatorConfig = field(default_factory=EstimatorConfig)
+    trim: float = 0.1
 
     def __post_init__(self):
         if self.g_name not in BUILTIN_G_NAMES:
@@ -248,11 +250,11 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     Noise is drawn from a counter-based generator keyed by (seed, run), so
     any replication can be regenerated independently and the report is a
     pure function of the scenario. Estimator failures mark their runs as
-    failed instead of aborting the batch. Raises ValueError when no point of
-    the evaluation grid lies in the trimmed risk window.
+    failed instead of aborting the batch. Raises ValueError from
+    ``trimmed_window(grid, sc.trim)``, the window the risks average over.
     """
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
-    mask = trimmed_window(grid, sc.config.trim)
+    mask = trimmed_window(grid, sc.trim)
     g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
     times, Y = cell_sample(g, f, sc.n, sc.sigma, sc.seed, sc.runs, sc.T)
@@ -308,9 +310,10 @@ def table_cells() -> list[tuple[str, str, int, int]]:
 
 def run_table(cells, runs: int = 100, seed: int = 0,
               config: EstimatorConfig | None = None,
-              T: float = 10.0) -> list[tuple[tuple, ExperimentReport]]:
+              T: float = 10.0, trim: float = 0.1) -> list[tuple[tuple, ExperimentReport]]:
     """Run a list of (g, f, n, i) cells; returns [(cell, report), ...] in
-    input order regardless of execution concurrency.
+    input order regardless of execution concurrency. trim is every cell's
+    ``Scenario.trim``.
 
     config.threads > 1 splits the threads by cell when there are several
     cells, each cell then running with threads=1, and by derivative order
@@ -324,7 +327,7 @@ def run_table(cells, runs: int = 100, seed: int = 0,
     scenarios = [
         Scenario(
             g_name=gn, f_name=fn, n=n, sigma=ladder_sigma(gn, i),
-            runs=runs, seed=seed, T=T, config=config,
+            runs=runs, seed=seed, T=T, config=config, trim=trim,
         )
         for (gn, fn, n, i) in cells
     ]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -606,9 +604,6 @@ def _powers(s: np.ndarray, L: int, keep) -> np.ndarray:
 # facts take about 0.2 MB), and the simulation table has two.
 _DESIGN_CAP = 8
 
-_designs: OrderedDict = OrderedDict()
-_designs_lock = threading.Lock()
-
 
 @dataclass
 class _Level:
@@ -623,27 +618,25 @@ class _Level:
     rel: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=_DESIGN_CAP)
+def _design_store(times_bytes: bytes, T: float) -> dict:
+    """The dict of level facts of one design, kept by ``functools.lru_cache``."""
+    return {}
+
+
 def _design_facts(times: np.ndarray, T: float) -> dict:
     """The level facts stored for the design (times, T): (j, L, lam) -> ``_Level``.
 
     The design is keyed by the bytes of times and by T, so a change of one
     time by one ulp or of T starts an empty dict; hashing the bytes is the
     one pass over the design a call makes, and a copy of them (8 bytes per
-    observation) is kept with the facts. At most ``_DESIGN_CAP`` designs
-    are kept, and the least recently used one goes first. The facts are
-    deterministic functions of the design, so the store changes no result,
-    only whether a fact is computed or read.
+    observation) is kept with the facts. ``_design_store`` keeps at most
+    ``_DESIGN_CAP`` designs, least recently used out first. Two concurrent
+    first calls on one design may each fill a dict of their own; the facts
+    are deterministic functions of the design, so the store changes no
+    result, only whether a fact is computed or read.
     """
-    key = np.ascontiguousarray(times, dtype=float).tobytes(), float(T)
-    with _designs_lock:
-        facts = _designs.get(key)
-        if facts is None:
-            facts = _designs[key] = {}
-            if len(_designs) > _DESIGN_CAP:
-                _designs.popitem(last=False)
-        else:
-            _designs.move_to_end(key)
-    return facts
+    return _design_store(np.ascontiguousarray(times, dtype=float).tobytes(), float(T))
 
 
 def _open_windows(times: np.ndarray, x: np.ndarray, lam: float, T: float) -> int:

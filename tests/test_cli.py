@@ -2,13 +2,16 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lapdeconv.cli import _resolve_threads, main, parse_kernel_spec
+from lapdeconv import EstimatorConfig, LepskiConfig
+from lapdeconv.cli import SIDECAR_CONFIG, _resolve_threads, main, parse_kernel_spec
 from oracles import check_schema, load_sidecar_schema
 
 G2 = '{"form":"builtin","name":"g2"}'
@@ -168,6 +171,43 @@ class TestDeconvolveCommand:
                    "--sidecar", str(side)])
         assert rc == 0
         assert side.exists()
+
+    @pytest.mark.parametrize("flags,fixed", [
+        ([], None),
+        (["--bandwidth", "0.5"], 0.5),
+        (["--bandwidth", "0.5,0.4"], [0.5, 0.4]),
+    ], ids=["adaptive", "scalar", "list"])
+    def test_sidecar_records_fixed_bandwidths(self, tmp_path, flags, fixed):
+        data = emit_cell(tmp_path)
+        rc = main(["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
+                   "--output", str(tmp_path / "f.csv")] + flags)
+        assert rc == 0
+        side = json.loads((tmp_path / "f.csv.json").read_text())
+        assert check_schema(side, load_sidecar_schema()) == []
+        assert side["config"]["fixed_bandwidths"] == fixed
+        assert type(side["config"]["fixed_bandwidths"]) is type(fixed)
+
+    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # the same relative paths in one directory per run, so the sidecars'
+        # input and output members agree; g4 estimates four orders
+        data = emit_cell(tmp_path, cell="g4,f2,100,0")
+        outputs = []
+        for name, flags, env in (("default", [], None), ("flag", ["--threads", "4"], None),
+                                 ("env", [], "2")):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            shutil.copy(data, run_dir / "in.csv")
+            monkeypatch.chdir(run_dir)
+            if env is None:
+                monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LAPDECONV_THREADS", env)
+            rc = main(["deconvolve", "--input", "in.csv", "--kernel", G4,
+                       "--sigma", "0.002", "--output", "f.csv"] + flags)
+            assert rc == 0
+            outputs.append(((run_dir / "f.csv").read_bytes(),
+                            (run_dir / "f.csv.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_fixed_bandwidth_allows_sigma_zero(self, tmp_path):
         data = emit_cell(tmp_path)
@@ -429,6 +469,13 @@ class TestSimulateCommand:
         assert err.startswith("lapdeconv: invalid parameter: ")
         assert err.count("\n") == 1
 
+    def test_trim_sets_the_report_window(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["simulate", "--cell", "g2,f1,60,0", "--runs", "2", "--seed", "1"]
+        assert main(args + ["--output", str(a)]) == 0
+        assert main(args + ["--output", str(b), "--trim", "0.3"]) == 0
+        assert a.read_bytes() != b.read_bytes()
+
     def test_emit_data_requires_cell(self, tmp_path):
         rc = main(["simulate", "--full", "--runs", "1",
                    "--output", str(tmp_path / "rep.csv"),
@@ -534,6 +581,17 @@ class TestThreadResolution:
         assert err.startswith("lapdeconv: invalid parameter: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_sidecar_config_holds_the_settings_that_shape_f_hat():
+    # every field of EstimatorConfig, with LepskiConfig's fields in place of
+    # "lepski", except the thread count, which changes no output byte
+    settings = {f.name for f in fields(EstimatorConfig)} - {"lepski", "threads"}
+    settings |= {f.name for f in fields(LepskiConfig)}
+    assert set(SIDECAR_CONFIG) == settings
+    schema = load_sidecar_schema()["properties"]["config"]
+    assert schema["required"] == list(SIDECAR_CONFIG)
+    assert set(schema["properties"]) == settings
 
 
 class TestSchemaChecker:

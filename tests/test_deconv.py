@@ -236,8 +236,7 @@ class TestRiskMse:
 
     @pytest.mark.parametrize("trim", [0.5, 0.6, -0.1])
     def test_trimmed_window_rejects_trim_outside_range(self, trim):
-        # the window is the only reader of EstimatorConfig.trim, and its only check
-        EstimatorConfig(trim=trim)
+        # the window is the one check of a trim, for Scenario.trim and risk_mse alike
         with pytest.raises(ValueError, match=r"trim must lie in \[0, 0\.5\)"):
             trimmed_window(np.linspace(0.0, 10.0, 11), trim)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lapdeconv._expalg import ExpPoly
-from lapdeconv.deconv import EstimatorConfig
+from lapdeconv.deconv import EstimatorConfig, deconvolve, risk_mse
 from lapdeconv.sim import (
     BUILTIN_F_NAMES,
     BUILTIN_G_NAMES,
@@ -16,6 +16,7 @@ from lapdeconv.sim import (
     Scenario,
     builtin_f,
     builtin_g,
+    cell_sample,
     forward_convolve,
     ladder_sigma,
     run_experiment,
@@ -24,6 +25,7 @@ from lapdeconv.sim import (
     write_report_csv,
     write_report_json,
 )
+from lapdeconv.smoother import NoisySample
 from oracles import convolve_exp_poly
 
 
@@ -216,6 +218,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trimmed window"):
             run_experiment(sc)
 
+    def test_trim_sets_the_risk_window(self):
+        sigma = ladder_sigma("g2", 0)
+        base = run_experiment(Scenario("g2", "f1", n=60, sigma=sigma, runs=1, seed=4))
+        rep = run_experiment(Scenario("g2", "f1", n=60, sigma=sigma, runs=1, seed=4,
+                                      trim=0.3))
+        assert rep.per_run_mse[0] != base.per_run_mse[0]
+        assert rep.bandwidth_counts == base.bandwidth_counts
+        # the risk over [0.3 T, 0.7 T] of the same replication's estimate
+        g, f = builtin_g("g2"), builtin_f("f1")
+        times, Y = cell_sample(g, f, 60, sigma, 4, 1, 10.0)
+        res = deconvolve(NoisySample(times=times, values=Y[:, 0], T=10.0, sigma=sigma), g)
+        assert rep.per_run_mse[0] == pytest.approx(risk_mse(res, f, trim=0.3), rel=1e-12)
+        assert base.per_run_mse[0] == pytest.approx(risk_mse(res, f, trim=0.1), rel=1e-12)
+
+    @pytest.mark.parametrize("trim", [0.5, -0.1])
+    def test_trim_outside_range_raises(self, trim):
+        sc = Scenario("g2", "f1", n=60, sigma=0.01, runs=1, trim=trim)
+        with pytest.raises(ValueError, match=r"trim must lie in \[0, 0\.5\)"):
+            run_experiment(sc)
+
 
 class TestTable:
     def test_cell_count_and_order(self):
@@ -234,6 +256,15 @@ class TestTable:
         assert [c for c, _ in seq] == cells
         for (_, ra), (_, rb) in zip(seq, par):
             np.testing.assert_array_equal(ra.per_run_mse, rb.per_run_mse)
+
+    def test_run_table_passes_trim_to_every_cell(self):
+        cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2)]
+        for (gn, fn, n, i), (_, rep) in zip(cells, run_table(cells, runs=2, seed=3,
+                                                             trim=0.25)):
+            assert rep.scenario.trim == 0.25
+            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=2, seed=3,
+                                           trim=0.25))
+            np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
 
 
 class TestWriters:

@@ -494,9 +494,11 @@ class TestPathSwitch:
 
 
 @pytest.fixture
-def empty_store(monkeypatch):
-    """An empty store of design facts for the test, the shared one untouched."""
-    monkeypatch.setattr(smoother, "_designs", type(smoother._designs)())
+def empty_store():
+    """An empty store of design facts for the test, emptied again after it."""
+    smoother._design_store.cache_clear()
+    yield
+    smoother._design_store.cache_clear()
 
 
 class TestDesignStore:
@@ -524,9 +526,9 @@ class TestDesignStore:
         moment_errors, windowed = moments["_band_rows"], moments["_windowed_rows"]
         fallbacks = set()
         for j in range(5):
-            smoother._designs.clear()
+            smoother._design_store.cache_clear()
             fresh = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
-            smoother._designs.clear()
+            smoother._design_store.cache_clear()
             first = _lepski_batch(times, T, V1, sigma, j, 8, LepskiConfig())[2]
             assert first["levels_reused"] == 0 < first["levels_probed"]
             assert (any(moment_errors), bool(windowed)) == (path == "band", path == "windowed")
@@ -562,7 +564,7 @@ class TestDesignStore:
             facts["seen"] = True
         assert smoother._design_facts(designs[1], T) is stores[1]
         assert smoother._design_facts(designs[0], T) == {}
-        assert len(smoother._designs) == cap
+        assert smoother._design_store.cache_info().currsize == cap
 
     def test_concurrent_callers_agree(self, empty_store):
         # more threads than cores, switching often, on one design and on
@@ -571,7 +573,7 @@ class TestDesignStore:
         cfg = LepskiConfig()
         want = [_lepski_batch(times, T, V, 0.01, j, 8, cfg)[1] for j in range(3)]
         others = [np.arange(1, 41 + k) * (T / (40 + k)) for k in range(3 * smoother._DESIGN_CAP)]
-        smoother._designs.clear()
+        smoother._design_store.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -586,7 +588,7 @@ class TestDesignStore:
             sys.setswitchinterval(interval)
         for k, (_, selected, _) in enumerate(got):
             np.testing.assert_array_equal(selected, want[k % 3])
-        assert len(smoother._designs) == smoother._DESIGN_CAP
+        assert smoother._design_store.cache_info().currsize == smoother._DESIGN_CAP
 
     def test_threads_share_the_store(self, empty_store):
         from lapdeconv import EstimatorConfig, run_table
@@ -595,7 +597,7 @@ class TestDesignStore:
         cells = [("g2", "f1", 100, 0), ("g1", "f1", 100, 2), ("g4", "f2", 100, 1)]
         reports = []
         for threads in (2, 1):  # each from an empty store
-            smoother._designs.clear()
+            smoother._design_store.cache_clear()
             reports.append(run_table(cells, runs=4, seed=5,
                                      config=EstimatorConfig(threads=threads)))
         for (_, two), (_, one) in zip(*reports):

@@ -14,7 +14,8 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
-  g4,f2,100,1 and g5,f3,100,0;
+  g4,f2,100,1 and g5,f3,100,0, and for g2,f1,100,0 again with
+  `--trim 0.2`, which pins a risk window other than the default;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV.
 
 Every command runs inside DIR with relative file names, so the paths the
@@ -48,6 +49,8 @@ DECONVOLVE_CELLS = (
 # input is the one written for that cell in DECONVOLVE_CELLS
 FIXED_CELL = ("g2", "f1", 250, "0.01", "0.5,0.4")
 SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
+# (cell, --trim) of the simulate run with a non-default risk window
+TRIM_CELL = ("g2,f1,100,0", "0.2")
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
@@ -81,6 +84,10 @@ def capture(out_dir: Path, src: Path) -> list[str]:
         stem = "simulate_" + cell.replace(",", "_")
         cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
             "--output", f"{stem}.csv", "--json", f"{stem}.json")
+    cell, trim = TRIM_CELL
+    stem = "simulate_" + cell.replace(",", "_") + "_trim" + trim
+    cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
+        "--trim", trim, "--output", f"{stem}.csv", "--json", f"{stem}.json")
     cli(out_dir, src, "make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234",
         "--output", "make_kernel.csv", "--json", "make_kernel.json")
     return sorted(p.name for p in out_dir.iterdir())
