@@ -15,10 +15,12 @@ module parses flags and maps the library's exceptions to exit codes:
 0 success, 2 malformed input or an invalid parameter (a ValueError),
 3 kernel-spec or make-kernel order violation, 4 estimator failure (an
 EstimationError). Every failure prints a one-line diagnostic naming the
-violated precondition. All numeric output uses 17 significant digits so
-files round-trip losslessly, and every output is a pure function of
-(input bytes, flags, seed). The environment variable LAPDECONV_THREADS
-caps internal parallelism and, like --threads, changes no output byte.
+violated precondition. Flag defaults are those of EstimatorConfig,
+LepskiConfig and Scenario. ``_write_columns`` writes every two-column CSV,
+at 17 significant digits so files round-trip losslessly, and
+``sim.write_json`` every JSON document; every output is a pure function of
+(input bytes, flags, seed). The environment variable LAPDECONV_THREADS caps
+internal parallelism and, like --threads, changes no output byte.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ from .resolvent import (
 from .sim import (
     BUILTIN_F_NAMES,
     BUILTIN_G_NAMES,
+    Scenario,
     builtin_f,
     builtin_g,
     cell_sample,
     ladder_sigma,
     run_table,
     table_cells,
+    write_json,
     write_report_csv,
     write_report_json,
 )
@@ -72,10 +76,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _resolve_threads(requested: int | None) -> int:
@@ -202,9 +202,7 @@ def _estimator_config(args) -> EstimatorConfig:
     try:
         return EstimatorConfig(
             L=args.L,
-            lepski=LepskiConfig(
-                a=args.a, C=args.C, threshold_mult=args.threshold_mult
-            ),
+            lepski=LepskiConfig(a=args.a, threshold_mult=args.threshold_mult),
             grid_size=args.grid_size,
             fixed_bandwidths=_parse_bandwidths(args.bandwidth),
             threads=threads,
@@ -221,7 +219,15 @@ def _estimator_config(args) -> EstimatorConfig:
 # of EstimatorConfig with its LepskiConfig's fields in place of "lepski", less
 # "threads", which changes no output byte. The parsed flags are JSON types
 # already; a tuple of fixed bandwidths is written as a list.
-SIDECAR_CONFIG = ("L", "a", "C", "threshold_mult", "grid_size", "fixed_bandwidths")
+SIDECAR_CONFIG = ("L", "a", "threshold_mult", "grid_size", "fixed_bandwidths")
+
+
+def _write_columns(path: str, header: tuple[str, str], xs, ys) -> None:
+    """A two-column CSV: the header, then one row per (x, y) at 17 digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["%.17g" % x, "%.17g" % y] for x, y in zip(xs, ys))
 
 
 def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool):
@@ -288,18 +294,10 @@ def cmd_deconvolve(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
 
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f_hat"])
-        for t, v in zip(result.grid, result.f_hat):
-            writer.writerow([_fmt(t), _fmt(v)])
-
+    _write_columns(args.output, ("t", "f_hat"), result.grid, result.f_hat)
     sidecar = _sidecar_document(args, data, g, result,
                                 sigma_estimated=args.sigma is None)
-    sidecar_path = args.sidecar or (args.output + ".json")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.sidecar or (args.output + ".json"), sidecar)
     return 0
 
 
@@ -318,18 +316,6 @@ def _parse_cell(text: str) -> tuple[str, str, int, int]:
     if gn not in BUILTIN_G_NAMES or fn not in BUILTIN_F_NAMES:
         raise CliError(EXIT_BAD_KERNEL, f"unknown builtin pair {gn},{fn}")
     return gn, fn, n, i
-
-
-def _emit_data(path: str, cell: tuple[str, str, int, int], seed: int, T: float):
-    """First-replication synthetic sample of a cell as a t,y CSV."""
-    gn, fn, n, i = cell
-    times, Y = cell_sample(builtin_g(gn), builtin_f(fn), n, ladder_sigma(gn, i),
-                           seed, 1, T)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"])
-        for t, v in zip(times, Y[:, 0]):
-            writer.writerow([_fmt(t), _fmt(v)])
 
 
 def cmd_simulate(args) -> int:
@@ -351,7 +337,10 @@ def cmd_simulate(args) -> int:
         write_report_json(args.json, results,
                           extra={"runs": args.runs, "seed": args.seed})
     if args.emit_data:
-        _emit_data(args.emit_data, cells[0], args.seed, 10.0)
+        gn, fn, n, i = cells[0]
+        times, Y = cell_sample(builtin_g(gn), builtin_f(fn), n, ladder_sigma(gn, i),
+                               args.seed, 1, Scenario.T)
+        _write_columns(args.emit_data, ("t", "y"), times, Y[:, 0])
     return 0
 
 
@@ -370,20 +359,9 @@ def cmd_make_kernel(args) -> int:
         "norm2": float(kern.norm2),
     }
     if args.output:
-        lo, hi = kern.support
-        ts = np.linspace(lo, hi, 1001)
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "K"])
-            for t, v in zip(ts, kern(ts)):
-                writer.writerow([_fmt(t), _fmt(v)])
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        ts = np.linspace(*kern.support, 1001)
+        _write_columns(args.output, ("t", "K"), ts, kern(ts))
+    write_json(args.json or sys.stdout, payload)
     return 0
 
 
@@ -416,18 +394,16 @@ def cmd_inspect_kernel(args) -> int:
 
 
 def _add_estimator_flags(sub) -> None:
-    sub.add_argument("--L", type=int, default=8,
-                     help="kernel order (default 8)")
-    sub.add_argument("--a", type=float, default=1.2,
-                     help="bandwidth grid ratio (default 1.2)")
-    sub.add_argument("--C", type=float, default=None,
-                     help="override the adaptation constant (default: "
-                          "kernel-norm scaled)")
-    sub.add_argument("--threshold-mult", type=float, default=3.0,
-                     dest="threshold_mult",
-                     help="comparison threshold multiplier (default 3)")
-    sub.add_argument("--grid-size", type=int, default=1024, dest="grid_size",
-                     help="evaluation grid size (default 1024)")
+    sub.add_argument("--L", type=int, default=EstimatorConfig.L,
+                     help="kernel order (default %(default)s)")
+    sub.add_argument("--a", type=float, default=LepskiConfig.a,
+                     help="bandwidth grid ratio (default %(default)s)")
+    sub.add_argument("--threshold-mult", type=float, dest="threshold_mult",
+                     default=LepskiConfig.threshold_mult,
+                     help="comparison threshold multiplier (default %(default)s)")
+    sub.add_argument("--grid-size", type=int, default=EstimatorConfig.grid_size,
+                     dest="grid_size",
+                     help="evaluation grid size (default %(default)s)")
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: LAPDECONV_THREADS or 1)")
     sub.add_argument("--bandwidth", default=None,
@@ -464,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="single cell g,f,n,i (e.g. g2,f1,100,0)")
     pick.add_argument("--full", action="store_true",
                       help="run the full benchmark grid")
-    p_sim.add_argument("--runs", type=int, default=100,
-                       help="replications per cell (default 100)")
-    p_sim.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_sim.add_argument("--runs", type=int, default=Scenario.runs,
+                       help="replications per cell (default %(default)s)")
+    p_sim.add_argument("--seed", type=int, default=Scenario.seed,
+                       help="base seed (default %(default)s)")
     p_sim.add_argument("--output", default=None,
                        help="report CSV path (default: stdout)")
     p_sim.add_argument("--json", default=None, help="report JSON path")
@@ -474,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the first replication's t,y CSV "
                             "(requires --cell)")
     _add_estimator_flags(p_sim)
-    p_sim.add_argument("--trim", type=float, default=0.1,
+    p_sim.add_argument("--trim", type=float, default=Scenario.trim,
                        help="boundary trim fraction for risk summaries "
-                            "(default 0.1)")
+                            "(default %(default)s)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mk = subs.add_parser("make-kernel", help="construct a smoothing kernel")

@@ -20,6 +20,7 @@ import numpy as np
 from ._expalg import ExpPoly
 from .resolvent import RationalLaplaceKernel, ResolventDecomposition, decompose
 from .smoother import (
+    DEFAULT_GRID_SIZE,
     DesignWeights,
     EstimationError,
     LepskiConfig,
@@ -36,7 +37,7 @@ __all__ = [
     "trimmed_window",
 ]
 
-DEFAULT_GRID_SIZE = 1024
+DEFAULT_TRIM = 0.1  # boundary fraction of [0, T] that risks drop (``trimmed_window``)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def trimmed_window(grid: np.ndarray, trim: float) -> np.ndarray:
     return mask
 
 
-def risk_mse(result: DeconvolutionResult, truth, trim: float = 0.1) -> float:
+def risk_mse(result: DeconvolutionResult, truth, trim: float = DEFAULT_TRIM) -> float:
     """Grid-average squared error of f_hat against a callable truth over the
     trimmed window (``trimmed_window``) of the result's grid."""
     grid = result.grid

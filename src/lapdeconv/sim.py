@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._expalg import ExpPoly
-from .deconv import EstimatorConfig, _estimate_all, trimmed_window
+from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
 from .smoother import EstimationError
 from .special import reg_lower_gamma, standard_normals
@@ -37,6 +37,7 @@ __all__ = [
     "run_experiment",
     "run_table",
     "table_cells",
+    "write_json",
     "write_report_csv",
     "write_report_json",
 ]
@@ -192,7 +193,7 @@ class Scenario:
     seed: int = 0
     T: float = 10.0
     config: EstimatorConfig = field(default_factory=EstimatorConfig)
-    trim: float = 0.1
+    trim: float = DEFAULT_TRIM
 
     def __post_init__(self):
         if self.g_name not in BUILTIN_G_NAMES:
@@ -308,9 +309,9 @@ def table_cells() -> list[tuple[str, str, int, int]]:
     ]
 
 
-def run_table(cells, runs: int = 100, seed: int = 0,
-              config: EstimatorConfig | None = None,
-              T: float = 10.0, trim: float = 0.1) -> list[tuple[tuple, ExperimentReport]]:
+def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
+              config: EstimatorConfig | None = None, T: float = Scenario.T,
+              trim: float = Scenario.trim) -> list[tuple[tuple, ExperimentReport]]:
     """Run a list of (g, f, n, i) cells; returns [(cell, report), ...] in
     input order regardless of execution concurrency. trim is every cell's
     ``Scenario.trim``.
@@ -393,8 +394,14 @@ def write_report_json(path, results, extra: dict | None = None) -> None:
     doc = {"rows": rows}
     if extra:
         doc.update(extra)
+    write_json(path, _clean_nan(doc))
+
+
+def write_json(path, doc) -> None:
+    """doc as JSON with indent 2, sorted keys and a trailing newline to path,
+    a file name or an open text file (e.g. stdout)."""
     with _open_text(path) as fh:
-        json.dump(_clean_nan(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

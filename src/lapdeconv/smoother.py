@@ -40,6 +40,11 @@ _RHO_MIN = 1e-3
 # Largest moment deviation (``_moment_worst``) of an admissible bandwidth level
 _PROBE_TOL = 0.1
 
+# Most levels above the widest gap's need (``_widest_gap``) a grid may hold
+_LEVELS_ABOVE_GAP_MAX = 1000
+
+DEFAULT_GRID_SIZE = 1024  # points of the evaluation grid on [0, T]
+
 
 class EstimationError(RuntimeError):
     """An estimate cannot be formed from the given design and bandwidth."""
@@ -130,27 +135,22 @@ class BandwidthGrid:
 class LepskiConfig:
     """Tuning constants for the adaptive bandwidth selector.
 
-    C is the comparison constant mu * ||K_j|| of the selection rule; when
-    None it defaults to ||K_j||, the kernel norm integrated exactly, which
-    is the value for the mesh ratio mu = 1 of an equispaced design.
-    threshold_mult 3.0 is the empirically tuned multiplier; 4.0 is the
-    conservative theoretical one. C must be None or finite and positive,
-    threshold_mult finite and positive; other values raise ValueError. The
-    probe tolerance (``_PROBE_TOL``) and the comparison grid of
-    max(4n, 2000) points are fixed.
+    Order j's threshold scales with the exact kernel norm ||K_j||, the
+    paper's mu ||K_j|| at mesh ratio mu = 1, so threshold_mult is its one
+    free scale: a constant c in place of ||K_j|| selects as threshold_mult
+    * c^2 / ||K_j||^2 does. 3.0 is the empirically tuned multiplier, 4.0
+    the conservative theoretical one; it must be finite and positive, else
+    ValueError. The probe tolerance (``_PROBE_TOL``) and the comparison
+    grid of max(4n, 2000) points are fixed.
     """
 
     a: float = 1.2
-    C: float | None = None
     threshold_mult: float = 3.0
 
     def __post_init__(self):
-        for name in ("C", "threshold_mult"):
-            value = getattr(self, name)
-            if name == "C" and value is None:
-                continue
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        value = self.threshold_mult
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"threshold_mult must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -407,18 +407,26 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     )
 
 
+def _widest_gap(times: np.ndarray, T: float) -> tuple[float, float, float]:
+    """(start, end, need) of the stretch of [0, T] that needs the largest lam
+    for every point to see an observation within lam: half a gap between
+    observations, all of [0, t_1] or [t_n, T]. No lam <= need is admissible."""
+    pts = np.concatenate(([0.0], times, [T]))
+    need = np.diff(pts) / 2
+    need[0] *= 2
+    need[-1] *= 2
+    i = int(np.argmax(need))
+    return float(pts[i]), float(pts[i + 1]), float(need[i])
+
+
 def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
                      checked: float | None, size: int) -> str:
     """Why no bandwidth level reached the moment check in ``_lepski_batch``.
 
     A level is tested only when it fits in T/2 and leaves two comparison
     points in its interior zone [lam, T - lam]; ``checked`` is the largest
-    level that did (None when none did), and every tested level then met an
-    empty observation window. Every point of [0, T] must see an
-    observation in its open window of half-width lam: a gap between two
-    observations needs lam above half its length, the stretches [0, t_1]
-    and [t_n, T] need lam above their full length, so the widest such need
-    is at least ``checked``.
+    level that did (None when none did); every tested level then met an empty
+    observation window, so ``_widest_gap``'s need is at least ``checked``.
     """
     if levels[-1] > T / 2:
         return "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
@@ -427,14 +435,10 @@ def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
         return ("the comparison grid of %d points leaves fewer than two points in "
                 "the interior zone [lam, T - lam] of every level up to T/2 = %g"
                 % (size, T / 2))
-    pts = np.concatenate(([0.0], times, [T]))
-    need = np.diff(pts) / 2
-    need[0] *= 2
-    need[-1] *= 2
-    i = int(np.argmax(need))
+    start, end, need = _widest_gap(times, T)
     return ("the widest design gap, from t=%g to t=%g, needs a bandwidth above %g, "
             "and the largest level tested (within T/2 = %g and the comparison "
-            "grid) is %g" % (pts[i], pts[i + 1], need[i], T / 2, checked))
+            "grid) is %g" % (start, end, need, T / 2, checked))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -712,7 +716,11 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     one (the smallest such error) is the only admissible level and
     ``details["fallback"]`` is "least_biased"; otherwise it is None.
     Distances between estimates are integrated over the interior zone of
-    the larger bandwidth, where neither estimate is boundary-affected.
+    the larger bandwidth, where neither estimate is boundary-affected, against
+    threshold_mult * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
+    (``details["C"]``); a constant c as C selects as threshold_mult * c^2 /
+    ||K_j||^2 does. More than ``_LEVELS_ABOVE_GAP_MAX`` levels above the need
+    of ``_widest_gap`` (a ratio a near 1) raise ValueError before any probe.
 
     A level's comparison-grid estimates and moment check are computed one
     of two ways, chosen by ``_probe_level`` by a cost rule in the
@@ -744,11 +752,16 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     those of them whose facts all came from the store.
     """
     n = times.size
-    grid_obj = BandwidthGrid.build(j, cfg.a, n, sigma, T)
-    levels = grid_obj.levels
+    levels = BandwidthGrid.build(j, cfg.a, n, sigma, T).levels
+    need = _widest_gap(times, T)[2]
+    above = int(np.count_nonzero(levels > need))
+    if above > _LEVELS_ABOVE_GAP_MAX:
+        raise ValueError("grid ratio a=%r puts %d bandwidth levels of order j=%d above "
+                         "the widest design gap's need of %g, more than %d; raise a"
+                         % (cfg.a, above, j, need, _LEVELS_ABOVE_GAP_MAX))
     cgrid = np.linspace(0.0, T, max(4 * n, 2000))
     ker = make_kernel(L, j)
-    C = float(cfg.C) if cfg.C is not None else math.sqrt(ker.norm2)
+    C = math.sqrt(ker.norm2)
 
     facts = _design_facts(times, T)
     R = V.shape[1]
@@ -847,7 +860,9 @@ def lepski_select(data: NoisySample, j: int, L: int,
     level is admissible, the least-biased level (the one that misses the
     moment conditions least) is used and ``details["fallback"]`` reads
     "least_biased". The smallest admissible level has nothing smaller to
-    be compared with, so it is selected when no larger level passes.
+    be compared with, so it is selected when no larger level passes. A
+    constant c in place of ||K_j|| (``details["C"]``) selects as
+    threshold_mult * c^2 / ||K_j||^2 does.
     Admissibility is read from a store of design facts when the same
     design (times and T) was selected on before, among the last 8 designs;
     that saves time on repeated calls only and never changes the result
@@ -868,7 +883,7 @@ def estimate_derivative(data: NoisySample, j: int, L: int,
     """Adaptive-bandwidth estimate of q^(j): select, then evaluate."""
     cfg = cfg or LepskiConfig()
     if grid is None:
-        grid = np.linspace(0.0, data.T, 1024)
+        grid = np.linspace(0.0, data.T, DEFAULT_GRID_SIZE)
     lam = lepski_select(data, j, L, cfg)
     return pc_estimate(data, j, L, lam, grid)
 

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from lapdeconv import EstimatorConfig, LepskiConfig
-from lapdeconv.cli import SIDECAR_CONFIG, _resolve_threads, main, parse_kernel_spec
+from lapdeconv.cli import (
+    SIDECAR_CONFIG,
+    _estimator_config,
+    _resolve_threads,
+    build_parser,
+    main,
+    parse_kernel_spec,
+)
+from lapdeconv.sim import Scenario
 from oracles import check_schema, load_sidecar_schema
 
 G2 = '{"form":"builtin","name":"g2"}'
@@ -25,8 +33,8 @@ G4_EXP_POLY = json.dumps({
 BAD_SELECTION_FLAGS = [
     ["--threshold-mult", "-1"],
     ["--threshold-mult", "nan"],
-    ["--C", "0"],
-    ["--C", "-2"],
+    ["--threshold-mult", "0"],
+    ["--threshold-mult", "inf"],
     ["--a", "inf"],
 ]
 
@@ -184,6 +192,7 @@ class TestDeconvolveCommand:
         assert rc == 0
         side = json.loads((tmp_path / "f.csv.json").read_text())
         assert check_schema(side, load_sidecar_schema()) == []
+        assert sorted(side["config"]) == sorted(SIDECAR_CONFIG)
         assert side["config"]["fixed_bandwidths"] == fixed
         assert type(side["config"]["fixed_bandwidths"]) is type(fixed)
 
@@ -354,6 +363,18 @@ class TestDeconvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("lapdeconv: invalid parameter: ")
         assert err.count("\n") == 1
+
+    def test_ratio_near_one_exits_2(self, tmp_path, capsys):
+        # 1.0001 puts 32191 levels above the design's widest gap, 1.05 puts 66
+        data = emit_cell(tmp_path, cell="g4,f2,250,0")
+        capsys.readouterr()
+        args = ["deconvolve", "--input", data, "--kernel", G4, "--sigma", "0.002",
+                "--output", str(tmp_path / "f.csv")]
+        assert main(args + ["--a", "1.0001"]) == 2
+        assert one_error_line(capsys).startswith("lapdeconv: invalid parameter: ")
+        assert not (tmp_path / "f.csv").exists()
+        assert main(args + ["--a", "1.05"]) == 0
+        assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 1024
 
     def test_diagnostic_on_stderr(self, tmp_path, capsys):
         rc = main(["deconvolve", "--input", str(tmp_path / "nope.csv"),
@@ -581,6 +602,33 @@ class TestThreadResolution:
         assert err.startswith("lapdeconv: invalid parameter: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+
+REQUIRED_ARGS = {
+    "deconvolve": ["deconvolve", "--input", "in.csv", "--kernel", G2, "--output", "f.csv",
+                   "--sigma", "0.01"],
+    "simulate": ["simulate", "--cell", "g2,f1,100,0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_flag_defaults_are_the_config_defaults(monkeypatch, command):
+    monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
+    args = build_parser().parse_args(REQUIRED_ARGS[command])
+    assert _estimator_config(args) == EstimatorConfig()
+    if command == "simulate":
+        defaults = {f.name: f.default for f in fields(Scenario)}
+        assert (args.runs, args.seed, args.trim) == (
+            defaults["runs"], defaults["seed"], defaults["trim"])
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_C_flag_is_rejected(capsys, command):
+    # the threshold's one scale is --threshold-mult; there is no --C
+    with pytest.raises(SystemExit) as exc:
+        main(REQUIRED_ARGS[command] + ["--C", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --C 2" in capsys.readouterr().err
 
 
 def test_sidecar_config_holds_the_settings_that_shape_f_hat():

@@ -1,8 +1,10 @@
 """Tests for the Monte-Carlo benchmark harness."""
 
+import inspect
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -256,6 +258,12 @@ class TestTable:
         assert [c for c, _ in seq] == cells
         for (_, ra), (_, rb) in zip(seq, par):
             np.testing.assert_array_equal(ra.per_run_mse, rb.per_run_mse)
+
+    def test_run_table_defaults_are_the_scenario_defaults(self):
+        defaults = {f.name: f.default for f in fields(Scenario)}
+        params = inspect.signature(run_table).parameters
+        for name in ("runs", "seed", "T", "trim"):
+            assert params[name].default == defaults[name]
 
     def test_run_table_passes_trim_to_every_cell(self):
         cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2)]

@@ -623,25 +623,39 @@ class TestLepski:
         d = equispaced(400, np.sin, sigma=0.05, seed=3)
         assert lepski_select(d, 0, 8) == lepski_select(d, 0, 8)
 
-    def test_explicit_C_overrides_default(self):
-        d = equispaced(400, np.sin, sigma=0.05, seed=3)
-        _, da = lepski_select(d, 0, 8, LepskiConfig(C=2.5), return_details=True)
-        assert da["C"] == 2.5
+    @pytest.mark.parametrize("j", range(4))
+    def test_C_is_the_kernel_norm(self, j):
+        d = equispaced(500, np.sin, sigma=0.05, seed=7)
+        _, details = lepski_select(d, j, 8, return_details=True)
+        assert details["C"] == math.sqrt(make_kernel(8, j).norm2)
 
     @pytest.mark.parametrize(
         "field,value",
-        [
-            ("C", 0.0), ("C", -2.0), ("C", float("nan")), ("C", float("inf")),
-            ("threshold_mult", -1.0), ("threshold_mult", float("nan")),
-        ],
+        [("threshold_mult", -1.0), ("threshold_mult", float("nan"))],
     )
     def test_config_rejects_invalid_constants(self, field, value):
         with pytest.raises(ValueError, match=field):
             LepskiConfig(**{field: value})
 
     def test_config_accepts_boundary_values(self):
-        LepskiConfig(C=None)
-        LepskiConfig(C=1e-9)
+        LepskiConfig(threshold_mult=1e-9)
+
+    def test_ratio_near_one_is_refused_before_probing(self, monkeypatch):
+        # the need of this design is t_1 = 0.04, and 1.0001^-k > 0.04 for
+        # k = 0..32190; no level may be probed before the refusal
+        d = equispaced(250, np.sin, sigma=0.002, seed=1)
+        monkeypatch.setattr(smoother, "_probe_level", None)
+        with pytest.raises(ValueError, match=r"a=1\.0001 puts 32191 bandwidth levels"):
+            lepski_select(d, 0, 8, LepskiConfig(a=1.0001))
+
+    def test_small_sigma_adds_no_level_above_the_gap(self):
+        # sigma = 1e-9 deepens the grid to 233 levels, all new ones below
+        # the need of 0.04, so the 18 levels above it at a = 1.2 still pass
+        d = equispaced(250, np.sin, sigma=1e-9, seed=1)
+        lam, details = lepski_select(d, 0, 8, return_details=True)
+        assert np.count_nonzero(details["levels"] > 0.04) == 18
+        assert details["levels"].size == 233
+        assert lam in details["levels"]
 
     def test_smoother_noise_selects_no_smaller(self):
         # with less noise the selector may keep a smaller bandwidth; with

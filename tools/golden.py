@@ -16,7 +16,9 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
   g4,f2,100,1 and g5,f3,100,0, and for g2,f1,100,0 again with
   `--trim 0.2`, which pins a risk window other than the default;
-- `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV.
+- `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV,
+  and the same command's stdout without `--json`;
+- the stdout of `inspect-kernel` on the g4 kernel in exp-poly form.
 
 Every command runs inside DIR with relative file names, so the paths the
 sidecars record are the same for every capture. `compare` prints one line
@@ -51,11 +53,15 @@ FIXED_CELL = ("g2", "f1", 250, "0.01", "0.5,0.4")
 SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
 # (cell, --trim) of the simulate run with a non-default risk window
 TRIM_CELL = ("g2,f1,100,0", "0.2")
+# g4 as an exp-poly spec, the form inspect-kernel is captured on
+G4_EXP_POLY = ('{"form": "exp-poly", "a": 1.0, "r": 3, '
+               '"rho": [1.0, 5.5, 14.5625, 6.25, 35.265625]}')
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
-def cli(out_dir: Path, src: Path, *args: str) -> None:
+def cli(out_dir: Path, src: Path, *args: str) -> str:
+    """Run lapdeconv in out_dir with the package from src; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
@@ -64,6 +70,7 @@ def cli(out_dir: Path, src: Path, *args: str) -> None:
     if proc.returncode != 0:
         raise RuntimeError(f"lapdeconv {' '.join(args)} exited with "
                            f"{proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
 
 
 def capture(out_dir: Path, src: Path) -> list[str]:
@@ -90,6 +97,12 @@ def capture(out_dir: Path, src: Path) -> list[str]:
         "--trim", trim, "--output", f"{stem}.csv", "--json", f"{stem}.json")
     cli(out_dir, src, "make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234",
         "--output", "make_kernel.csv", "--json", "make_kernel.json")
+    stdout = {
+        "make_kernel.stdout": ("make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234"),
+        "inspect_kernel_g4.stdout": ("inspect-kernel", "--kernel", G4_EXP_POLY),
+    }
+    for name, args in stdout.items():
+        (out_dir / name).write_text(cli(out_dir, src, *args), encoding="utf-8")
     return sorted(p.name for p in out_dir.iterdir())
 
 
