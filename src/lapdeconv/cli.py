@@ -14,10 +14,11 @@ Each input rule is checked by the library function that needs it; this
 module parses flags and maps the library's exceptions to exit codes:
 0 success, 2 malformed input or an invalid parameter (a ValueError),
 3 kernel-spec or make-kernel order violation, 4 estimator failure (an
-EstimationError). Every failure prints a one-line diagnostic naming the
-violated precondition. Flag defaults are those of EstimatorConfig,
-LepskiConfig and Scenario. ``_write_columns`` writes every two-column CSV,
-at 17 significant digits so files round-trip losslessly, and
+EstimationError, or a MemoryError, named with the grid size). Every
+failure prints a one-line diagnostic naming the violated precondition.
+Flag defaults are those of EstimatorConfig, LepskiConfig and Scenario.
+``_write_columns`` writes every two-column CSV, at 17 significant digits
+so files round-trip losslessly, and
 ``sim.write_json`` every JSON document; every output is a pure function of
 (input bytes, flags, seed). The environment variable LAPDECONV_THREADS caps
 internal parallelism and, like --threads, changes no output byte.
@@ -211,6 +212,14 @@ def _estimator_config(args) -> EstimatorConfig:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
 
 
+def _out_of_memory(cfg: EstimatorConfig) -> CliError:
+    """The estimator failure for a MemoryError, naming the grid size, the
+    setting that sizes the evaluation arrays."""
+    return CliError(EXIT_ESTIMATOR,
+                    f"estimator: out of memory with an evaluation grid of "
+                    f"{cfg.grid_size} points (--grid-size)")
+
+
 # ---------------------------------------------------------------------------
 # JSON sidecar; schema/sidecar.schema.json documents its format
 
@@ -293,6 +302,8 @@ def cmd_deconvolve(args) -> int:
         raise CliError(EXIT_ESTIMATOR, f"estimator: {exc}") from None
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
+    except MemoryError:
+        raise _out_of_memory(cfg) from None
 
     _write_columns(args.output, ("t", "f_hat"), result.grid, result.f_hat)
     sidecar = _sidecar_document(args, data, g, result,
@@ -332,6 +343,8 @@ def cmd_simulate(args) -> int:
                             trim=args.trim)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
+    except MemoryError:
+        raise _out_of_memory(config) from None
     write_report_csv(args.output if args.output else sys.stdout, results)
     if args.json:
         write_report_json(args.json, results,

@@ -194,8 +194,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         Q = np.empty((grid.size, R))
         for lv in np.unique(lam[j]):
             cols = np.nonzero(lam[j] == lv)[0]
-            W = design.weight_matrix(j, cfg.L, lv, grid)
-            Q[:, cols] = W @ V[:, cols]
+            Q[:, cols] = design.apply(j, cfg.L, lv, grid, V[:, cols])
         return Q
 
     orders = range(r + 1)

@@ -104,31 +104,36 @@ class BandwidthGrid:
 
     @classmethod
     def build(cls, j: int, a: float, n: int, sigma: float, T: float) -> "BandwidthGrid":
-        """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0.
-
-        Raises AdaptationError when sigma^2 T^2 >= n (the depth formula turns
-        nonpositive) or sigma == 0 (it diverges): in either case the caller
-        must supply a fixed bandwidth instead of adapting.
-        """
-        if j < 0:
-            raise ValueError("derivative order j must be nonnegative")
-        if not (math.isfinite(a) and a > 1.0):
-            raise ValueError("grid ratio a must be finite and exceed 1")
-        if sigma == 0.0:
-            raise AdaptationError(
-                "sigma = 0 gives an unbounded bandwidth grid; adaptive selection "
-                "is impossible, supply a fixed bandwidth instead"
-            )
-        if sigma * sigma * T * T >= n:
-            raise AdaptationError(
-                "sigma^2*T^2 >= n leaves no room for a bandwidth grid; adaptive "
-                "selection is impossible at this noise level, supply a fixed "
-                "bandwidth or collect more samples"
-            )
-        depth = math.floor(math.log(n / (sigma * sigma * T * T), a) / (2 * j + 1))
-        depth = max(depth, 0)
+        """The levels a^-k for k = 0..J, J from ``_grid_depth``."""
+        depth = _grid_depth(j, a, n, sigma, T)
         levels = float(a) ** (-np.arange(depth + 1, dtype=float))
         return cls(j=int(j), a=float(a), levels=levels)
+
+
+def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
+    """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0.
+
+    Raises AdaptationError when sigma^2 T^2 >= n (the depth formula turns
+    nonpositive) or sigma == 0 (it diverges): in either case the caller
+    must supply a fixed bandwidth instead of adapting.
+    """
+    if j < 0:
+        raise ValueError("derivative order j must be nonnegative")
+    if not (math.isfinite(a) and a > 1.0):
+        raise ValueError("grid ratio a must be finite and exceed 1")
+    if sigma == 0.0:
+        raise AdaptationError(
+            "sigma = 0 gives an unbounded bandwidth grid; adaptive selection "
+            "is impossible, supply a fixed bandwidth instead"
+        )
+    if sigma * sigma * T * T >= n:
+        raise AdaptationError(
+            "sigma^2*T^2 >= n leaves no room for a bandwidth grid; adaptive "
+            "selection is impossible at this noise level, supply a fixed "
+            "bandwidth or collect more samples"
+        )
+    depth = math.floor(math.log(n / (sigma * sigma * T * T), a) / (2 * j + 1))
+    return max(depth, 0)
 
 
 @dataclass(frozen=True)
@@ -211,18 +216,19 @@ def _right_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
     return make_boundary_kernel(L, j, rho).reflected()
 
 
-def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
-                   lam: float) -> np.ndarray:
-    """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k].
+def _row_blocks(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
+                lam: float, R: int = 1):
+    """The band rows of q^(j) at the points of grid, a chunk of blocks at a time.
 
     Interior points share one kernel; a point within lam of an endpoint
     gets the boundary kernel of its own relative distance (right edge
     reflected, once per process by ``_right_kernel``). Interior, left-edge
     and right-edge points are three groups of ``_band_blocks``, so no block
-    spans both ends, and each chunk is written into W by one assignment.
+    spans both ends. Yields (rows, cells, D) per chunk: the grid indices of
+    its blocks (blocks x ``_BAND_BLOCK_ROWS``, the last block of a group
+    padded with its last index, whose row it repeats) and the cells and
+    weights ``_band_blocks`` yields, sized for R data columns.
     """
-    grid = np.asarray(grid, dtype=float)
-    W = np.zeros((grid.size, times.size))
     interior = (grid >= lam) & (grid <= T - lam)
     left = grid < lam
     for group in (interior, left, ~(interior | left)):
@@ -236,9 +242,32 @@ def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int
                               for x in grid[rows].tolist()])
             kernels = [_kernel_for_key(key, j, L) for key in slot]
         blocks = _blocked(rows)
-        for blk, cells, D in _band_blocks(times, grid[rows], lam, j, kernels, which):
-            W[blocks[blk, :, None], cells[:, None, :]] = D
+        for blk, cells, D in _band_blocks(times, grid[rows], lam, j, kernels, which, R):
+            yield blocks[blk], cells, D
+
+
+def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
+                   lam: float) -> np.ndarray:
+    """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k],
+    written from the blocks of ``_row_blocks``, one assignment per chunk."""
+    grid = np.asarray(grid, dtype=float)
+    W = np.zeros((grid.size, times.size))
+    for rows, cells, D in _row_blocks(times, T, grid, j, L, lam):
+        W[rows[:, :, None], cells[:, None, :]] = D
     return W
+
+
+def _apply_rows(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
+                lam: float, V: np.ndarray) -> np.ndarray:
+    """``_weight_matrix(...) @ V`` without forming W: each chunk of
+    ``_row_blocks`` reaches V's columns by one stacked product, so no array
+    grows with grid.size * n. Equal to W @ V up to the rounding of another
+    summation order."""
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty((grid.size, V.shape[1]))
+    for rows, cells, D in _row_blocks(times, T, grid, j, L, lam, V.shape[1]):
+        out[rows] = np.matmul(D, V[cells])
+    return out
 
 
 # Rows of one block of ``_band_blocks``; 8, 16 and 32 measured alike
@@ -355,11 +384,13 @@ def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
 
 
 class DesignWeights:
-    """Weight matrices of one fixed observation design.
+    """The band rows of one fixed observation design.
 
-    A plain forwarder to the weight-row builder that stores nothing
-    between calls; the deconvolution pipeline evaluates every order
-    through it.
+    A plain forwarder to the row-block builder that stores nothing between
+    calls. ``apply`` evaluates the rows on data columns chunk by chunk, as
+    the deconvolution pipeline does for every order; ``weight_matrix``
+    returns the same rows as a dense grid.size x n matrix, which the
+    pipeline never forms.
     """
 
     def __init__(self, times: np.ndarray, T: float):
@@ -368,6 +399,12 @@ class DesignWeights:
 
     def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
         return _weight_matrix(self.times, self.T, grid, j, L, lam)
+
+    def apply(self, j: int, L: int, lam: float, grid: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+        """``weight_matrix(j, L, lam, grid) @ V`` (grid.size x R) without
+        forming the matrix, up to the rounding of the summation order."""
+        return _apply_rows(self.times, self.T, grid, j, L, lam, V)
 
 
 def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarray:
@@ -395,15 +432,17 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
 
     Each value is a kernel-weighted combination of the observations, with the
     kernel swapped for the matching boundary variant within one bandwidth of
-    either endpoint. The map y -> estimate is exactly linear.
+    either endpoint. The map y -> estimate is exactly linear. The weight
+    rows are applied to the observations a chunk of rows at a time
+    (``_apply_rows``); no grid.size x n matrix is formed.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
     check_bandwidth(data.times, data.T, grid, j, lam)
-    W = _weight_matrix(data.times, data.T, grid, j, L, lam)
+    values = _apply_rows(data.times, data.T, grid, j, L, lam, data.values[:, None])[:, 0]
     return DerivativeEstimate(
-        j=j, grid=grid, values=W @ data.values, bandwidth=float(lam), kernel_order=L
+        j=j, grid=grid, values=values, bandwidth=float(lam), kernel_order=L
     )
 
 
@@ -478,8 +517,10 @@ def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) ->
 # (odd j) observations; ``_probe_level`` scales it with the column count.
 _WINDOW_OBS_PER_DEGREE = 6
 
-# Elements of one chunk of blocks' prefix-sum array in ``_windowed_rows``
-_WINDOW_CHUNK = 1 << 20
+# Elements of the largest array of one chunk of blocks in ``_windowed_rows``:
+# 2 MB. At n = 1000-4000, 2^19 and 2^20 gave first selections alike and
+# repeats up to 6% faster, but 1.8x and 3.2x the traced peak of an estimate
+_WINDOW_CHUNK = 1 << 18
 
 
 def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
@@ -510,6 +551,14 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     re-centred at x by the binomial theorem. They are summed in arrays of
     their own over the same chunks of blocks, so the estimates are the same
     to the bit with or without them.
+    A chunk takes as many blocks as keep each of its arrays within
+    ``_WINDOW_CHUNK`` elements (or one block): per block, the prefix sums F
+    of ``_window_sums`` hold at most span edges by deg P + 1 nodes by
+    max(R, L) columns, and the sums gathered at the window ends F[hi] and
+    F[lo] as many rows as the block has points, so a block counts
+    max(span, points) * (deg P + 1) * max(R, L) elements; P at the nodes
+    and the gathered columns are smaller. Every point is summed within its
+    own block, so the chunking changes no bit.
     """
     n, G, R = times.size, x.size, V.shape[1]
     edges = _cell_edges(times)
@@ -529,8 +578,10 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     est = np.empty((G, R))
     E = np.empty((G, L)) if moments else None
     span = int(np.max(b[stops - 1] - a[starts])) + 1
+    # a block adds at most span edges and its points to a chunk's arrays;
     # the chunks do not depend on ``moments``
-    chunk = max(1, _WINDOW_CHUNK // (span * nodes_n * (R + L)))
+    per_block = max(span, int(np.max(stops - starts))) * nodes_n * max(R, L)
+    chunk = max(1, _WINDOW_CHUNK // per_block)
     for s0 in range(0, starts.size, chunk):
         first, last = starts[s0 : s0 + chunk], stops[s0 : s0 + chunk]
         c = x[first]
@@ -720,7 +771,9 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     threshold_mult * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
     (``details["C"]``); a constant c as C selects as threshold_mult * c^2 /
     ||K_j||^2 does. More than ``_LEVELS_ABOVE_GAP_MAX`` levels above the need
-    of ``_widest_gap`` (a ratio a near 1) raise ValueError before any probe.
+    of ``_widest_gap`` (a ratio a near 1) raise ValueError before any probe,
+    counted from the depth formula (``_grid_depth``) before the levels are
+    allocated.
 
     A level's comparison-grid estimates and moment check are computed one
     of two ways, chosen by ``_probe_level`` by a cost rule in the
@@ -735,7 +788,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     sum of |w_i| |y_i|, and their moment errors to about 1e-7 relative or
     better, the band rows' own rounding, so the same levels are admitted
     and selected. The final evaluation on the output grid always uses the band
-    rows (``_weight_matrix``).
+    rows, applied to the data chunk by chunk (``DesignWeights.apply``).
 
     The design-only facts of each probed level are kept per design
     (``_design_facts``: keyed by the bytes of times and by T,
@@ -752,13 +805,16 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     those of them whose facts all came from the store.
     """
     n = times.size
-    levels = BandwidthGrid.build(j, cfg.a, n, sigma, T).levels
+    depth = _grid_depth(j, cfg.a, n, sigma, T)
     need = _widest_gap(times, T)[2]
-    above = int(np.count_nonzero(levels > need))
+    # the levels a^-k > need are k < log_a(1/need), counted before the
+    # depth + 1 levels are allocated
+    above = min(depth + 1, max(math.ceil(-math.log(need, cfg.a)), 0))
     if above > _LEVELS_ABOVE_GAP_MAX:
         raise ValueError("grid ratio a=%r puts %d bandwidth levels of order j=%d above "
                          "the widest design gap's need of %g, more than %d; raise a"
                          % (cfg.a, above, j, need, _LEVELS_ABOVE_GAP_MAX))
+    levels = BandwidthGrid.build(j, cfg.a, n, sigma, T).levels
     cgrid = np.linspace(0.0, T, max(4 * n, 2000))
     ker = make_kernel(L, j)
     C = math.sqrt(ker.norm2)

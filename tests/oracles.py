@@ -22,6 +22,9 @@ can compare the two:
   consistent; the package solves once on the reference interval instead.
 - ``check_schema`` validates a JSON document against the vocabulary the
   shipped sidecar schema uses (type/required/properties/items/enum).
+- ``dense_weights`` builds the estimator's weight matrix row by row with
+  ``polyval`` over every cell of the design; the package forms the rows
+  in blocks over each row's window only and never as one matrix.
 """
 
 import json
@@ -43,6 +46,7 @@ from lapdeconv.resolvent import (
     _symmetrize_conjugates,
     polished_roots,
 )
+from lapdeconv.smoother import _boundary_key, _cell_edges, _kernel_for_key
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -447,3 +451,15 @@ def check_schema(value, schema: dict, path: str = "$") -> list[str]:
         for idx, item in enumerate(value):
             errors.extend(check_schema(item, schema["items"], f"{path}[{idx}]"))
     return errors
+
+
+def dense_weights(times, T, grid, j, L, lam):
+    """Oracle W: lam^-j times the kernel primitive differenced over every cell."""
+    edges = _cell_edges(times)
+    W = np.empty((grid.size, times.size))
+    for k, x in enumerate(grid):
+        ker = _kernel_for_key(_boundary_key(float(x), T, lam), j, L)
+        U = np.clip((x - edges) / lam, *ker.support)
+        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
+        W[k] = (B[:-1] - B[1:]) / lam**j
+    return W

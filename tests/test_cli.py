@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lapdeconv import EstimatorConfig, LepskiConfig
+from lapdeconv import EstimatorConfig, LepskiConfig, cli, smoother
 from lapdeconv.cli import (
     SIDECAR_CONFIG,
     _estimator_config,
@@ -375,6 +375,44 @@ class TestDeconvolveCommand:
         assert not (tmp_path / "f.csv").exists()
         assert main(args + ["--a", "1.05"]) == 0
         assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 1024
+
+    def test_ratio_within_1e12_of_one_exits_2_before_the_grid(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # about 1e13 levels; the guard counts them without building the grid
+        data = emit_cell(tmp_path, cell="g4,f2,250,0")
+        capsys.readouterr()
+
+        def build(*args, **kwargs):
+            pytest.fail("BandwidthGrid.build was called")
+
+        monkeypatch.setattr(smoother.BandwidthGrid, "build", build)
+        rc = main(["deconvolve", "--input", data, "--kernel", G4, "--sigma", "0.002",
+                   "--output", str(tmp_path / "f.csv"), "--a", "1.000000000001"])
+        assert rc == 2
+        assert one_error_line(capsys).startswith(
+            "lapdeconv: invalid parameter: grid ratio a=1.000000000001 puts ")
+
+    @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
+    def test_memory_error_exits_4_naming_the_grid_size(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        # the library entry points raise as numpy does for an 800 GB grid;
+        # no test builds one
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        data = emit_cell(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "deconvolve", exhausted)
+        monkeypatch.setattr(cli, "run_table", exhausted)
+        out = str(tmp_path / "f.csv")
+        argv = {"deconvolve": ["deconvolve", "--input", data, "--kernel", G2,
+                               "--sigma", "0.01", "--output", out],
+                "simulate": ["simulate", "--cell", "g2,f1,100,0", "--output", out]}[command]
+        assert main(argv + ["--grid-size", "100000000000"]) == 4
+        assert one_error_line(capsys) == (
+            "lapdeconv: estimator: out of memory with an evaluation grid of "
+            "100000000000 points (--grid-size)\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_diagnostic_on_stderr(self, tmp_path, capsys):
         rc = main(["deconvolve", "--input", str(tmp_path / "nope.csv"),

@@ -1,12 +1,14 @@
 """Tests for the full deconvolution pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from lapdeconv import smoother
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
     DeconvolutionResult,
@@ -18,7 +20,7 @@ from lapdeconv.deconv import (
     trimmed_window,
 )
 from lapdeconv.resolvent import decompose, rational_kernel
-from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, standard_normals
+from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, ladder_sigma, standard_normals
 from lapdeconv.smoother import EstimationError, NoisySample
 from oracles import convolve_exp_poly
 
@@ -295,3 +297,30 @@ class TestProperty:
             return
         event("finite")
         assert np.all(np.isfinite(result.f_hat))
+
+
+def test_memory_of_an_estimate_at_n_2000_stays_bounded():
+    # the output grid's rows reach the data chunk by chunk, and every
+    # windowed-sum chunk keeps its arrays within smoother._WINDOW_CHUNK, so
+    # neither a first call on a design nor a repeat holds a grid_size x n
+    # weight matrix (16.4 MB here)
+    g = builtin_g("g2")
+    sigma = ladder_sigma("g2", 0)
+
+    def sample(n, stream):
+        times = np.arange(1, n + 1) * (T / n)
+        y = forward_convolve(g, builtin_f("f1"), times)
+        return NoisySample(times, y + sigma * standard_normals(0, stream, n), T, sigma)
+
+    deconvolve(sample(250, 0), g)  # builds every kernel
+    data = [sample(2000, stream) for stream in (1, 2)]
+    smoother._design_store.cache_clear()
+    peaks = []
+    for d in data:  # a first call on the design, then a repeat
+        tracemalloc.start()
+        try:
+            deconvolve(d, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8e6, peaks

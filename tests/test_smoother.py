@@ -20,9 +20,7 @@ from lapdeconv.smoother import (
     NoisySample,
     _band_blocks,
     _band_rows,
-    _boundary_key,
     _cell_edges,
-    _kernel_for_key,
     _lepski_batch,
     _moment_worst,
     _weight_matrix,
@@ -32,20 +30,10 @@ from lapdeconv.smoother import (
     lepski_select,
     pc_estimate,
 )
+from oracles import dense_weights
 
 T = 10.0
 
-
-def dense_weights(times, T, grid, j, L, lam):
-    """Oracle W: lam^-j times the kernel primitive differenced over every cell."""
-    edges = _cell_edges(times)
-    W = np.empty((grid.size, times.size))
-    for k, x in enumerate(grid):
-        ker = _kernel_for_key(_boundary_key(float(x), T, lam), j, L)
-        U = np.clip((x - edges) / lam, *ker.support)
-        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
-        W[k] = (B[:-1] - B[1:]) / lam**j
-    return W
 
 
 def equispaced(n, fn, sigma=0.0, seed=None):
@@ -220,6 +208,37 @@ class TestBandedApply:
                                               err_msg="j=%d lam=%g" % (j, lam))
 
     @pytest.mark.parametrize("R", [1, 3, 100])
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "clustered", "equispaced"])
+    def test_apply_matches_dense_oracle(self, kind, permuted, R):
+        # the banded evaluation of the output grid, in all three point
+        # groups, against the oracle's dense matrix times the data
+        rng = np.random.default_rng(12)
+        if kind == "random":
+            times = np.sort(rng.uniform(0.0, T, 300))
+        elif kind == "clustered":
+            times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 200),
+                                            rng.uniform(0.0, T, 100)]))
+        else:
+            times = np.arange(1, 301) * (T / 300)
+        grid = np.linspace(0.0, T, 203)
+        if permuted:
+            grid = rng.permutation(grid)
+        V = rng.standard_normal((times.size, R))
+        groups = set()
+        for j in (0, 1, 3):
+            for lam in (0.6, 1.3, 2.9, T / 2):
+                groups |= {name for name, member in (
+                    ("interior", (grid >= lam) & (grid <= T - lam)),
+                    ("left", grid < lam), ("right", grid > T - lam)) if member.any()}
+                W = dense_weights(times, T, grid, j, 8, lam)
+                got = DesignWeights(times, T).apply(j, 8, lam, grid, V)
+                assert got.shape == (grid.size, R)
+                err = np.abs(got - W @ V)
+                assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V)) + 1e-300), (j, lam)
+        assert groups == {"interior", "left", "right"}
+
+    @pytest.mark.parametrize("R", [1, 3, 100])
     @pytest.mark.parametrize("case", [
         "few_rows",       # fewer rows than one block
         "partial_block",  # a row count that is no multiple of the block size
@@ -392,6 +411,60 @@ class TestWindowedRows:
                     assert np.max(np.abs(est - want[:, :r]) / scale[:r]) <= 1e-11, (j, lam, r)
                     got = _moment_worst(E, x, lam, j, T)
                     assert abs(got - rel) <= 1e-7 * rel + 1e-13 * (T / lam) ** j, (j, lam, r)
+
+    @pytest.mark.parametrize("kind", ["equispaced", "random"])
+    def test_chunks_do_not_change_a_bit(self, monkeypatch, kind):
+        # every point is summed within its own block, so how many blocks
+        # go into a chunk changes no estimate and no moment deviation
+        for n in (500, 2000):
+            times = _design(kind, n)
+            V = np.random.default_rng(6).standard_normal((n, 7))
+            cgrid = np.linspace(0.0, T, 4 * n)
+            for j, lam in ((0, 1.5), (1, 0.7), (3, 0.3)):
+                x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+                ker = make_kernel(8, j)
+                got = []
+                for bound in (1 << 12, 1 << 16, 1 << 18, 1 << 24):
+                    monkeypatch.setattr(smoother, "_WINDOW_CHUNK", bound)
+                    for Vr in (V, V[:, :1]):
+                        est, E = _windowed_rows(times, x, lam, j, 8, ker, Vr)
+                        alone, _ = _windowed_rows(times, x, lam, j, 8, ker, Vr, moments=False)
+                        got.append((est, E, alone))
+                for a in got[2:]:
+                    want = got[0] if a[0].shape[1] == 7 else got[1]
+                    for u, v in zip(a, want):
+                        np.testing.assert_array_equal(u, v, err_msg="n=%d j=%d" % (n, j))
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("n,size,bound", [
+        (2000, 8000, 1 << 18),  # first probes at n = 2000: wide windows
+        (100, 2000, 1 << 14),   # blocks holding more points than observations
+    ])
+    def test_chunk_arrays_stay_within_the_bound(self, monkeypatch, n, size, bound, R):
+        # the prefix sums of the data and of the L moment columns, and the
+        # sums gathered at each point's window ends
+        monkeypatch.setattr(smoother, "_WINDOW_CHUNK", bound)
+        sizes = []
+        real = smoother._window_sums
+
+        def spy(Pv, cols, ell, hi, lo):
+            C = cols.shape[-1]
+            F = Pv.shape[0] * (Pv.shape[1] + 1) * Pv.shape[2] * C
+            gathered = hi[0].size * Pv.shape[2] * C
+            sizes.append((Pv.shape[0], max(Pv.size, cols.size, F, gathered)))
+            return real(Pv, cols, ell, hi, lo)
+
+        monkeypatch.setattr(smoother, "_window_sums", spy)
+        times = _design("random", n)
+        cgrid = np.linspace(0.0, T, size)
+        V = np.random.default_rng(7).standard_normal((times.size, R))
+        for j, lam in ((0, 1.0), (2, 2.0)):
+            x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
+            del sizes[:]
+            _windowed_rows(times, x, lam, j, 8, make_kernel(8, j), V)
+            # one call each for the data and the moment columns per chunk
+            assert len(sizes) > 2
+            assert max(size for _, size in sizes) <= bound
 
     @pytest.mark.parametrize("R", [1, 3, 100])
     def test_columns_do_not_touch_each_other(self, R):
@@ -648,6 +721,19 @@ class TestLepski:
         with pytest.raises(ValueError, match=r"a=1\.0001 puts 32191 bandwidth levels"):
             lepski_select(d, 0, 8, LepskiConfig(a=1.0001))
 
+    def test_ratio_within_1e12_of_one_is_refused_before_the_grid(self, monkeypatch):
+        # a = 1 + 1e-12 would give a grid of about 1e13 levels; the count
+        # above the gap comes from the depth formula, so none is allocated
+        d = equispaced(250, np.sin, sigma=0.002, seed=1)
+
+        def build(*args, **kwargs):
+            pytest.fail("BandwidthGrid.build was called")
+
+        monkeypatch.setattr(BandwidthGrid, "build", build)
+        with pytest.raises(ValueError, match=r"grid ratio a=1\.000000000001 puts \d+ "):
+            _lepski_batch(d.times, T, d.values[:, None], d.sigma, 0, 8,
+                          LepskiConfig(a=1.0 + 1e-12))
+
     def test_small_sigma_adds_no_level_above_the_gap(self):
         # sigma = 1e-9 deepens the grid to 233 levels, all new ones below
         # the need of 0.04, so the 18 levels above it at a = 1.2 still pass
@@ -749,10 +835,9 @@ class TestDesignWeights:
         times = np.arange(1, n + 1) * (T / n)
         dw = DesignWeights(times, T)
         grid = np.linspace(0.0, T, 50)
-        np.testing.assert_array_equal(
-            dw.weight_matrix(1, 4, 0.5, grid),
-            _weight_matrix(times, T, grid, 1, 4, 0.5),
-        )
+        W = dw.weight_matrix(1, 4, 0.5, grid)
+        np.testing.assert_array_equal(W, _weight_matrix(times, T, grid, 1, 4, 0.5))
+        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.5))
 
 
 class TestEstimateSigma:

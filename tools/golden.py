@@ -7,10 +7,12 @@
 importing the package from PATH (default: src/ of this checkout), so the
 outputs of another checkout can be captured by pointing --src at its src/:
 
-- `deconvolve` CSV and sidecar for g2/f1, g4/f2 and g1/f1 at n = 250 and
-  g5/f3 at n = 100, each on the first replication of noise level 0 at
-  seed 0 (written by `simulate --emit-data`, and kept with the outputs)
-  with that level's sigma;
+- `deconvolve` CSV and sidecar for g2/f1, g4/f2 and g1/f1 at n = 250,
+  g5/f3 at n = 100 and g2/f1 at n = 2000, each on the first replication
+  of noise level 0 at seed 0 (written by `simulate --emit-data`, and kept
+  with the outputs) with that level's sigma. The n = 2000 input is the
+  one whose wide bandwidth levels the selection estimates by windowed
+  prefix sums; at n <= 250 every level takes the band rows;
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
@@ -46,6 +48,7 @@ DECONVOLVE_CELLS = (
     ("g4", "f2", 250, "0.002"),
     ("g1", "f1", 250, "0.001"),
     ("g5", "f3", 100, "0.002"),
+    ("g2", "f1", 2000, "0.01"),
 )
 # (kernel, target, n, sigma, --bandwidth) of the fixed-bandwidth run; its
 # input is the one written for that cell in DECONVOLVE_CELLS
