@@ -35,7 +35,6 @@ from oracles import dense_weights
 T = 10.0
 
 
-
 def equispaced(n, fn, sigma=0.0, seed=None):
     times = np.arange(1, n + 1) * (T / n)
     y = fn(times)
@@ -169,6 +168,19 @@ class TestBandwidthGrid:
                 BandwidthGrid.build(0, a, 1000, 0.1, T)
 
 
+def _oracle_case(rng, kind, permuted):
+    """(times, grid) of 300 observations and 203 grid points on [0, T]."""
+    if kind == "random":
+        times = np.sort(rng.uniform(0.0, T, 300))
+    elif kind == "clustered":
+        times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 200),
+                                        rng.uniform(0.0, T, 100)]))
+    else:
+        times = np.arange(1, 301) * (T / 300)
+    grid = np.linspace(0.0, T, 203)
+    return times, rng.permutation(grid) if permuted else grid
+
+
 class TestBandedApply:
     @pytest.mark.parametrize(
         "j", [pytest.param(j, id="%d-cell" % j) for j in (0, 1, 3)]
@@ -190,17 +202,7 @@ class TestBandedApply:
     def test_weight_matrix_equals_oracle(self, kind, permuted):
         # three groups of blocks (interior, left edge, right edge) over
         # sorted or shuffled points, boundary rows and wide levels included
-        rng = np.random.default_rng(11)
-        if kind == "random":
-            times = np.sort(rng.uniform(0.0, T, 300))
-        elif kind == "clustered":
-            times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 200),
-                                            rng.uniform(0.0, T, 100)]))
-        else:
-            times = np.arange(1, 301) * (T / 300)
-        grid = np.linspace(0.0, T, 203)
-        if permuted:
-            grid = rng.permutation(grid)
+        times, grid = _oracle_case(np.random.default_rng(11), kind, permuted)
         for j in (0, 1, 3, 4):
             for lam in (0.6, 1.3, 2.9, T / 2):
                 W = _weight_matrix(times, T, grid, j, 8, lam)
@@ -214,16 +216,7 @@ class TestBandedApply:
         # the banded evaluation of the output grid, in all three point
         # groups, against the oracle's dense matrix times the data
         rng = np.random.default_rng(12)
-        if kind == "random":
-            times = np.sort(rng.uniform(0.0, T, 300))
-        elif kind == "clustered":
-            times = np.sort(np.concatenate([rng.uniform(2.0, 2.3, 200),
-                                            rng.uniform(0.0, T, 100)]))
-        else:
-            times = np.arange(1, 301) * (T / 300)
-        grid = np.linspace(0.0, T, 203)
-        if permuted:
-            grid = rng.permutation(grid)
+        times, grid = _oracle_case(rng, kind, permuted)
         V = rng.standard_normal((times.size, R))
         groups = set()
         for j in (0, 1, 3):
