@@ -237,10 +237,15 @@ class ExperimentReport:
 def cell_sample(g, f, n: int, sigma: float, seed: int, runs: int,
                 T: float) -> tuple[np.ndarray, np.ndarray]:
     """A cell's design t_i = i T / n, i = 1..n, and its n x runs data: column
-    k is q + sigma * standard_normals(seed, k, n) with q = g * f."""
+    k is q + sigma * standard_normals(seed, k, n) with q = g * f.
+
+    The runs noise columns come from one ``standard_normals`` call over the
+    streams 0..runs-1, which draws them in one inverse-CDF pass per chunk;
+    each column is the per-stream draw bit for bit.
+    """
     times = np.arange(1, n + 1) * (T / n)
     q = forward_convolve(g, f, times)
-    Y = sigma * np.column_stack([standard_normals(seed, run, n) for run in range(runs)])
+    Y = sigma * standard_normals(seed, range(runs), n)
     Y += q[:, None]
     return times, Y
 

@@ -114,7 +114,8 @@ def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
     """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0.
 
     Raises AdaptationError when sigma^2 T^2 >= n (the depth formula turns
-    nonpositive) or sigma == 0 (it diverges): in either case the caller
+    nonpositive) or when sigma == 0, sigma^2 T^2 underflows to 0 or
+    n / (sigma^2 T^2) overflows (it diverges): in either case the caller
     must supply a fixed bandwidth instead of adapting.
     """
     if j < 0:
@@ -126,13 +127,20 @@ def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
             "sigma = 0 gives an unbounded bandwidth grid; adaptive selection "
             "is impossible, supply a fixed bandwidth instead"
         )
-    if sigma * sigma * T * T >= n:
+    scale = sigma * sigma * T * T
+    if scale >= n:
         raise AdaptationError(
             "sigma^2*T^2 >= n leaves no room for a bandwidth grid; adaptive "
             "selection is impossible at this noise level, supply a fixed "
             "bandwidth or collect more samples"
         )
-    depth = math.floor(math.log(n / (sigma * sigma * T * T), a) / (2 * j + 1))
+    if scale == 0.0 or not math.isfinite(n / scale):
+        raise AdaptationError(
+            "sigma = %g is so small that n/(sigma^2*T^2) is not a finite number, "
+            "which gives an unbounded bandwidth grid; adaptive selection is "
+            "impossible, supply a fixed bandwidth instead" % sigma
+        )
+    depth = math.floor(math.log(n / scale, a) / (2 * j + 1))
     return max(depth, 0)
 
 
@@ -800,9 +808,21 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     sums. A first call computes and stores them, so a single cold call
     gains nothing and pays one hash of the design. The facts do not
     depend on V and the estimates are the same to the bit either way, so
-    the store never changes a result. ``details["levels_probed"]`` counts
-    the levels that reached the window check and ``details["levels_reused"]``
-    those of them whose facts all came from the store.
+    the store never changes a result. The level loop stops at the first
+    level with an empty window: as lam falls every window shrinks and the
+    comparison points only grow, so no smaller level can see an observation
+    in all of them. ``details["levels_probed"]`` counts the levels that
+    reached the window check, up to and including that first empty one,
+    and ``details["levels_reused"]`` those of them whose facts all came
+    from the store.
+
+    The comparisons run candidate by candidate, largest level first. Each
+    candidate's squared differences (Ec - Eh)^2 against every smaller
+    admissible level are formed in one buffer of the candidate's shape,
+    reused for every such level: ``np.subtract`` and ``np.square`` into it,
+    then one product with the trapezoid weights. These are the operations
+    of ``tw @ (Ec - Eh) ** 2`` in the same order, so the distances are the
+    same to the bit, without two new arrays per pair of levels.
     """
     n = times.size
     depth = _grid_depth(j, cfg.a, n, sigma, T)
@@ -846,7 +866,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         elif not level.obs or _probe_path(level.obs, L, ker, R) in level.rel:
             reused += 1
         if not level.obs:
-            continue
+            break
         rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL,
                                 level)
         if est is not None:
@@ -878,13 +898,15 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         i0c, i1c = spans[ci]
         Ec = estimates[ci]
         tw = _trapezoid_weights(cgrid[i0c:i1c])
+        diff2 = np.empty_like(Ec)
         for hi in admissible:
             if hi <= ci:
                 continue
             h = levels[hi]
             i0h, _ = spans[hi]
             Eh = estimates[hi][i0c - i0h : i1c - i0h]
-            diff2 = (Ec - Eh) ** 2
+            np.subtract(Ec, Eh, out=diff2)
+            np.square(diff2, out=diff2)
             dist2 = tw @ diff2
             ok &= dist2 <= noise_scale / h ** (2 * j + 1)
             if not np.any(ok):

@@ -9,6 +9,8 @@ the gamma-survival test signals).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Most elements one inverse-CDF pass of ``standard_normals`` covers
+_NOISE_CHUNK = 1 << 18
 
 # Wichura's algorithm AS 241 (PPND16): rational approximations to the
 # standard normal quantile, accurate to about 1e-15 in double precision.
@@ -129,18 +134,40 @@ def normal_quantile(p):
     return float(out[0]) if scalar else out
 
 
-def standard_normals(seed: int, stream: int, size: int) -> np.ndarray:
+def standard_normals(seed: int, stream: int | Sequence[int], size: int) -> np.ndarray:
     """Deterministic standard normal draws from a counter-based generator.
 
     A Philox generator keyed by (seed, stream) yields 64-bit words; the top
     53 bits are centered into (0, 1) and pushed through the inverse CDF.
     The same (seed, stream, size) triple reproduces the same array on any
     platform, independent of draw order elsewhere in the process.
+
+    stream is one int, giving a 1-D array of size draws, or a sequence of
+    ints, giving a size x len(stream) array whose column k equals
+    ``standard_normals(seed, stream[k], size)`` bit for bit. One Philox
+    generator serves every stream: it is set to each key at counter 0,
+    the state a new generator keyed so starts from, which costs a fraction
+    of building one. The columns go through the inverse CDF together, in
+    chunks of at most ``_NOISE_CHUNK`` elements (or one column), so a
+    many-column draw makes one pass per chunk, not one per column, and
+    holds no full-size temporary besides the result.
     """
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(size)
-    u = ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
-    return normal_quantile(u)
+    single = isinstance(stream, int)
+    streams = [stream] if single else list(stream)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    fresh = bitgen.state
+    out = np.empty((size, len(streams)))
+    step = max(1, _NOISE_CHUNK // max(size, 1))
+    for c0 in range(0, len(streams), step):
+        cols = streams[c0 : c0 + step]
+        raw = np.empty((size, len(cols)), dtype=np.uint64)
+        for k, s in enumerate(cols):
+            fresh["state"]["key"] = np.array([seed & _MASK64, s & _MASK64], dtype=np.uint64)
+            bitgen.state = fresh
+            raw[:, k] = bitgen.random_raw(size)
+        u = ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
+        out[:, c0 : c0 + len(cols)] = normal_quantile(u)
+    return out[:, 0] if single else out
 
 
 def reg_lower_gamma(a, x):

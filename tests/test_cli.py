@@ -260,6 +260,16 @@ class TestDeconvolveCommand:
                    "--sigma", "0", "--output", str(tmp_path / "f.csv")])
         assert rc == 4
 
+    def test_tiny_sigma_adaptive_exits_4(self, tmp_path, capsys):
+        # sigma^2 T^2 underflows to 0, so the grid depth has no finite value
+        data = emit_cell(tmp_path, cell="g2,f1,250,0")
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+                   "--sigma", "1e-200", "--output", str(tmp_path / "f.csv")])
+        assert rc == 4
+        assert one_error_line(capsys).startswith(
+            "lapdeconv: estimator: sigma = 1e-200 is so small")
+
     def test_unsorted_input_exits_2(self, tmp_path):
         data = write_csv(tmp_path / "bad.csv",
                          [[2.0, 0.1], [1.0, 0.2], [3.0, 0.3]])

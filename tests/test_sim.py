@@ -28,6 +28,7 @@ from lapdeconv.sim import (
     write_report_json,
 )
 from lapdeconv.smoother import NoisySample
+from lapdeconv.special import standard_normals
 from oracles import convolve_exp_poly
 
 
@@ -239,6 +240,21 @@ class TestRunExperiment:
         sc = Scenario("g2", "f1", n=60, sigma=0.01, runs=1, trim=trim)
         with pytest.raises(ValueError, match=r"trim must lie in \[0, 0\.5\)"):
             run_experiment(sc)
+
+
+class TestCellSample:
+    @pytest.mark.parametrize("cell,seed,runs", [(("g2", "f1", 250, 0), 11, 100),
+                                                (("g1", "f1", 37, 2), 2**64 + 3, 3)])
+    def test_data_are_the_column_stacked_draws(self, cell, seed, runs):
+        gn, fn, n, i = cell
+        g, f, sigma = builtin_g(gn), builtin_f(fn), ladder_sigma(gn, i)
+        times, Y = cell_sample(g, f, n, sigma, seed, runs, 10.0)
+        np.testing.assert_array_equal(times, np.arange(1, n + 1) * (10.0 / n))
+        want = sigma * np.column_stack([standard_normals(seed, k, n) for k in range(runs)])
+        want += forward_convolve(g, f, times)[:, None]
+        assert Y.shape == (n, runs)
+        assert Y.flags.c_contiguous
+        assert Y.tobytes() == want.tobytes()
 
 
 class TestTable:

@@ -155,6 +155,17 @@ class TestBandwidthGrid:
         with pytest.raises(AdaptationError):
             BandwidthGrid.build(0, 1.2, 1000, 0.0, T)
 
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+    def test_tiny_sigma_raises(self, sigma):
+        # sigma^2 T^2 underflows to 0 at 1e-200; at 1e-155 n / (sigma^2 T^2)
+        # overflows to inf
+        with pytest.raises(AdaptationError, match="not a finite number"):
+            smoother._grid_depth(0, 1.2, 250, sigma, T)
+
+    def test_small_sigma_keeps_the_depth_formula(self):
+        depth = math.floor(math.log(250 / (1e-150 * 1e-150 * T * T), 1.2))
+        assert smoother._grid_depth(0, 1.2, 250, 1e-150, T) == depth
+
     def test_noise_dominated_raises(self):
         # sigma^2 T^2 = 100 >= n leaves no grid at all
         with pytest.raises(AdaptationError):
@@ -735,6 +746,32 @@ class TestLepski:
         assert np.count_nonzero(details["levels"] > 0.04) == 18
         assert details["levels"].size == 233
         assert lam in details["levels"]
+
+    def test_level_loop_stops_at_the_first_empty_level(self, monkeypatch, empty_store):
+        # sigma = 1e-9 gives 233 levels, of which the 18 above the need of
+        # 0.04 see an observation in every window; no level below the first
+        # empty one is checked
+        d = equispaced(250, np.sin, sigma=1e-9, seed=1)
+        real, counts = smoother._open_windows, []
+        monkeypatch.setattr(smoother, "_open_windows",
+                            lambda *a: counts.append(real(*a)) or counts[-1])
+        _, details = lepski_select(d, 0, 8, return_details=True)
+        assert len(counts) == 19 and counts[-1] == 0 and all(counts[:-1])
+        assert details["levels_probed"] == len(counts) < details["levels"].size
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_columns_select_as_they_do_alone(self, j):
+        # frequencies 1..8 spread the selections over several levels
+        times = np.arange(1, 251) * (T / 250)
+        rng = np.random.default_rng(3)
+        V = np.sin(np.outer(times, np.linspace(1.0, 8.0, 100)))
+        V += 0.01 * rng.standard_normal(V.shape)
+        cfg = LepskiConfig()
+        _, selected, _ = _lepski_batch(times, T, V, 0.01, j, 8, cfg)
+        alone = [_lepski_batch(times, T, V[:, [k]], 0.01, j, 8, cfg)[1][0]
+                 for k in range(V.shape[1])]
+        assert np.unique(selected).size > 1
+        np.testing.assert_array_equal(selected, alone)
 
     def test_smoother_noise_selects_no_smaller(self):
         # with less noise the selector may keep a smaller bandwidth; with

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lapdeconv import special
 from lapdeconv.special import normal_quantile, reg_lower_gamma, standard_normals
 
 
@@ -66,6 +67,27 @@ class TestStandardNormals:
         x = standard_normals(5, 1, 17)
         assert x.shape == (17,)
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("size", [1, 250])
+    @pytest.mark.parametrize("streams", [range(1), range(100), [5, 2, 9]])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, -1])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_stream_columns_are_the_single_stream_draws(self, monkeypatch, seed, streams,
+                                                         size, chunked):
+        want = np.column_stack([standard_normals(seed, s, size) for s in streams])
+        if chunked:
+            # two columns per inverse-CDF pass, so several chunks run
+            monkeypatch.setattr(special, "_NOISE_CHUNK", 2 * size)
+        got = standard_normals(seed, streams, size)
+        assert got.shape == (size, len(streams))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_seed_and_stream_are_masked_to_64_bits(self):
+        a = standard_normals(2**64 + 3, [5, 2**64 + 2], 40)
+        b = standard_normals(3, [5, 2], 40)
+        assert a.tobytes() == b.tobytes()
+        assert standard_normals(-1, 4, 40).tobytes() == standard_normals(2**64 - 1, 4, 40).tobytes()
 
 
 class TestRegLowerGamma:
