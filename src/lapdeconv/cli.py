@@ -20,8 +20,8 @@ Flag defaults are those of EstimatorConfig, LepskiConfig and Scenario.
 ``_write_columns`` writes every two-column CSV, at 17 significant digits
 so files round-trip losslessly, and
 ``sim.write_json`` every JSON document; every output is a pure function of
-(input bytes, flags, seed). The environment variable LAPDECONV_THREADS caps
-internal parallelism and, like --threads, changes no output byte.
+(input bytes, flags, seed). --threads, the one way to set the thread
+count, changes no output byte.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -77,30 +76,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _resolve_threads(requested: int | None) -> int:
-    """Requested thread count clipped by the LAPDECONV_THREADS cap.
-
-    A cap that is not a positive integer exits 2; EstimatorConfig checks the rest.
-    """
-    raw = os.environ.get("LAPDECONV_THREADS", "").strip()
-    cap = 0
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(
-                EXIT_BAD_INPUT, "LAPDECONV_THREADS must be an integer"
-            ) from None
-        if cap < 1:
-            raise CliError(
-                EXIT_BAD_INPUT,
-                f"invalid parameter: LAPDECONV_THREADS must be at least 1, got {cap}",
-            )
-    if requested is None:
-        return cap if cap else 1
-    return min(requested, cap) if cap else requested
 
 
 def parse_kernel_spec(text: str) -> RationalLaplaceKernel:
@@ -199,14 +174,13 @@ def _parse_bandwidths(text: str | None):
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    threads = _resolve_threads(args.threads)
     try:
         return EstimatorConfig(
             L=args.L,
             lepski=LepskiConfig(a=args.a, threshold_mult=args.threshold_mult),
             grid_size=args.grid_size,
             fixed_bandwidths=_parse_bandwidths(args.bandwidth),
-            threads=threads,
+            threads=args.threads,
         )
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
@@ -417,8 +391,8 @@ def _add_estimator_flags(sub) -> None:
     sub.add_argument("--grid-size", type=int, default=EstimatorConfig.grid_size,
                      dest="grid_size",
                      help="evaluation grid size (default %(default)s)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: LAPDECONV_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=EstimatorConfig.threads,
+                     help="worker threads (default %(default)s)")
     sub.add_argument("--bandwidth", default=None,
                      help="fixed bandwidth(s), scalar or comma list per "
                           "derivative order (skips adaptation)")

@@ -44,8 +44,9 @@ DEFAULT_TRIM = 0.1  # boundary fraction of [0, T] that risks drop (``trimmed_win
 class EstimatorConfig:
     """Settings of the full deconvolution pipeline.
 
-    L, lepski, grid_size and fixed_bandwidths shape f_hat; threads > 1 runs
-    the per-order derivative estimations concurrently and changes no result.
+    L, lepski, grid_size and fixed_bandwidths shape f_hat; threads is the
+    number of worker threads the per-order derivative estimations share,
+    which changes no result (the command line's --threads defaults to it).
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. grid_size must
@@ -181,8 +182,6 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     design = DesignWeights(times, T)
     R = V.shape[1]
 
-    lam = np.empty((r + 1, R))
-
     def select(j: int) -> np.ndarray:
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
@@ -198,15 +197,9 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         return Q
 
     orders = range(r + 1)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, r + 1)) as pool:
-            for j, lam_j in zip(orders, pool.map(select, orders)):
-                lam[j] = lam_j
-            Qs = list(pool.map(evaluate, orders))
-    else:
-        for j in orders:
-            lam[j] = select(j)
-        Qs = [evaluate(j) for j in orders]
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, r + 1)) as pool:
+        lam = np.array(list(pool.map(select, orders)))
+        Qs = list(pool.map(evaluate, orders))
 
     derivative = Qs[r]
     linear = np.zeros_like(derivative)

@@ -63,11 +63,20 @@ def _assert_real(values, label: str) -> np.ndarray:
     return values.real.copy()
 
 
+def _trim(c: np.ndarray, tol) -> np.ndarray:
+    """c without its trailing coefficients of magnitude at most tol (a
+    scalar or one bound per coefficient); [0] when none is left."""
+    keep = np.nonzero(np.abs(c) > tol)[0]
+    return c[: keep[-1] + 1] if keep.size else np.zeros(1, dtype=complex)
+
+
 class Polynomial:
     """Dense polynomial with ascending complex coefficients.
 
-    Trailing coefficients below 1e-12 of the largest magnitude are trimmed
-    on construction, so degree == len(coeffs) - 1 is meaningful.
+    Construction drops trailing exact zeros, so degree == len(coeffs) - 1
+    is meaningful however stiff the coefficients are; a sum or difference
+    also drops each trailing coefficient that cancels to at most 1e-12 of
+    the larger of the two operand coefficients it was summed from.
     """
 
     __slots__ = ("coeffs",)
@@ -78,13 +87,7 @@ class Polynomial:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        scale = float(np.max(np.abs(c)))
-        if scale > 0.0:
-            keep = np.nonzero(np.abs(c) >= _TRIM_REL * scale)[0]
-            c = c[: keep[-1] + 1]
-        else:
-            c = np.zeros(1, dtype=complex)
-        self.coeffs = c
+        self.coeffs = _trim(c, 0.0)
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
@@ -118,10 +121,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(self.coeffs.size, other.coeffs.size)
-        c = np.zeros(n, dtype=complex)
-        c[: self.coeffs.size] += self.coeffs
-        c[: other.coeffs.size] += other.coeffs
-        return Polynomial(c)
+        a = np.zeros(n, dtype=complex)
+        b = np.zeros(n, dtype=complex)
+        a[: self.coeffs.size] = self.coeffs
+        b[: other.coeffs.size] = other.coeffs
+        return Polynomial(_trim(a + b, _TRIM_REL * np.maximum(abs(a), abs(b))))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (other * (-1.0))

@@ -321,15 +321,15 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
     input order regardless of execution concurrency. trim is every cell's
     ``Scenario.trim``.
 
-    config.threads > 1 splits the threads by cell when there are several
-    cells, each cell then running with threads=1, and by derivative order
-    when there is one; results do not depend on it.
+    The cells run in one pool. With several cells it has config.threads
+    workers and each cell runs with threads=1; with one cell it has one
+    worker and the cell splits config.threads by derivative order. Results
+    do not depend on the thread count.
     """
     config = config or EstimatorConfig()
-    threads = config.threads
-    by_cell = threads > 1 and len(cells) > 1
-    if by_cell:
-        config = replace(config, threads=1)
+    workers = 1
+    if len(cells) > 1:
+        workers, config = config.threads, replace(config, threads=1)
     scenarios = [
         Scenario(
             g_name=gn, f_name=fn, n=n, sigma=ladder_sigma(gn, i),
@@ -337,11 +337,8 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
-    if by_cell:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_experiment, scenarios))
-    else:
-        reports = [run_experiment(sc) for sc in scenarios]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        reports = list(pool.map(run_experiment, scenarios))
     return list(zip(list(cells), reports))
 
 

@@ -9,6 +9,7 @@ the gamma-survival test signals).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -142,8 +143,9 @@ def standard_normals(seed: int, stream: int | Sequence[int], size: int) -> np.nd
     The same (seed, stream, size) triple reproduces the same array on any
     platform, independent of draw order elsewhere in the process.
 
-    stream is one int, giving a 1-D array of size draws, or a sequence of
-    ints, giving a size x len(stream) array whose column k equals
+    stream is one integer (a Python or numpy int, or a 0-d integer array),
+    giving a 1-D array of size draws, or a sequence of integers, giving a
+    size x len(stream) array whose column k equals
     ``standard_normals(seed, stream[k], size)`` bit for bit. One Philox
     generator serves every stream: it is set to each key at counter 0,
     the state a new generator keyed so starts from, which costs a fraction
@@ -152,8 +154,13 @@ def standard_normals(seed: int, stream: int | Sequence[int], size: int) -> np.nd
     many-column draw makes one pass per chunk, not one per column, and
     holds no full-size temporary besides the result.
     """
-    single = isinstance(stream, int)
-    streams = [stream] if single else list(stream)
+    seed = operator.index(seed) & _MASK64
+    try:
+        streams = [operator.index(stream) & _MASK64]
+        single = True
+    except TypeError:
+        streams = [operator.index(s) & _MASK64 for s in stream]
+        single = False
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     fresh = bitgen.state
     out = np.empty((size, len(streams)))
@@ -162,7 +169,7 @@ def standard_normals(seed: int, stream: int | Sequence[int], size: int) -> np.nd
         cols = streams[c0 : c0 + step]
         raw = np.empty((size, len(cols)), dtype=np.uint64)
         for k, s in enumerate(cols):
-            fresh["state"]["key"] = np.array([seed & _MASK64, s & _MASK64], dtype=np.uint64)
+            fresh["state"]["key"] = np.array([seed, s], dtype=np.uint64)
             bitgen.state = fresh
             raw[:, k] = bitgen.random_raw(size)
         u = ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53

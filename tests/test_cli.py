@@ -14,7 +14,6 @@ from lapdeconv import EstimatorConfig, LepskiConfig, cli, smoother
 from lapdeconv.cli import (
     SIDECAR_CONFIG,
     _estimator_config,
-    _resolve_threads,
     build_parser,
     main,
     parse_kernel_spec,
@@ -29,6 +28,8 @@ G4_EXP_POLY = json.dumps({
     "form": "exp-poly", "a": 1.0, "r": 3,
     "rho": [1.0, 5.5, 14.5625, 6.25, 35.265625],
 })
+# 1 / (s + 50)^8, whose leading coefficient is 1 against a constant of 3.9e13
+STIFF_G = json.dumps({"form": "exp-poly", "a": 50.0, "r": 8, "rho": [1.0]})
 # selection constants LepskiConfig rejects; both commands exit 2 on them
 BAD_SELECTION_FLAGS = [
     ["--threshold-mult", "-1"],
@@ -201,22 +202,29 @@ class TestDeconvolveCommand:
         # input and output members agree; g4 estimates four orders
         data = emit_cell(tmp_path, cell="g4,f2,100,0")
         outputs = []
-        for name, flags, env in (("default", [], None), ("flag", ["--threads", "4"], None),
-                                 ("env", [], "2")):
+        for name, flags in (("default", []), ("flag", ["--threads", "4"])):
             run_dir = tmp_path / name
             run_dir.mkdir()
             shutil.copy(data, run_dir / "in.csv")
             monkeypatch.chdir(run_dir)
-            if env is None:
-                monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("LAPDECONV_THREADS", env)
             rc = main(["deconvolve", "--input", "in.csv", "--kernel", G4,
                        "--sigma", "0.002", "--output", "f.csv"] + flags)
             assert rc == 0
             outputs.append(((run_dir / "f.csv").read_bytes(),
                             (run_dir / "f.csv.json").read_bytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    def test_stiff_kernel_needs_a_higher_order(self, tmp_path, capsys):
+        # r = 8 is kept, so the default L = 8 is refused before any estimate
+        data = emit_cell(tmp_path)
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", STIFF_G,
+                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lapdeconv: invalid parameter: kernel order L=8 must exceed the "
+            "inversion order r=8\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_fixed_bandwidth_allows_sigma_zero(self, tmp_path):
         data = emit_cell(tmp_path)
@@ -468,11 +476,10 @@ class TestSimulateCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_threads_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--cell", "g3,f2,60,0", "--runs", "2", "--seed", "1"]
         assert main(args + ["--output", str(a)]) == 0
-        monkeypatch.setenv("LAPDECONV_THREADS", "8")
         assert main(args + ["--output", str(b), "--threads", "8"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -602,54 +609,16 @@ class TestInspectKernel:
         assert "b_0=1" in out
         assert "-3" in out and "mult 1" in out
 
+    def test_stiff_kernel_keeps_its_order(self, capsys):
+        assert main(["inspect-kernel", "--kernel", STIFF_G]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["r: 8", "B_r: 1"]
+
     def test_exp_poly_equals_builtin(self, capsys):
         assert main(["inspect-kernel", "--kernel", G4_EXP_POLY]) == 0
         out_a = capsys.readouterr().out
         assert main(["inspect-kernel", "--kernel", G4]) == 0
         out_b = capsys.readouterr().out
         assert out_a == out_b
-
-
-class TestThreadResolution:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
-        assert _resolve_threads(None) == 1
-        assert _resolve_threads(4) == 4
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("LAPDECONV_THREADS", "2")
-        assert _resolve_threads(None) == 2
-        assert _resolve_threads(8) == 2
-        assert _resolve_threads(1) == 1
-
-    def test_bad_env_value(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("LAPDECONV_THREADS", "many")
-        rc = main(["simulate", "--cell", "g2,f1,60,0", "--runs", "1",
-                   "--output", str(tmp_path / "rep.csv")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("env,flag", [
-        (None, "0"), (None, "-3"), ("0", None), ("-2", None), ("0", "2"),
-    ])
-    @pytest.mark.parametrize("command", ["simulate", "deconvolve"])
-    def test_nonpositive_threads_exit_2(self, monkeypatch, tmp_path, capsys, command, env,
-                                        flag):
-        monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
-        out = str(tmp_path / "out.csv")
-        if command == "simulate":
-            argv = ["simulate", "--cell", "g2,f1,100,0", "--runs", "1", "--output", out]
-        else:
-            argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
-                    "--sigma", "0.01", "--output", out]
-        if env is not None:
-            monkeypatch.setenv("LAPDECONV_THREADS", env)
-        capsys.readouterr()
-        rc = main(argv + (["--threads", flag] if flag is not None else []))
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("lapdeconv: invalid parameter: ")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out.csv").exists()
 
 
 REQUIRED_ARGS = {
@@ -659,9 +628,48 @@ REQUIRED_ARGS = {
 }
 
 
+class TestThreadResolution:
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+    def test_default_is_one(self, command):
+        # the flag is the one way to set the count; its default is the config's
+        parser = build_parser()
+        assert _estimator_config(parser.parse_args(REQUIRED_ARGS[command])).threads == 1
+        args = parser.parse_args(REQUIRED_ARGS[command] + ["--threads", "4"])
+        assert _estimator_config(args).threads == 4
+
+    @pytest.mark.parametrize("env", ["2", "many", "0"])
+    def test_env_variable_is_inert(self, monkeypatch, tmp_path, env):
+        # LAPDECONV_THREADS once capped and defaulted the count; it now
+        # changes neither the count, nor the exit code, nor a byte
+        argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1", "--output"]
+        monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
+        assert main(argv + [str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setenv("LAPDECONV_THREADS", env)
+        args = build_parser().parse_args(REQUIRED_ARGS["simulate"] + ["--threads", "8"])
+        assert _estimator_config(args).threads == 8
+        assert main(argv + [str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "deconvolve"])
+    def test_nonpositive_threads_exit_2(self, tmp_path, capsys, command, flag):
+        out = str(tmp_path / "out.csv")
+        if command == "simulate":
+            argv = ["simulate", "--cell", "g2,f1,100,0", "--runs", "1", "--output", out]
+        else:
+            argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                    "--sigma", "0.01", "--output", out]
+        capsys.readouterr()
+        rc = main(argv + ["--threads", flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lapdeconv: invalid parameter: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
-def test_flag_defaults_are_the_config_defaults(monkeypatch, command):
-    monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
+def test_flag_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args(REQUIRED_ARGS[command])
     assert _estimator_config(args) == EstimatorConfig()
     if command == "simulate":

@@ -191,18 +191,24 @@ class TestBatchConsistency:
             np.testing.assert_array_equal(lam[:, c], res.bandwidths)
 
     def test_thread_count_does_not_change_results(self):
+        # g4 has r = 3, so four orders share the pool: fewer workers than
+        # orders, one per order, and more workers than orders
         n = 100
         times = np.arange(1, n + 1) * (T / n)
-        g = builtin_g("g3")
+        g = builtin_g("g4")
         f = builtin_f("f2")
         q = forward_convolve(g, f, times)
         V = np.column_stack(
-            [q + 0.1 * standard_normals(31, run, n) for run in range(2)]
+            [q + 0.002 * standard_normals(31, run, n) for run in range(2)]
         )
-        out1 = _estimate_all(times, T, V, 0.1, g, EstimatorConfig(threads=1))
-        out4 = _estimate_all(times, T, V, 0.1, g, EstimatorConfig(threads=4))
-        np.testing.assert_array_equal(out1[1], out4[1])
-        np.testing.assert_array_equal(out1[3], out4[3])
+        outs = [_estimate_all(times, T, V, 0.002, g, EstimatorConfig(threads=k))
+                for k in (1, 2, g.r + 1, 8)]
+        assert g.r + 1 == 4
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out[1], outs[0][1])
+            np.testing.assert_array_equal(out[3], outs[0][3])
+            for name, term in outs[0][2].items():
+                np.testing.assert_array_equal(out[2][name], term)
 
 
 class TestRiskMse:

@@ -43,6 +43,16 @@ class TestPolynomial:
         p = Polynomial([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
 
+    def test_stiff_leading_coefficient_is_kept(self):
+        # only exact zeros are dropped on construction
+        assert Polynomial([1e14, 0.0, 1.0]).degree == 2
+
+    def test_cancelling_sum_is_trimmed(self):
+        # 0.1 + 0.2 - 0.3 leaves 5.6e-17, a rounding residue of the operands
+        assert (Polynomial([3.0, 0.1 + 0.2]) - Polynomial([1.0, 0.3])).degree == 0
+        assert (Polynomial([1.0, 2.0]) - Polynomial([1.0, 2.0])).is_zero
+        assert (Polynomial([1.0, 1e-14]) + Polynomial([0.0, 1e-14])).degree == 1
+
     def test_call_and_derivative(self):
         p = Polynomial([1.0, 0.0, 3.0])  # 1 + 3 s^2
         assert p(2.0) == pytest.approx(13.0)
@@ -136,6 +146,22 @@ class TestRationalKernel:
             g = rational_kernel([-1.0, 1.0], [1.0, 2.0, 1.0])
         assert g.stable is False
         assert any("unstable" in str(w.message) for w in rec)
+
+    @pytest.mark.parametrize("a,m", [(50.0, 8), (1000.0, 5)])
+    @pytest.mark.parametrize("form", ["rational", "exp-poly"])
+    def test_stiff_denominator_keeps_its_order(self, a, m, form):
+        # 1 / (s + a)^m: r = m and B_r = 1, however large a^m is; phi~ is
+        # 1 - (1 + a/s)^m, so a0[j] = -C(m, j + 1) a^(j + 1) and no pole
+        if form == "rational":
+            g = rational_kernel([1.0], Polynomial.from_roots([-a] * m).real_coeffs())
+        else:
+            g = exp_poly_kernel(a, [1.0], m)
+        assert (g.r, g.B_r) == (m, 1.0)
+        d = decompose(g)
+        assert d.r == m and d.poles == ()
+        want = [-math.comb(m, j + 1) * a ** (j + 1) for j in range(m)]
+        np.testing.assert_allclose(d.a0, want, rtol=1e-9)
+        np.testing.assert_allclose(d.b, want, rtol=1e-9)
 
     def test_transform_evaluation(self):
         g = rational_kernel([1.0], [5.0, 1.0])

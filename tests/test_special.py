@@ -89,6 +89,19 @@ class TestStandardNormals:
         assert a.tobytes() == b.tobytes()
         assert standard_normals(-1, 4, 40).tobytes() == standard_normals(2**64 - 1, 4, 40).tobytes()
 
+    @pytest.mark.parametrize("seed,stream,twin_seed,twin_stream", [
+        (np.int64(3), 0, 3, 0),
+        (3, np.int64(0), 3, 0),
+        (3, np.array(2), 3, 2),
+        (3, np.arange(3), 3, [0, 1, 2]),
+        (np.uint64(2**64 - 1), np.array([4, 1], dtype=np.uint64), -1, [4, 1]),
+    ])
+    def test_numpy_integers_draw_as_python_ints(self, seed, stream, twin_seed, twin_stream):
+        got = standard_normals(seed, stream, 5)
+        want = standard_normals(twin_seed, twin_stream, 5)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRegLowerGamma:
     def test_integer_shape_closed_forms(self):

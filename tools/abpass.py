@@ -5,8 +5,8 @@
 
 SRC is a directory that holds the lapdeconv package, such as the src/ of a
 checkout. Each side gets one long-lived interpreter that imports the
-package from its SRC, with BLAS and OpenMP pinned to one thread and
-LAPDECONV_THREADS unset, and sets the workload up as perfbench does, with
+package from its SRC, with BLAS and OpenMP pinned to one thread, and
+sets the workload up as perfbench does, with
 the Workload classes of this checkout's perfbench/worker.py; so both sides
 run the same op list. Then N pairs of timed passes run, pass k on both
 sides with the same inputs, and the side that goes first alternates
@@ -72,7 +72,7 @@ class Side:
     """One long-lived interpreter running the workload on one source tree."""
 
     def __init__(self, name: str, src: Path, workload: str, seed: int, work: Path):
-        env = {k: v for k, v in os.environ.items() if k != "LAPDECONV_THREADS"}
+        env = dict(os.environ)
         env.update({k: "1" for k in THREAD_VARS})
         env["PYTHONPATH"] = str(src)
         work.mkdir()

@@ -27,10 +27,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
+
 NS = (1000, 2000, 4000, 8000)
 T = 10.0
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def child(n: int) -> dict:
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(child(args.child)))
         return 0
-    env = {k: v for k, v in os.environ.items() if k != "LAPDECONV_THREADS"}
+    env = dict(os.environ)
     env.update({k: "1" for k in THREAD_VARS})
     env["PYTHONPATH"] = str(args.src.resolve())
     points = []
