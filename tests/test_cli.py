@@ -639,7 +639,7 @@ class TestThreadResolution:
 
     @pytest.mark.parametrize("env", ["2", "many", "0"])
     def test_env_variable_is_inert(self, monkeypatch, tmp_path, env):
-        # LAPDECONV_THREADS once capped and defaulted the count; it now
+        # no environment variable sets the thread count: LAPDECONV_THREADS
         # changes neither the count, nor the exit code, nor a byte
         argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1", "--output"]
         monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
