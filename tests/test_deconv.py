@@ -201,9 +201,9 @@ class TestBatchConsistency:
         V = np.column_stack(
             [q + 0.002 * standard_normals(31, run, n) for run in range(2)]
         )
+        assert g.r + 1 == 4
         outs = [_estimate_all(times, T, V, 0.002, g, EstimatorConfig(threads=k))
                 for k in (1, 2, g.r + 1, 8)]
-        assert g.r + 1 == 4
         for out in outs[1:]:
             np.testing.assert_array_equal(out[1], outs[0][1])
             np.testing.assert_array_equal(out[3], outs[0][3])
