@@ -12,7 +12,7 @@ derivative gets its own adaptively selected bandwidth.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "DeconvolutionResult",
     "EstimatorConfig",
     "deconvolve",
+    "ordered_map",
     "risk_mse",
     "trimmed_window",
 ]
@@ -45,8 +46,9 @@ class EstimatorConfig:
     """Settings of the full deconvolution pipeline.
 
     L, lepski, grid_size and fixed_bandwidths shape f_hat; threads is the
-    number of worker threads the per-order derivative estimations share,
-    which changes no result (the command line's --threads defaults to it).
+    number of threads the per-order derivative estimations share, the
+    caller plus threads - 1 pool threads (``ordered_map``), which changes
+    no result (the command line's --threads defaults to it).
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. grid_size must
@@ -162,6 +164,53 @@ def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndar
     return out
 
 
+def ordered_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], worked by the calling thread together
+    with threads - 1 pool threads (fewer when there are fewer items).
+
+    Each worker takes the next unclaimed item from one shared index, so the
+    items start in input order and one thread starts no thread at all. The
+    results come back in input order. When items raise, no further item
+    starts, every worker finishes the item it holds, and then the exception
+    of the first failing item in input order is raised: every item before
+    it had started, so it is the one ``[fn(item) for item in items]`` would
+    raise. An interrupt of the calling thread stops the pool threads the
+    same way and then propagates.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors: dict[int, Exception] = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+                stop.set()
+
+    pool = [threading.Thread(target=work) for _ in range(min(threads, len(items)) - 1)]
+    for t in pool:
+        t.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for t in pool:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
                   g: RationalLaplaceKernel, cfg: EstimatorConfig):
     """Batched pipeline core over the columns of V (n x R).
@@ -169,6 +218,9 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
     Column results are identical to running the pipeline per column; the
     batch exists so Monte-Carlo replications share design-dependent work.
+    The orders are selected, then evaluated, by ``ordered_map`` over
+    cfg.threads threads, the caller among them: one thread starts no pool
+    thread. The result does not depend on the thread count.
     """
     d = decompose(g)
     r = g.r
@@ -197,9 +249,8 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         return Q
 
     orders = range(r + 1)
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, r + 1)) as pool:
-        lam = np.array(list(pool.map(select, orders)))
-        Qs = list(pool.map(evaluate, orders))
+    lam = np.array(ordered_map(select, orders, cfg.threads))
+    Qs = ordered_map(evaluate, orders, cfg.threads)
 
     derivative = Qs[r]
     linear = np.zeros_like(derivative)

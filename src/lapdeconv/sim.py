@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -18,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._expalg import ExpPoly
-from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, trimmed_window
+from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, ordered_map, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
 from .smoother import EstimationError
 from .special import reg_lower_gamma, standard_normals
@@ -321,10 +320,11 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
     input order regardless of execution concurrency. trim is every cell's
     ``Scenario.trim``.
 
-    The cells run in one pool. With several cells it has config.threads
-    workers and each cell runs with threads=1; with one cell it has one
-    worker and the cell splits config.threads by derivative order. Results
-    do not depend on the thread count.
+    The cells run through ``deconv.ordered_map``: with several cells the
+    caller and config.threads - 1 pool threads take them in turn, each cell
+    running with threads=1; one cell runs on the caller and splits
+    config.threads by derivative order. Results do not depend on the thread
+    count.
     """
     config = config or EstimatorConfig()
     workers = 1
@@ -337,8 +337,7 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(run_experiment, scenarios))
+    reports = ordered_map(run_experiment, scenarios, workers)
     return list(zip(list(cells), reports))
 
 

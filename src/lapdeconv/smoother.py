@@ -8,8 +8,10 @@ statistically indistinguishable from all smaller ones.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,8 +362,8 @@ def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int,
 
 
 def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-               ker: SmoothingKernel, V: np.ndarray,
-               moments: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+               ker: SmoothingKernel, V: np.ndarray, moments: bool = True,
+               out=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
     """The band path's estimates and moment deviations, O(G (w + B n/G) deg K).
 
     Returns (estimates of V's columns at the points x, x.size x R; the
@@ -370,11 +372,12 @@ def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     V by one stacked product. E[k, m] is sum_i w_i(x_k) ((t_i - x_k)/lam)^m
     over the block's span in units of j!/lam^j, less 1 at m = j: the
     deviation from the kernel's defining moments in the level's own
-    variable, which ``_moment_worst`` reads.
+    variable, which ``_moment_worst`` reads. The estimates are written into
+    ``out(shape)``, a fresh array by default.
     """
     R = V.shape[1]
     xb = _blocked(x)
-    est = np.empty(xb.shape + (R,))
+    est = out(xb.shape + (R,))
     E = np.empty(xb.shape + (L,)) if moments else None
     for blk, cells, D in _band_blocks(times, x, lam, j, [ker], R=R):
         np.matmul(D, V[cells], out=est[blk])
@@ -532,8 +535,8 @@ _WINDOW_CHUNK = 1 << 18
 
 
 def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-                   ker: SmoothingKernel, V: np.ndarray,
-                   moments: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                   ker: SmoothingKernel, V: np.ndarray, moments: bool = True,
+                   out=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
     """``_band_rows``' estimates and moment deviations, O((n + G) deg K) per column.
 
     The columns are V's R data columns and, when ``moments`` is set, L
@@ -566,7 +569,8 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     F[lo] as many rows as the block has points, so a block counts
     max(span, points) * (deg P + 1) * max(R, L) elements; P at the nodes
     and the gathered columns are smaller. Every point is summed within its
-    own block, so the chunking changes no bit.
+    own block, so the chunking changes no bit. The estimates are written
+    into ``out(shape)``, as in ``_band_rows``.
     """
     n, G, R = times.size, x.size, V.shape[1]
     edges = _cell_edges(times)
@@ -583,7 +587,7 @@ def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     blk = np.floor((x - x[0]) / (0.25 * lam)).astype(int)
     starts = np.flatnonzero(np.diff(blk, prepend=-1))
     stops = np.append(starts[1:], G)
-    est = np.empty((G, R))
+    est = out((G, R))
     E = np.empty((G, L)) if moments else None
     span = int(np.max(b[stops - 1] - a[starts])) + 1
     # a block adds at most span edges and its points to a chunk's arrays;
@@ -722,7 +726,7 @@ def _probe_path(obs: int, L: int, ker: SmoothingKernel, R: int) -> str:
 
 def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
                  T: float, ker: SmoothingKernel, V: np.ndarray, tol: float,
-                 level: _Level):
+                 level: _Level, out=np.empty):
     """Moment error of one level on the comparison points x, and its
     estimates of V's columns there when that error is within tol (else None).
 
@@ -746,17 +750,74 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     returns at once, and either path sums the R data columns only. On a
     first probe both paths form the estimates together with the moment
     error, also for a level that then fails it. The estimates are the same
-    to the bit either way.
+    to the bit either way; they are written into ``out(shape)``.
     """
     path = _probe_path(level.obs, L, ker, V.shape[1])
     rel = level.rel.get(path)
     if rel is not None and rel > tol:
         return rel, None
     rows = _windowed_rows if path == "windowed" else _band_rows
-    est, E = rows(times, x, lam, j, L, ker, V, moments=rel is None)
+    est, E = rows(times, x, lam, j, L, ker, V, moments=rel is None, out=out)
     if rel is None:
         rel = level.rel[path] = _moment_worst(E, x, lam, j, T)
     return rel, (est if rel <= tol else None)
+
+
+# Floats of selection workspace (``_Workspace``) a thread keeps between
+# ``_lepski_batch`` calls: 64 MB. The benchmark's mc-cells workload (n = 250,
+# 100 columns) needs 3.0M of them, a single column at n = 8000 1.1M
+_WORKSPACE_KEEP = 1 << 23
+
+
+class _Workspace:
+    """A bump allocator of float arrays over one buffer, for one
+    ``_lepski_batch`` call at a time on one thread.
+
+    ``take`` hands out the next ``math.prod(shape)`` floats of the buffer
+    as an array of that shape, or a fresh array once the buffer is used
+    up; ``top`` is the floats handed out so far and ``high`` its largest
+    value in the call. Setting ``top`` back to an earlier value gives what
+    was taken since then back, for the caller to reuse.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0)
+        self.top = self.high = 0
+
+    def take(self, shape) -> np.ndarray:
+        start = self.top
+        self.top += math.prod(shape)
+        self.high = max(self.high, self.top)
+        if self.top > self.buf.size:
+            return np.empty(shape)
+        return self.buf[start : self.top].reshape(shape)
+
+
+_THREAD = threading.local()
+
+
+@contextlib.contextmanager
+def _workspace():
+    """The calling thread's ``_Workspace``, empty, for one selection.
+
+    A thread keeps its workspace between calls. When the last call
+    overflowed the buffer, it is replaced by one buffer of that call's
+    high-water size; when a call needs more than ``_WORKSPACE_KEEP`` floats,
+    the thread drops the workspace at its end, as it would drop fresh
+    arrays.
+    """
+    ws = getattr(_THREAD, "workspace", None)
+    if ws is None:
+        ws = _THREAD.workspace = _Workspace()
+    elif ws.high > ws.buf.size:
+        ws.buf = None  # freed before its successor is allocated
+        ws.buf = np.empty(ws.high)
+    ws.top = ws.high = 0
+    try:
+        yield ws
+    finally:
+        if ws.high > _WORKSPACE_KEEP:
+            del _THREAD.workspace
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
@@ -818,11 +879,26 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
 
     The comparisons run candidate by candidate, largest level first. Each
     candidate's squared differences (Ec - Eh)^2 against every smaller
-    admissible level are formed in one buffer of the candidate's shape,
-    reused for every such level: ``np.subtract`` and ``np.square`` into it,
-    then one product with the trapezoid weights. These are the operations
-    of ``tw @ (Ec - Eh) ** 2`` in the same order, so the distances are the
-    same to the bit, without two new arrays per pair of levels.
+    admissible level are formed in one buffer, sized for the largest
+    candidate and reused for every pair of levels: ``np.subtract`` and
+    ``np.square`` into it, then one product with the trapezoid weights.
+    These are the operations of ``tw @ (Ec - Eh) ** 2`` in the same order,
+    so the distances are the same to the bit, without two new arrays per
+    pair of levels.
+
+    The comparison estimates of every probed level and that buffer come
+    from a workspace the calling thread keeps between calls (``_workspace``,
+    a bump allocator over one float buffer), so repeated selections, as in
+    the Monte-Carlo replications of a table, reuse the same memory instead
+    of asking the allocator for fresh pages. A level that fails the moment
+    check gives its space back to the next level. The workspace is emptied
+    at the start of each call; when a call needed more than its buffer, the
+    rest came from fresh arrays and the next call starts with one buffer of
+    that call's high-water size. A call that needs more than
+    ``_WORKSPACE_KEEP`` floats (64 MB) leaves no workspace behind. The
+    estimates are written by the same operations into the workspace as
+    into fresh arrays, and none of the workspace is returned, so it changes
+    no result.
     """
     n = times.size
     depth = _grid_depth(j, cfg.a, n, sigma, T)
@@ -846,72 +922,81 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     best_bad = None
     checked = None
     probed = reused = 0
-    for li, lam in enumerate(levels):
-        if lam > T / 2:
-            continue
-        i0 = int(np.searchsorted(cgrid, lam - 1e-12, side="left"))
-        i1 = int(np.searchsorted(cgrid, T - lam + 1e-12, side="right"))
-        if i1 - i0 < 2:
-            continue
-        if checked is None:
-            checked = float(lam)
-        probed += 1
-        level = facts.get((j, L, float(lam)))
-        if level is None:
-            # windows must be nonempty on the whole interval, endpoints
-            # included, so that the selected level remains usable on a full
-            # [0, T] grid
-            level = facts.setdefault((j, L, float(lam)),
-                                     _Level(_open_windows(times, cgrid[i0:i1], lam, T)))
-        elif not level.obs or _probe_path(level.obs, L, ker, R) in level.rel:
-            reused += 1
-        if not level.obs:
-            break
-        rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL,
-                                level)
-        if est is not None:
-            spans[li] = (i0, i1)
-            estimates[li] = est
-        elif best_bad is None or rel < best_bad[0]:
-            best_bad = (rel, li, (i0, i1))
-    admissible = [i for i, s in enumerate(spans) if s is not None]
-    fallback = None
-    if not admissible and best_bad is not None:
-        # No level meets the moment conditions (coarse designs at high j);
-        # estimating at the least-biased level beats refusing outright.
-        _, li, (i0, i1) = best_bad
-        spans[li] = (i0, i1)
-        estimates[li] = _probe_level(times, cgrid[i0:i1], levels[li], j, L, T, ker, V,
-                                     math.inf, facts[(j, L, float(levels[li]))])[1]
-        admissible = [li]
-        fallback = "least_biased"
-    if not admissible:
-        raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
-            j, _no_level_reason(times, T, levels, checked, cgrid.size)))
-
-    selected = np.full(R, -1, dtype=int)
-    noise_scale = cfg.threshold_mult * C * C * sigma * sigma * T * T / n
-    for ci in admissible:
-        ok = selected < 0
-        if not np.any(ok):
-            break
-        i0c, i1c = spans[ci]
-        Ec = estimates[ci]
-        tw = _trapezoid_weights(cgrid[i0c:i1c])
-        diff2 = np.empty_like(Ec)
-        for hi in admissible:
-            if hi <= ci:
+    with _workspace() as ws:
+        for li, lam in enumerate(levels):
+            if lam > T / 2:
                 continue
-            h = levels[hi]
-            i0h, _ = spans[hi]
-            Eh = estimates[hi][i0c - i0h : i1c - i0h]
-            np.subtract(Ec, Eh, out=diff2)
-            np.square(diff2, out=diff2)
-            dist2 = tw @ diff2
-            ok &= dist2 <= noise_scale / h ** (2 * j + 1)
+            i0 = int(np.searchsorted(cgrid, lam - 1e-12, side="left"))
+            i1 = int(np.searchsorted(cgrid, T - lam + 1e-12, side="right"))
+            if i1 - i0 < 2:
+                continue
+            if checked is None:
+                checked = float(lam)
+            probed += 1
+            level = facts.get((j, L, float(lam)))
+            if level is None:
+                # windows must be nonempty on the whole interval, endpoints
+                # included, so that the selected level remains usable on a
+                # full [0, T] grid
+                level = facts.setdefault((j, L, float(lam)),
+                                         _Level(_open_windows(times, cgrid[i0:i1], lam, T)))
+            elif not level.obs or _probe_path(level.obs, L, ker, R) in level.rel:
+                reused += 1
+            if not level.obs:
+                break
+            mark = ws.top
+            rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL,
+                                    level, ws.take)
+            if est is not None:
+                spans[li] = (i0, i1)
+                estimates[li] = est
+            else:
+                ws.top = mark  # the level failed: its estimates are not kept
+                if best_bad is None or rel < best_bad[0]:
+                    best_bad = (rel, li, (i0, i1))
+        admissible = [i for i, s in enumerate(spans) if s is not None]
+        fallback = None
+        if not admissible and best_bad is not None:
+            # No level meets the moment conditions (coarse designs at high j);
+            # estimating at the least-biased level beats refusing outright.
+            _, li, (i0, i1) = best_bad
+            spans[li] = (i0, i1)
+            estimates[li] = _probe_level(times, cgrid[i0:i1], levels[li], j, L, T, ker, V,
+                                         math.inf, facts[(j, L, float(levels[li]))],
+                                         ws.take)[1]
+            admissible = [li]
+            fallback = "least_biased"
+        if not admissible:
+            raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
+                j, _no_level_reason(times, T, levels, checked, cgrid.size)))
+
+        selected = np.full(R, -1, dtype=int)
+        noise_scale = cfg.threshold_mult * C * C * sigma * sigma * T * T / n
+        # one buffer of the largest candidate's size; the smallest level has
+        # nothing smaller to be compared with and takes the undecided columns
+        diff = ws.take((max((estimates[ci].size for ci in admissible[:-1]), default=0),))
+        for ci in admissible[:-1]:
+            ok = selected < 0
             if not np.any(ok):
                 break
-        selected[ok & (selected < 0)] = ci
+            i0c, i1c = spans[ci]
+            Ec = estimates[ci]
+            tw = _trapezoid_weights(cgrid[i0c:i1c])
+            diff2 = diff[: Ec.size].reshape(Ec.shape)
+            for hi in admissible:
+                if hi <= ci:
+                    continue
+                h = levels[hi]
+                i0h, _ = spans[hi]
+                Eh = estimates[hi][i0c - i0h : i1c - i0h]
+                np.subtract(Ec, Eh, out=diff2)
+                np.square(diff2, out=diff2)
+                dist2 = tw @ diff2
+                ok &= dist2 <= noise_scale / h ** (2 * j + 1)
+                if not np.any(ok):
+                    break
+            selected[ok & (selected < 0)] = ci
+        selected[selected < 0] = admissible[-1]
     lam_hat = levels[selected]
     details = {
         "levels": levels,

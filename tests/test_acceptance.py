@@ -7,7 +7,6 @@ nine-line scoreboard regardless of capture settings.
 
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -247,29 +246,25 @@ def test_criterion_8_numerator_shift_construction(capsys):
 
 
 def test_criterion_9_bitwise_reproducibility(capsys, tmp_path):
-    """The simulate subcommand is byte-identical across reruns and across
-    thread counts, including maximum parallelism via LAPDECONV_THREADS."""
-    def run(tag: str, env_threads: str | None, extra: list):
+    """The simulate subcommand is byte-identical across reruns and between
+    the default thread count and --threads 8."""
+    def run(tag: str, extra: list):
         out = tmp_path / f"rep_{tag}.csv"
         js = tmp_path / f"rep_{tag}.json"
         data = tmp_path / f"data_{tag}.csv"
-        env = dict(os.environ)
-        env.pop("LAPDECONV_THREADS", None)
-        if env_threads is not None:
-            env["LAPDECONV_THREADS"] = env_threads
         proc = subprocess.run(
             [sys.executable, "-m", "lapdeconv.cli", "simulate",
              "--cell", "g2,f1,100,0", "--runs", "2", "--seed", "0",
              "--output", str(out), "--json", str(js),
              "--emit-data", str(data)] + extra,
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes() + js.read_bytes() + data.read_bytes()
 
-    base = run("a", None, [])
-    rerun = run("b", None, [])
-    threaded = run("c", "8", ["--threads", "8"])
+    base = run("a", [])
+    rerun = run("b", [])
+    threaded = run("c", ["--threads", "8"])
     ok = base == rerun and base == threaded
     detail = ("rerun and 8-thread outputs byte-identical" if ok
               else "outputs differ across reruns or thread counts")

@@ -1,6 +1,9 @@
 """Tests for the full deconvolution pipeline."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from lapdeconv.deconv import (
     _convolve_terms,
     _estimate_all,
     deconvolve,
+    ordered_map,
     risk_mse,
     trimmed_window,
 )
@@ -209,6 +213,66 @@ class TestBatchConsistency:
             np.testing.assert_array_equal(out[3], outs[0][3])
             for name, term in outs[0][2].items():
                 np.testing.assert_array_equal(out[2][name], term)
+
+
+class TestOrderedMap:
+    @staticmethod
+    def _slow_square(x):
+        time.sleep(0.002 * ((7 * x) % 5))  # later items may finish first
+        return x * x
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("count", [0, 3, 12])
+    def test_results_in_input_order(self, threads, count):
+        # count 3 gives threads 8 more threads than items
+        got = ordered_map(self._slow_square, range(count), threads)
+        assert got == [x * x for x in range(count)]
+
+    def test_each_item_runs_once_under_frequent_switches(self):
+        # more threads than cores, switching often: a claim that is not
+        # atomic would run some item twice or skip it
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ordered_map(lambda x: seen.append(x) or -x, range(300), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(300))
+        assert got == [-x for x in range(300)]
+
+    @pytest.mark.parametrize("threads,items,started", [(1, 5, 0), (4, 1, 0), (2, 5, 1),
+                                                       (8, 3, 2)])
+    def test_caller_is_one_of_the_workers(self, monkeypatch, threads, items, started):
+        starts = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: starts.append(t) or real_start(t))
+        idents = ordered_map(lambda _: threading.get_ident(), range(items), threads)
+        assert len(starts) == started
+        if not started:
+            assert set(idents) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_failing_item_raises_after_the_workers_stop(self, threads):
+        ran = []
+
+        def fn(x):
+            ran.append(x)
+            if x == 3:
+                time.sleep(0.05)  # item 6 fails first in time
+                raise ValueError("item 3")
+            if x == 6:
+                raise ValueError("item 6")
+            return x
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 3"):
+            ordered_map(fn, range(10), threads)
+        assert threading.active_count() == before
+        assert {0, 1, 2, 3} <= set(ran)
+        if threads == 1:
+            assert ran == [0, 1, 2, 3]
 
 
 class TestRiskMse:

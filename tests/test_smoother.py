@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -680,6 +681,121 @@ class TestDesignStore:
         for (_, two), (_, one) in zip(*reports):
             np.testing.assert_array_equal(two.per_run_mse, one.per_run_mse)
             assert two.bandwidth_counts == one.bandwidth_counts
+
+
+def _on_new_thread(calls):
+    """Run the zero-argument calls in turn on one new thread, whose selection
+    workspace starts empty. Returns, per call, its result and the thread's
+    workspace after it as (buffer floats, high-water floats), or None when
+    the thread kept no workspace."""
+    out = []
+
+    def run():
+        for call in calls:
+            result = call()
+            ws = getattr(smoother._THREAD, "workspace", None)
+            out.append((result, None if ws is None else (ws.buf.size, ws.high)))
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=300)
+    assert not t.is_alive() and len(out) == len(calls)
+    return out
+
+
+class TestWorkspace:
+    """``_lepski_batch`` takes its comparison estimates and its one buffer of
+    squared differences from a workspace its thread keeps (``_workspace``)."""
+
+    # (design, n, R, sigma, j): failing levels in the first and third, the
+    # least-biased fallback in the last; the fourth needs the most floats
+    CALLS = [("equispaced", 100, 1, 0.01, 0), ("random", 300, 100, 0.01, 1),
+             ("equispaced", 250, 100, 0.001, 2), ("random", 600, 100, 0.01, 0),
+             ("equispaced", 100, 100, 0.01, 0), ("equispaced", 100, 1, 0.001, 4)]
+
+    @staticmethod
+    def _call(kind, n, R, sigma, j):
+        """A selection from an empty design store, then the estimates of
+        every column at its selected level on an output grid."""
+        def call():
+            times = _design(kind, n)
+            V = np.sin(times)[:, None] + sigma * np.random.default_rng(n + R).standard_normal(
+                (n, R))
+            smoother._design_store.cache_clear()
+            lam, selected, details = _lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())
+            grid = np.linspace(0.0, T, 257)
+            Q = np.empty((grid.size, R))
+            for lv in np.unique(lam):
+                cols = np.flatnonzero(lam == lv)
+                Q[:, cols] = DesignWeights(times, T).apply(j, 8, lv, grid, V[:, cols])
+            return lam, selected, details, Q
+        return call
+
+    @staticmethod
+    def _assert_same(got, want):
+        for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            np.testing.assert_array_equal(a, b)
+        assert got[2].keys() == want[2].keys()
+        for key, value in want[2].items():
+            np.testing.assert_array_equal(got[2][key], value)
+
+    def test_calls_match_a_fresh_thread(self, empty_store):
+        calls = [self._call(*c) for c in self.CALLS]
+        steps = _on_new_thread(calls)
+        buffers = [ws[0] for _, ws in steps]
+        highs = [ws[1] for _, ws in steps]
+        # the fourth call outgrew the buffer the first three left, and the
+        # fifth ran in one buffer of the fourth's high-water size
+        assert buffers[3] == max(highs[:3]) < highs[3] == buffers[4]
+        assert highs[4] < buffers[4]
+        for call, (got, _) in zip(calls, steps):
+            (want, ws), = _on_new_thread([call])
+            assert ws[0] == 0  # a fresh thread's call takes fresh arrays only
+            self._assert_same(got, want)
+
+    def test_repeats_keep_one_buffer(self, empty_store):
+        call = self._call("random", 300, 100, 0.01, 1)
+        steps = _on_new_thread([call] * 3)
+        high = steps[0][1][1]
+        assert high > 0
+        assert [ws for _, ws in steps] == [(0, high), (high, high), (high, high)]
+        for got, _ in steps[1:]:
+            self._assert_same(got, steps[0][0])
+
+    def test_failed_levels_give_their_space_back(self, monkeypatch, empty_store):
+        probes = []  # (workspace floats in use before, floats taken, level passed)
+        real = smoother._probe_level
+
+        def spy(*args):
+            ws = args[-1].__self__  # the probe writes into the workspace's take
+            before = ws.top
+            rel, est = real(*args)
+            probes.append((before, ws.top - before, est is not None))
+            return rel, est
+
+        monkeypatch.setattr(smoother, "_probe_level", spy)
+        times = _design("equispaced", 100)
+        V = np.sin(times)[:, None] + 0.01 * np.random.default_rng(0).standard_normal((100, 100))
+        _on_new_thread([lambda: _lepski_batch(times, T, V, 0.01, 0, 8, LepskiConfig())])
+        passed = [p for _, _, p in probes]
+        # levels that fail the moment check, each with a probe after it
+        assert not all(passed[:-1]) and any(passed)
+        kept = 0
+        for before, taken, ok in probes:
+            assert before == kept
+            kept += taken if ok else 0
+
+    def test_a_call_above_the_bound_keeps_no_workspace(self, monkeypatch, empty_store):
+        call = self._call("random", 300, 100, 0.01, 1)
+        (want, (_, high)), = _on_new_thread([call])
+        monkeypatch.setattr(smoother, "_WORKSPACE_KEEP", high)
+        (_, kept), = _on_new_thread([call])
+        assert kept == (0, high)
+        monkeypatch.setattr(smoother, "_WORKSPACE_KEEP", high - 1)
+        steps = _on_new_thread([call, call])
+        assert [ws for _, ws in steps] == [None, None]
+        for got, _ in steps:
+            self._assert_same(got, want)
 
 
 class TestLepski:

@@ -18,8 +18,11 @@ than a change of about ten percent; two interleaved interpreters see the
 same load, so the ratio of their pass times within a pair is the steadier figure. The
 report gives each side's median pass time, the B/A ratio's median and
 quartiles over the pairs, and whether the two sides' output digests agree
-on every pass. Standard library and numpy only; exits 1 when a pass fails
-an op or the digests differ.
+on every pass. Next to each side's pass time it gives the side's median
+minor page faults per pass (the child's ``getrusage`` ``ru_minflt`` across
+``run_pass``), which counts the freshly mapped pages the allocator hands
+out. Standard library and numpy only; exits 1 when a pass fails an op or
+the digests differ.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,11 +60,14 @@ def serve(workload: str, seed: int, work: str) -> None:
     reply.flush()
     for line in sys.stdin:
         k = int(line)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         ops = w.run_pass(k, None)
         wall = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         reply.write(json.dumps({
             "wall_s": wall,
+            "minflt": faults,
             "failed": sum(op.failed for op in ops),
             "errors": [e for op in ops for e in op.errors][:3],
             "digests": [op.digest for op in ops],
@@ -125,12 +132,14 @@ def main(argv=None) -> int:
                 sides.append(Side(name, src.resolve(), args.workload, args.seed,
                                   Path(tmp) / name))
             walls = {"A": [], "B": []}
+            faults = {"A": [], "B": []}
             mismatched, failed = [], []
             for k in range(args.pairs):
                 order = sides if k % 2 == 0 else sides[::-1]
                 res = {side.name: side.run(k) for side in order}
                 for name, r in res.items():
                     walls[name].append(r["wall_s"])
+                    faults[name].append(r["minflt"])
                     if r["failed"]:
                         failed.append((k, name, r["errors"]))
                 if res["A"]["digests"] != res["B"]["digests"]:
@@ -145,7 +154,8 @@ def main(argv=None) -> int:
           f"{os.cpu_count()} cores")
     for side in sides:
         print(f"{side.name}: setup {side.setup_s:.3f} s, median pass "
-              f"{statistics.median(walls[side.name]):.4f} s")
+              f"{statistics.median(walls[side.name]):.4f} s, "
+              f"{statistics.median(faults[side.name]):.0f} minor page faults")
     print(f"B/A pass ratio: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"B faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
     print("digests: " + ("identical on every pass" if not mismatched
