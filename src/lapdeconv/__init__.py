@@ -60,7 +60,6 @@ from .smoother import (
     DerivativeEstimate,
     DesignWeights,
     EstimationError,
-    LepskiConfig,
     NoisySample,
     estimate_derivative,
     estimate_sigma,
@@ -83,7 +82,6 @@ __all__ = [
     "EstimatorConfig",
     "ExpPoly",
     "ExperimentReport",
-    "LepskiConfig",
     "NoisySample",
     "PoleTerm",
     "Polynomial",

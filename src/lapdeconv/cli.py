@@ -16,7 +16,7 @@ module parses flags and maps the library's exceptions to exit codes:
 3 kernel-spec or make-kernel order violation, 4 estimator failure (an
 EstimationError, or a MemoryError, named with the grid size). Every
 failure prints a one-line diagnostic naming the violated precondition.
-Flag defaults are those of EstimatorConfig, LepskiConfig and Scenario.
+Flag defaults are those of EstimatorConfig and Scenario.
 ``_write_columns`` writes every two-column CSV, at 17 significant digits
 so files round-trip losslessly, and
 ``sim.write_json`` every JSON document; every output is a pure function of
@@ -58,7 +58,6 @@ from .sim import (
 )
 from .smoother import (
     EstimationError,
-    LepskiConfig,
     NoisySample,
     estimate_sigma,
 )
@@ -177,7 +176,6 @@ def _estimator_config(args) -> EstimatorConfig:
     try:
         return EstimatorConfig(
             L=args.L,
-            lepski=LepskiConfig(a=args.a, threshold_mult=args.threshold_mult),
             grid_size=args.grid_size,
             fixed_bandwidths=_parse_bandwidths(args.bandwidth),
             threads=args.threads,
@@ -199,10 +197,10 @@ def _out_of_memory(cfg: EstimatorConfig) -> CliError:
 
 
 # The sidecar's "config": the settings that shape f_hat, which are the fields
-# of EstimatorConfig with its LepskiConfig's fields in place of "lepski", less
-# "threads", which changes no output byte. The parsed flags are JSON types
-# already; a tuple of fixed bandwidths is written as a list.
-SIDECAR_CONFIG = ("L", "a", "threshold_mult", "grid_size", "fixed_bandwidths")
+# of EstimatorConfig less "threads", which changes no output byte. The parsed
+# flags are JSON types already; a tuple of fixed bandwidths is written as a
+# list.
+SIDECAR_CONFIG = ("L", "grid_size", "fixed_bandwidths")
 
 
 def _write_columns(path: str, header: tuple[str, str], xs, ys) -> None:
@@ -215,7 +213,7 @@ def _write_columns(path: str, header: tuple[str, str], xs, ys) -> None:
 
 def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool):
     d = result.decomposition
-    settings = {**vars(result.config), **vars(result.config.lepski)}
+    settings = vars(result.config)
     return {
         "n": int(data.n),
         "T": float(data.T),
@@ -383,11 +381,6 @@ def cmd_inspect_kernel(args) -> int:
 def _add_estimator_flags(sub) -> None:
     sub.add_argument("--L", type=int, default=EstimatorConfig.L,
                      help="kernel order (default %(default)s)")
-    sub.add_argument("--a", type=float, default=LepskiConfig.a,
-                     help="bandwidth grid ratio (default %(default)s)")
-    sub.add_argument("--threshold-mult", type=float, dest="threshold_mult",
-                     default=LepskiConfig.threshold_mult,
-                     help="comparison threshold multiplier (default %(default)s)")
     sub.add_argument("--grid-size", type=int, default=EstimatorConfig.grid_size,
                      dest="grid_size",
                      help="evaluation grid size (default %(default)s)")

@@ -13,7 +13,7 @@ derivative gets its own adaptively selected bandwidth.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .smoother import (
     DEFAULT_GRID_SIZE,
     DesignWeights,
     EstimationError,
-    LepskiConfig,
     NoisySample,
     _lepski_batch,
     check_bandwidth,
@@ -45,10 +44,11 @@ DEFAULT_TRIM = 0.1  # boundary fraction of [0, T] that risks drop (``trimmed_win
 class EstimatorConfig:
     """Settings of the full deconvolution pipeline.
 
-    L, lepski, grid_size and fixed_bandwidths shape f_hat; threads is the
-    number of threads the per-order derivative estimations share, the
-    caller plus threads - 1 pool threads (``ordered_map``), which changes
-    no result (the command line's --threads defaults to it).
+    L, grid_size and fixed_bandwidths shape f_hat, together with the
+    selection's fixed grid ratio and threshold multiplier (``smoother``);
+    threads is the number of threads the per-order derivative estimations
+    share, the caller plus threads - 1 pool threads (``ordered_map``),
+    which changes no result (the command line's --threads defaults to it).
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. grid_size must
@@ -57,7 +57,6 @@ class EstimatorConfig:
     """
 
     L: int = 8
-    lepski: LepskiConfig = field(default_factory=LepskiConfig)
     grid_size: int = DEFAULT_GRID_SIZE
     fixed_bandwidths: object = None
     threads: int = 1
@@ -239,7 +238,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         if fixed is not None:
             check_bandwidth(times, T, grid, j, fixed)
             return np.full(R, fixed)
-        return _lepski_batch(times, T, V, sigma, j, cfg.L, cfg.lepski)[0]
+        return _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
 
     def evaluate(j: int) -> np.ndarray:
         Q = np.empty((grid.size, R))

@@ -24,7 +24,6 @@ __all__ = [
     "DerivativeEstimate",
     "DesignWeights",
     "EstimationError",
-    "LepskiConfig",
     "NoisySample",
     "check_bandwidth",
     "estimate_derivative",
@@ -42,8 +41,13 @@ _RHO_MIN = 1e-3
 # Largest moment deviation (``_moment_worst``) of an admissible bandwidth level
 _PROBE_TOL = 0.1
 
-# Most levels above the widest gap's need (``_widest_gap``) a grid may hold
-_LEVELS_ABOVE_GAP_MAX = 1000
+# Ratio a of the geometric bandwidth grid (``BandwidthGrid``); a finite
+# n / (sigma^2 T^2) keeps the depth J below log_a(DBL_MAX) = 3893.2
+_GRID_RATIO = 1.2
+
+# Multiplier of the comparison threshold (``_lepski_batch``): 3.0 is the
+# empirically tuned value, 4.0 the conservative theoretical one
+_THRESHOLD_MULT = 3.0
 
 DEFAULT_GRID_SIZE = 1024  # points of the evaluation grid on [0, T]
 
@@ -98,22 +102,23 @@ class NoisySample:
 
 @dataclass(frozen=True)
 class BandwidthGrid:
-    """Geometric bandwidth grid a^0 > a^-1 > ... > a^-J for derivative order j."""
+    """Geometric bandwidth grid a^0 > a^-1 > ... > a^-J for derivative order j,
+    a = ``_GRID_RATIO``."""
 
     j: int
-    a: float
     levels: np.ndarray
 
     @classmethod
-    def build(cls, j: int, a: float, n: int, sigma: float, T: float) -> "BandwidthGrid":
+    def build(cls, j: int, n: int, sigma: float, T: float) -> "BandwidthGrid":
         """The levels a^-k for k = 0..J, J from ``_grid_depth``."""
-        depth = _grid_depth(j, a, n, sigma, T)
-        levels = float(a) ** (-np.arange(depth + 1, dtype=float))
-        return cls(j=int(j), a=float(a), levels=levels)
+        depth = _grid_depth(j, n, sigma, T)
+        levels = _GRID_RATIO ** (-np.arange(depth + 1, dtype=float))
+        return cls(j=int(j), levels=levels)
 
 
-def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
-    """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0.
+def _grid_depth(j: int, n: int, sigma: float, T: float) -> int:
+    """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0,
+    with a = ``_GRID_RATIO``.
 
     Raises AdaptationError when sigma^2 T^2 >= n (the depth formula turns
     nonpositive) or when sigma == 0, sigma^2 T^2 underflows to 0 or
@@ -122,8 +127,6 @@ def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
     """
     if j < 0:
         raise ValueError("derivative order j must be nonnegative")
-    if not (math.isfinite(a) and a > 1.0):
-        raise ValueError("grid ratio a must be finite and exceed 1")
     if sigma == 0.0:
         raise AdaptationError(
             "sigma = 0 gives an unbounded bandwidth grid; adaptive selection "
@@ -142,30 +145,8 @@ def _grid_depth(j: int, a: float, n: int, sigma: float, T: float) -> int:
             "which gives an unbounded bandwidth grid; adaptive selection is "
             "impossible, supply a fixed bandwidth instead" % sigma
         )
-    depth = math.floor(math.log(n / scale, a) / (2 * j + 1))
+    depth = math.floor(math.log(n / scale, _GRID_RATIO) / (2 * j + 1))
     return max(depth, 0)
-
-
-@dataclass(frozen=True)
-class LepskiConfig:
-    """Tuning constants for the adaptive bandwidth selector.
-
-    Order j's threshold scales with the exact kernel norm ||K_j||, the
-    paper's mu ||K_j|| at mesh ratio mu = 1, so threshold_mult is its one
-    free scale: a constant c in place of ||K_j|| selects as threshold_mult
-    * c^2 / ||K_j||^2 does. 3.0 is the empirically tuned multiplier, 4.0
-    the conservative theoretical one; it must be finite and positive, else
-    ValueError. The probe tolerance (``_PROBE_TOL``) and the comparison
-    grid of max(4n, 2000) points are fixed.
-    """
-
-    a: float = 1.2
-    threshold_mult: float = 3.0
-
-    def __post_init__(self):
-        value = self.threshold_mult
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"threshold_mult must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -821,7 +802,7 @@ def _workspace():
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
-                  j: int, L: int, cfg: LepskiConfig):
+                  j: int, L: int):
     """Adaptive bandwidth per column of the observation matrix V (n x R).
 
     Returns (lam_hat (R,), selected_index (R,), details dict). Admissibility
@@ -837,12 +818,11 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     ``details["fallback"]`` is "least_biased"; otherwise it is None.
     Distances between estimates are integrated over the interior zone of
     the larger bandwidth, where neither estimate is boundary-affected, against
-    threshold_mult * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
-    (``details["C"]``); a constant c as C selects as threshold_mult * c^2 /
-    ||K_j||^2 does. More than ``_LEVELS_ABOVE_GAP_MAX`` levels above the need
-    of ``_widest_gap`` (a ratio a near 1) raise ValueError before any probe,
-    counted from the depth formula (``_grid_depth``) before the levels are
-    allocated.
+    ``_THRESHOLD_MULT`` * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
+    (``details["C"]``), the paper's mu ||K_j|| at mesh ratio mu = 1; a
+    constant c as C would select as ``_THRESHOLD_MULT`` * c^2 / ||K_j||^2
+    does. The probe tolerance and the comparison grid of max(4n, 2000)
+    points are fixed too.
 
     A level's comparison-grid estimates and moment check are computed one
     of two ways, chosen by ``_probe_level`` by a cost rule in the
@@ -901,16 +881,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     no result.
     """
     n = times.size
-    depth = _grid_depth(j, cfg.a, n, sigma, T)
-    need = _widest_gap(times, T)[2]
-    # the levels a^-k > need are k < log_a(1/need), counted before the
-    # depth + 1 levels are allocated
-    above = min(depth + 1, max(math.ceil(-math.log(need, cfg.a)), 0))
-    if above > _LEVELS_ABOVE_GAP_MAX:
-        raise ValueError("grid ratio a=%r puts %d bandwidth levels of order j=%d above "
-                         "the widest design gap's need of %g, more than %d; raise a"
-                         % (cfg.a, above, j, need, _LEVELS_ABOVE_GAP_MAX))
-    levels = BandwidthGrid.build(j, cfg.a, n, sigma, T).levels
+    levels = BandwidthGrid.build(j, n, sigma, T).levels
     cgrid = np.linspace(0.0, T, max(4 * n, 2000))
     ker = make_kernel(L, j)
     C = math.sqrt(ker.norm2)
@@ -971,7 +942,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
                 j, _no_level_reason(times, T, levels, checked, cgrid.size)))
 
         selected = np.full(R, -1, dtype=int)
-        noise_scale = cfg.threshold_mult * C * C * sigma * sigma * T * T / n
+        noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
         # one buffer of the largest candidate's size; the smallest level has
         # nothing smaller to be compared with and takes the undecided columns
         diff = ws.take((max((estimates[ci].size for ci in admissible[:-1]), default=0),))
@@ -1012,9 +983,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     return lam_hat, selected, details
 
 
-def lepski_select(data: NoisySample, j: int, L: int,
-                  cfg: LepskiConfig | None = None,
-                  *, return_details: bool = False):
+def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = False):
     """Largest admissible bandwidth whose estimate stays within the
     noise-level threshold of every smaller admissible estimate on the grid.
 
@@ -1023,17 +992,16 @@ def lepski_select(data: NoisySample, j: int, L: int,
     level is admissible, the least-biased level (the one that misses the
     moment conditions least) is used and ``details["fallback"]`` reads
     "least_biased". The smallest admissible level has nothing smaller to
-    be compared with, so it is selected when no larger level passes. A
-    constant c in place of ||K_j|| (``details["C"]``) selects as
-    threshold_mult * c^2 / ||K_j||^2 does.
+    be compared with, so it is selected when no larger level passes. The
+    grid ratio (``_GRID_RATIO``) and the threshold multiplier
+    (``_THRESHOLD_MULT``) are fixed.
     Admissibility is read from a store of design facts when the same
     design (times and T) was selected on before, among the last 8 designs;
     that saves time on repeated calls only and never changes the result
     (see ``_lepski_batch``).
     """
-    cfg = cfg or LepskiConfig()
     lam_hat, _, details = _lepski_batch(
-        data.times, data.T, data.values[:, None], data.sigma, j, L, cfg
+        data.times, data.T, data.values[:, None], data.sigma, j, L
     )
     lam = float(lam_hat[0])
     if return_details:
@@ -1041,13 +1009,11 @@ def lepski_select(data: NoisySample, j: int, L: int,
     return lam
 
 
-def estimate_derivative(data: NoisySample, j: int, L: int,
-                        cfg: LepskiConfig | None = None, grid=None) -> DerivativeEstimate:
+def estimate_derivative(data: NoisySample, j: int, L: int, grid=None) -> DerivativeEstimate:
     """Adaptive-bandwidth estimate of q^(j): select, then evaluate."""
-    cfg = cfg or LepskiConfig()
     if grid is None:
         grid = np.linspace(0.0, data.T, DEFAULT_GRID_SIZE)
-    lam = lepski_select(data, j, L, cfg)
+    lam = lepski_select(data, j, L)
     return pc_estimate(data, j, L, lam, grid)
 
 

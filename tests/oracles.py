@@ -25,6 +25,9 @@ can compare the two:
 - ``dense_weights`` builds the estimator's weight matrix row by row with
   ``polyval`` over every cell of the design; the package forms the rows
   in blocks over each row's window only and never as one matrix.
+- ``fixed_bandwidth_risk`` is the expected trimmed risk of a Monte-Carlo
+  cell at fixed bandwidths in closed form, from the estimator's linear
+  map; ``sim.run_experiment`` estimates the same risk by replication.
 """
 
 import json
@@ -36,6 +39,7 @@ import numpy as np
 
 import lapdeconv
 from lapdeconv._expalg import ExpPoly
+from lapdeconv.deconv import _convolve_terms, trimmed_window
 from lapdeconv.kernels import SmoothingKernel
 from lapdeconv.resolvent import (
     _CLUSTER_RADIUS,
@@ -44,9 +48,11 @@ from lapdeconv.resolvent import (
     ResolventDecomposition,
     _assert_real,
     _symmetrize_conjugates,
+    decompose,
     polished_roots,
 )
-from lapdeconv.smoother import _boundary_key, _cell_edges, _kernel_for_key
+from lapdeconv.sim import Scenario, builtin_f, builtin_g, forward_convolve
+from lapdeconv.smoother import DesignWeights, _boundary_key, _cell_edges, _kernel_for_key
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -463,3 +469,37 @@ def dense_weights(times, T, grid, j, L, lam):
         B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
         W[k] = (B[:-1] - B[1:]) / lam**j
     return W
+
+
+def fixed_bandwidth_risk(sc: Scenario) -> float:
+    """Expected trimmed risk of the cell sc at its fixed bandwidths, exactly.
+
+    Every order j of the estimate has a fixed bandwidth (sc.config), so f_hat
+    = A y is linear in the data: with W_j the order-j weight rows on the
+    evaluation grid (``DesignWeights.weight_matrix``), b and B_r from
+    ``decompose`` and Phi the product-rule convolution with phi1^(r)
+    (``deconv._convolve_terms``, linear in each column it is applied to),
+    A = (W_r - sum_j b_j W_(r-1-j) - Phi W_0) / B_r. The cell's data are
+    y = q + sigma eps with q = g * f on the design (``forward_convolve``, as
+    ``cell_sample`` forms it) and eps standard normal, so the expected mean
+    of (f_hat - f)^2 over the trimmed window is the window's mean of
+    (A q - f)^2 + sigma^2 sum_i A_ki^2.
+    """
+    g, f = builtin_g(sc.g_name), builtin_f(sc.f_name)
+    d = decompose(g)
+    r = d.r
+    times = np.arange(1, sc.n + 1) * (sc.T / sc.n)
+    grid = np.linspace(0.0, sc.T, sc.config.grid_size)
+    design = DesignWeights(times, sc.T)
+    W = [design.weight_matrix(j, sc.config.L, sc.config.fixed_bandwidth(j), grid)
+         for j in range(r + 1)]
+    A = W[r].copy()
+    for jj in range(r):
+        A -= d.b[jj] * W[r - 1 - jj]
+    if d.has_phi1:
+        A -= _convolve_terms(W[0], ExpPoly.phi1_from_decomposition(d).derivatives(r), grid)
+    A /= d.B_r
+    mask = trimmed_window(grid, sc.trim)
+    A = A[mask]
+    bias = A @ forward_convolve(g, f, times) - f(grid[mask])
+    return float(np.mean(bias * bias + sc.sigma**2 * np.sum(A * A, axis=1)))

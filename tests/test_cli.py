@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lapdeconv import EstimatorConfig, LepskiConfig, cli, smoother
+from lapdeconv import EstimatorConfig, cli
 from lapdeconv.cli import (
     SIDECAR_CONFIG,
     _estimator_config,
@@ -30,15 +30,6 @@ G4_EXP_POLY = json.dumps({
 })
 # 1 / (s + 50)^8, whose leading coefficient is 1 against a constant of 3.9e13
 STIFF_G = json.dumps({"form": "exp-poly", "a": 50.0, "r": 8, "rho": [1.0]})
-# selection constants LepskiConfig rejects; both commands exit 2 on them
-BAD_SELECTION_FLAGS = [
-    ["--threshold-mult", "-1"],
-    ["--threshold-mult", "nan"],
-    ["--threshold-mult", "0"],
-    ["--threshold-mult", "inf"],
-    ["--a", "inf"],
-]
-
 # what the one-line diagnostic of each malformed --cell names; the n and i
 # rules are the library's (Scenario, ladder_sigma), the rest the parser's
 BAD_CELL_TEXT = {
@@ -278,6 +269,21 @@ class TestDeconvolveCommand:
         assert one_error_line(capsys).startswith(
             "lapdeconv: estimator: sigma = 1e-200 is so small")
 
+    def test_tiny_interval_exits_4(self, tmp_path, capsys):
+        # T = 1e-80: order 1's whole bandwidth grid lies above T/2
+        T = 1e-80
+        times = np.arange(1, 251) * (T / 250)
+        rng = np.random.default_rng(0)
+        values = np.sin(3 * times / T) + 0.01 * rng.standard_normal(times.size)
+        data = write_csv(tmp_path / "tiny.csv", zip(times, values))
+        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")])
+        assert rc == 4
+        assert one_error_line(capsys).startswith(
+            "lapdeconv: estimator: no admissible bandwidth level for j=1: every level "
+            "of the grid")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_unsorted_input_exits_2(self, tmp_path):
         data = write_csv(tmp_path / "bad.csv",
                          [[2.0, 0.1], [1.0, 0.2], [3.0, 0.3]])
@@ -369,46 +375,6 @@ class TestDeconvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("lapdeconv: estimator: no admissible bandwidth level")
         assert "from t=1 to t=9.1, needs a bandwidth above 4.05" in err
-
-    @pytest.mark.parametrize("flags", BAD_SELECTION_FLAGS)
-    def test_invalid_selection_constant_exits_2(self, tmp_path, capsys, flags):
-        data = emit_cell(tmp_path)
-        capsys.readouterr()
-        rc = main(["deconvolve", "--input", data, "--kernel", G2,
-                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")]
-                  + flags)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("lapdeconv: invalid parameter: ")
-        assert err.count("\n") == 1
-
-    def test_ratio_near_one_exits_2(self, tmp_path, capsys):
-        # 1.0001 puts 32191 levels above the design's widest gap, 1.05 puts 66
-        data = emit_cell(tmp_path, cell="g4,f2,250,0")
-        capsys.readouterr()
-        args = ["deconvolve", "--input", data, "--kernel", G4, "--sigma", "0.002",
-                "--output", str(tmp_path / "f.csv")]
-        assert main(args + ["--a", "1.0001"]) == 2
-        assert one_error_line(capsys).startswith("lapdeconv: invalid parameter: ")
-        assert not (tmp_path / "f.csv").exists()
-        assert main(args + ["--a", "1.05"]) == 0
-        assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 1024
-
-    def test_ratio_within_1e12_of_one_exits_2_before_the_grid(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # about 1e13 levels; the guard counts them without building the grid
-        data = emit_cell(tmp_path, cell="g4,f2,250,0")
-        capsys.readouterr()
-
-        def build(*args, **kwargs):
-            pytest.fail("BandwidthGrid.build was called")
-
-        monkeypatch.setattr(smoother.BandwidthGrid, "build", build)
-        rc = main(["deconvolve", "--input", data, "--kernel", G4, "--sigma", "0.002",
-                   "--output", str(tmp_path / "f.csv"), "--a", "1.000000000001"])
-        assert rc == 2
-        assert one_error_line(capsys).startswith(
-            "lapdeconv: invalid parameter: grid ratio a=1.000000000001 puts ")
 
     @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
     def test_memory_error_exits_4_naming_the_grid_size(self, tmp_path, capsys,
@@ -529,12 +495,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--a", "1.0"],
             ["--L", "1"],
             ["--grid-size", "1"],
             ["--grid-size", "2"],
             ["--trim", "0.6"],
-            *BAD_SELECTION_FLAGS,
         ],
     )
     def test_invalid_estimator_parameter_exits_2(self, tmp_path, capsys, flags):
@@ -678,20 +642,21 @@ def test_flag_defaults_are_the_config_defaults(command):
             defaults["runs"], defaults["seed"], defaults["trim"])
 
 
+@pytest.mark.parametrize("flag", ["--C", "--a", "--threshold-mult"])
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
-def test_C_flag_is_rejected(capsys, command):
-    # the threshold's one scale is --threshold-mult; there is no --C
+def test_selection_constant_flags_are_rejected(capsys, command, flag):
+    # the threshold scale, the grid ratio and the threshold multiplier of
+    # the selection are constants, not flags
     with pytest.raises(SystemExit) as exc:
-        main(REQUIRED_ARGS[command] + ["--C", "2"])
+        main(REQUIRED_ARGS[command] + [flag, "2"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --C 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_sidecar_config_holds_the_settings_that_shape_f_hat():
-    # every field of EstimatorConfig, with LepskiConfig's fields in place of
-    # "lepski", except the thread count, which changes no output byte
-    settings = {f.name for f in fields(EstimatorConfig)} - {"lepski", "threads"}
-    settings |= {f.name for f in fields(LepskiConfig)}
+    # every field of EstimatorConfig except the thread count, which changes
+    # no output byte
+    settings = {f.name for f in fields(EstimatorConfig)} - {"threads"}
     assert set(SIDECAR_CONFIG) == settings
     schema = load_sidecar_schema()["properties"]["config"]
     assert schema["required"] == list(SIDECAR_CONFIG)

@@ -153,6 +153,19 @@ class TestAdaptiveDeconvolve:
         assert res.bandwidths.shape == (g.r + 1,)
         assert np.all(res.bandwidths > 0)
 
+    def test_tiny_interval_is_an_estimation_error(self):
+        # on T = 1e-80 order 0's grid holds about 2100 levels, over 1000 of
+        # them above the design's widest gap, and order 1's grid ends at
+        # 1.2^-700, far above T/2: no level of order 1 can be tested
+        T_tiny = 1e-80
+        times = np.arange(1, 251) * (T_tiny / 250)
+        rng = np.random.default_rng(0)
+        values = np.sin(3 * times / T_tiny) + 0.01 * rng.standard_normal(times.size)
+        data = NoisySample(times, values, T_tiny, 0.01)
+        with pytest.raises(EstimationError,
+                           match=r"j=1: every level of the grid, .* exceeds T/2 = 5e-81"):
+            deconvolve(data, builtin_g("g2"))
+
     def test_requires_kernel_order_above_r(self):
         data, _, _ = noisy_sample("g2", "f1", 100, 0.01, 5)
         g1 = builtin_g("g1")

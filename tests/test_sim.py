@@ -29,7 +29,7 @@ from lapdeconv.sim import (
 )
 from lapdeconv.smoother import NoisySample
 from lapdeconv.special import standard_normals
-from oracles import convolve_exp_poly
+from oracles import convolve_exp_poly, fixed_bandwidth_risk
 
 
 class TestBuiltinTargets:
@@ -240,6 +240,21 @@ class TestRunExperiment:
         sc = Scenario("g2", "f1", n=60, sigma=0.01, runs=1, trim=trim)
         with pytest.raises(ValueError, match=r"trim must lie in \[0, 0\.5\)"):
             run_experiment(sc)
+
+    @pytest.mark.parametrize("g_name,f_name", [("g2", "f1"), ("g4", "f2"), ("g5", "f3")])
+    def test_mean_risk_at_a_fixed_bandwidth_matches_the_closed_form(self, g_name, f_name):
+        # at fixed bandwidths f_hat is linear in the data, so its expected
+        # trimmed risk is exact (``fixed_bandwidth_risk``); the 100-run mean
+        # must lie within 4 standard errors of it
+        sc = Scenario(g_name, f_name, n=100, sigma=ladder_sigma(g_name, 0), runs=100,
+                      config=EstimatorConfig(fixed_bandwidths=1.0))
+        rep = run_experiment(sc)
+        exact = fixed_bandwidth_risk(sc)
+        z = (rep.mean_mse - exact) / (rep.std_mse / math.sqrt(sc.runs))
+        print(f"{g_name}/{f_name}: Monte-Carlo {rep.mean_mse:.6g}, exact {exact:.6g}, "
+              f"z = {z:+.2f}")
+        assert rep.failures == 0
+        assert abs(z) <= 4.0
 
 
 class TestCellSample:

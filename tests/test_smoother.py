@@ -17,7 +17,6 @@ from lapdeconv.smoother import (
     BandwidthGrid,
     DesignWeights,
     EstimationError,
-    LepskiConfig,
     NoisySample,
     _band_blocks,
     _band_rows,
@@ -140,7 +139,7 @@ class TestPcEstimate:
 
 class TestBandwidthGrid:
     def test_levels_shape_and_order(self):
-        g = BandwidthGrid.build(0, 1.2, 1000, 0.1, T)
+        g = BandwidthGrid.build(0, 1000, 0.1, T)
         depth = int(np.floor(np.log(1000 / (0.01 * 100)) / np.log(1.2)))
         assert g.levels.size == depth + 1
         assert g.levels[0] == 1.0
@@ -148,36 +147,33 @@ class TestBandwidthGrid:
         np.testing.assert_allclose(g.levels, 1.2 ** (-np.arange(depth + 1)))
 
     def test_higher_order_shrinks_grid(self):
-        g0 = BandwidthGrid.build(0, 1.2, 1000, 0.1, T)
-        g4 = BandwidthGrid.build(4, 1.2, 1000, 0.1, T)
+        g0 = BandwidthGrid.build(0, 1000, 0.1, T)
+        g4 = BandwidthGrid.build(4, 1000, 0.1, T)
         assert g4.levels.size < g0.levels.size
 
     def test_sigma_zero_raises(self):
         with pytest.raises(AdaptationError):
-            BandwidthGrid.build(0, 1.2, 1000, 0.0, T)
+            BandwidthGrid.build(0, 1000, 0.0, T)
 
     @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
     def test_tiny_sigma_raises(self, sigma):
         # sigma^2 T^2 underflows to 0 at 1e-200; at 1e-155 n / (sigma^2 T^2)
         # overflows to inf
         with pytest.raises(AdaptationError, match="not a finite number"):
-            smoother._grid_depth(0, 1.2, 250, sigma, T)
+            smoother._grid_depth(0, 250, sigma, T)
 
     def test_small_sigma_keeps_the_depth_formula(self):
         depth = math.floor(math.log(250 / (1e-150 * 1e-150 * T * T), 1.2))
-        assert smoother._grid_depth(0, 1.2, 250, 1e-150, T) == depth
+        assert smoother._grid_depth(0, 250, 1e-150, T) == depth
 
     def test_noise_dominated_raises(self):
         # sigma^2 T^2 = 100 >= n leaves no grid at all
         with pytest.raises(AdaptationError):
-            BandwidthGrid.build(0, 1.2, 100, 1.0, T)
+            BandwidthGrid.build(0, 100, 1.0, T)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BandwidthGrid.build(-1, 1.2, 1000, 0.1, T)
-        for a in (1.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                BandwidthGrid.build(0, a, 1000, 0.1, T)
+            BandwidthGrid.build(-1, 1000, 0.1, T)
 
 
 def _oracle_case(rng, kind, permuted):
@@ -516,7 +512,7 @@ class TestWindowedRows:
                 got = []
                 for per_degree in (0, 10**9):  # every level windowed, then none
                     monkeypatch.setattr(smoother, "_WINDOW_OBS_PER_DEGREE", per_degree)
-                    got.append(_lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())[2])
+                    got.append(_lepski_batch(times, T, V, sigma, j, 8)[2])
                 win, band = got
                 np.testing.assert_array_equal(win["levels"], band["levels"])
                 assert win["admissible"] == band["admissible"]
@@ -605,13 +601,13 @@ class TestDesignStore:
         fallbacks = set()
         for j in range(5):
             smoother._design_store.cache_clear()
-            fresh = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
+            fresh = _lepski_batch(times, T, V2, sigma, j, 8)
             smoother._design_store.cache_clear()
-            first = _lepski_batch(times, T, V1, sigma, j, 8, LepskiConfig())[2]
+            first = _lepski_batch(times, T, V1, sigma, j, 8)[2]
             assert first["levels_reused"] == 0 < first["levels_probed"]
             assert (any(moment_errors), bool(windowed)) == (path == "band", path == "windowed")
             del moment_errors[:], windowed[:]
-            lam, selected, repeat = _lepski_batch(times, T, V2, sigma, j, 8, LepskiConfig())
+            lam, selected, repeat = _lepski_batch(times, T, V2, sigma, j, 8)
             np.testing.assert_array_equal(lam, fresh[0])
             np.testing.assert_array_equal(selected, fresh[1])
             np.testing.assert_array_equal(repeat["selected_index"], fresh[2]["selected_index"])
@@ -629,9 +625,9 @@ class TestDesignStore:
         moved = times.copy()
         moved[77] = np.nextafter(moved[77], np.inf)
         for t, T_ in ((times, T), (moved, T), (times, np.nextafter(T, np.inf))):
-            details = _lepski_batch(t, T_, V, 0.01, 1, 8, LepskiConfig())[2]
+            details = _lepski_batch(t, T_, V, 0.01, 1, 8)[2]
             assert details["levels_reused"] == 0 < details["levels_probed"]
-        assert _lepski_batch(times, T, V, 0.01, 1, 8, LepskiConfig())[2]["levels_reused"] > 0
+        assert _lepski_batch(times, T, V, 0.01, 1, 8)[2]["levels_reused"] > 0
 
     def test_oldest_design_goes_first(self, empty_store):
         cap = smoother._DESIGN_CAP
@@ -648,15 +644,14 @@ class TestDesignStore:
         # more threads than cores, switching often, on one design and on
         # more designs than the store keeps
         times, V = self._data("random", 200, 0.01, 3, 0)
-        cfg = LepskiConfig()
-        want = [_lepski_batch(times, T, V, 0.01, j, 8, cfg)[1] for j in range(3)]
+        want = [_lepski_batch(times, T, V, 0.01, j, 8)[1] for j in range(3)]
         others = [np.arange(1, 41 + k) * (T / (40 + k)) for k in range(3 * smoother._DESIGN_CAP)]
         smoother._design_store.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                picks = [pool.submit(_lepski_batch, times, T, V, 0.01, k % 3, 8, cfg)
+                picks = [pool.submit(_lepski_batch, times, T, V, 0.01, k % 3, 8)
                          for k in range(12)]
                 churn = [pool.submit(smoother._design_facts, t, T) for t in others]
                 got = [f.result(timeout=120) for f in picks]
@@ -722,7 +717,7 @@ class TestWorkspace:
             V = np.sin(times)[:, None] + sigma * np.random.default_rng(n + R).standard_normal(
                 (n, R))
             smoother._design_store.cache_clear()
-            lam, selected, details = _lepski_batch(times, T, V, sigma, j, 8, LepskiConfig())
+            lam, selected, details = _lepski_batch(times, T, V, sigma, j, 8)
             grid = np.linspace(0.0, T, 257)
             Q = np.empty((grid.size, R))
             for lv in np.unique(lam):
@@ -776,7 +771,7 @@ class TestWorkspace:
         monkeypatch.setattr(smoother, "_probe_level", spy)
         times = _design("equispaced", 100)
         V = np.sin(times)[:, None] + 0.01 * np.random.default_rng(0).standard_normal((100, 100))
-        _on_new_thread([lambda: _lepski_batch(times, T, V, 0.01, 0, 8, LepskiConfig())])
+        _on_new_thread([lambda: _lepski_batch(times, T, V, 0.01, 0, 8)])
         passed = [p for _, _, p in probes]
         # levels that fail the moment check, each with a probe after it
         assert not all(passed[:-1]) and any(passed)
@@ -822,38 +817,6 @@ class TestLepski:
         _, details = lepski_select(d, j, 8, return_details=True)
         assert details["C"] == math.sqrt(make_kernel(8, j).norm2)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("threshold_mult", -1.0), ("threshold_mult", float("nan"))],
-    )
-    def test_config_rejects_invalid_constants(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            LepskiConfig(**{field: value})
-
-    def test_config_accepts_boundary_values(self):
-        LepskiConfig(threshold_mult=1e-9)
-
-    def test_ratio_near_one_is_refused_before_probing(self, monkeypatch):
-        # the need of this design is t_1 = 0.04, and 1.0001^-k > 0.04 for
-        # k = 0..32190; no level may be probed before the refusal
-        d = equispaced(250, np.sin, sigma=0.002, seed=1)
-        monkeypatch.setattr(smoother, "_probe_level", None)
-        with pytest.raises(ValueError, match=r"a=1\.0001 puts 32191 bandwidth levels"):
-            lepski_select(d, 0, 8, LepskiConfig(a=1.0001))
-
-    def test_ratio_within_1e12_of_one_is_refused_before_the_grid(self, monkeypatch):
-        # a = 1 + 1e-12 would give a grid of about 1e13 levels; the count
-        # above the gap comes from the depth formula, so none is allocated
-        d = equispaced(250, np.sin, sigma=0.002, seed=1)
-
-        def build(*args, **kwargs):
-            pytest.fail("BandwidthGrid.build was called")
-
-        monkeypatch.setattr(BandwidthGrid, "build", build)
-        with pytest.raises(ValueError, match=r"grid ratio a=1\.000000000001 puts \d+ "):
-            _lepski_batch(d.times, T, d.values[:, None], d.sigma, 0, 8,
-                          LepskiConfig(a=1.0 + 1e-12))
-
     def test_small_sigma_adds_no_level_above_the_gap(self):
         # sigma = 1e-9 deepens the grid to 233 levels, all new ones below
         # the need of 0.04, so the 18 levels above it at a = 1.2 still pass
@@ -882,9 +845,8 @@ class TestLepski:
         rng = np.random.default_rng(3)
         V = np.sin(np.outer(times, np.linspace(1.0, 8.0, 100)))
         V += 0.01 * rng.standard_normal(V.shape)
-        cfg = LepskiConfig()
-        _, selected, _ = _lepski_batch(times, T, V, 0.01, j, 8, cfg)
-        alone = [_lepski_batch(times, T, V[:, [k]], 0.01, j, 8, cfg)[1][0]
+        _, selected, _ = _lepski_batch(times, T, V, 0.01, j, 8)
+        alone = [_lepski_batch(times, T, V[:, [k]], 0.01, j, 8)[1][0]
                  for k in range(V.shape[1])]
         assert np.unique(selected).size > 1
         np.testing.assert_array_equal(selected, alone)
