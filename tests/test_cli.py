@@ -376,6 +376,25 @@ class TestDeconvolveCommand:
         assert err.startswith("lapdeconv: estimator: no admissible bandwidth level")
         assert "from t=1 to t=9.1, needs a bandwidth above 4.05" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--L", "0"],
+            ["--grid-size", "0"],
+            ["--bandwidth", "0"],
+            ["--bandwidth", "nan"],
+            ["--bandwidth", "1e9"],
+        ],
+    )
+    def test_invalid_estimator_parameter_exits_2(self, tmp_path, capsys, flags):
+        data = emit_cell(tmp_path)
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", G2,
+                   "--sigma", "0.01", "--output", str(tmp_path / "f.csv")] + flags)
+        assert rc == 2
+        assert one_error_line(capsys).startswith("lapdeconv: invalid parameter: ")
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
     def test_memory_error_exits_4_naming_the_grid_size(self, tmp_path, capsys,
                                                       monkeypatch, command):
@@ -499,6 +518,12 @@ class TestSimulateCommand:
             ["--grid-size", "1"],
             ["--grid-size", "2"],
             ["--trim", "0.6"],
+            ["--L", "0"],
+            ["--grid-size", "0"],
+            ["--trim", "-0.1"],
+            ["--trim", "nan"],
+            ["--bandwidth", "0"],
+            ["--bandwidth", "nan"],
         ],
     )
     def test_invalid_estimator_parameter_exits_2(self, tmp_path, capsys, flags):
