@@ -49,6 +49,14 @@ _GRID_RATIO = 1.2
 # empirically tuned value, 4.0 the conservative theoretical one
 _THRESHOLD_MULT = 3.0
 
+
+def _comparison_size(n: int) -> int:
+    """Points of the comparison grid on [0, T] over which ``_lepski_batch``
+    integrates its distances, for n observations: one per observation, and
+    at least 500."""
+    return max(n, 500)
+
+
 DEFAULT_GRID_SIZE = 1024  # points of the evaluation grid on [0, T]
 
 
@@ -451,7 +459,7 @@ def _widest_gap(times: np.ndarray, T: float) -> tuple[float, float, float]:
 
 
 def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
-                     checked: float | None, size: int) -> str:
+                     checked: float | None) -> str:
     """Why no bandwidth level reached the moment check in ``_lepski_batch``.
 
     A level is tested only when it fits in T/2 and leaves two comparison
@@ -465,7 +473,7 @@ def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
     if checked is None:
         return ("the comparison grid of %d points leaves fewer than two points in "
                 "the interior zone [lam, T - lam] of every level up to T/2 = %g"
-                % (size, T / 2))
+                % (_comparison_size(times.size), T / 2))
     start, end, need = _widest_gap(times, T)
     return ("the widest design gap, from t=%g to t=%g, needs a bandwidth above %g, "
             "and the largest level tested (within T/2 = %g and the comparison "
@@ -746,7 +754,7 @@ def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
 
 # Floats of selection workspace (``_Workspace``) a thread keeps between
 # ``_lepski_batch`` calls: 64 MB. The benchmark's mc-cells workload (n = 250,
-# 100 columns) needs 3.0M of them, a single column at n = 8000 1.1M
+# 100 columns) needs 0.75M of them, a single column at n = 8000 0.27M
 _WORKSPACE_KEEP = 1 << 23
 
 
@@ -821,8 +829,8 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     ``_THRESHOLD_MULT`` * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
     (``details["C"]``), the paper's mu ||K_j|| at mesh ratio mu = 1; a
     constant c as C would select as ``_THRESHOLD_MULT`` * c^2 / ||K_j||^2
-    does. The probe tolerance and the comparison grid of max(4n, 2000)
-    points are fixed too.
+    does. The probe tolerance and the comparison grid of max(n, 500)
+    points (``_comparison_size``) are fixed too.
 
     A level's comparison-grid estimates and moment check are computed one
     of two ways, chosen by ``_probe_level`` by a cost rule in the
@@ -882,7 +890,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     """
     n = times.size
     levels = BandwidthGrid.build(j, n, sigma, T).levels
-    cgrid = np.linspace(0.0, T, max(4 * n, 2000))
+    cgrid = np.linspace(0.0, T, _comparison_size(n))
     ker = make_kernel(L, j)
     C = math.sqrt(ker.norm2)
 
@@ -939,7 +947,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             fallback = "least_biased"
         if not admissible:
             raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
-                j, _no_level_reason(times, T, levels, checked, cgrid.size)))
+                j, _no_level_reason(times, T, levels, checked)))
 
         selected = np.full(R, -1, dtype=int)
         noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
@@ -975,7 +983,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
         "selected_index": selected,
         "C": C,
         "hmin": (sigma * sigma * T * T / n) ** (1.0 / (2 * j + 1)),
-        "comparison_grid_size": cgrid.size,
+        "comparison_grid_size": _comparison_size(n),
         "fallback": fallback,
         "levels_probed": probed,
         "levels_reused": reused,

@@ -539,7 +539,7 @@ class TestPathSwitch:
                                 lambda *a, real=getattr(smoother, name), name=name, **k:
                                 calls.append((name, k["moments"])) or real(*a, **k))
         times = np.arange(1, n + 1) * (T / n)
-        cgrid = np.linspace(0.0, T, max(4 * n, 2000))
+        cgrid = np.linspace(0.0, T, smoother._comparison_size(n))
         x = cgrid[(cgrid >= lam) & (cgrid <= T - lam)]
         obs = int(np.max(smoother._check_windows(times, x, lam)))
         level = smoother._Level(obs)
@@ -807,6 +807,45 @@ class TestLepski:
                     "comparison_grid_size", "fallback"):
             assert key in details
 
+    @pytest.mark.parametrize("n, size", [(100, 500), (250, 500), (2000, 2000)])
+    def test_comparison_grid_has_one_point_per_observation_and_at_least_500(self, n, size):
+        d = equispaced(n, np.sin, sigma=0.05, seed=7)
+        _, details = lepski_select(d, 0, 8, return_details=True)
+        assert details["comparison_grid_size"] == smoother._comparison_size(n) == size
+
+    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "gap"])
+    def test_admitted_levels_leave_no_empty_window_on_a_fine_grid(self, kind):
+        # The comparison grid sees a window only at its own points, so a
+        # level could pass with an empty window between them, and the output
+        # grid would then hold a point without an observation. Random gap
+        # widths put the gap's need just below some level in some draws: a
+        # grid of max(n/2, 100) points admits 8 such levels in 2 of the 40
+        # gapped draws.
+        rng = np.random.default_rng(0)
+        fine = np.linspace(0.0, T, 20000)
+        admitted = 0
+        for _ in range(40):
+            n = int(rng.integers(15, 301))
+            sigma = 10 ** rng.uniform(-4, -1)
+            u = rng.uniform(size=n)
+            if kind == "arcsine":
+                u = (1 - np.cos(np.pi * u)) / 2
+            elif kind == "gap":
+                a, w = rng.uniform(0.1, 0.7), rng.uniform(0.05, 0.3)
+                u = np.where(u < a, u, u + w) / (1 + w)
+            times = np.sort(u) * T
+            V = (np.sin(times) + sigma * rng.standard_normal(n))[:, None]
+            for j in range(4):
+                try:
+                    _, _, details = _lepski_batch(times, T, V, sigma, j, 8)
+                except EstimationError:
+                    continue
+                for li in details["admissible"]:
+                    lam = details["levels"][li]
+                    assert np.all(smoother._check_windows(times, fine, lam) > 0), (n, j, lam)
+                    admitted += 1
+        assert admitted > 50
+
     def test_deterministic(self):
         d = equispaced(400, np.sin, sigma=0.05, seed=3)
         assert lepski_select(d, 0, 8) == lepski_select(d, 0, 8)
@@ -883,14 +922,15 @@ class TestLepski:
     @pytest.mark.parametrize("gapped", [False, True])
     def test_coarse_comparison_grid_is_named_not_the_gap(self, j, gapped):
         # T = 2, n = 10 and sigma = 1.5 give the one-level grid {1} = {T/2},
-        # whose interior zone [1, 1] holds no point of the 2000-point
-        # comparison grid, so no level reaches the window check at any order
+        # whose interior zone [1, 1] holds no point of the comparison grid,
+        # so no level reaches the window check at any order
         times = np.arange(1, 11) * 0.2
         if gapped:
             times = np.concatenate([np.arange(1, 6) * 0.1, 1.5 + np.arange(1, 6) * 0.1])
         d = NoisySample(times, np.sin(times), 2.0, 1.5)
+        size = smoother._comparison_size(10)
         with pytest.raises(EstimationError,
-                           match="for j=%d: the comparison grid of 2000 points" % j) as exc:
+                           match="for j=%d: the comparison grid of %d points" % (j, size)) as exc:
             lepski_select(d, j, 8)
         assert "gap" not in str(exc.value)
 

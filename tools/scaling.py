@@ -1,6 +1,6 @@
 """Time a first and a repeated warm deconvolve per sample size and fit the scaling in n.
 
-    python3 tools/scaling.py [--src PATH]
+    python3 tools/scaling.py [--src PATH [--src PATH]] [--repeats K]
 
 For each n in 1000, 2000, 4000 and 8000 a fresh interpreter imports the
 package from PATH (default: src/ of this checkout), builds g2/f1 on the
@@ -10,8 +10,17 @@ n = 250 estimate so that every kernel is built, and then times two
 first call computes the design-only facts of every bandwidth level; the
 second reads them from the selection's store of design facts. It reports
 both times and the interpreter's peak resident set (import, design and
-warm-up included). One line per n is printed, then the least-squares slope
-of log time against log n for each of the two columns. Only one
+warm-up included).
+
+Each n is timed K times per tree (default 3), in its own interpreter each
+time, and the medians are reported. Given a second --src, the two trees
+are timed in pairs: for each n, K pairs of interpreters, one per tree,
+with the tree that goes first alternating from pair to pair, so that drift
+of the host's speed falls on both trees alike. Then each line also gives
+the median over the pairs of the second tree's time over the first's.
+
+One line per n is printed, then the least-squares slope of log median time
+against log n for each of the two columns and each tree. Only one
 interpreter runs at a time, with BLAS and OpenMP pinned to one thread.
 Standard library and numpy only.
 """
@@ -22,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +43,7 @@ from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
 
 NS = (1000, 2000, 4000, 8000)
 T = 10.0
+COLUMNS = ("first_s", "repeat_s", "peak_rss_mb")
 
 
 def child(n: int) -> dict:
@@ -63,6 +74,18 @@ def child(n: int) -> dict:
     return {"n": n, "first_s": seconds[0], "repeat_s": seconds[1], "peak_rss_mb": rss}
 
 
+def run_child(src: Path, n: int) -> dict:
+    """One child interpreter at n with the package from src."""
+    env = dict(os.environ)
+    env.update({k: "1" for k in THREAD_VARS})
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, __file__, "--child", str(n)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"n={n} with {src} failed:\n{proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def slope(points: list[dict], column: str) -> float:
     """Least-squares slope of log seconds in ``column`` against log n."""
     xs = [math.log(p["n"]) for p in points]
@@ -74,29 +97,51 @@ def slope(points: list[dict], column: str) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory the lapdeconv package is imported from")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="directory the lapdeconv package is imported from; "
+                         "give it twice to compare two trees (default: src/)")
+    ap.add_argument("--repeats", type=int, default=3,
+                    help="interpreters per tree and n (default 3)")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
         print(json.dumps(child(args.child)))
         return 0
-    env = dict(os.environ)
-    env.update({k: "1" for k in THREAD_VARS})
-    env["PYTHONPATH"] = str(args.src.resolve())
-    points = []
+    srcs = [p.resolve() for p in (args.src or [ROOT / "src"])]
+    if len(srcs) > 2:
+        ap.error("--src is given at most twice")
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    for k, src in enumerate(srcs):
+        print(f"tree {'AB'[k]}: {src}")
+
+    medians = [[] for _ in srcs]
+    turn = 0
     for n in NS:
-        proc = subprocess.run([sys.executable, __file__, "--child", str(n)],
-                              env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"scaling: n={n} failed:\n{proc.stderr.strip()}", file=sys.stderr)
-            return 1
-        point = json.loads(proc.stdout.strip().splitlines()[-1])
-        points.append(point)
-        print(f"n={n:5d}  first {point['first_s']:8.3f} s  repeat {point['repeat_s']:8.3f} s"
-              f"  {point['peak_rss_mb']:7.1f} MB", flush=True)
-    print(f"log-log slope first {slope(points, 'first_s'):.2f}"
-          f"  repeat {slope(points, 'repeat_s'):.2f}")
+        runs = [[] for _ in srcs]
+        for _ in range(args.repeats):
+            order = range(len(srcs)) if turn % 2 == 0 else reversed(range(len(srcs)))
+            turn += 1
+            for k in order:
+                try:
+                    runs[k].append(run_child(srcs[k], n))
+                except RuntimeError as exc:
+                    print(f"scaling: {exc}", file=sys.stderr)
+                    return 1
+        line = f"n={n:5d}"
+        for k, side in enumerate(runs):
+            med = {c: statistics.median(r[c] for r in side) for c in COLUMNS}
+            medians[k].append({"n": n, **med})
+            line += (f"  {'AB'[k]}: first {med['first_s']:7.3f} s  repeat "
+                     f"{med['repeat_s']:7.3f} s  {med['peak_rss_mb']:6.1f} MB")
+        if len(srcs) == 2:
+            ratio = {c: statistics.median(b[c] / a[c] for a, b in zip(*runs))
+                     for c in ("first_s", "repeat_s")}
+            line += f"  B/A first {ratio['first_s']:.3f} repeat {ratio['repeat_s']:.3f}"
+        print(line, flush=True)
+    for k, points in enumerate(medians):
+        print(f"{'AB'[k]}: log-log slope first {slope(points, 'first_s'):.2f}"
+              f"  repeat {slope(points, 'repeat_s'):.2f}")
     return 0
 
 
