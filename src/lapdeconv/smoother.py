@@ -665,8 +665,8 @@ _DESIGN_CAP = 8
 class _Level:
     """Design-only facts of one bandwidth level on the comparison grid.
 
-    obs is the observation count of the widest comparison window, 0 when a
-    comparison window or the window of either endpoint holds none; rel maps
+    obs is the observation count of the widest comparison window, 0 when
+    the window of some point of [0, T] holds none; rel maps
     a probe path, "band" or "windowed", to the moment error it found.
     """
 
@@ -697,11 +697,12 @@ def _design_facts(times: np.ndarray, T: float) -> dict:
 
 def _open_windows(times: np.ndarray, x: np.ndarray, lam: float, T: float) -> int:
     """Observations in the widest window (t - lam, t + lam) over the points
-    x, or 0 when a window of x or of the endpoints 0 and T holds none."""
-    counts = _check_windows(times, x, lam)
-    if np.any(counts == 0) or np.any(_check_windows(times, np.array([0.0, T]), lam) == 0):
+    x, or 0 when the window of some point of [0, T] holds none, which is
+    when lam is at most ``_widest_gap``'s need. The need is exact: a grid
+    of points x would miss an empty window that falls between two of them."""
+    if lam <= _widest_gap(times, T)[2]:
         return 0
-    return int(np.max(counts))
+    return int(np.max(_check_windows(times, x, lam)))
 
 
 def _probe_path(obs: int, L: int, ker: SmoothingKernel, R: int) -> str:

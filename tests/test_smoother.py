@@ -813,19 +813,20 @@ class TestLepski:
         _, details = lepski_select(d, 0, 8, return_details=True)
         assert details["comparison_grid_size"] == smoother._comparison_size(n) == size
 
-    @pytest.mark.parametrize("kind", ["uniform", "arcsine", "gap"])
-    def test_admitted_levels_leave_no_empty_window_on_a_fine_grid(self, kind):
+    @pytest.mark.parametrize("kind, draws, lo, hi", [
+        ("uniform", 40, 15, 301), ("arcsine", 40, 15, 301), ("gap", 40, 15, 301),
+        ("arcsine", 3, 500, 2001), ("gap", 12, 500, 2001)])
+    def test_admitted_levels_leave_no_empty_window_on_a_fine_grid(self, kind, draws, lo, hi):
         # The comparison grid sees a window only at its own points, so a
         # level could pass with an empty window between them, and the output
         # grid would then hold a point without an observation. Random gap
-        # widths put the gap's need just below some level in some draws: a
-        # grid of max(n/2, 100) points admits 8 such levels in 2 of the 40
-        # gapped draws.
+        # widths put the gap's need just below some level in some draws;
+        # from n = 500 on the comparison grid has one point per observation.
         rng = np.random.default_rng(0)
         fine = np.linspace(0.0, T, 20000)
         admitted = 0
-        for _ in range(40):
-            n = int(rng.integers(15, 301))
+        for _ in range(draws):
+            n = int(rng.integers(lo, hi))
             sigma = 10 ** rng.uniform(-4, -1)
             u = rng.uniform(size=n)
             if kind == "arcsine":
@@ -844,7 +845,21 @@ class TestLepski:
                     lam = details["levels"][li]
                     assert np.all(smoother._check_windows(times, fine, lam) > 0), (n, j, lam)
                     admitted += 1
-        assert admitted > 50
+        assert admitted > draws
+
+    def test_a_window_empty_between_comparison_points_is_not_open(self):
+        # 600 equispaced observations with none in (4, 5): the comparison
+        # point nearest the gap's middle 4.5 sits 0.0075 off it, so its
+        # window of half-width 0.495 reaches t = 5, while the window at 4.5
+        # itself holds no observation
+        times = np.arange(1, 601) * (T / 600)
+        times = times[(times <= 4.0) | (times >= 5.0)]
+        x = np.linspace(0.0, T, 600)
+        x = x[(x >= 0.495) & (x <= T - 0.495)]
+        assert np.all(smoother._check_windows(times, x, 0.495) > 0)
+        assert smoother._check_windows(times, np.array([4.5]), 0.495)[0] == 0
+        assert smoother._open_windows(times, x, 0.495, T) == 0
+        assert smoother._open_windows(times, x, 0.505, T) > 0
 
     def test_deterministic(self):
         d = equispaced(400, np.sin, sigma=0.05, seed=3)

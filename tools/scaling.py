@@ -1,6 +1,6 @@
 """Time a first and a repeated warm deconvolve per sample size and fit the scaling in n.
 
-    python3 tools/scaling.py [--src PATH [--src PATH]] [--repeats K]
+    python3 tools/scaling.py [--src PATH [--src PATH]]
 
 For each n in 1000, 2000, 4000 and 8000 a fresh interpreter imports the
 package from PATH (default: src/ of this checkout), builds g2/f1 on the
@@ -12,9 +12,9 @@ second reads them from the selection's store of design facts. It reports
 both times and the interpreter's peak resident set (import, design and
 warm-up included).
 
-Each n is timed K times per tree (default 3), in its own interpreter each
+Each n is timed REPEATS = 3 times per tree, in its own interpreter each
 time, and the medians are reported. Given a second --src, the two trees
-are timed in pairs: for each n, K pairs of interpreters, one per tree,
+are timed in pairs: for each n, REPEATS pairs of interpreters, one per tree,
 with the tree that goes first alternating from pair to pair, so that drift
 of the host's speed falls on both trees alike. Then each line also gives
 the median over the pairs of the second tree's time over the first's.
@@ -42,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
 
 NS = (1000, 2000, 4000, 8000)
+REPEATS = 3  # interpreters per tree and n; the medians are reported
 T = 10.0
 COLUMNS = ("first_s", "repeat_s", "peak_rss_mb")
 
@@ -100,8 +101,6 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, action="append",
                     help="directory the lapdeconv package is imported from; "
                          "give it twice to compare two trees (default: src/)")
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="interpreters per tree and n (default 3)")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
@@ -110,8 +109,6 @@ def main(argv=None) -> int:
     srcs = [p.resolve() for p in (args.src or [ROOT / "src"])]
     if len(srcs) > 2:
         ap.error("--src is given at most twice")
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
     for k, src in enumerate(srcs):
         print(f"tree {'AB'[k]}: {src}")
 
@@ -119,7 +116,7 @@ def main(argv=None) -> int:
     turn = 0
     for n in NS:
         runs = [[] for _ in srcs]
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             order = range(len(srcs)) if turn % 2 == 0 else reversed(range(len(srcs)))
             turn += 1
             for k in order:
