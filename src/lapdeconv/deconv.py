@@ -135,6 +135,10 @@ def _cell_moments(h: ExpPoly, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return M0.real.copy(), M1.real.copy()
 
 
+# Rows of one block of the Toeplitz product in ``_convolve_terms``
+_TOEPLITZ_ROWS = 128
+
+
 def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndarray:
     """Volterra convolution of each column of Q0 with phi_r on the grid.
 
@@ -144,22 +148,30 @@ def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndar
     grid scale whenever the forward kernel has zeros of large modulus, and
     a sampled trapezoid rule then loses several digits; the moment rule is
     exact in phi_r, leaving only the interpolation error of the column.
+
+    Cell m of int_0^{t_k} pairs the weight M0[m] - M1[m] with q(t_{k-m})
+    and M1[m] with q(t_{k-m-1}), so out = A Q0 for the lower-triangular
+    Toeplitz matrix A[k, i] = w[k - i], w[m] = M0[m] - M1[m] + M1[m-1]
+    (M1[-1] = 0), except in column 0, which cell k reaches only through
+    M1[k-1]. A is applied to all columns at once, ``_TOEPLITZ_ROWS`` rows at
+    a time, each block copied out of a sliding window over w into one
+    buffer and cut after its last nonzero column, so A is never formed.
     """
     K = Q0.shape[0] - 1
     M0, M1 = _cell_moments(phi_r, grid)
-    w_same = np.append(M0 - M1, 0.0)
     w_prev = np.concatenate(([0.0], M1))
+    w = np.append(M0 - M1, 0.0) + w_prev
+    # row k of A is windows[k] reversed: w[k], w[k-1], .., w[0], then zeros
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(K), w)), K + 1)
     out = np.empty_like(Q0)
-    for c in range(Q0.shape[1]):
-        col = Q0[:, c]
-        # cell m of int_0^{t_k} pairs weight w_same[m] with col[k - m] and
-        # w_prev[m + 1] with col[k - m - 1]; the subtraction removes the
-        # m = k term the full convolution would add past the upper limit
-        out[:, c] = (
-            np.convolve(col, w_same)[: K + 1]
-            - col[0] * w_same
-            + np.convolve(col, w_prev)[: K + 1]
-        )
+    buf = np.empty((min(_TOEPLITZ_ROWS, K + 1), K + 1))
+    for k0 in range(0, K + 1, _TOEPLITZ_ROWS):
+        k1 = min(k0 + _TOEPLITZ_ROWS, K + 1)
+        A = buf[: k1 - k0, :k1]
+        A[:] = windows[k0:k1, ::-1][:, :k1]
+        A[:, 0] = w_prev[k0:k1]
+        np.matmul(A, Q0[:k1], out=out[k0:k1])
     return out
 
 
@@ -242,7 +254,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
 
     def evaluate(j: int) -> np.ndarray:
         Q = np.empty((grid.size, R))
-        for lv in np.unique(lam[j]):
+        for lv in sorted(set(lam[j].tolist())):
             cols = np.nonzero(lam[j] == lv)[0]
             Q[:, cols] = design.apply(j, cfg.L, lv, grid, V[:, cols])
         return Q

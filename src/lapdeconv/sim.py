@@ -280,8 +280,8 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     per_run = np.mean(diff * diff, axis=0)
     counts = []
     for j in range(lam.shape[0]):
-        vals, cnt = np.unique(lam[j], return_counts=True)
-        counts.append({float(v): int(c) for v, c in zip(vals, cnt)})
+        col = lam[j].tolist()
+        counts.append({v: col.count(v) for v in sorted(set(col))})
     std = float(np.std(per_run, ddof=1)) if sc.runs > 1 else 0.0
     return ExperimentReport(
         scenario=sc,

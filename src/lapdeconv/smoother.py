@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SmoothingKernel, make_boundary_kernel, make_kernel
+from .kernels import SmoothingKernel, kernel_primitives, make_kernel
 
 __all__ = [
     "AdaptationError",
@@ -32,10 +32,11 @@ __all__ = [
     "pc_estimate",
 ]
 
-# Boundary kernels are parameterized by the relative distance to the nearer
-# endpoint. At the exact endpoint that distance is 0, where the one-sided
-# limit of the kernel family is still well defined; we approach it with a
-# small positive floor instead of constructing the degenerate case.
+# Boundary kernels are parameterized by the relative distance rho to the
+# nearer endpoint, quantized to 1e-3 (``_supports``). At the exact endpoint
+# rho is 0; the floor gives that point the lowest kernel of the grid,
+# [-1, 1e-3], which ``make_boundary_kernel`` builds too (it rejects rho = 0),
+# so every row stays the row of an exact kernel the tests can rebuild.
 _RHO_MIN = 1e-3
 
 # Largest moment deviation (``_moment_worst``) of an admissible bandwidth level
@@ -185,64 +186,54 @@ def _cell_edges(times: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _boundary_key(t: float, T: float, lam: float) -> tuple[float, bool] | None:
-    """(rho, right) of a point within lam of an endpoint; None elsewhere."""
-    # The relative endpoint distance is quantized to the 1e-3 grid so that
-    # boundary-kernel construction (exact rational arithmetic, done once per
-    # distinct parameter) is shared across bandwidths and evaluation grids.
-    # The kernel varies smoothly in rho and vanishes at its support edge, so
-    # the quantization error is negligible against the estimation error.
-    if t < lam:
-        return max(round(t / lam, 3), _RHO_MIN), False
-    if T - t < lam:
-        return max(round((T - t) / lam, 3), _RHO_MIN), True
-    return None
+def _rho(v: np.ndarray) -> np.ndarray:
+    """max(round(v, 3), ``_RHO_MIN``) elementwise, with Python's ``round``."""
+    q = np.round(v, 3)
+    # np.round rounds v * 1000, which can land on a tie that v itself misses
+    near = np.flatnonzero(np.abs(v * 1000.0 % 1.0 - 0.5) < 1e-6)
+    q[near] = [round(t, 3) for t in v[near].tolist()]
+    return np.maximum(q, _RHO_MIN)
 
 
-def _kernel_for_key(key: tuple[float, bool] | None, j: int, L: int) -> SmoothingKernel:
-    """The interior kernel for key None, else the boundary variant of ``_boundary_key``."""
-    if key is None:
-        return make_kernel(L, j)
-    rho, right = key
-    return _right_kernel(L, j, rho) if right else make_boundary_kernel(L, j, rho)
+def _supports(grid: np.ndarray, T: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of each point's kernel support in tau = (x - t)/lam.
 
-
-@functools.lru_cache(maxsize=None)
-def _right_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
-    """The right-edge reflection of the boundary kernel at rho, built once per
-    (L, j, rho): ``reflected`` negates exact coefficients on every call, and
-    the 1e-3 quantization of ``_boundary_key`` bounds the distinct rho."""
-    return make_boundary_kernel(L, j, rho).reflected()
+    A point within lam of 0 gets [-1, rho] and one within lam of T (and not
+    of 0) [-rho, 1], with rho its relative distance to that endpoint; every
+    other point gets [-1, 1]. rho is quantized to the 1e-3 grid, floored at
+    ``_RHO_MIN``. That no longer shares any exact build; it stays so that
+    every row is the row of an exact kernel ``make_boundary_kernel`` builds,
+    which the tests check the rows against, and so that the boundary
+    estimates keep the kernels they had. The kernel varies smoothly in rho
+    and vanishes at its support edge, so the quantization error is
+    negligible against the estimation error.
+    """
+    lo, hi = np.full(grid.size, -1.0), np.ones(grid.size)
+    left = grid < lam
+    right = ~left & (T - grid < lam)
+    hi[left] = _rho(grid[left] / lam)
+    lo[right] = -_rho((T - grid[right]) / lam)
+    return lo, hi
 
 
 def _row_blocks(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
                 lam: float, R: int = 1):
     """The band rows of q^(j) at the points of grid, a chunk of blocks at a time.
 
-    Interior points share one kernel; a point within lam of an endpoint
-    gets the boundary kernel of its own relative distance (right edge
-    reflected, once per process by ``_right_kernel``). Interior, left-edge
-    and right-edge points are three groups of ``_band_blocks``, so no block
-    spans both ends. Yields (rows, cells, D) per chunk: the grid indices of
-    its blocks (blocks x ``_BAND_BLOCK_ROWS``, the last block of a group
-    padded with its last index, whose row it repeats) and the cells and
-    weights ``_band_blocks`` yields, sized for R data columns.
+    Each point gets the kernel of its own support (``_supports``): the
+    interior kernel, or within lam of an endpoint the boundary kernel of
+    its relative distance. Their primitives come from one exact solve per L
+    (``kernel_primitives``), in the support-centred variable u. Yields
+    (rows, cells, D) per chunk: the grid indices of its blocks (blocks x
+    ``_BAND_BLOCK_ROWS``, the last block padded with the last index, whose
+    row it repeats) and the cells and weights ``_band_blocks`` yields, sized
+    for R data columns.
     """
-    interior = (grid >= lam) & (grid <= T - lam)
-    left = grid < lam
-    for group in (interior, left, ~(interior | left)):
-        rows = np.flatnonzero(group)
-        if not rows.size:
-            continue
-        kernels, which = [make_kernel(L, j)], None
-        if group is not interior:
-            slot: dict = {}
-            which = np.array([slot.setdefault(_boundary_key(x, T, lam), len(slot))
-                              for x in grid[rows].tolist()])
-            kernels = [_kernel_for_key(key, j, L) for key in slot]
-        blocks = _blocked(rows)
-        for blk, cells, D in _band_blocks(times, grid[rows], lam, j, kernels, which, R):
-            yield blocks[blk], cells, D
+    lo, hi = _supports(grid, T, lam)
+    P = kernel_primitives(L, j, lo, hi)
+    rows = _blocked(np.arange(grid.size))
+    for blk, cells, D in _band_blocks(times, grid, lam, j, P, (lo + hi) / 2, (hi - lo) / 2, R):
+        yield rows[blk], cells, D
 
 
 def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
@@ -290,25 +281,27 @@ def _horner(U: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _blocked(a: np.ndarray) -> np.ndarray:
-    """a cut into blocks of ``_BAND_BLOCK_ROWS``, the last one padded with a[-1]."""
-    pad = np.repeat(a[-1:], -a.size % _BAND_BLOCK_ROWS)
-    return np.concatenate((a, pad)).reshape(-1, _BAND_BLOCK_ROWS)
+    """a cut into blocks of ``_BAND_BLOCK_ROWS`` along its first axis, the
+    last one padded with a[-1]."""
+    pad = np.repeat(a[-1:], -len(a) % _BAND_BLOCK_ROWS, axis=0)
+    return np.concatenate((a, pad)).reshape((-1, _BAND_BLOCK_ROWS) + a.shape[1:])
 
 
-def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int,
-                 kernels: list[SmoothingKernel], which: np.ndarray | None = None,
-                 R: int = 1):
-    """Dense cell weights of a kernel at the points x, a chunk of blocks at a time.
+def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int, P: np.ndarray,
+                 c=0.0, h=1.0, R: int = 1):
+    """Dense cell weights of kernels at the points x, a chunk of blocks at a time.
 
-    Row k uses the kernel ``kernels[which[k]]``, or ``kernels[0]`` for
-    every row when ``which`` is None. Weight i of row k is lam^-(j+1)
-    times the integral of K((x[k]-u)/lam) over cell i: the kernel primitive
-    differenced over the cell edges. Each block of rows (``_blocked``)
-    covers the cells from its lowest point minus lam to its highest point
-    plus lam, in one span of w cells common to all blocks, shifted left
-    where it would run past cell n-1; so x need not be sorted. A row's
-    cells outside its window clip to one support bound at both edges and
-    weigh exactly 0.
+    Row k's kernel has the primitive of coefficients P[k] (lowest first) in
+    u = (tau - c[k])/h[k], tau = (x[k] - t)/lam, on its support u in
+    [-1, 1]. A 1-D P with scalars c and h serves every row, which saves
+    the per-row broadcast; the selection passes the interior kernel's own
+    primitive at c = 0, h = 1, where u is tau. Weight i of row k is lam^-j
+    times that primitive differenced over the edges of cell i. Each block
+    of rows (``_blocked``) covers the cells from its lowest point minus lam
+    to its highest point plus lam, in one span of w cells common to all
+    blocks, shifted left where it would run past cell n-1; so x need not
+    be sorted. A row's cells outside its support clip to one support bound
+    at both edges and weigh exactly 0.
 
     Yields (blk, cells, D) per chunk: the slice blk of the blocks, their
     cell indices (blocks x w) and the weights D (blocks x rows x w). A
@@ -325,26 +318,20 @@ def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int,
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n + 1)
     span = int(np.max(hi - lo))  # edges of a block, one more than its cells
     first = np.minimum(lo, n + 1 - span)
-    # one primitive per kernel, shorter ones padded with zero top
-    # coefficients; ``_horner`` gives every row exactly the values polyval
-    # gives with its own unpadded primitive
-    prims = [ker.antiderivative() for ker in kernels]
-    P = np.zeros((len(prims), max(p.size for p in prims)))
-    for r, prim in enumerate(prims):
-        P[r, : prim.size] = prim
-    support = np.array([ker.support for ker in kernels])
-    if which is not None:
-        wb = _blocked(which)
-        P, support = P[wb], support[wb]
+    # u = (x - lam c - t) / (lam h); c = 0 and h = 1 give (x - t) / lam
+    shared = P.ndim == 1
+    x0 = _blocked(x - lam * c)[..., None]
+    scale = lam * h if shared else _blocked(lam * h)[..., None]
+    if not shared:
+        P = _blocked(P)
     chunk = max(1, _BAND_CHUNK // (span * max(_BAND_BLOCK_ROWS, R)))
     for b0 in range(0, xb.shape[0], chunk):
         blk = slice(b0, b0 + chunk)
         idx = first[blk, None] + np.arange(span)
-        Pc, sc = (P, support) if which is None else (P[blk], support[blk])
-        U = xb[blk, :, None] - edges[idx][:, None, :]
-        U /= lam
-        np.clip(U, sc[..., :1], sc[..., 1:], out=U)
-        H = _horner(U, Pc)
+        U = x0[blk] - edges[idx][:, None, :]
+        U /= scale if shared else scale[blk]
+        np.clip(U, -1.0, 1.0, out=U)
+        H = _horner(U, P if shared else P[blk])
         D = H[..., :-1] - H[..., 1:]
         D /= lam**j
         yield blk, idx[:, :-1], D
@@ -368,7 +355,7 @@ def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
     xb = _blocked(x)
     est = out(xb.shape + (R,))
     E = np.empty(xb.shape + (L,)) if moments else None
-    for blk, cells, D in _band_blocks(times, x, lam, j, [ker], R=R):
+    for blk, cells, D in _band_blocks(times, x, lam, j, ker.antiderivative(), R=R):
         np.matmul(D, V[cells], out=est[blk])
         if not moments:
             continue
@@ -432,9 +419,12 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
 
     Each value is a kernel-weighted combination of the observations, with the
     kernel swapped for the matching boundary variant within one bandwidth of
-    either endpoint. The map y -> estimate is exactly linear. The weight
+    either endpoint (``_supports``). Every row's kernel primitive comes from
+    ``kernel_primitives``, one exact solve per L, so no exact kernel is
+    built per point. The map y -> estimate is exactly linear. The weight
     rows are applied to the observations a chunk of rows at a time
-    (``_apply_rows``); no grid.size x n matrix is formed.
+    (``_apply_rows``); no grid.size x n matrix is formed. ValueError
+    unless 0 <= j < L.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:

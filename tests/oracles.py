@@ -22,14 +22,20 @@ can compare the two:
   consistent; the package solves once on the reference interval instead.
 - ``check_schema`` validates a JSON document against the vocabulary the
   shipped sidecar schema uses (type/required/properties/items/enum).
-- ``dense_weights`` builds the estimator's weight matrix row by row with
-  ``polyval`` over every cell of the design; the package forms the rows
-  in blocks over each row's window only and never as one matrix.
+- ``dense_weights`` builds the estimator's weight matrix row by row from
+  the exact coefficients of ``make_boundary_kernel``, evaluated in exact
+  rational arithmetic at the float kernel arguments; the package forms
+  the rows in float from one primitive basis per L, in blocks over each
+  row's window only and never as one matrix.
+- ``convolve_terms_by_column`` is the phi1 product rule as two
+  ``np.convolve`` per column; the package forms it as one blocked
+  Toeplitz product over all columns.
 - ``fixed_bandwidth_risk`` is the expected trimmed risk of a Monte-Carlo
   cell at fixed bandwidths in closed form, from the estimator's linear
   map; ``sim.run_experiment`` estimates the same risk by replication.
 """
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -39,8 +45,8 @@ import numpy as np
 
 import lapdeconv
 from lapdeconv._expalg import ExpPoly
-from lapdeconv.deconv import _convolve_terms, trimmed_window
-from lapdeconv.kernels import SmoothingKernel
+from lapdeconv.deconv import _cell_moments, _convolve_terms, trimmed_window
+from lapdeconv.kernels import SmoothingKernel, make_boundary_kernel, make_kernel
 from lapdeconv.resolvent import (
     _CLUSTER_RADIUS,
     PoleTerm,
@@ -52,7 +58,7 @@ from lapdeconv.resolvent import (
     polished_roots,
 )
 from lapdeconv.sim import Scenario, builtin_f, builtin_g, forward_convolve
-from lapdeconv.smoother import DesignWeights, _boundary_key, _cell_edges, _kernel_for_key
+from lapdeconv.smoother import DesignWeights, _cell_edges
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -459,16 +465,98 @@ def check_schema(value, schema: dict, path: str = "$") -> list[str]:
     return errors
 
 
+def _rho(v: float) -> float:
+    """The quantized relative endpoint distance of a boundary point."""
+    return max(round(v, 3), 1e-3)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_primitive(L: int, j: int, rho: float | None, right: bool):
+    """(numerators, denominator, float support) of the primitive, zero at the
+    support's left end, of the interior kernel (rho None) or of the boundary
+    kernel at rho, reflected for the right edge."""
+    ker = make_kernel(L, j) if rho is None else make_boundary_kernel(L, j, rho)
+    if right:
+        ker = ker.reflected()
+    lo = ker.support_exact[0]
+    prim = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(ker.coeffs_exact)]
+    prim[0] = -sum(p * lo**k for k, p in enumerate(prim))
+    den = math.lcm(*(p.denominator for p in prim))
+    return [p.numerator * (den // p.denominator) for p in prim], den, ker.support
+
+
+def _exact_differences(nums: list[int], den: int, taus: np.ndarray) -> np.ndarray:
+    """P(taus[:-1]) - P(taus[1:]), each rounded once to a float, for
+    P(t) = sum nums[k] t^k / den at the float arguments taus.
+
+    Every tau is a / 2^s exactly; over the common 2^S of the row, P is an
+    integer over den 2^(S K), formed by Horner in integers.
+    """
+    ratios = [t.as_integer_ratio() for t in taus.tolist()]
+    S = max(d for _, d in ratios).bit_length() - 1
+    K = len(nums) - 1
+    top = [c << S * (K - k) for k, c in enumerate(nums)]
+    vals = {}
+    for a, d in ratios:
+        if (a, d) not in vals:
+            acc, x = top[K], a << (S + 1 - d.bit_length())
+            for k in range(K - 1, -1, -1):
+                acc = acc * x + top[k]
+            vals[a, d] = acc
+    P = [vals[r] for r in ratios]
+    D = den << S * K
+    return np.array([(p - q) / D for p, q in zip(P[:-1], P[1:])])
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_row(times_bytes: bytes, T: float, x: float, j: int, L: int, lam: float) -> np.ndarray:
+    """Row x of ``dense_weights``, kept for the designs the tests repeat."""
+    key = None, False
+    if x < lam:
+        key = _rho(x / lam), False
+    elif T - x < lam:
+        key = _rho((T - x) / lam), True
+    nums, den, support = _exact_primitive(L, j, *key)
+    edges = _cell_edges(np.frombuffer(times_bytes))
+    row = _exact_differences(nums, den, np.clip((x - edges) / lam, *support)) / lam**j
+    row.flags.writeable = False
+    return row
+
+
 def dense_weights(times, T, grid, j, L, lam):
-    """Oracle W: lam^-j times the kernel primitive differenced over every cell."""
-    edges = _cell_edges(times)
-    W = np.empty((grid.size, times.size))
-    for k, x in enumerate(grid):
-        ker = _kernel_for_key(_boundary_key(float(x), T, lam), j, L)
-        U = np.clip((x - edges) / lam, *ker.support)
-        B = np.polynomial.polynomial.polyval(U, ker.antiderivative())
-        W[k] = (B[:-1] - B[1:]) / lam**j
-    return W
+    """Oracle W: lam^-j times the exact kernel primitive differenced over
+    every cell. A point within lam of 0 takes ``make_boundary_kernel`` at
+    its relative distance rho, rounded to 1e-3 and floored at 1e-3; one
+    within lam of T the reflection of that kernel; every other point the
+    interior kernel. The primitive of the kernel's ``coeffs_exact`` is
+    evaluated exactly at the clipped float arguments (x - e)/lam and each
+    difference is rounded once, so the rows are exact up to the rounding
+    of those arguments."""
+    times_bytes = np.ascontiguousarray(times, dtype=float).tobytes()
+    return np.array([_dense_row(times_bytes, float(T), x, j, L, float(lam))
+                     for x in np.asarray(grid, dtype=float).tolist()]).reshape(len(grid), -1)
+
+
+def convolve_terms_by_column(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndarray:
+    """The product rule of ``deconv._convolve_terms``, column by column: out[k]
+    approximates int_0^{t_k} q(t_k - x) phi_r(x) dx with the column piecewise
+    linear between grid points and phi_r integrated exactly per cell."""
+    K = Q0.shape[0] - 1
+    M0, M1 = _cell_moments(phi_r, grid)
+    w_same = np.append(M0 - M1, 0.0)
+    w_prev = np.concatenate(([0.0], M1))
+    out = np.empty_like(Q0)
+    for c in range(Q0.shape[1]):
+        col = Q0[:, c]
+        # cell m of int_0^{t_k} pairs weight w_same[m] with col[k - m] and
+        # w_prev[m + 1] with col[k - m - 1]; the subtraction removes the
+        # m = k term the full convolution would add past the upper limit
+        out[:, c] = (
+            np.convolve(col, w_same)[: K + 1]
+            - col[0] * w_same
+            + np.convolve(col, w_prev)[: K + 1]
+        )
+    return out
 
 
 def fixed_bandwidth_risk(sc: Scenario) -> float:

@@ -721,6 +721,25 @@ class TestSchemaChecker:
         assert check_schema([1, "x"], schema)
 
 
+def test_estimates_leave_numpy_ma_unimported(tmp_path):
+    # the first np.unique of a process imports numpy.ma, about 20 ms of a
+    # cold deconvolve; neither the CLI nor the table calls it
+    data = emit_cell(tmp_path, cell="g4,f2,100,0")
+    out = str(tmp_path / "f.csv")
+    script = "\n".join([
+        "import sys",
+        "from lapdeconv import cli",
+        "from lapdeconv.sim import run_table",
+        f"assert cli.main(['deconvolve', '--input', {data!r}, '--kernel', {G4!r},"
+        f" '--sigma', '0.01', '--output', {out!r}]) == 0",
+        "assert 'numpy.ma' not in sys.modules",
+        "run_table([('g2', 'f1', 100, 0), ('g5', 'f3', 100, 1)], runs=3)",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "lapdeconv.cli", "make-kernel",

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lapdeconv import smoother
+from lapdeconv import kernels, smoother
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
     DeconvolutionResult,
     EstimatorConfig,
+    _cell_moments,
     _convolve_terms,
     _estimate_all,
     deconvolve,
@@ -26,7 +27,7 @@ from lapdeconv.deconv import (
 from lapdeconv.resolvent import decompose, rational_kernel
 from lapdeconv.sim import builtin_f, builtin_g, forward_convolve, ladder_sigma, standard_normals
 from lapdeconv.smoother import EstimationError, NoisySample
-from oracles import convolve_exp_poly
+from oracles import convolve_exp_poly, convolve_terms_by_column
 
 T = 10.0
 
@@ -94,6 +95,21 @@ class TestConvolutionTerm:
         approx = _convolve_terms(q.eval_real(grid)[:, None], phi1_r, grid)[:, 0]
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(approx - exact)) < 1e-5 * scale
+
+    @pytest.mark.parametrize("size,R", [(2, 1), (3, 2), (129, 1), (300, 7), (1024, 100)])
+    @pytest.mark.parametrize("name", ["g3", "g4", "g5"])
+    def test_matches_the_product_rule_column_by_column(self, name, size, R):
+        # one blocked Toeplitz product against two np.convolve per column,
+        # within 1e-13 of the column's scale max|q| * sum |M0| + |M1|
+        d = decompose(builtin_g(name))
+        phi1_r = ExpPoly.phi1_from_decomposition(d).derivatives(d.r)
+        grid = np.linspace(0.0, T, size)
+        Q0 = np.random.default_rng(size).standard_normal((size, R))
+        got = _convolve_terms(Q0, phi1_r, grid)
+        want = convolve_terms_by_column(Q0, phi1_r, grid)
+        M0, M1 = _cell_moments(phi1_r, grid)
+        scale = np.max(np.abs(Q0), axis=0) * (np.sum(np.abs(M0)) + np.sum(np.abs(M1)))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_zero_column_gives_zero(self):
         g = builtin_g("g3")
@@ -407,3 +423,12 @@ def test_memory_of_an_estimate_at_n_2000_stays_bounded():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 8e6, peaks
+
+
+def test_an_estimate_builds_one_exact_kernel_per_order():
+    # the boundary rows come from one primitive basis per L; only the
+    # selection's interior kernels (one per order, for ||K_j||) are built
+    data, g, _ = noisy_sample("g1", "f1", 250, ladder_sigma("g1", 2), 0)
+    kernels._build_kernel.cache_clear()
+    deconvolve(data, g)
+    assert kernels._build_kernel.cache_info().misses <= g.r + 1

@@ -176,6 +176,18 @@ class TestBandwidthGrid:
             BandwidthGrid.build(-1, 1000, 0.1, T)
 
 
+def assert_rows_match_oracle(W, O):
+    """W @ V against O @ V for three standard normal data columns V, within
+    1e-12 of |O| @ |V|: the bound of ``test_apply_matches_dense_oracle``.
+    Rows differenced over hundreds of tiny cells round to about 1e-12 of
+    their sum of |w_i| in float, interior rows included, so the bound is
+    not read for the worst signs of a unit column."""
+    V = np.random.default_rng(0).standard_normal((W.shape[1], 3))
+    err = np.abs((W - O) @ V)
+    bad = np.flatnonzero(np.any(err > 1e-12 * (np.abs(O) @ np.abs(V)) + 1e-300, axis=1))
+    assert not bad.size, "rows %s off the oracle" % bad[:10]
+
+
 def _oracle_case(rng, kind, permuted):
     """(times, grid) of 300 observations and 203 grid points on [0, T]."""
     if kind == "random":
@@ -199,7 +211,7 @@ class TestBandedApply:
         lam = 1.1
         grid = np.linspace(0.0, T, 57)
         W = _weight_matrix(times, T, grid, j, 8, lam)
-        np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam))
+        assert_rows_match_oracle(W, dense_weights(times, T, grid, j, 8, lam))
         inner = (grid >= lam) & (grid <= T - lam)
         V = rng.standard_normal((times.size, 3))
         est, _ = _band_rows(times, grid[inner], lam, j, 8, make_kernel(8, j), V)
@@ -208,14 +220,13 @@ class TestBandedApply:
     @pytest.mark.parametrize("permuted", [False, True])
     @pytest.mark.parametrize("kind", ["random", "clustered", "equispaced"])
     def test_weight_matrix_equals_oracle(self, kind, permuted):
-        # three groups of blocks (interior, left edge, right edge) over
-        # sorted or shuffled points, boundary rows and wide levels included
+        # interior, left-edge and right-edge rows over sorted or shuffled
+        # points, wide levels included
         times, grid = _oracle_case(np.random.default_rng(11), kind, permuted)
         for j in (0, 1, 3, 4):
             for lam in (0.6, 1.3, 2.9, T / 2):
                 W = _weight_matrix(times, T, grid, j, 8, lam)
-                np.testing.assert_array_equal(W, dense_weights(times, T, grid, j, 8, lam),
-                                              err_msg="j=%d lam=%g" % (j, lam))
+                assert_rows_match_oracle(W, dense_weights(times, T, grid, j, 8, lam))
 
     @pytest.mark.parametrize("R", [1, 3, 100])
     @pytest.mark.parametrize("permuted", [False, True])
@@ -270,7 +281,7 @@ class TestBandedApply:
             # point's window (one cell of slack for the rounding margin past
             # lam), so it was shifted left to stay inside the design
             shifted = False
-            for blk, cells, _ in _band_blocks(times, x, lam, j, [ker]):
+            for blk, cells, _ in _band_blocks(times, x, lam, j, ker.antiderivative()):
                 xb = smoother._blocked(x)[blk]
                 lowest = np.searchsorted(edges, xb.min(axis=1) - lam, side="right") - 1
                 shifted |= np.any((cells[:, -1] == times.size - 1) & (cells[:, 0] < lowest - 1))
@@ -333,20 +344,22 @@ class TestBandedApply:
         times = np.sort(np.random.default_rng(3).uniform(0.05, T, 300))
         grid = np.random.default_rng(4).permutation(np.linspace(0.0, T, 300))
         W = _weight_matrix(times, T, grid, 2, 8, 0.9)
-        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 2, 8, 0.9))
+        assert_rows_match_oracle(W, dense_weights(times, T, grid, 2, 8, 0.9))
 
     def test_band_keeps_cells_at_rounding_distance(self):
         # grid 3.75 lies lam = 0.3 from the cell edge 3.45 up to rounding;
         # the rounded kernel argument of that edge still falls inside the
-        # support, so the cell next to it carries a weight of order 1e-15
+        # support, so the cell next to it carries a weight (of order 1e-44
+        # exactly, 1e-15 in float), and the band keeps it: the nonzero
+        # weights sit where the oracle's do
         times = np.arange(1, 101) * (T / 100)
         grid = np.linspace(0.0, T, 257)
-        W = _weight_matrix(times, T, grid, 1, 4, 0.3)
-        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.3))
         # alone in its block, the point's own window sets the block's cells
-        for x in (np.array([3.75]), np.array([6.25])):
-            np.testing.assert_array_equal(_weight_matrix(times, T, x, 1, 4, 0.3),
-                                          dense_weights(times, T, x, 1, 4, 0.3))
+        for x in (grid, np.array([3.75]), np.array([6.25])):
+            W = _weight_matrix(times, T, x, 1, 4, 0.3)
+            O = dense_weights(times, T, x, 1, 4, 0.3)
+            assert_rows_match_oracle(W, O)
+            np.testing.assert_array_equal(W != 0, O != 0)
 
     def test_blocks_of_a_sorted_grid_span_about_one_window(self, monkeypatch):
         # interior, left-edge and right-edge points are blocked apart, so no
@@ -1000,7 +1013,7 @@ class TestDesignWeights:
         grid = np.linspace(0.0, T, 50)
         W = dw.weight_matrix(1, 4, 0.5, grid)
         np.testing.assert_array_equal(W, _weight_matrix(times, T, grid, 1, 4, 0.5))
-        np.testing.assert_array_equal(W, dense_weights(times, T, grid, 1, 4, 0.5))
+        assert_rows_match_oracle(W, dense_weights(times, T, grid, 1, 4, 0.5))
 
 
 class TestEstimateSigma:
