@@ -508,7 +508,9 @@ def _exact_differences(nums: list[int], den: int, taus: np.ndarray) -> np.ndarra
     return np.array([(p - q) / D for p, q in zip(P[:-1], P[1:])])
 
 
-@functools.lru_cache(maxsize=None)
+# Rows ``_dense_row`` keeps: about 20 MB, enough for the tests that repeat a
+# design's rows over shuffled grids and data column counts
+@functools.lru_cache(maxsize=1 << 13)
 def _dense_row(times_bytes: bytes, T: float, x: float, j: int, L: int, lam: float) -> np.ndarray:
     """Row x of ``dense_weights``, kept for the designs the tests repeat."""
     key = None, False

@@ -193,22 +193,6 @@ class TestPrimitives:
                     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (
                         L, j, rho, ker.support)
 
-    def test_interior_support_is_the_interior_kernel(self):
-        # c = 0 and h = 1, so u is the kernel's own variable
-        for j in range(8):
-            got = kernel_primitives(8, j, np.array([-1.0]), np.array([1.0]))[0]
-            want = make_kernel(8, j).antiderivative()
-            scale = np.max(np.abs(want))
-            np.testing.assert_allclose(got[: want.size], want, rtol=0, atol=1e-13 * scale)
-            np.testing.assert_array_equal(got[want.size :], 0.0)
-
-    def test_broadcasts_over_supports(self):
-        lo = np.array([[-1.0, -0.3], [-1.0, -1.0]])
-        hi = np.array([[0.2, 1.0], [1.0, 0.7]])
-        P = kernel_primitives(6, 2, lo, hi)
-        assert P.shape == (2, 2, 11)
-        np.testing.assert_array_equal(P[1, 0], kernel_primitives(6, 2, [-1.0], [1.0])[0])
-
 
 class TestValidation:
     def test_j_out_of_range(self):
