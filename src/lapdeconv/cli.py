@@ -14,14 +14,15 @@ Each input rule is checked by the library function that needs it; this
 module parses flags and maps the library's exceptions to exit codes:
 0 success, 2 malformed input or an invalid parameter (a ValueError),
 3 kernel-spec or make-kernel order violation, 4 estimator failure (an
-EstimationError, or a MemoryError, named with the grid size). Every
-failure prints a one-line diagnostic naming the violated precondition.
-Flag defaults are those of EstimatorConfig and Scenario.
-``_write_columns`` writes every two-column CSV, at 17 significant digits
-so files round-trip losslessly, and
-``sim.write_json`` every JSON document; every output is a pure function of
-(input bytes, flags, seed). --threads, the one way to set the thread
-count, changes no output byte.
+EstimationError, or a MemoryError, named with the grid size). An output
+file that cannot be written also exits 2, and a failed run removes every
+output file it had written. Every failure prints a one-line diagnostic
+naming the violated precondition. Flag defaults are those of
+EstimatorConfig and Scenario. Input CSVs and kernel-spec files are read as
+UTF-8 with an optional byte-order mark. ``_write_columns`` writes every
+two-column CSV, at 17 significant digits so files round-trip losslessly,
+and ``sim.write_json`` every JSON document; every output is a pure
+function of (input bytes, flags, seed).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -87,7 +90,7 @@ def parse_kernel_spec(text: str) -> RationalLaplaceKernel:
     raw = text.strip()
     if not raw.startswith("{"):
         try:
-            raw = Path(text).read_text(encoding="utf-8")
+            raw = Path(text).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise CliError(
                 EXIT_BAD_KERNEL, f"kernel spec: cannot read file {text!r} ({exc})"
@@ -138,7 +141,7 @@ def _number_list(obj: dict, key: str) -> list[float]:
 def load_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a t,y CSV; any structural defect exits with the input code."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise CliError(EXIT_BAD_INPUT, f"cannot read input: {exc}") from None
@@ -178,7 +181,6 @@ def _estimator_config(args) -> EstimatorConfig:
             L=args.L,
             grid_size=args.grid_size,
             fixed_bandwidths=_parse_bandwidths(args.bandwidth),
-            threads=args.threads,
         )
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
@@ -197,18 +199,53 @@ def _out_of_memory(cfg: EstimatorConfig) -> CliError:
 
 
 # The sidecar's "config": the settings that shape f_hat, which are the fields
-# of EstimatorConfig less "threads", which changes no output byte. The parsed
-# flags are JSON types already; a tuple of fixed bandwidths is written as a
-# list.
+# of EstimatorConfig. The parsed flags are JSON types already; a tuple of
+# fixed bandwidths is written as a list.
 SIDECAR_CONFIG = ("L", "grid_size", "fixed_bandwidths")
 
 
-def _write_columns(path: str, header: tuple[str, str], xs, ys) -> None:
+class _Outputs:
+    """The output files of one command run.
+
+    write(path, fill, newline) opens path for writing, lets fill(fh) write
+    it and closes it; an OSError on the way exits 2 naming the path.
+    Leaving the ``with`` block by an exception removes every regular file
+    that write opened, the half-written one included, so a failed run
+    leaves no output file behind. A path that could not be opened is left
+    alone, and so is a device or a symbolic link (such as /dev/stdout).
+    """
+
+    def __init__(self):
+        self.opened = []
+
+    def write(self, path: str, fill, newline: str | None = None) -> None:
+        try:
+            with open(path, "w", newline=newline, encoding="utf-8") as fh:
+                self.opened.append(path)
+                fill(fh)
+        except OSError as exc:
+            raise CliError(EXIT_BAD_INPUT,
+                           f"cannot write {path}: {exc.strerror or exc}") from None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            for path in self.opened:
+                try:
+                    if stat.S_ISREG(os.lstat(path).st_mode):
+                        os.remove(path)
+                except OSError:
+                    pass
+        return False
+
+
+def _write_columns(fh, header: tuple[str, str], xs, ys) -> None:
     """A two-column CSV: the header, then one row per (x, y) at 17 digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(["%.17g" % x, "%.17g" % y] for x, y in zip(xs, ys))
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(["%.17g" % x, "%.17g" % y] for x, y in zip(xs, ys))
 
 
 def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool):
@@ -254,7 +291,7 @@ def _sidecar_document(args, data: NoisySample, g, result, sigma_estimated: bool)
 # Subcommands
 
 
-def cmd_deconvolve(args) -> int:
+def cmd_deconvolve(args, outputs: _Outputs) -> int:
     times, values = load_samples(args.input)
     g = parse_kernel_spec(args.kernel)
     T = float(times[-1]) if times.size else 0.0
@@ -277,10 +314,12 @@ def cmd_deconvolve(args) -> int:
     except MemoryError:
         raise _out_of_memory(cfg) from None
 
-    _write_columns(args.output, ("t", "f_hat"), result.grid, result.f_hat)
+    outputs.write(args.output, lambda fh: _write_columns(
+        fh, ("t", "f_hat"), result.grid, result.f_hat), newline="")
     sidecar = _sidecar_document(args, data, g, result,
                                 sigma_estimated=args.sigma is None)
-    write_json(args.sidecar or (args.output + ".json"), sidecar)
+    outputs.write(args.sidecar or (args.output + ".json"),
+                  lambda fh: write_json(fh, sidecar))
     return 0
 
 
@@ -301,7 +340,7 @@ def _parse_cell(text: str) -> tuple[str, str, int, int]:
     return gn, fn, n, i
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, outputs: _Outputs) -> int:
     if args.cell is not None:
         cells = [_parse_cell(args.cell)]
     else:
@@ -317,19 +356,24 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_BAD_INPUT, f"invalid parameter: {exc}") from None
     except MemoryError:
         raise _out_of_memory(config) from None
-    write_report_csv(args.output if args.output else sys.stdout, results)
+    if args.output:
+        outputs.write(args.output, lambda fh: write_report_csv(fh, results),
+                      newline="")
+    else:
+        write_report_csv(sys.stdout, results)
     if args.json:
-        write_report_json(args.json, results,
-                          extra={"runs": args.runs, "seed": args.seed})
+        extra = {"runs": args.runs, "seed": args.seed}
+        outputs.write(args.json, lambda fh: write_report_json(fh, results, extra=extra))
     if args.emit_data:
         gn, fn, n, i = cells[0]
         times, Y = cell_sample(builtin_g(gn), builtin_f(fn), n, ladder_sigma(gn, i),
                                args.seed, 1, Scenario.T)
-        _write_columns(args.emit_data, ("t", "y"), times, Y[:, 0])
+        outputs.write(args.emit_data, lambda fh: _write_columns(
+            fh, ("t", "y"), times, Y[:, 0]), newline="")
     return 0
 
 
-def cmd_make_kernel(args) -> int:
+def cmd_make_kernel(args, outputs: _Outputs) -> int:
     try:
         kern = make_boundary_kernel(args.L, args.j, args.rho)
     except (TypeError, ValueError) as exc:
@@ -345,12 +389,16 @@ def cmd_make_kernel(args) -> int:
     }
     if args.output:
         ts = np.linspace(*kern.support, 1001)
-        _write_columns(args.output, ("t", "K"), ts, kern(ts))
-    write_json(args.json or sys.stdout, payload)
+        outputs.write(args.output, lambda fh: _write_columns(
+            fh, ("t", "K"), ts, kern(ts)), newline="")
+    if args.json:
+        outputs.write(args.json, lambda fh: write_json(fh, payload))
+    else:
+        write_json(sys.stdout, payload)
     return 0
 
 
-def cmd_inspect_kernel(args) -> int:
+def cmd_inspect_kernel(args, outputs: _Outputs) -> int:
     g = parse_kernel_spec(args.kernel)
     try:
         d = decompose(g)
@@ -384,8 +432,6 @@ def _add_estimator_flags(sub) -> None:
     sub.add_argument("--grid-size", type=int, default=EstimatorConfig.grid_size,
                      dest="grid_size",
                      help="evaluation grid size (default %(default)s)")
-    sub.add_argument("--threads", type=int, default=EstimatorConfig.threads,
-                     help="worker threads (default %(default)s)")
     sub.add_argument("--bandwidth", default=None,
                      help="fixed bandwidth(s), scalar or comma list per "
                           "derivative order (skips adaptation)")
@@ -460,7 +506,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _Outputs() as outputs:
+            return args.func(args, outputs)
     except CliError as exc:
         print(f"lapdeconv: {exc}", file=sys.stderr)
         return exc.code

@@ -12,7 +12,6 @@ derivative gets its own adaptively selected bandwidth.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "DeconvolutionResult",
     "EstimatorConfig",
     "deconvolve",
-    "ordered_map",
     "risk_mse",
     "trimmed_window",
 ]
@@ -45,28 +43,21 @@ class EstimatorConfig:
     """Settings of the full deconvolution pipeline.
 
     L, grid_size and fixed_bandwidths shape f_hat, together with the
-    selection's fixed grid ratio and threshold multiplier (``smoother``);
-    threads is the number of threads the per-order derivative estimations
-    share, the caller plus threads - 1 pool threads (``ordered_map``),
-    which changes no result (the command line's --threads defaults to it).
+    selection's fixed grid ratio and threshold multiplier (``smoother``).
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. grid_size must
-    be at least 2 and threads an integer of at least 1; other values raise
-    ValueError. The risk window is the harness's (``sim.Scenario.trim``).
+    be at least 2; a smaller value raises ValueError. The risk window is
+    the harness's (``sim.Scenario.trim``).
     """
 
     L: int = 8
     grid_size: int = DEFAULT_GRID_SIZE
     fixed_bandwidths: object = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("evaluation grid size must be at least 2")
-        threads = self.threads
-        if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-            raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
         fb = self.fixed_bandwidths
         if fb is not None and not np.isscalar(fb):
             if isinstance(fb, dict):
@@ -176,53 +167,6 @@ def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndar
     return out
 
 
-def ordered_map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], worked by the calling thread together
-    with threads - 1 pool threads (fewer when there are fewer items).
-
-    Each worker takes the next unclaimed item from one shared index, so the
-    items start in input order and one thread starts no thread at all. The
-    results come back in input order. When items raise, no further item
-    starts, every worker finishes the item it holds, and then the exception
-    of the first failing item in input order is raised: every item before
-    it had started, so it is the one ``[fn(item) for item in items]`` would
-    raise. An interrupt of the calling thread stops the pool threads the
-    same way and then propagates.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    errors: dict[int, Exception] = {}
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if stop.is_set() else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-                stop.set()
-
-    pool = [threading.Thread(target=work) for _ in range(min(threads, len(items)) - 1)]
-    for t in pool:
-        t.start()
-    try:
-        work()
-    finally:
-        stop.set()
-        for t in pool:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
                   g: RationalLaplaceKernel, cfg: EstimatorConfig):
     """Batched pipeline core over the columns of V (n x R).
@@ -230,9 +174,8 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
     Column results are identical to running the pipeline per column; the
     batch exists so Monte-Carlo replications share design-dependent work.
-    The orders are selected, then evaluated, by ``ordered_map`` over
-    cfg.threads threads, the caller among them: one thread starts no pool
-    thread. The result does not depend on the thread count.
+    Every order is selected, then every order evaluated, in order j = 0..r
+    on the calling thread, so the lowest failing order raises first.
     """
     d = decompose(g)
     r = g.r
@@ -246,23 +189,21 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     design = DesignWeights(times, T)
     R = V.shape[1]
 
-    def select(j: int) -> np.ndarray:
+    lam = np.empty((r + 1, R))
+    for j in range(r + 1):
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
             check_bandwidth(times, T, grid, j, fixed)
-            return np.full(R, fixed)
-        return _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
-
-    def evaluate(j: int) -> np.ndarray:
+            lam[j] = fixed
+        else:
+            lam[j] = _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
+    Qs = []
+    for j in range(r + 1):
         Q = np.empty((grid.size, R))
         for lv in sorted(set(lam[j].tolist())):
             cols = np.nonzero(lam[j] == lv)[0]
             Q[:, cols] = design.apply(j, cfg.L, lv, grid, V[:, cols])
-        return Q
-
-    orders = range(r + 1)
-    lam = np.array(ordered_map(select, orders, cfg.threads))
-    Qs = ordered_map(evaluate, orders, cfg.threads)
+        Qs.append(Q)
 
     derivative = Qs[r]
     linear = np.zeros_like(derivative)

@@ -11,13 +11,13 @@ import csv
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ._expalg import ExpPoly
-from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, ordered_map, trimmed_window
+from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
 from .smoother import EstimationError
 from .special import reg_lower_gamma, standard_normals
@@ -317,19 +317,12 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
               config: EstimatorConfig | None = None, T: float = Scenario.T,
               trim: float = Scenario.trim) -> list[tuple[tuple, ExperimentReport]]:
     """Run a list of (g, f, n, i) cells; returns [(cell, report), ...] in
-    input order regardless of execution concurrency. trim is every cell's
-    ``Scenario.trim``.
+    input order. trim is every cell's ``Scenario.trim``.
 
-    The cells run through ``deconv.ordered_map``: with several cells the
-    caller and config.threads - 1 pool threads take them in turn, each cell
-    running with threads=1; one cell runs on the caller and splits
-    config.threads by derivative order. Results do not depend on the thread
-    count.
+    Every scenario is built first, so an invalid cell raises before any
+    cell runs; then the cells run in input order on the calling thread.
     """
     config = config or EstimatorConfig()
-    workers = 1
-    if len(cells) > 1:
-        workers, config = config.threads, replace(config, threads=1)
     scenarios = [
         Scenario(
             g_name=gn, f_name=fn, n=n, sigma=ladder_sigma(gn, i),
@@ -337,8 +330,7 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
-    reports = ordered_map(run_experiment, scenarios, workers)
-    return list(zip(list(cells), reports))
+    return [(cell, run_experiment(sc)) for cell, sc in zip(cells, scenarios)]
 
 
 def _row_dict(cell, rep: ExperimentReport) -> dict:

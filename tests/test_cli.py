@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import errno
 import json
-import shutil
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -67,6 +68,18 @@ def emit_cell(tmp_path, cell="g2,f1,100,0", seed=0, name="data.csv"):
     ])
     assert rc == 0
     return str(data)
+
+
+def assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing):
+    """Run argv in an empty directory: it must exit 2 with one line naming
+    the output it could not write, and leave no file in the directory."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_error_line(capsys).startswith(f"lapdeconv: cannot write {failing}: ")
+    assert [p.name for p in run_dir.iterdir()] == []
 
 
 class TestKernelSpecParsing:
@@ -188,18 +201,53 @@ class TestDeconvolveCommand:
         assert side["config"]["fixed_bandwidths"] == fixed
         assert type(side["config"]["fixed_bandwidths"]) is type(fixed)
 
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("flags,failing", [
+        (["--output", "missing/f.csv"], "missing/f.csv"),
+        (["--output", "f.csv", "--sidecar", "missing/s.json"], "missing/s.json"),
+    ], ids=["output", "sidecar"])
+    def test_unwritable_output_exits_2_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                          capsys, flags, failing):
+        argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                "--sigma", "0.01"] + flags
+        assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
+
+    def test_failed_write_removes_the_half_written_file(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def disk_full(fh, doc):
+            fh.write("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_json", disk_full)
+        argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                "--sigma", "0.01", "--output", "f.csv"]
+        assert_unwritable(tmp_path, monkeypatch, capsys, argv, "f.csv.json")
+
+    def test_failed_run_keeps_a_linked_output(self, tmp_path, monkeypatch):
+        # only regular files are removed: an output through a link, as
+        # /dev/stdout is one, keeps the link and its target
+        data = emit_cell(tmp_path)
+        link = tmp_path / "out.csv"
+        link.symlink_to(os.devnull)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
+                   "--output", "out.csv", "--sidecar", "missing/s.json"])
+        assert rc == 2
+        assert link.is_symlink() and os.path.exists(os.devnull)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, monkeypatch):
         # the same relative paths in one directory per run, so the sidecars'
-        # input and output members agree; g4 estimates four orders
-        data = emit_cell(tmp_path, cell="g4,f2,100,0")
+        # input and output members agree
+        emit_cell(tmp_path)
+        data = (tmp_path / "data.csv").read_bytes()
         outputs = []
-        for name, flags in (("default", []), ("flag", ["--threads", "4"])):
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
             run_dir = tmp_path / name
             run_dir.mkdir()
-            shutil.copy(data, run_dir / "in.csv")
+            (run_dir / "in.csv").write_bytes(bom + data)
+            (run_dir / "g.json").write_bytes(bom + G4_EXP_POLY.encode())
             monkeypatch.chdir(run_dir)
-            rc = main(["deconvolve", "--input", "in.csv", "--kernel", G4,
-                       "--sigma", "0.002", "--output", "f.csv"] + flags)
+            rc = main(["deconvolve", "--input", "in.csv", "--kernel", "g.json",
+                       "--sigma", "0.01", "--output", "f.csv"])
             assert rc == 0
             outputs.append(((run_dir / "f.csv").read_bytes(),
                             (run_dir / "f.csv.json").read_bytes()))
@@ -461,12 +509,16 @@ class TestSimulateCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["simulate", "--cell", "g3,f2,60,0", "--runs", "2", "--seed", "1"]
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--output", str(b), "--threads", "8"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("flags,failing", [
+        (["--output", "missing/r.csv"], "missing/r.csv"),
+        (["--output", "r.csv", "--json", "missing/r.json"], "missing/r.json"),
+        (["--output", "r.csv", "--json", "r.json", "--emit-data", "missing/d.csv"],
+         "missing/d.csv"),
+    ], ids=["output", "json", "emit-data"])
+    def test_unwritable_output_exits_2_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                          capsys, flags, failing):
+        argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1"] + flags
+        assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
 
     def test_seed_changes_report(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -567,6 +619,15 @@ class TestMakeKernel:
         assert rows[0] == ["t", "K"]
         assert len(rows) == 1 + 1001
 
+    @pytest.mark.parametrize("flags,failing", [
+        (["--output", "missing/k.csv"], "missing/k.csv"),
+        (["--output", "k.csv", "--json", "missing/k.json"], "missing/k.json"),
+    ], ids=["output", "json"])
+    def test_unwritable_output_exits_2_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                          capsys, flags, failing):
+        argv = ["make-kernel", "--L", "4", "--j", "0"] + flags
+        assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -617,46 +678,6 @@ REQUIRED_ARGS = {
 }
 
 
-class TestThreadResolution:
-    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
-    def test_default_is_one(self, command):
-        # the flag is the one way to set the count; its default is the config's
-        parser = build_parser()
-        assert _estimator_config(parser.parse_args(REQUIRED_ARGS[command])).threads == 1
-        args = parser.parse_args(REQUIRED_ARGS[command] + ["--threads", "4"])
-        assert _estimator_config(args).threads == 4
-
-    @pytest.mark.parametrize("env", ["2", "many", "0"])
-    def test_env_variable_is_inert(self, monkeypatch, tmp_path, env):
-        # no environment variable sets the thread count: LAPDECONV_THREADS
-        # changes neither the count, nor the exit code, nor a byte
-        argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1", "--output"]
-        monkeypatch.delenv("LAPDECONV_THREADS", raising=False)
-        assert main(argv + [str(tmp_path / "a.csv")]) == 0
-        monkeypatch.setenv("LAPDECONV_THREADS", env)
-        args = build_parser().parse_args(REQUIRED_ARGS["simulate"] + ["--threads", "8"])
-        assert _estimator_config(args).threads == 8
-        assert main(argv + [str(tmp_path / "b.csv")]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    @pytest.mark.parametrize("flag", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["simulate", "deconvolve"])
-    def test_nonpositive_threads_exit_2(self, tmp_path, capsys, command, flag):
-        out = str(tmp_path / "out.csv")
-        if command == "simulate":
-            argv = ["simulate", "--cell", "g2,f1,100,0", "--runs", "1", "--output", out]
-        else:
-            argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
-                    "--sigma", "0.01", "--output", out]
-        capsys.readouterr()
-        rc = main(argv + ["--threads", flag])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("lapdeconv: invalid parameter: ")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out.csv").exists()
-
-
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
 def test_flag_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args(REQUIRED_ARGS[command])
@@ -667,11 +688,12 @@ def test_flag_defaults_are_the_config_defaults(command):
             defaults["runs"], defaults["seed"], defaults["trim"])
 
 
-@pytest.mark.parametrize("flag", ["--C", "--a", "--threshold-mult"])
+@pytest.mark.parametrize("flag", ["--C", "--a", "--threshold-mult", "--threads"])
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
 def test_selection_constant_flags_are_rejected(capsys, command, flag):
     # the threshold scale, the grid ratio and the threshold multiplier of
-    # the selection are constants, not flags
+    # the selection are constants, not flags, and every estimate runs on
+    # the calling thread, so no flag sets a thread count
     with pytest.raises(SystemExit) as exc:
         main(REQUIRED_ARGS[command] + [flag, "2"])
     assert exc.value.code == 2
@@ -679,9 +701,7 @@ def test_selection_constant_flags_are_rejected(capsys, command, flag):
 
 
 def test_sidecar_config_holds_the_settings_that_shape_f_hat():
-    # every field of EstimatorConfig except the thread count, which changes
-    # no output byte
-    settings = {f.name for f in fields(EstimatorConfig)} - {"threads"}
+    settings = {f.name for f in fields(EstimatorConfig)}
     assert set(SIDECAR_CONFIG) == settings
     schema = load_sidecar_schema()["properties"]["config"]
     assert schema["required"] == list(SIDECAR_CONFIG)

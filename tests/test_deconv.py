@@ -1,9 +1,6 @@
 """Tests for the full deconvolution pipeline."""
 
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +17,6 @@ from lapdeconv.deconv import (
     _convolve_terms,
     _estimate_all,
     deconvolve,
-    ordered_map,
     risk_mse,
     trimmed_window,
 )
@@ -195,11 +191,6 @@ class TestAdaptiveDeconvolve:
         with pytest.raises(EstimationError):
             deconvolve(data, g, EstimatorConfig(fixed_bandwidths=0.01))
 
-    @pytest.mark.parametrize("threads", [0, -5, 1.5, True])
-    def test_config_rejects_bad_thread_counts(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            EstimatorConfig(threads=threads)
-
     def test_deterministic(self):
         data, g, _ = noisy_sample("g2", "f1", 100, 0.01, 9)
         a = deconvolve(data, g).f_hat
@@ -222,86 +213,6 @@ class TestBatchConsistency:
             res = deconvolve(NoisySample(times, V[:, c], T, 0.01), g)
             np.testing.assert_allclose(F[:, c], res.f_hat, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(lam[:, c], res.bandwidths)
-
-    def test_thread_count_does_not_change_results(self):
-        # g4 has r = 3, so four orders share the pool: fewer workers than
-        # orders, one per order, and more workers than orders
-        n = 100
-        times = np.arange(1, n + 1) * (T / n)
-        g = builtin_g("g4")
-        f = builtin_f("f2")
-        q = forward_convolve(g, f, times)
-        V = np.column_stack(
-            [q + 0.002 * standard_normals(31, run, n) for run in range(2)]
-        )
-        assert g.r + 1 == 4
-        outs = [_estimate_all(times, T, V, 0.002, g, EstimatorConfig(threads=k))
-                for k in (1, 2, g.r + 1, 8)]
-        for out in outs[1:]:
-            np.testing.assert_array_equal(out[1], outs[0][1])
-            np.testing.assert_array_equal(out[3], outs[0][3])
-            for name, term in outs[0][2].items():
-                np.testing.assert_array_equal(out[2][name], term)
-
-
-class TestOrderedMap:
-    @staticmethod
-    def _slow_square(x):
-        time.sleep(0.002 * ((7 * x) % 5))  # later items may finish first
-        return x * x
-
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    @pytest.mark.parametrize("count", [0, 3, 12])
-    def test_results_in_input_order(self, threads, count):
-        # count 3 gives threads 8 more threads than items
-        got = ordered_map(self._slow_square, range(count), threads)
-        assert got == [x * x for x in range(count)]
-
-    def test_each_item_runs_once_under_frequent_switches(self):
-        # more threads than cores, switching often: a claim that is not
-        # atomic would run some item twice or skip it
-        seen = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = ordered_map(lambda x: seen.append(x) or -x, range(300), 8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(seen) == list(range(300))
-        assert got == [-x for x in range(300)]
-
-    @pytest.mark.parametrize("threads,items,started", [(1, 5, 0), (4, 1, 0), (2, 5, 1),
-                                                       (8, 3, 2)])
-    def test_caller_is_one_of_the_workers(self, monkeypatch, threads, items, started):
-        starts = []
-        real_start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda t: starts.append(t) or real_start(t))
-        idents = ordered_map(lambda _: threading.get_ident(), range(items), threads)
-        assert len(starts) == started
-        if not started:
-            assert set(idents) == {threading.get_ident()}
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_first_failing_item_raises_after_the_workers_stop(self, threads):
-        ran = []
-
-        def fn(x):
-            ran.append(x)
-            if x == 3:
-                time.sleep(0.05)  # item 6 fails first in time
-                raise ValueError("item 3")
-            if x == 6:
-                raise ValueError("item 6")
-            return x
-
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="item 3"):
-            ordered_map(fn, range(10), threads)
-        assert threading.active_count() == before
-        assert {0, 1, 2, 3} <= set(ran)
-        if threads == 1:
-            assert ran == [0, 1, 2, 3]
 
 
 class TestRiskMse:

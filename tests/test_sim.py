@@ -286,16 +286,13 @@ class TestTable:
         [("g4", "f2", 60, 1)],
         [("g2", "f1", 60, 2), ("g4", "f2", 60, 1), ("g2", "f2", 60, 2)],
     ])
-    def test_run_table_order_and_threads(self, cells):
-        # one cell splits the threads by order, several cells by cell
-        seq = run_table(cells, runs=2, seed=3)
-        par = run_table(cells, runs=2, seed=3, config=EstimatorConfig(threads=3))
-        assert [c for c, _ in seq] == [c for c, _ in par] == cells
-        for (_, ra), (_, rb) in zip(seq, par):
-            assert rb.scenario.config.threads == (3 if len(cells) == 1 else 1)
-            np.testing.assert_array_equal(ra.per_run_mse, rb.per_run_mse)
-            assert (ra.mean_mse, ra.std_mse, ra.bandwidth_counts) == (
-                rb.mean_mse, rb.std_mse, rb.bandwidth_counts)
+    def test_run_table_order(self, cells):
+        got = run_table(cells, runs=2, seed=3)
+        assert [c for c, _ in got] == cells
+        for (gn, fn, n, i), (_, rep) in zip(cells, got):
+            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=2, seed=3))
+            assert rep.scenario == want.scenario
+            np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
 
     def test_run_table_defaults_are_the_scenario_defaults(self):
         defaults = {f.name: f.default for f in fields(Scenario)}

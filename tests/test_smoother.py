@@ -677,18 +677,20 @@ class TestDesignStore:
         assert smoother._design_store.cache_info().currsize == smoother._DESIGN_CAP
 
     def test_threads_share_the_store(self, empty_store):
-        from lapdeconv import EstimatorConfig, run_table
+        from lapdeconv import run_table
 
-        # the three cells share one design
+        # the three cells share one design; a caller's threads run one cell
+        # each, and the serial table runs all three, each from an empty store
         cells = [("g2", "f1", 100, 0), ("g1", "f1", 100, 2), ("g4", "f2", 100, 1)]
-        reports = []
-        for threads in (2, 1):  # each from an empty store
-            smoother._design_store.cache_clear()
-            reports.append(run_table(cells, runs=4, seed=5,
-                                     config=EstimatorConfig(threads=threads)))
-        for (_, two), (_, one) in zip(*reports):
-            np.testing.assert_array_equal(two.per_run_mse, one.per_run_mse)
-            assert two.bandwidth_counts == one.bandwidth_counts
+        serial = run_table(cells, runs=4, seed=5)
+        smoother._design_store.cache_clear()
+        with ThreadPoolExecutor(max_workers=len(cells)) as pool:
+            futures = [pool.submit(run_table, [cell], runs=4, seed=5) for cell in cells]
+            threaded = [f.result(timeout=120)[0] for f in futures]
+        for (cell, one), (got_cell, other) in zip(serial, threaded):
+            assert got_cell == cell
+            np.testing.assert_array_equal(other.per_run_mse, one.per_run_mse)
+            assert other.bandwidth_counts == one.bandwidth_counts
 
 
 def _on_new_thread(calls):
