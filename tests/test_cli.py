@@ -16,6 +16,7 @@ from lapdeconv.cli import (
     SIDECAR_CONFIG,
     _estimator_config,
     build_parser,
+    load_samples,
     main,
     parse_kernel_spec,
 )
@@ -33,6 +34,7 @@ G4_EXP_POLY = json.dumps({
 STIFF_G = json.dumps({"form": "exp-poly", "a": 50.0, "r": 8, "rho": [1.0]})
 # what the one-line diagnostic of each malformed --cell names; the n and i
 # rules are the library's (Scenario, ladder_sigma), the rest the parser's
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 BAD_CELL_TEXT = {
     "g2,f1,100": "--cell must look like",
     "g2,f1,5,0": "need n >= 10",
@@ -82,6 +84,20 @@ def assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing):
     assert [p.name for p in run_dir.iterdir()] == []
 
 
+def assert_directory_kept(tmp_path, monkeypatch, capsys, argv):
+    """Run argv in a directory that holds only the directory "out", which
+    argv names as an output: it must exit 2 with one line naming "out" and
+    leave the directory as the only entry, still empty."""
+    run_dir = tmp_path / "run"
+    (run_dir / "out").mkdir(parents=True)
+    monkeypatch.chdir(run_dir)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_error_line(capsys).startswith("lapdeconv: cannot write out: ")
+    assert [p.name for p in run_dir.iterdir()] == ["out"]
+    assert list((run_dir / "out").iterdir()) == []
+
+
 class TestKernelSpecParsing:
     def test_inline_builtin(self):
         g = parse_kernel_spec(G2)
@@ -96,6 +112,17 @@ class TestKernelSpecParsing:
         spec.write_text(G3)
         g = parse_kernel_spec(str(spec))
         assert g.r == 1
+
+    @pytest.mark.parametrize("spec", [G3, '{"form":"rational","num":[1],"den":[5,1]}',
+                                      G4_EXP_POLY], ids=["builtin", "rational", "exp-poly"])
+    def test_file_with_byte_order_mark(self, tmp_path, spec):
+        plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_bytes(spec.encode())
+        marked.write_bytes(BOM + spec.encode())
+        ga, gb = parse_kernel_spec(str(plain)), parse_kernel_spec(str(marked))
+        assert ga.r == gb.r
+        np.testing.assert_array_equal(ga.num.real_coeffs(), gb.num.real_coeffs())
+        np.testing.assert_array_equal(ga.den.real_coeffs(), gb.den.real_coeffs())
 
     def test_exp_poly_matches_builtin(self):
         ga = parse_kernel_spec(G4_EXP_POLY)
@@ -211,6 +238,15 @@ class TestDeconvolveCommand:
                 "--sigma", "0.01"] + flags
         assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
 
+    @pytest.mark.parametrize("flags", [["--output", "out"],
+                                       ["--output", "f.csv", "--sidecar", "out"]],
+                             ids=["output", "sidecar"])
+    def test_directory_output_exits_2_and_is_kept(self, tmp_path, monkeypatch, capsys,
+                                                  flags):
+        argv = ["deconvolve", "--input", emit_cell(tmp_path), "--kernel", G2,
+                "--sigma", "0.01"] + flags
+        assert_directory_kept(tmp_path, monkeypatch, capsys, argv)
+
     def test_failed_write_removes_the_half_written_file(self, tmp_path, monkeypatch,
                                                          capsys):
         def disk_full(fh, doc):
@@ -240,7 +276,7 @@ class TestDeconvolveCommand:
         emit_cell(tmp_path)
         data = (tmp_path / "data.csv").read_bytes()
         outputs = []
-        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        for name, bom in (("plain", b""), ("bom", BOM)):
             run_dir = tmp_path / name
             run_dir.mkdir()
             (run_dir / "in.csv").write_bytes(bom + data)
@@ -252,6 +288,17 @@ class TestDeconvolveCommand:
             outputs.append(((run_dir / "f.csv").read_bytes(),
                             (run_dir / "f.csv.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_load_samples_skips_a_byte_order_mark(self, tmp_path, newline):
+        text = newline.join(["t,y", "0.5,1.25", "1,-2e-3", ""]).encode()
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "bom.csv").write_bytes(BOM + text)
+        times, values = load_samples(str(tmp_path / "bom.csv"))
+        np.testing.assert_array_equal(times, [0.5, 1.0])
+        np.testing.assert_array_equal(values, [1.25, -2e-3])
+        for got, want in zip((times, values), load_samples(str(tmp_path / "plain.csv"))):
+            np.testing.assert_array_equal(got, want)
 
     def test_stiff_kernel_needs_a_higher_order(self, tmp_path, capsys):
         # r = 8 is kept, so the default L = 8 is refused before any estimate
@@ -520,6 +567,29 @@ class TestSimulateCommand:
         argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1"] + flags
         assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
 
+    @pytest.mark.parametrize("flags", [
+        ["--output", "out"],
+        ["--output", "r.csv", "--json", "out"],
+        ["--output", "r.csv", "--json", "r.json", "--emit-data", "out"],
+    ], ids=["output", "json", "emit-data"])
+    def test_directory_output_exits_2_and_is_kept(self, tmp_path, monkeypatch, capsys,
+                                                  flags):
+        argv = ["simulate", "--cell", "g2,f1,60,0", "--runs", "1"] + flags
+        assert_directory_kept(tmp_path, monkeypatch, capsys, argv)
+
+    def test_an_error_after_a_write_removes_the_written_files(self, tmp_path,
+                                                              monkeypatch):
+        # the data sample is drawn after the report files are written
+        def no_sample(*args):
+            raise RuntimeError("no sample")
+
+        monkeypatch.setattr(cli, "cell_sample", no_sample)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(RuntimeError, match="no sample"):
+            main(["simulate", "--cell", "g2,f1,60,0", "--runs", "1", "--output", "r.csv",
+                  "--json", "r.json", "--emit-data", "d.csv"])
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_changes_report(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["simulate", "--cell", "g2,f1,60,3", "--runs", "2"]
@@ -628,6 +698,14 @@ class TestMakeKernel:
         argv = ["make-kernel", "--L", "4", "--j", "0"] + flags
         assert_unwritable(tmp_path, monkeypatch, capsys, argv, failing)
 
+    @pytest.mark.parametrize("flags", [["--output", "out"],
+                                       ["--output", "k.csv", "--json", "out"]],
+                             ids=["output", "json"])
+    def test_directory_output_exits_2_and_is_kept(self, tmp_path, monkeypatch, capsys,
+                                                  flags):
+        argv = ["make-kernel", "--L", "4", "--j", "0"] + flags
+        assert_directory_kept(tmp_path, monkeypatch, capsys, argv)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -662,6 +740,13 @@ class TestInspectKernel:
     def test_stiff_kernel_keeps_its_order(self, capsys):
         assert main(["inspect-kernel", "--kernel", STIFF_G]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["r: 8", "B_r: 1"]
+
+    def test_spec_file_with_byte_order_mark(self, tmp_path, capsys):
+        (tmp_path / "g.json").write_bytes(BOM + G4_EXP_POLY.encode())
+        assert main(["inspect-kernel", "--kernel", str(tmp_path / "g.json")]) == 0
+        out_a = capsys.readouterr().out
+        assert main(["inspect-kernel", "--kernel", G4_EXP_POLY]) == 0
+        assert capsys.readouterr().out == out_a
 
     def test_exp_poly_equals_builtin(self, capsys):
         assert main(["inspect-kernel", "--kernel", G4_EXP_POLY]) == 0

@@ -1,14 +1,16 @@
 """Tests for the full deconvolution pipeline."""
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lapdeconv import kernels, smoother
+from lapdeconv import deconv, kernels, smoother
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
     DeconvolutionResult,
@@ -213,6 +215,87 @@ class TestBatchConsistency:
             res = deconvolve(NoisySample(times, V[:, c], T, 0.01), g)
             np.testing.assert_allclose(F[:, c], res.f_hat, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(lam[:, c], res.bandwidths)
+
+    @pytest.mark.parametrize("callers", [2, 4])
+    def test_caller_threads_do_not_change_results(self, callers):
+        # the package starts no thread, but a caller may run estimates from
+        # threads of its own: each one gives the serial result bit for bit
+        times, V, g = _g4_batch()
+        want = _estimate_all(times, T, V, 0.002, g, EstimatorConfig())
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            futures = [pool.submit(_estimate_all, times, T, V, 0.002, g, EstimatorConfig())
+                       for _ in range(callers)]
+            outs = [f.result(timeout=120) for f in futures]
+        for out in outs:
+            np.testing.assert_array_equal(out[1], want[1])
+            np.testing.assert_array_equal(out[3], want[3])
+            for name, term in want[2].items():
+                np.testing.assert_array_equal(out[2][name], term)
+
+
+def _g4_batch():
+    """Two replications of g4 * f2 at n = 100; g4 has r = 3, so four orders."""
+    n = 100
+    times = np.arange(1, n + 1) * (T / n)
+    g = builtin_g("g4")
+    q = forward_convolve(g, builtin_f("f2"), times)
+    V = np.column_stack([q + 0.002 * standard_normals(31, run, n) for run in range(2)])
+    return times, V, g
+
+
+class TestCallingThread:
+    """_estimate_all selects every order, then evaluates every order, in
+    order j = 0..r on the calling thread."""
+
+    @staticmethod
+    def _trace(monkeypatch, fail=()):
+        # log each selection and evaluation with its order and thread; an
+        # order in fail raises from its selection
+        events = []
+        select, apply = deconv._lepski_batch, smoother.DesignWeights.apply
+
+        def traced_select(times, T, V, sigma, j, L):
+            events.append(("select", j, threading.get_ident()))
+            if j in fail:
+                raise EstimationError("order %d" % j)
+            return select(times, T, V, sigma, j, L)
+
+        def traced_apply(self, j, *args):
+            events.append(("apply", j, threading.get_ident()))
+            return apply(self, j, *args)
+
+        def no_thread(_):
+            raise AssertionError("the pipeline started a thread")
+
+        monkeypatch.setattr(deconv, "_lepski_batch", traced_select)
+        monkeypatch.setattr(smoother.DesignWeights, "apply", traced_apply)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        return events
+
+    @pytest.mark.parametrize("gname,fixed", [("g1", None), ("g2", None), ("g4", None),
+                                             ("g4", (1.0,))],
+                             ids=["g1", "g2", "g4", "g4-fixed-order-0"])
+    def test_orders_run_in_order_on_the_calling_thread(self, monkeypatch, gname, fixed):
+        data, g, _ = noisy_sample(gname, "f1", 100, ladder_sigma(gname, 1), 4)
+        events = self._trace(monkeypatch)
+        res = deconvolve(data, g, EstimatorConfig(fixed_bandwidths=fixed))
+        adaptive = list(range(0 if fixed is None else len(fixed), g.r + 1))
+        assert [(kind, j) for kind, j, _ in events] == (
+            [("select", j) for j in adaptive] + [("apply", j) for j in range(g.r + 1)])
+        assert {ident for _, _, ident in events} == {threading.get_ident()}
+        if fixed is not None:
+            assert res.bandwidths[0] == fixed[0]
+
+    @pytest.mark.parametrize("fail", [(1, 3), (0, 2), (3,)])
+    def test_lowest_failing_order_raises_first(self, monkeypatch, fail):
+        # the orders above the lowest failing one are never selected, and
+        # no order is evaluated
+        times, V, g = _g4_batch()
+        events = self._trace(monkeypatch, fail=fail)
+        with pytest.raises(EstimationError, match="order %d" % min(fail)):
+            _estimate_all(times, T, V, 0.002, g, EstimatorConfig())
+        assert [(kind, j) for kind, j, _ in events] == [
+            ("select", j) for j in range(min(fail) + 1)]
 
 
 class TestRiskMse:

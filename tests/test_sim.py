@@ -4,11 +4,13 @@ import inspect
 import io
 import json
 import math
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from lapdeconv import sim
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import EstimatorConfig, deconvolve, risk_mse
 from lapdeconv.sim import (
@@ -293,6 +295,43 @@ class TestTable:
             want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=2, seed=3))
             assert rep.scenario == want.scenario
             np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
+
+    @pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
+    def test_invalid_cell_raises_before_any_cell_runs(self, monkeypatch, bad):
+        ran = []
+        monkeypatch.setattr(sim, "run_experiment", ran.append)
+        cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2), ("g4", "f2", 60, 1)]
+        cells[bad] = cells[bad][:2] + (5,) + cells[bad][3:]
+        with pytest.raises(ValueError, match="need n >= 10"):
+            run_table(cells, runs=1)
+        assert ran == []
+
+    def test_first_failing_cell_raises_and_later_cells_do_not_run(self, monkeypatch):
+        ran = []
+
+        def fails_from_the_second(sc):
+            ran.append(sc.g_name)
+            if len(ran) >= 2:
+                raise RuntimeError("cell %d" % len(ran))
+            return sc
+
+        monkeypatch.setattr(sim, "run_experiment", fails_from_the_second)
+        with pytest.raises(RuntimeError, match="cell 2"):
+            run_table([("g2", "f1", 60, 2), ("g4", "f2", 60, 1), ("g3", "f1", 60, 0)],
+                      runs=1)
+        assert ran == ["g2", "g4"]
+
+    def test_run_table_starts_no_thread(self, monkeypatch):
+        cells = [("g2", "f1", 60, 2), ("g4", "f2", 60, 1)]
+        want = run_table(cells, runs=2, seed=3)
+
+        def no_thread(_):
+            raise AssertionError("run_table started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        got = run_table(cells, runs=2, seed=3)
+        for (_, a), (_, b) in zip(want, got):
+            np.testing.assert_array_equal(a.per_run_mse, b.per_run_mse)
 
     def test_run_table_defaults_are_the_scenario_defaults(self):
         defaults = {f.name: f.default for f in fields(Scenario)}
