@@ -15,9 +15,9 @@ module parses flags and maps the library's exceptions to exit codes:
 0 success, 2 malformed input or an invalid parameter (a ValueError),
 3 kernel-spec or make-kernel order violation, 4 estimator failure (an
 EstimationError, or a MemoryError, named with the grid size). An output
-file that cannot be written also exits 2, and a failed run removes every
-output file it had written. Every failure prints a one-line diagnostic
-naming the violated precondition. Flag defaults are those of
+file or standard output that cannot be written also exits 2, and a failed
+run removes every output file it had written. Every failure prints a
+one-line diagnostic naming the violated precondition. Flag defaults are those of
 EstimatorConfig and Scenario. Input CSVs and kernel-spec files are read as
 UTF-8 with an optional byte-order mark. ``_write_columns`` writes every
 two-column CSV, at 17 significant digits so files round-trip losslessly,
@@ -227,6 +227,23 @@ class _Outputs:
             raise CliError(EXIT_BAD_INPUT,
                            f"cannot write {path}: {exc.strerror or exc}") from None
 
+    def stdout(self, fill) -> None:
+        """fill(sys.stdout), then a flush; an OSError on the way exits 2 as
+        in write. Standard output is then pointed at the null device, so
+        the interpreter's own flush at exit meets no second error."""
+        try:
+            fill(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            try:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+            except (OSError, ValueError):
+                pass
+            raise CliError(EXIT_BAD_INPUT,
+                           f"cannot write standard output: {exc.strerror or exc}") from None
+
     def __enter__(self):
         return self
 
@@ -360,7 +377,7 @@ def cmd_simulate(args, outputs: _Outputs) -> int:
         outputs.write(args.output, lambda fh: write_report_csv(fh, results),
                       newline="")
     else:
-        write_report_csv(sys.stdout, results)
+        outputs.stdout(lambda fh: write_report_csv(fh, results))
     if args.json:
         extra = {"runs": args.runs, "seed": args.seed}
         outputs.write(args.json, lambda fh: write_report_json(fh, results, extra=extra))
@@ -394,7 +411,7 @@ def cmd_make_kernel(args, outputs: _Outputs) -> int:
     if args.json:
         outputs.write(args.json, lambda fh: write_json(fh, payload))
     else:
-        write_json(sys.stdout, payload)
+        outputs.stdout(lambda fh: write_json(fh, payload))
     return 0
 
 
@@ -404,21 +421,18 @@ def cmd_inspect_kernel(args, outputs: _Outputs) -> int:
         d = decompose(g)
     except ValueError as exc:
         raise CliError(EXIT_BAD_KERNEL, f"kernel spec: {exc}") from None
-    out = sys.stdout
-    out.write(f"r: {d.r}\n")
-    out.write(f"B_r: {'%.12g' % d.B_r}\n")
-    out.write(f"stable: {'yes' if g.stable else 'no'}\n")
-    out.write("b: " + " ".join(
-        f"b_{j}={'%.12g' % v}" for j, v in enumerate(d.b)
-    ) + "\n")
+    lines = [f"r: {d.r}", f"B_r: {'%.12g' % d.B_r}",
+             f"stable: {'yes' if g.stable else 'no'}",
+             "b: " + " ".join(f"b_{j}={'%.12g' % v}" for j, v in enumerate(d.b))]
     if d.poles:
         parts = [
             f"{'%.12g' % t.s.real}{'%+.12g' % t.s.imag}i (mult {t.alpha})"
             for t in d.poles
         ]
-        out.write("poles: " + "; ".join(parts) + "\n")
+        lines.append("poles: " + "; ".join(parts))
     else:
-        out.write("poles: none (no convolution term)\n")
+        lines.append("poles: none (no convolution term)")
+    outputs.stdout(lambda fh: fh.write("".join(line + "\n" for line in lines)))
     return 0
 
 

@@ -174,8 +174,11 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
     Column results are identical to running the pipeline per column; the
     batch exists so Monte-Carlo replications share design-dependent work.
-    Every order is selected, then every order evaluated, in order j = 0..r
-    on the calling thread, so the lowest failing order raises first.
+    Every order is selected in order j = 0..r on the calling thread, so
+    the lowest failing order raises first; then each distinct selected
+    bandwidth is evaluated once for every order and column that chose it
+    (``DesignWeights.apply_orders``: one Gram per output point, solved for
+    all those orders).
     """
     d = decompose(g)
     r = g.r
@@ -193,18 +196,18 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     for j in range(r + 1):
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
-            check_bandwidth(times, T, grid, j, fixed)
+            check_bandwidth(times, T, j, cfg.L, fixed)
             lam[j] = fixed
         else:
             lam[j] = _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
-    Qs = []
-    for j in range(r + 1):
-        Q = np.empty((grid.size, R))
-        for lv in sorted(set(lam[j].tolist())):
-            cols = np.nonzero(lam[j] == lv)[0]
-            Q[:, cols] = design.apply(j, cfg.L, lv, grid, V[:, cols])
-        Qs.append(Q)
-
+    # one Gram per output point and distinct bandwidth, shared by every
+    # order that selected it in some column
+    Qs = [np.empty((grid.size, R)) for _ in range(r + 1)]
+    for lv in sorted(set(lam.ravel().tolist())):
+        columns = {j: np.flatnonzero(lam[j] == lv) for j in range(r + 1)}
+        columns = {j: cols for j, cols in columns.items() if cols.size}
+        for j, est in design.apply_orders(cfg.L, lv, grid, V, columns).items():
+            Qs[j][:, columns[j]] = est
     derivative = Qs[r]
     linear = np.zeros_like(derivative)
     for jj in range(r):

@@ -27,14 +27,12 @@ mapped back to t and multiplied by the envelope (t + 1)^2 (rho - t)^2 in
 integer arithmetic over one common denominator, and every moment
 constraint is re-checked exactly in t before the kernel is returned.
 
-The estimator needs only the kernels' primitives, in floats, at one
-support per evaluation point. ``kernel_primitives`` gives them for whole
-arrays of supports without building a kernel: in u the primitive is
-mu @ B, with B_m(u) = sum_k G^-1[k, m] integral_{-1}^{u} (1 - s^2)^2 s^k
-ds the same for every support. B comes from the one exact solve per L
-above, is checked exactly and rounded to floats once, and only mu depends
-on the support. ``make_boundary_kernel`` stays for the exact coefficients,
-the norm ||K_j|| and the kernel commands of the command line.
+The estimator's weight rows are these kernels corrected to the design
+(``smoother``): the same envelope times a polynomial of degree below L,
+with the moment conditions met exactly on the observations rather than
+as integrals. The kernels stay the rows' continuous limit, and give the
+norm ||K_j|| of the selection's threshold, the exact coefficients and
+the kernel commands of the command line.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "make_kernel",
     "make_boundary_kernel",
     "eval_kernel",
-    "kernel_primitives",
 ]
 
 _RHO_DECIMALS = 6
@@ -276,85 +273,6 @@ def make_boundary_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
     if rho_num == 0:
         raise ValueError(f"rho = {rho} rounds to 0 at 1e-{_RHO_DECIMALS}")
     return _build_kernel(int(L), int(j), rho_num, 10**_RHO_DECIMALS)
-
-
-@functools.lru_cache(maxsize=None)
-def _primitive_basis(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, Pi), the floats of ``kernel_primitives``' factors of the basis
-    B = G^-1 Psi: Q[m, k] = p_k[m] (``_orthogonal_polys``), and row k of Pi
-    holds the ascending coefficients in u of Pi_k(u) / <p_k, p_k>, where
-    Pi_k(u) = integral_{-1}^{u} (1 - s^2)^2 p_k(s) ds. Since G^-1 =
-    sum_k p_k p_k^T / <p_k, p_k>, B = Q Pi.
-
-    Pi is formed exactly and rounded to floats once per L, after an exact
-    check that integral_{-1}^{1} p_i(u) Pi_k'(u) du = delta_ik <p_k, p_k>
-    for i, k < L, which makes Q Pi the exact basis: its rows B_m satisfy
-    integral_{-1}^{1} u^i B_m'(u) du = delta_im. Going through the
-    orthogonal polynomials instead of the entries of G^-1, which grow large
-    and cancel, keeps the primitives' rounding near that of their own
-    coefficients.
-    """
-    polys, norms = _orthogonal_polys(L)
-    top = L + 5
-    M = math.lcm(*range(1, top))
-    W = math.lcm(*range(1, L + top))
-    ints = [_common_denominator(p) for p in polys]  # p_k = P_k / d_k
-    Pi = []  # d_k M Pi_k, in integers
-    for P, _ in ints:
-        row = [0] * top
-        for m, pm in enumerate(P):
-            for e, a in ((m + 1, 1), (m + 3, -2), (m + 5, 1)):  # (1 - s^2)^2 s^m
-                row[e] += pm * a * (M // e)
-                row[0] -= pm * a * (-1) ** e * (M // e)
-        Pi.append(row)
-    for k, row in enumerate(Pi):
-        # W integral_{-1}^{1} u^a (d_k M Pi_k'(u)) du, with integral u^(a+e-1) du
-        # = 2 / (a + e) for even a + e - 1
-        mom = [sum(e * b * 2 * (W // (a + e)) for e, b in enumerate(row) if (a + e) % 2)
-               for a in range(L)]
-        nk = norms[k] * ints[k][1] * M * W
-        for i, (P, d) in enumerate(ints):
-            got = Fraction(sum(c * mom[a] for a, c in enumerate(P)), d)
-            if got != (nk if i == k else 0):
-                raise ArithmeticError(  # pragma: no cover
-                    f"primitive basis of L = {L} misses moment {i} of row {k}"
-                )
-    Q = np.zeros((L, L))
-    for k, p in enumerate(polys):
-        Q[: len(p), k] = [float(c) for c in p]
-    Pi = np.array([[b * nk.denominator / (nk.numerator * d * M) for b in row]
-                   for row, nk, (_, d) in zip(Pi, norms, ints)])
-    Q.flags.writeable = Pi.flags.writeable = False
-    return Q, Pi
-
-
-def kernel_primitives(L: int, j: int, lo, hi) -> np.ndarray:
-    """Primitives of the order-(L, j) kernels on the supports [lo, hi].
-
-    lo and hi are arrays of support bounds, lo < hi, in the kernel's own
-    variable tau. Returns, for each support, the float coefficients
-    (ascending, L + 5 of them, along a new last axis) of the primitive
-    integral_lo^tau K in the support-centred variable u = (tau - c)/h,
-    c = (lo + hi)/2 and h = (hi - lo)/2, so that it runs from 0 at u = -1
-    to its total at u = 1. With the u-moments mu_m = C(m, j) (-c)^(m-j)
-    h^(-m) (-1)^j j! of the module docstring, q = G^-1 mu / h and the
-    primitive is mu @ B, B_m(u) = sum_k G^-1[k, m] Psi_k(u) with Psi_k(u) =
-    integral_{-1}^{u} (1 - s^2)^2 s^k ds, formed as (mu @ Q) @ Pi from one
-    exact solve per L (``_primitive_basis``).
-    [-1, rho] gives the left-boundary kernel and [-rho, 1] the right-edge
-    one: G is positive definite, so the solution of degree < L is unique,
-    and that support's solution is the reflection of the left one. ValueError
-    unless 0 <= j < L.
-    """
-    if not 0 <= j < L:
-        raise ValueError(f"need 0 <= j < L, got (L, j) = ({L}, {j})")
-    Q, Pi = _primitive_basis(int(L))
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    c, h = (lo + hi) / 2, (hi - lo) / 2
-    m = np.arange(j, L)
-    scale = np.array([math.comb(k, j) for k in range(j, L)]) * ((-1) ** j * math.factorial(j))
-    mu = scale * (-c[..., None]) ** (m - j) / h[..., None] ** m
-    return (mu @ Q[j:]) @ Pi
 
 
 def eval_kernel(k: SmoothingKernel, t):

@@ -296,6 +296,8 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
 
 def ladder_sigma(g_name: str, i: int) -> float:
     """Noise level i of the benchmark ladder: sigma_0(g) / 2^i."""
+    if g_name not in SIGMA0:
+        raise ValueError("unknown builtin kernel %r" % g_name)
     if not 0 <= i <= 4:
         raise ValueError("ladder index must be in 0..4")
     return SIGMA0[g_name] / 2.0**i

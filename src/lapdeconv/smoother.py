@@ -1,9 +1,13 @@
 """Kernel estimation of a smooth signal and its derivatives from noisy samples.
 
-Implements a Priestley-Chao type estimator with moment-vanishing polynomial
-kernels, plus a data-driven global bandwidth selector that compares estimates
-across a geometric bandwidth grid and keeps the largest bandwidth that is
-statistically indistinguishable from all smaller ones.
+Implements local-polynomial weight rows, exact on the design: each row is
+an envelope times a polynomial of degree below L, fitted by one Gram solve
+so that it reproduces the j-th derivative of every such polynomial at the
+observations (the design-corrected form of the moment-vanishing kernels of
+``kernels``). A data-driven global bandwidth selector compares estimates
+at the observations across a geometric bandwidth grid and keeps the
+largest bandwidth that is statistically indistinguishable from all smaller
+ones.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ import contextlib
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SmoothingKernel, kernel_primitives, make_kernel
+from .kernels import make_kernel
 
 __all__ = [
     "AdaptationError",
@@ -32,16 +36,6 @@ __all__ = [
     "pc_estimate",
 ]
 
-# Boundary kernels are parameterized by the relative distance rho to the
-# nearer endpoint, quantized to 1e-3 (``_supports``). At the exact endpoint
-# rho is 0; the floor gives that point the lowest kernel of the grid,
-# [-1, 1e-3], which ``make_boundary_kernel`` builds too (it rejects rho = 0),
-# so every row stays the row of an exact kernel the tests can rebuild.
-_RHO_MIN = 1e-3
-
-# Largest moment deviation (``_moment_worst``) of an admissible bandwidth level
-_PROBE_TOL = 0.1
-
 # Ratio a of the geometric bandwidth grid (``BandwidthGrid``); a finite
 # n / (sigma^2 T^2) keeps the depth J below log_a(DBL_MAX) = 3893.2
 _GRID_RATIO = 1.2
@@ -50,12 +44,10 @@ _GRID_RATIO = 1.2
 # empirically tuned value, 4.0 the conservative theoretical one
 _THRESHOLD_MULT = 3.0
 
-
-def _comparison_size(n: int) -> int:
-    """Points of the comparison grid on [0, T] over which ``_lepski_batch``
-    integrates its distances, for n observations: one per observation, and
-    at least 500."""
-    return max(n, 500)
+# A design is a lattice (``_lattice_step``) when every time lies within this
+# fraction of T of t_0 + i * step: sixteen units of rounding, where times
+# formed as i * (T / n) or by ``np.linspace`` lie within one
+_LATTICE_TOL = 16 * np.finfo(float).eps
 
 
 DEFAULT_GRID_SIZE = 1024  # points of the evaluation grid on [0, T]
@@ -177,207 +169,151 @@ class DerivativeEstimate:
         object.__setattr__(self, "values", values)
 
 
-def _cell_edges(times: np.ndarray) -> np.ndarray:
-    """Partition of [0, t_n] into one cell per observation, split at midpoints."""
-    edges = np.empty(times.size + 1)
-    edges[0] = 0.0
-    edges[1:-1] = 0.5 * (times[:-1] + times[1:])
-    edges[-1] = times[-1]
-    return edges
+@functools.lru_cache(maxsize=None)
+def _orthonormal(L: int) -> np.ndarray:
+    """Q (L x L): row k holds the monomial coefficients, lowest first, of
+    p_k, the polynomials of degree k < L orthonormal for the weight
+    (1 - u^2)^2 on [-1, 1]. They are the Gegenbauer polynomials C_k of
+    index 5/2, C_k = (2u (k + 3/2) C_(k-1) - (k + 3) C_(k-2)) / k from
+    C_0 = 1, scaled by their norms h_k = pi Gamma(k + 5) / (16 k! (k + 5/2)
+    Gamma(5/2)^2). In this basis the Gram matrices of ``_rows_at`` are near
+    a multiple of the identity on a dense design; in monomials they would
+    have a condition number of about 1.7e5 at L = 8."""
+    C = np.zeros((L, L))
+    C[0, 0] = 1.0
+    if L > 1:
+        C[1, 1] = 5.0
+    for k in range(2, L):
+        C[k, 1:] = 2.0 * (k + 1.5) / k * C[k - 1, :-1]
+        C[k] -= (k + 3.0) / k * C[k - 2]
+    h = [math.pi * math.gamma(k + 5.0) / (16.0 * math.factorial(k) * (k + 2.5)
+                                          * math.gamma(2.5) ** 2) for k in range(L)]
+    return C / np.sqrt(h)[:, None]
 
 
-def _rho(v: np.ndarray) -> np.ndarray:
-    """max(round(v, 3), ``_RHO_MIN``) elementwise, with Python's ``round``."""
-    q = np.round(v, 3)
-    # np.round rounds v * 1000, which can land on a tie that v itself misses
-    near = np.flatnonzero(np.abs(v * 1000.0 % 1.0 - 0.5) < 1e-6)
-    q[near] = [round(t, 3) for t in v[near].tolist()]
-    return np.maximum(q, _RHO_MIN)
+def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float, L: int,
+             orders) -> np.ndarray:
+    """Local-polynomial weight rows of each order in orders at a stack of points.
 
-
-def _supports(grid: np.ndarray, T: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of each point's kernel support in tau = (x - t)/lam.
-
-    A point within lam of 0 gets [-1, rho] and one within lam of T (and not
-    of 0) [-rho, 1], with rho its relative distance to that endpoint; every
-    other point gets [-1, 1]. rho is quantized to the 1e-3 grid, floored at
-    ``_RHO_MIN``. That no longer shares any exact build; it stays so that
-    every row is the row of an exact kernel ``make_boundary_kernel`` builds,
-    which the tests check the rows against, and so that the boundary
-    estimates keep the kernels they had. The kernel varies smoothly in rho
-    and vanishes at its support edge, so the quantization error is
-    negligible against the estimation error.
+    d (... x S) holds (t - x)/lam for the observations a point may see, and
+    lo, hi (... x 1) its support, [max(-1, -x/lam), min(1, (T - x)/lam)];
+    d is overwritten. In u = (d - mid)/half, the support's centred
+    variable, the envelope (d - lo)^2 (hi - d)^2 is half^4 v with
+    v = (1 - u^2)^2 strictly inside the support and 0 outside (half^4 is
+    dropped: no row depends on the envelope's scale). With U the values
+    p_k(u_i) of the orthonormal basis of ``_orthonormal``, the row of order
+    j is w = v o (U^T c), where A c = e for the Gram A = U diag(v) U^T and
+    e_k = d^j/dt^j p_k(u(t)) at t = x. Then sum_i w_i P(t_i) = P^(j)(x) for
+    every polynomial P of degree below L, and A, which does not depend on
+    j, is solved once for every order. U carries sqrt(v) = 1 - u^2 on each
+    side, so A is one product. Returns ... x len(orders) x S.
     """
-    lo, hi = np.full(grid.size, -1.0), np.ones(grid.size)
-    left = grid < lam
-    right = ~left & (T - grid < lam)
-    hi[left] = _rho(grid[left] / lam)
-    lo[right] = -_rho((T - grid[right]) / lam)
-    return lo, hi
-
-
-def _row_blocks(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
-                lam: float, R: int = 1):
-    """The band rows of q^(j) at the points of grid, a chunk of blocks at a time.
-
-    Each point gets the kernel of its own support (``_supports``): the
-    interior kernel, or within lam of an endpoint the boundary kernel of
-    its relative distance. Their primitives come from one exact solve per L
-    (``kernel_primitives``), in the support-centred variable u. Yields
-    (rows, cells, D) per chunk: the grid indices of its blocks (blocks x
-    ``_BAND_BLOCK_ROWS``, the last block padded with the last index, whose
-    row it repeats) and the cells and weights ``_band_blocks`` yields, sized
-    for R data columns.
-    """
-    lo, hi = _supports(grid, T, lam)
-    P = kernel_primitives(L, j, lo, hi)
-    rows = _blocked(np.arange(grid.size))
-    for blk, cells, D in _band_blocks(times, grid, lam, j, P, (lo + hi) / 2, (hi - lo) / 2, R):
-        yield rows[blk], cells, D
-
-
-def _weight_matrix(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
-                   lam: float) -> np.ndarray:
-    """Design matrix W with (W @ y)[k] the estimate of q^(j) at grid[k],
-    written from the blocks of ``_row_blocks``, one assignment per chunk."""
-    grid = np.asarray(grid, dtype=float)
-    W = np.zeros((grid.size, times.size))
-    for rows, cells, D in _row_blocks(times, T, grid, j, L, lam):
-        W[rows[:, :, None], cells[:, None, :]] = D
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    u = d
+    u -= mid
+    u /= half
+    s = u * u
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    # the powers s u^k, k < L, each one contiguous slab, then the basis
+    # values by one product with Q; Ut views them point by point
+    powers = np.empty((L,) + u.shape)
+    powers[0] = s
+    for k in range(1, L):
+        np.multiply(powers[k - 1], u, out=powers[k])
+    Us = np.matmul(_orthonormal(L), powers.reshape(L, -1)).reshape(powers.shape)
+    Ut = np.moveaxis(Us, 0, -2)
+    A = np.matmul(Ut, np.swapaxes(Ut, -1, -2))
+    # d^j/du^j u^k at u0 = -mid/half, then d/dt = d/du / (lam half)
+    u0 = -mid / half
+    E = np.zeros(u0.shape[:-1] + (L, len(orders)))
+    for q, j in enumerate(orders):
+        for k in range(j, L):
+            E[..., k, q] = math.perm(k, j) * u0[..., 0] ** (k - j)
+        E[..., q] /= (lam * half) ** j
+    C = np.linalg.solve(A, np.matmul(_orthonormal(L), E))
+    W = np.matmul(np.swapaxes(C, -1, -2), Ut)
+    W *= s[..., None, :]
     return W
 
 
-def _apply_rows(times: np.ndarray, T: float, grid: np.ndarray, j: int, L: int,
-                lam: float, V: np.ndarray) -> np.ndarray:
-    """``_weight_matrix(...) @ V`` without forming W: each chunk of
-    ``_row_blocks`` reaches V's columns by one stacked product, so no array
-    grows with grid.size * n. Equal to W @ V up to the rounding of another
-    summation order."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, V.shape[1]))
-    for rows, cells, D in _row_blocks(times, T, grid, j, L, lam, V.shape[1]):
-        out[rows] = np.matmul(D, V[cells])
-    return out
+# Points of one block of ``_row_blocks``: they share one span of observations
+_BLOCK_ROWS = 16
 
-
-# Rows of one block of ``_band_blocks``; 8, 16 and 32 measured alike
-_BAND_BLOCK_ROWS = 16
-
-# Elements of the largest array of one chunk of blocks in ``_band_blocks``:
-# 512 KB, so a chunk's arrays stay in cache; 2^18 and 2^20 were slower at
-# one data column
-_BAND_CHUNK = 1 << 16
-
-
-def _horner(U: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The polynomials of coefficients P (lowest first along the last axis,
-    which broadcasts against U) at U."""
-    H = U * P[..., -1:]
-    for i in range(P.shape[-1] - 2, -1, -1):
-        H += P[..., i : i + 1]
-        if i:
-            H *= U
-    return H
+# Elements of the basis array of one chunk of blocks in ``_row_blocks``
+# (blocks x rows x L x span): 2 MB
+_ROW_CHUNK = 1 << 18
 
 
 def _blocked(a: np.ndarray) -> np.ndarray:
-    """a cut into blocks of ``_BAND_BLOCK_ROWS`` along its first axis, the
+    """a cut into blocks of ``_BLOCK_ROWS`` along its first axis, the
     last one padded with a[-1]."""
-    pad = np.repeat(a[-1:], -len(a) % _BAND_BLOCK_ROWS, axis=0)
-    return np.concatenate((a, pad)).reshape((-1, _BAND_BLOCK_ROWS) + a.shape[1:])
+    pad = np.repeat(a[-1:], -len(a) % _BLOCK_ROWS, axis=0)
+    return np.concatenate((a, pad)).reshape((-1, _BLOCK_ROWS) + a.shape[1:])
 
 
-def _band_blocks(times: np.ndarray, x: np.ndarray, lam: float, j: int, P: np.ndarray,
-                 c=0.0, h=1.0, R: int = 1):
-    """Dense cell weights of kernels at the points x, a chunk of blocks at a time.
+def _row_blocks(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int, orders):
+    """The rows of ``_rows_at`` at the sorted points x, a chunk of blocks at a time.
 
-    Row k's kernel has the primitive of coefficients P[k] (lowest first) in
-    u = (tau - c[k])/h[k], tau = (x[k] - t)/lam, on its support u in
-    [-1, 1]. A 1-D P with scalars c and h serves every row, which saves
-    the per-row broadcast; the selection passes the interior kernel's own
-    primitive at c = 0, h = 1, where u is tau. Weight i of row k is lam^-j
-    times that primitive differenced over the edges of cell i. Each block
-    of rows (``_blocked``) covers the cells from its lowest point minus lam
-    to its highest point plus lam, in one span of w cells common to all
-    blocks, shifted left where it would run past cell n-1; so x need not
-    be sorted. A row's cells outside its support clip to one support bound
-    at both edges and weigh exactly 0.
-
-    Yields (blk, cells, D) per chunk: the slice blk of the blocks, their
-    cell indices (blocks x w) and the weights D (blocks x rows x w). A
-    chunk keeps its weights, and R data columns gathered on its cells,
-    within ``_BAND_CHUNK`` elements (or holds one block).
+    The points are cut into blocks (``_blocked``); each block sees one span
+    of observations, common in length to every block: from the first
+    observation inside its lowest point's window (x - lam, x + lam) to the
+    last inside its highest point's, shifted left where it would run past
+    the last observation. Yields (b0, idx, W): the index of the chunk's
+    first block, the observation indices of its blocks (blocks x span) and
+    their rows (blocks x ``_BLOCK_ROWS`` x len(orders) x span).
     """
     n = times.size
-    edges = _cell_edges(times)
     xb = _blocked(x)
-    # past lam by a rounding margin, so every cell the kernel reaches is kept
-    reach = lam * (1.0 + 1e-6)
-    lo = np.searchsorted(edges, xb.min(axis=1) - reach, side="right") - 1
-    hi = np.searchsorted(edges, xb.max(axis=1) + reach, side="left") + 1
-    lo, hi = np.maximum(lo, 0), np.minimum(hi, n + 1)
-    span = int(np.max(hi - lo))  # edges of a block, one more than its cells
-    first = np.minimum(lo, n + 1 - span)
-    # u = (x - lam c - t) / (lam h); c = 0 and h = 1 give (x - t) / lam
-    shared = P.ndim == 1
-    x0 = _blocked(x - lam * c)[..., None]
-    scale = lam * h if shared else _blocked(lam * h)[..., None]
-    if not shared:
-        P = _blocked(P)
-    chunk = max(1, _BAND_CHUNK // (span * max(_BAND_BLOCK_ROWS, R)))
+    a = np.searchsorted(times, xb[:, 0] - lam, side="right")
+    b = np.searchsorted(times, xb[:, -1] + lam, side="left")
+    span = max(int(np.max(b - a)), 1)
+    first = np.minimum(a, n - span)
+    lo = np.maximum(-1.0, -xb / lam)[..., None]
+    hi = np.minimum(1.0, (T - xb) / lam)[..., None]
+    chunk = max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span))
     for b0 in range(0, xb.shape[0], chunk):
         blk = slice(b0, b0 + chunk)
         idx = first[blk, None] + np.arange(span)
-        U = x0[blk] - edges[idx][:, None, :]
-        U /= scale if shared else scale[blk]
-        np.clip(U, -1.0, 1.0, out=U)
-        H = _horner(U, P if shared else P[blk])
-        D = H[..., :-1] - H[..., 1:]
-        D /= lam**j
-        yield blk, idx[:, :-1], D
+        d = (times[idx][:, None, :] - xb[blk, :, None]) / lam
+        yield b0, idx, _rows_at(d, lo[blk], hi[blk], lam, L, orders)
 
 
-def _band_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-               ker: SmoothingKernel, V: np.ndarray, moments: bool = True,
-               out=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
-    """The band path's estimates and moment deviations, O(G (w + B n/G) deg K).
-
-    Returns (estimates of V's columns at the points x, x.size x R; the
-    deviations E, x.size x L, or None without ``moments``) from the block
-    weights of ``_band_blocks`` with the kernel ``ker``; each chunk reaches
-    V by one stacked product. E[k, m] is sum_i w_i(x_k) ((t_i - x_k)/lam)^m
-    over the block's span in units of j!/lam^j, less 1 at m = j: the
-    deviation from the kernel's defining moments in the level's own
-    variable, which ``_moment_worst`` reads. The estimates are written into
-    ``out(shape)``, a fresh array by default.
-    """
-    R = V.shape[1]
-    xb = _blocked(x)
-    est = out(xb.shape + (R,))
-    E = np.empty(xb.shape + (L,)) if moments else None
-    for blk, cells, D in _band_blocks(times, x, lam, j, ker.antiderivative(), R=R):
-        np.matmul(D, V[cells], out=est[blk])
-        if not moments:
-            continue
-        d = (times[cells][:, None, :] - xb[blk, :, None]) / lam
-        P = D * (lam**j / math.factorial(j))
-        for m in range(L):
-            E[blk, :, m] = np.sum(P, axis=2)
-            P *= d
-    if moments:
-        E = E.reshape(-1, L)[: x.size]
-        E[:, j] -= 1.0
-    return est.reshape(-1, R)[: x.size], E
+def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
+                V: np.ndarray, columns: dict) -> dict:
+    """{j: the order-j estimates at the points x of V[:, columns[j]]} for
+    every order j of columns, from one Gram per point (``_row_blocks``).
+    x may be unsorted. Each chunk gathers the union of the orders' columns
+    on its observations once and reaches them with the rows of every
+    order by one stacked product."""
+    orders = sorted(columns)
+    union = np.array(sorted(set(np.concatenate([columns[j] for j in orders]).tolist())))
+    Vu = V[:, union]
+    order = np.argsort(x, kind="stable")
+    rows = -(-x.size // _BLOCK_ROWS) * _BLOCK_ROWS
+    est = np.empty((rows, len(orders), union.size))
+    for b0, idx, W in _row_blocks(times, T, x[order], lam, L, orders):
+        r0, r1 = b0 * _BLOCK_ROWS, (b0 + idx.shape[0]) * _BLOCK_ROWS
+        est[r0:r1] = np.matmul(W.reshape(idx.shape[0], -1, idx.shape[1]),
+                               Vu[idx]).reshape(r1 - r0, len(orders), -1)
+    out = {}
+    for q, j in enumerate(orders):
+        out[j] = np.empty((x.size, len(columns[j])))
+        out[j][order] = est[: x.size, q, np.searchsorted(union, columns[j])]
+    return out
 
 
 class DesignWeights:
-    """The band rows of one fixed observation design.
+    """The local-polynomial rows of one fixed observation design.
 
-    A plain forwarder to the row-block builder that stores nothing between
-    calls. ``apply`` evaluates the rows on data columns chunk by chunk, as
-    the deconvolution pipeline does for every order; ``weight_matrix``
-    returns the same rows as a dense grid.size x n matrix, which the
-    pipeline never forms.
+    A plain forwarder to the row builder that stores nothing between calls.
+    ``apply_orders`` evaluates the rows of several derivative orders at one
+    bandwidth on data columns, forming each point's Gram once, as the
+    deconvolution pipeline does for every distinct selected bandwidth;
+    ``apply`` does it for one order, and ``weight_matrix`` returns one
+    order's rows as a dense grid.size x n matrix, which the pipeline never
+    forms.
     """
 
     def __init__(self, times: np.ndarray, T: float):
@@ -385,89 +321,108 @@ class DesignWeights:
         self.T = float(T)
 
     def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
-        return _weight_matrix(self.times, self.T, grid, j, L, lam)
+        grid = np.asarray(grid, dtype=float)
+        order = np.argsort(grid, kind="stable")
+        W = np.zeros((-(-grid.size // _BLOCK_ROWS) * _BLOCK_ROWS, self.times.size))
+        for b0, idx, rows in _row_blocks(self.times, self.T, grid[order], lam, L, (j,)):
+            r = b0 * _BLOCK_ROWS + np.arange(idx.shape[0] * _BLOCK_ROWS).reshape(-1, _BLOCK_ROWS)
+            W[r[:, :, None], idx[:, None, :]] = rows[:, :, 0, :]
+        out = np.empty((grid.size, self.times.size))
+        out[order] = W[: grid.size]
+        return out
 
     def apply(self, j: int, L: int, lam: float, grid: np.ndarray,
               V: np.ndarray) -> np.ndarray:
         """``weight_matrix(j, L, lam, grid) @ V`` (grid.size x R) without
         forming the matrix, up to the rounding of the summation order."""
-        return _apply_rows(self.times, self.T, grid, j, L, lam, V)
+        return self.apply_orders(L, lam, grid, V, {j: np.arange(V.shape[1])})[j]
+
+    def apply_orders(self, L: int, lam: float, grid: np.ndarray, V: np.ndarray,
+                     columns: dict) -> dict:
+        """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
+        j of columns, with one Gram per grid point shared by all of them."""
+        return _apply_rows(self.times, self.T, np.asarray(grid, dtype=float), lam, L,
+                           V, columns)
 
 
-def _check_windows(times: np.ndarray, grid: np.ndarray, lam: float) -> np.ndarray:
-    """Count observations in the open window (t - lam, t + lam) per grid point."""
-    lo = np.searchsorted(times, grid - lam, side="right")
-    hi = np.searchsorted(times, grid + lam, side="left")
-    return hi - lo
+def _fewest(times: np.ndarray, lo: float, hi: float, half: float) -> tuple[int, float]:
+    """(count, x): the fewest observations strictly inside (x - half, x + half)
+    over x in [lo, hi], and a point x where that count is met. The count of
+    an open window changes only where an observation crosses one of its
+    ends, and is no larger there than on either side, so reading it at lo,
+    hi and the points t_i -/+ half in [lo, hi] is exact; a grid of points
+    would miss a thin stretch between two of them."""
+    best = None
+    for x in (np.array([lo, hi]), times - half, times + half):
+        x = x[(x >= lo) & (x <= hi)]
+        if x.size:
+            counts = (np.searchsorted(times, x + half, side="left")
+                      - np.searchsorted(times, x - half, side="right"))
+            i = int(np.argmin(counts))
+            if best is None or counts[i] < best[0]:
+                best = int(counts[i]), float(x[i])
+    return best
 
 
-def check_bandwidth(times: np.ndarray, T: float, grid: np.ndarray, j: int,
-                    lam: float) -> None:
-    """ValueError unless 0 < lam <= T/2; EstimationError when a point of
-    grid has no observation in its open window (x - lam, x + lam)."""
+def _short_window(times: np.ndarray, T: float, lam: float, L: int,
+                  zone: bool = True) -> str | None:
+    """Why the bandwidth lam is not admissible with L observations per
+    window, or None when it is. Every window (x - lam, x + lam) of a point x
+    in [0, T] must hold at least L observations inside (0, T), where a
+    point's rows weigh them: then its Gram matrix is positive definite.
+    With ``zone``, every half window (x - lam/2, x + lam/2) of a point x in
+    the interior zone [lam, T - lam] must hold L as well, so that no
+    interior estimate rests on observations at one side of a design gap
+    only. Both counts are exact (``_fewest``)."""
+    inside = times[(times > 0.0) & (times < T)]
+    count, x = _fewest(inside, 0.0, T, lam)
+    if count < L:
+        return ("the window (x - lam, x + lam) at x = %g holds %d observations in "
+                "(0, T), fewer than L = %d" % (x, count, L))
+    if zone and lam <= T - lam:
+        count, x = _fewest(inside, lam, T - lam, lam / 2)
+        if count < L:
+            return ("the half window (x - lam/2, x + lam/2) at x = %g holds %d "
+                    "observations, fewer than L = %d" % (x, count, L))
+    return None
+
+
+def check_bandwidth(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
+    """ValueError unless 0 <= j < L and 0 < lam <= T/2; EstimationError
+    unless the window (x - lam, x + lam) of every point x in [0, T] holds at
+    least L observations inside (0, T) (``_short_window``), which every
+    row needs."""
+    if not 0 <= j < L:
+        raise ValueError("derivative order j=%d outside [0, L) for L=%d" % (j, L))
     if not (0.0 < lam <= T / 2):
         raise ValueError("bandwidth %g for j=%d outside (0, T/2]" % (lam, j))
-    if np.any(_check_windows(times, grid, lam) == 0):
-        raise EstimationError(
-            "bandwidth %g leaves an empty observation window at some evaluation "
-            "points; increase the bandwidth or the sample size" % lam
-        )
+    why = _short_window(times, T, lam, L, zone=False)
+    if why is not None:
+        raise EstimationError("bandwidth %g for j=%d: %s; increase the bandwidth or "
+                              "the sample size" % (lam, j, why))
 
 
 def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> DerivativeEstimate:
     """Weighted-sum estimate of q^(j) at the given bandwidth.
 
-    Each value is a kernel-weighted combination of the observations, with the
-    kernel swapped for the matching boundary variant within one bandwidth of
-    either endpoint (``_supports``). Every row's kernel primitive comes from
-    ``kernel_primitives``, one exact solve per L, so no exact kernel is
-    built per point. The map y -> estimate is exactly linear. The weight
-    rows are applied to the observations a chunk of rows at a time
-    (``_apply_rows``); no grid.size x n matrix is formed. ValueError
-    unless 0 <= j < L.
+    Each value is the local-polynomial row of its point (``_rows_at``):
+    the observations in the point's window, weighted by an envelope that
+    vanishes at the ends of its support and corrected by one L x L Gram
+    solve so that the row reproduces the j-th derivative of every
+    polynomial of degree below L exactly on the design. Near an endpoint
+    the support is cut at it. The map y -> estimate is exactly linear; no
+    grid.size x n matrix is formed. ValueError unless 0 <= j < L;
+    EstimationError when a window holds fewer than L observations
+    (``check_bandwidth``).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
-    check_bandwidth(data.times, data.T, grid, j, lam)
-    values = _apply_rows(data.times, data.T, grid, j, L, lam, data.values[:, None])[:, 0]
+    check_bandwidth(data.times, data.T, j, L, lam)
+    values = DesignWeights(data.times, data.T).apply(j, L, lam, grid, data.values[:, None])[:, 0]
     return DerivativeEstimate(
         j=j, grid=grid, values=values, bandwidth=float(lam), kernel_order=L
     )
-
-
-def _widest_gap(times: np.ndarray, T: float) -> tuple[float, float, float]:
-    """(start, end, need) of the stretch of [0, T] that needs the largest lam
-    for every point to see an observation within lam: half a gap between
-    observations, all of [0, t_1] or [t_n, T]. No lam <= need is admissible."""
-    pts = np.concatenate(([0.0], times, [T]))
-    need = np.diff(pts) / 2
-    need[0] *= 2
-    need[-1] *= 2
-    i = int(np.argmax(need))
-    return float(pts[i]), float(pts[i + 1]), float(need[i])
-
-
-def _no_level_reason(times: np.ndarray, T: float, levels: np.ndarray,
-                     checked: float | None) -> str:
-    """Why no bandwidth level reached the moment check in ``_lepski_batch``.
-
-    A level is tested only when it fits in T/2 and leaves two comparison
-    points in its interior zone [lam, T - lam]; ``checked`` is the largest
-    level that did (None when none did); every tested level then met an empty
-    observation window, so ``_widest_gap``'s need is at least ``checked``.
-    """
-    if levels[-1] > T / 2:
-        return "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
-            levels[0], levels[-1], T / 2)
-    if checked is None:
-        return ("the comparison grid of %d points leaves fewer than two points in "
-                "the interior zone [lam, T - lam] of every level up to T/2 = %g"
-                % (_comparison_size(times.size), T / 2))
-    start, end, need = _widest_gap(times, T)
-    return ("the widest design gap, from t=%g to t=%g, needs a bandwidth above %g, "
-            "and the largest level tested (within T/2 = %g and the comparison "
-            "grid) is %g" % (start, end, need, T / 2, checked))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -478,274 +433,136 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _moment_worst(E: np.ndarray, x: np.ndarray, lam: float, j: int, T: float) -> float:
-    """The larger of two readings of the moment deviations E (x.size x L).
+def _lattice_step(times: np.ndarray, T: float) -> float | None:
+    """The spacing of the design when it is a lattice, every t_i within
+    ``_LATTICE_TOL`` * T of t_0 + i * step, else None."""
+    n = times.size
+    step = (times[-1] - times[0]) / (n - 1)
+    if not step > 0.0:
+        return None
+    off = np.abs(times - (times[0] + step * np.arange(n)))
+    return float(step) if float(np.max(off)) <= _LATTICE_TOL * T else None
 
-    One is max |e_m| itself. The other carries e to the monomial probes
-    (t/T)^m on [0, T], whose estimated j-th derivative errs by
-    j!/T^j * sum_p C(m, p) (x/T)^(m-p) (lam/T)^(p-j) e_p: moments below j
-    are amplified by (T/lam)^(j-p) there. Each probe error is measured
-    against its probe's own scale, floored at the generic output scale
-    j!/T^j.
+
+def _toeplitz_apply(w: np.ndarray, V: np.ndarray, k0: int, k1: int, out: np.ndarray) -> None:
+    """out[k - k0] = sum_o w[o] V[k - m + o] for k0 <= k < k1, with w of
+    2m + 1 weights: one ``np.correlate`` for a single column, else one
+    banded Toeplitz product per block of rows, whose matrix is the same for
+    every block."""
+    m = (w.size - 1) // 2
+    if V.shape[1] == 1:
+        out[:, 0] = np.correlate(V[k0 - m : k1 + m, 0], w, "valid")
+        return
+    B = min(max(4 * m, 32), 256, k1 - k0)
+    z = np.concatenate((np.zeros(B - 1), w, np.zeros(B - 1)))
+    band = np.lib.stride_tricks.sliding_window_view(z, B + 2 * m)[::-1].copy()
+    for r0 in range(k0, k1, B):
+        b = min(B, k1 - r0)
+        np.matmul(band[:b, : b + 2 * m], V[r0 - m : r0 + b + m], out=out[r0 - k0 : r0 - k0 + b])
+
+
+def _zone(times: np.ndarray, T: float, lam: float) -> tuple[int, int]:
+    """[i0, i1): the observations in the interior zone [lam, T - lam], up to
+    a rounding margin of 1e-12 T."""
+    tol = 1e-12 * T
+    return (int(np.searchsorted(times, lam - tol, side="left")),
+            int(np.searchsorted(times, T - lam + tol, side="right")))
+
+
+def _zone_estimates(times: np.ndarray, T: float, zone: tuple[int, int], lam: float,
+                    j: int, L: int, V: np.ndarray, step: float | None,
+                    out=np.empty) -> np.ndarray:
+    """The order-j estimates of V's columns at the observations of the
+    interior zone [i0, i1) of lam, written into ``out(shape)``.
+
+    In the zone every support is [-1, 1], so on a lattice design (step not
+    None) the row of an observation t_k depends only on the offsets i - k
+    of the observations in its window: one row of 2m + 1 weights
+    (``_rows_at`` at d = o * step / lam) serves every observation whose
+    window lies on the design, applied by ``_toeplitz_apply``. m is the
+    widest offset of any zone window, read from the design's own
+    observations, so a bandwidth that is a whole number of spacings up to
+    rounding never reaches past the design. The other observations, and
+    all of them on any other design, get rows of their own
+    (``_apply_rows``).
     """
-    worst = float(np.max(np.abs(E)))
-    u = x / T
-    for m in range(E.shape[1]):
-        err = sum(math.comb(m, p) * (lam / T) ** (p - j) * u ** (m - p) * E[:, p]
-                  for p in range(m + 1))
-        scale = 1.0
-        if m >= j:
-            scale = max(math.comb(m, j) * float(np.max(u)) ** (m - j), 1.0)
-        worst = max(worst, float(np.max(np.abs(err))) / scale)
-    return worst
+    n = times.size
+    i0, i1 = zone
+    est = out((i1 - i0, V.shape[1]))
+    rest = np.arange(i0, i1)
+    if step is not None:
+        x = times[i0:i1]
+        a = np.searchsorted(times, x - lam, side="right")
+        b = np.searchsorted(times, x + lam, side="left")
+        m = int(max(np.max(rest - a), np.max(b - 1 - rest), 0))
+        k0, k1 = max(i0, m), min(i1, n - m)
+        if k1 > k0:
+            o = np.arange(-m, m + 1)
+            w = _rows_at((o * (step / lam))[None, :], np.array([[-1.0]]), np.array([[1.0]]),
+                         lam, L, (j,))[0, 0]
+            _toeplitz_apply(w, V, k0, k1, est[k0 - i0 : k1 - i0])
+            rest = rest[(rest < k0) | (rest >= k1)]
+    if rest.size:
+        est[rest - i0] = _apply_rows(times, T, times[rest], lam, L, V,
+                                     {j: np.arange(V.shape[1])})[j]
+    return est
 
 
-# A single-column level is estimated by windowed prefix sums
-# (``_windowed_rows``) when its widest observation window holds more than
-# this many observations per degree of the kernel; narrower levels keep the
-# band rows, which are cheaper there. For L = 8 that is 60 (even j) or 66
-# (odd j) observations; ``_probe_level`` scales it with the column count.
-_WINDOW_OBS_PER_DEGREE = 6
+def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int):
+    """(levels, zones): the grid, risen above its top where that fails, and
+    the observation zone (``_zone``) of each admissible level by index.
 
-# Elements of the largest array of one chunk of blocks in ``_windowed_rows``:
-# 2 MB. At n = 1000-4000, 2^19 and 2^20 gave first selections alike and
-# repeats up to 6% faster, but 1.8x and 3.2x the traced peak of an estimate
-_WINDOW_CHUNK = 1 << 18
-
-
-def _windowed_rows(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-                   ker: SmoothingKernel, V: np.ndarray, moments: bool = True,
-                   out=np.empty) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_band_rows``' estimates and moment deviations, O((n + G) deg K) per column.
-
-    The columns are V's R data columns and, when ``moments`` is set, L
-    moment columns.
-
-    Returns (estimates of V's columns at the sorted points x, x.size x R;
-    the deviations E, x.size x L, that ``_band_rows`` forms from the block
-    weights, or None without ``moments``). x must lie in the interior zone
-    [lam, T - lam], where ``ker`` is the only kernel.
-    With cell edges e_k, P the kernel primitive and y_-1 = y_n = 0,
-    summation by parts turns a band row into
-    lam^-j [P(1) y_(a-1) + sum_{a <= k < b} P((x - e_k)/lam) (y_k - y_(k-1))]
-    over the edges e_a .. e_(b-1) inside (x - lam, x + lam). The points are
-    cut into blocks less than lam/4 wide, each anchored at its first point
-    c. For a fixed edge, P((x - e_k)/lam) is a polynomial of degree deg P
-    in the offset (x - c)/lam, so the prefix sums along the block's edges
-    are too: they are formed at deg P + 1 Chebyshev nodes of [0, 1/4], with
-    P evaluated directly (Horner, arguments within 1.25 of 0), and each
-    point reads its window as the difference of two prefix sums,
-    interpolated barycentrically. Expanding P in powers of the offset
-    instead would lose up to six digits at j = 5. The moment deviations
-    run the same plan on the columns ((t - c)/lam)^q, q < L, and are
-    re-centred at x by the binomial theorem. They are summed in arrays of
-    their own over the same chunks of blocks, so the estimates are the same
-    to the bit with or without them.
-    A chunk takes as many blocks as keep each of its arrays within
-    ``_WINDOW_CHUNK`` elements (or one block): per block, the prefix sums F
-    of ``_window_sums`` hold at most span edges by deg P + 1 nodes by
-    max(R, L) columns, and the sums gathered at the window ends F[hi] and
-    F[lo] as many rows as the block has points, so a block counts
-    max(span, points) * (deg P + 1) * max(R, L) elements; P at the nodes
-    and the gathered columns are smaller. Every point is summed within its
-    own block, so the chunking changes no bit. The estimates are written
-    into ``out(shape)``, as in ``_band_rows``.
+    Levels above T/2, or whose interior zone holds fewer than two
+    observations to compare on, are passed over; below them, the levels
+    that ``_short_window`` admits are a top run of the grid, since both its
+    counts only grow with lam. The end of the run is found by bisection,
+    so the counts are read at about log2(J) levels. When the top level
+    a^0 = 1 is refused, the grid rises to the first a^k <= T/2 that
+    passes, keeping a^k .. a^1 as its new top levels. EstimationError
+    names the count that refused the largest level tried, or why no level
+    was tried.
     """
-    n, G, R = times.size, x.size, V.shape[1]
-    edges = _cell_edges(times)
-    prim = ker.antiderivative()
-    nodes_n = prim.size
-    p_one = float(_horner(np.ones(1), prim)[0])
-    d = np.arange(nodes_n)
-    nodes = 0.125 * (1.0 - np.cos((2 * d + 1) * math.pi / (2 * nodes_n)))
-    bary = (-1.0) ** d * np.sin((2 * d + 1) * math.pi / (2 * nodes_n))
-    dY = np.diff(np.vstack((np.zeros((1, R)), V, np.zeros((1, R)))), axis=0)
-    Vlo = np.vstack((np.zeros((1, R)), V))  # row a is y_(a-1)
-    a = np.searchsorted(edges, x - lam, side="right")
-    b = np.searchsorted(edges, x + lam, side="left")
-    blk = np.floor((x - x[0]) / (0.25 * lam)).astype(int)
-    starts = np.flatnonzero(np.diff(blk, prepend=-1))
-    stops = np.append(starts[1:], G)
-    est = out((G, R))
-    E = np.empty((G, L)) if moments else None
-    span = int(np.max(b[stops - 1] - a[starts])) + 1
-    # a block adds at most span edges and its points to a chunk's arrays;
-    # the chunks do not depend on ``moments``
-    per_block = max(span, int(np.max(stops - starts))) * nodes_n * max(R, L)
-    chunk = max(1, _WINDOW_CHUNK // per_block)
-    for s0 in range(0, starts.size, chunk):
-        first, last = starts[s0 : s0 + chunk], stops[s0 : s0 + chunk]
-        c = x[first]
-        A = a[first]
-        width = int(np.max(b[last - 1] - A))
-        K = A[:, None] + np.arange(width)
-        K[K >= b[last - 1][:, None]] = n + 1  # past the block's windows
-        Kc = np.minimum(K, n)
-        v = (edges[Kc] - c[:, None]) / lam
-        Pv = _horner(nodes[None, None, :] - v[:, :, None], prim)
-        Pv[K > n] = 0.0
-        pts = np.arange(first[0], last[-1])
-        bi = np.repeat(np.arange(first.size), last - first)
-        delta = (x[pts] - c[bi]) / lam
-        off = delta[:, None] - nodes
-        hit = off == 0.0
-        off[hit] = 1.0
-        ell = bary / off
-        rows = np.any(hit, axis=1)
-        ell[rows] = hit[rows]
-        ell /= np.sum(ell, axis=1, keepdims=True)
-        ends = (bi, b[pts] - A[bi]), (bi, a[pts] - A[bi])
-        # the edges left of the window all sit at P(1)
-        ap = a[pts]
-        M = _window_sums(Pv, dY[Kc], ell, *ends)
-        M += p_one * Vlo[ap]
-        est[pts] = M / lam**j
-        if not moments:
-            continue
-        # differenced moment columns ((t - c)/lam)^q at each edge
-        hi = (times[np.minimum(K, n - 1)] - c[:, None]) / lam
-        lo = (times[np.clip(K - 1, 0, n - 1)] - c[:, None]) / lam
-        cols = _powers(hi, L, K < n) - _powers(lo, L, K >= 1)
-        M = _window_sums(Pv, cols, ell, *ends)
-        base = (times[np.maximum(ap - 1, 0)] - c[bi]) / lam
-        M += p_one * _powers(base, L, ap >= 1)
-        # re-centre at x: ((t - x)/lam)^m = sum_q C(m, q) ((t - c)/lam)^q (-delta)^(m-q)
-        shift = _powers(-delta, L, True)
-        Mq = M / math.factorial(j)
-        for m in range(L):
-            E[pts, m] = sum(math.comb(m, p) * shift[:, m - p] * Mq[:, p] for p in range(m + 1))
-    if moments:
-        E[:, j] -= 1.0
-    return est, E
-
-
-def _window_sums(Pv: np.ndarray, cols: np.ndarray, ell: np.ndarray, hi: tuple,
-                 lo: tuple) -> np.ndarray:
-    """Each point's interpolated sum of P((x - e_k)/lam) times the differenced
-    columns over its window, for one chunk of ``_windowed_rows``.
-
-    Pv holds P at the interpolation nodes (blocks x edges x nodes), cols the
-    differenced columns at the same edges (blocks x edges x C), ell each
-    point's barycentric weights (points x nodes); hi and lo index a point's
-    block and its window's end and start in the prefix sums.
-    """
-    F = np.empty((Pv.shape[0], Pv.shape[1] + 1, Pv.shape[2], cols.shape[-1]))
-    F[:, 0] = 0.0
-    np.multiply(Pv[..., None], cols[:, :, None, :], out=F[:, 1:])
-    np.cumsum(F, axis=1, out=F)
-    return np.einsum("gd,gdc->gc", ell, F[hi] - F[lo])
-
-
-def _powers(s: np.ndarray, L: int, keep) -> np.ndarray:
-    """s^q for q < L along a new last axis, zero where ``keep`` is False."""
-    out = np.empty(s.shape + (L,))
-    out[..., 0] = np.where(keep, 1.0, 0.0)
-    for q in range(1, L):
-        np.multiply(out[..., q - 1], s, out=out[..., q])
-    return out
-
-
-# Designs whose level facts ``_design_facts`` keeps, least recently used out
-# first. The benchmark's large-n workload cycles through four designs (their
-# facts take about 0.2 MB), and the simulation table has two.
-_DESIGN_CAP = 8
-
-
-@dataclass
-class _Level:
-    """Design-only facts of one bandwidth level on the comparison grid.
-
-    obs is the observation count of the widest comparison window, 0 when
-    the window of some point of [0, T] holds none; rel maps
-    a probe path, "band" or "windowed", to the moment error it found.
-    """
-
-    obs: int
-    rel: dict = field(default_factory=dict)
-
-
-@functools.lru_cache(maxsize=_DESIGN_CAP)
-def _design_store(times_bytes: bytes, T: float) -> dict:
-    """The dict of level facts of one design, kept by ``functools.lru_cache``."""
-    return {}
-
-
-def _design_facts(times: np.ndarray, T: float) -> dict:
-    """The level facts stored for the design (times, T): (j, L, lam) -> ``_Level``.
-
-    The design is keyed by the bytes of times and by T, so a change of one
-    time by one ulp or of T starts an empty dict; hashing the bytes is the
-    one pass over the design a call makes, and a copy of them (8 bytes per
-    observation) is kept with the facts. ``_design_store`` keeps at most
-    ``_DESIGN_CAP`` designs, least recently used out first. Two concurrent
-    first calls on one design may each fill a dict of their own; the facts
-    are deterministic functions of the design, so the store changes no
-    result, only whether a fact is computed or read.
-    """
-    return _design_store(np.ascontiguousarray(times, dtype=float).tobytes(), float(T))
-
-
-def _open_windows(times: np.ndarray, x: np.ndarray, lam: float, T: float) -> int:
-    """Observations in the widest window (t - lam, t + lam) over the points
-    x, or 0 when the window of some point of [0, T] holds none, which is
-    when lam is at most ``_widest_gap``'s need. The need is exact: a grid
-    of points x would miss an empty window that falls between two of them."""
-    if lam <= _widest_gap(times, T)[2]:
-        return 0
-    return int(np.max(_check_windows(times, x, lam)))
-
-
-def _probe_path(obs: int, L: int, ker: SmoothingKernel, R: int) -> str:
-    """"windowed" when the cost rule of ``_probe_level`` picks the windowed
-    prefix sums for a level whose widest window holds obs observations."""
-    deg = ker.degree
-    if obs * (1 + L + deg) > _WINDOW_OBS_PER_DEGREE * deg * (R + L + deg):
-        return "windowed"
-    return "band"
-
-
-def _probe_level(times: np.ndarray, x: np.ndarray, lam: float, j: int, L: int,
-                 T: float, ker: SmoothingKernel, V: np.ndarray, tol: float,
-                 level: _Level, out=np.empty):
-    """Moment error of one level on the comparison points x, and its
-    estimates of V's columns there when that error is within tol (else None).
-
-    The cheaper of two paths computes them. The band rows
-    (``_band_rows``) form every block's dense weights at about
-    G * (w + B n/G) * deg K for G points, w observations in the widest
-    window and blocks of B = ``_BAND_BLOCK_ROWS`` rows, plus
-    G * (w + B n/G) * L for the moment sums, and reach V's R columns by
-    one stacked product per chunk of blocks, whose share of that stays
-    small, so their cost hardly grows with R. Windowed prefix sums
-    (``_windowed_rows``) cost about (n + G) per column and step over
-    R + L + deg K of them: the data, the moment columns and the Horner
-    steps of the primitive. So the
-    single-column switch, w > 6 deg K (``_WINDOW_OBS_PER_DEGREE``), is
-    scaled by (R + L + deg K) / (1 + L + deg K): for L = 8 and R = 100 a
-    level goes windowed from 373 (even j) or 393 (odd j) observations on.
-
-    ``level`` holds the level's design-only facts (``_design_facts``); it
-    is read first and completed here. When it holds the moment error of
-    the chosen path, that error is not formed again: a level beyond tol
-    returns at once, and either path sums the R data columns only. On a
-    first probe both paths form the estimates together with the moment
-    error, also for a level that then fails it. The estimates are the same
-    to the bit either way; they are written into ``out(shape)``.
-    """
-    path = _probe_path(level.obs, L, ker, V.shape[1])
-    rel = level.rel.get(path)
-    if rel is not None and rel > tol:
-        return rel, None
-    rows = _windowed_rows if path == "windowed" else _band_rows
-    est, E = rows(times, x, lam, j, L, ker, V, moments=rel is None, out=out)
-    if rel is None:
-        rel = level.rel[path] = _moment_worst(E, x, lam, j, T)
-    return rel, (est if rel <= tol else None)
+    first = int(np.count_nonzero(levels > T / 2))
+    while first < levels.size and np.subtract(*_zone(times, T, levels[first])[::-1]) < 2:
+        first += 1
+    if first == levels.size:
+        if levels[-1] > T / 2:
+            reason = "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
+                levels[0], levels[-1], T / 2)
+        else:
+            reason = ("the design leaves fewer than two observations in the interior "
+                      "zone [lam, T - lam] of every level up to T/2 = %g" % (T / 2))
+        raise EstimationError("no admissible bandwidth level for j=%d: %s" % (j, reason))
+    refused = (levels[first], _short_window(times, T, levels[first], L))
+    if refused[1] is None:
+        good, bad = first, levels.size
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if _short_window(times, T, levels[mid], L) is None:
+                good = mid
+            else:
+                bad = mid
+        return levels, {li: _zone(times, T, levels[li]) for li in range(first, good + 1)}
+    k = 1
+    while first == 0 and levels[0] * _GRID_RATIO**k <= T / 2:
+        lam = levels[0] * _GRID_RATIO**k
+        zone = _zone(times, T, lam)
+        if zone[1] - zone[0] < 2:
+            break
+        why = _short_window(times, T, lam, L)
+        if why is None:
+            top = levels[0] * _GRID_RATIO ** np.arange(k, 0, -1, dtype=float)
+            return np.concatenate((top, levels)), {0: zone}
+        refused = (lam, why)
+        k += 1
+    raise EstimationError(
+        "no admissible bandwidth level for j=%d: at lam = %g, the largest level tried "
+        "up to T/2 = %g, %s" % (j, refused[0], T / 2, refused[1]))
 
 
 # Floats of selection workspace (``_Workspace``) a thread keeps between
 # ``_lepski_batch`` calls: 64 MB. The benchmark's mc-cells workload (n = 250,
-# 100 columns) needs 0.75M of them, a single column at n = 8000 0.27M
+# 100 columns) needs about 0.4M of them
 _WORKSPACE_KEEP = 1 << 23
 
 
@@ -756,8 +573,7 @@ class _Workspace:
     ``take`` hands out the next ``math.prod(shape)`` floats of the buffer
     as an array of that shape, or a fresh array once the buffer is used
     up; ``top`` is the floats handed out so far and ``high`` its largest
-    value in the call. Setting ``top`` back to an earlier value gives what
-    was taken since then back, for the caller to reuse.
+    value in the call.
     """
 
     def __init__(self):
@@ -805,141 +621,47 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     """Adaptive bandwidth per column of the observation matrix V (n x R).
 
     Returns (lam_hat (R,), selected_index (R,), details dict). Admissibility
-    of a bandwidth level is a property of the design alone: the level must
-    fit in half the interval, every comparison-grid window in its interior
-    zone must contain an observation, and the design weights there must
-    meet the kernel's moment conditions in the level's own variable,
-    sum_i w_i(x) ((t_i - x)/lam)^m = delta_mj j!/lam^j for m < L, both at
-    that scale and as carried to the monomials (t/T)^m on [0, T], within
-    ``_PROBE_TOL`` (see ``_band_rows`` and ``_moment_worst``). Only levels
-    that pass it are applied to V. When no level passes, the least-biased
-    one (the smallest such error) is the only admissible level and
-    ``details["fallback"]`` is "least_biased"; otherwise it is None.
-    Distances between estimates are integrated over the interior zone of
-    the larger bandwidth, where neither estimate is boundary-affected, against
-    ``_THRESHOLD_MULT`` * C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j||
-    (``details["C"]``), the paper's mu ||K_j|| at mesh ratio mu = 1; a
-    constant c as C would select as ``_THRESHOLD_MULT`` * c^2 / ||K_j||^2
-    does. The probe tolerance and the comparison grid of max(n, 500)
-    points (``_comparison_size``) are fixed too.
+    of a bandwidth level is a property of the design alone, read by exact
+    counts (``_admissible``, ``_short_window``): the level fits in T/2,
+    every window (x - lam, x + lam) on [0, T] holds at least L
+    observations, and every half window in the interior zone [lam, T - lam]
+    does too. When the grid's top level fails, the grid rises to the first
+    a^k <= T/2 that passes. Nothing else is checked: the local-polynomial
+    rows (``_rows_at``) reproduce every polynomial of degree below L on the
+    design itself.
 
-    A level's comparison-grid estimates and moment check are computed one
-    of two ways, chosen by ``_probe_level`` by a cost rule in the
-    observation count of its widest window and the column count R. Narrow
-    levels read the band rows their estimates are formed from
-    (``_band_rows``): dense weights of blocks of B points, formed at
-    O(G * (w + B n/G)) for G interior points and w observations per band,
-    and applied to V by one stacked product per chunk of blocks,
-    O(G * (w + B n/G) * R) at BLAS speed. Wide levels
-    use windowed prefix sums (``_windowed_rows``) at O(n + G) per column:
-    their estimates agree with the band rows' to about 1e-12 of a row's
-    sum of |w_i| |y_i|, and their moment errors to about 1e-7 relative or
-    better, the band rows' own rounding, so the same levels are admitted
-    and selected. The final evaluation on the output grid always uses the band
-    rows, applied to the data chunk by chunk (``DesignWeights.apply``).
-
-    The design-only facts of each probed level are kept per design
-    (``_design_facts``: keyed by the bytes of times and by T,
-    at most ``_DESIGN_CAP`` = 8 designs) and per (j, L, lam): whether every
-    window sees an observation, the widest window's observation count, and
-    the moment error per path. A repeated call on the same design, as in
-    every Monte-Carlo replication of a cell, reads them: a level that failed
-    is skipped, and one that passed is only applied to V, with no moment
-    sums. A first call computes and stores them, so a single cold call
-    gains nothing and pays one hash of the design. The facts do not
-    depend on V and the estimates are the same to the bit either way, so
-    the store never changes a result. The level loop stops at the first
-    level with an empty window: as lam falls every window shrinks and the
-    comparison points only grow, so no smaller level can see an observation
-    in all of them. ``details["levels_probed"]`` counts the levels that
-    reached the window check, up to and including that first empty one,
-    and ``details["levels_reused"]`` those of them whose facts all came
-    from the store.
+    Each admissible level estimates V's columns at the observations in its
+    interior zone (``_zone_estimates``): on a lattice design
+    (``_lattice_step``) by one row of 2m + 1 weights for all of them, else
+    by a row per observation. Distances between estimates are integrated
+    over the observations in the interior zone of the larger bandwidth,
+    with trapezoid weights on the t_i, where neither estimate is
+    boundary-affected, against ``_THRESHOLD_MULT`` * C^2 sigma^2 T^2 /
+    (n h^(2j+1)) with C = ||K_j|| (``details["C"]``), the paper's mu ||K_j||
+    at mesh ratio mu = 1. ``details["comparison_grid_size"]`` is the number
+    of observations in the widest zone compared, that of the smallest
+    admissible level.
 
     The comparisons run candidate by candidate, largest level first. Each
     candidate's squared differences (Ec - Eh)^2 against every smaller
     admissible level are formed in one buffer, sized for the largest
     candidate and reused for every pair of levels: ``np.subtract`` and
     ``np.square`` into it, then one product with the trapezoid weights.
-    These are the operations of ``tw @ (Ec - Eh) ** 2`` in the same order,
-    so the distances are the same to the bit, without two new arrays per
-    pair of levels.
-
-    The comparison estimates of every probed level and that buffer come
-    from a workspace the calling thread keeps between calls (``_workspace``,
-    a bump allocator over one float buffer), so repeated selections, as in
-    the Monte-Carlo replications of a table, reuse the same memory instead
-    of asking the allocator for fresh pages. A level that fails the moment
-    check gives its space back to the next level. The workspace is emptied
-    at the start of each call; when a call needed more than its buffer, the
-    rest came from fresh arrays and the next call starts with one buffer of
-    that call's high-water size. A call that needs more than
-    ``_WORKSPACE_KEEP`` floats (64 MB) leaves no workspace behind. The
-    estimates are written by the same operations into the workspace as
-    into fresh arrays, and none of the workspace is returned, so it changes
-    no result.
+    The estimates of every level and that buffer come from a workspace the
+    calling thread keeps between calls (``_workspace``, a bump allocator
+    over one float buffer), so repeated selections, as in the Monte-Carlo
+    replications of a table, reuse the same memory; none of it is
+    returned, so it changes no result.
     """
     n = times.size
-    levels = BandwidthGrid.build(j, n, sigma, T).levels
-    cgrid = np.linspace(0.0, T, _comparison_size(n))
-    ker = make_kernel(L, j)
-    C = math.sqrt(ker.norm2)
-
-    facts = _design_facts(times, T)
+    levels, zones = _admissible(times, T, BandwidthGrid.build(j, n, sigma, T).levels, L, j)
+    C = math.sqrt(make_kernel(L, j).norm2)
+    step = _lattice_step(times, T)
     R = V.shape[1]
-    spans: list[tuple[int, int] | None] = [None] * levels.size
-    estimates: list[np.ndarray | None] = [None] * levels.size
-    best_bad = None
-    checked = None
-    probed = reused = 0
+    admissible = sorted(zones)
     with _workspace() as ws:
-        for li, lam in enumerate(levels):
-            if lam > T / 2:
-                continue
-            i0 = int(np.searchsorted(cgrid, lam - 1e-12, side="left"))
-            i1 = int(np.searchsorted(cgrid, T - lam + 1e-12, side="right"))
-            if i1 - i0 < 2:
-                continue
-            if checked is None:
-                checked = float(lam)
-            probed += 1
-            level = facts.get((j, L, float(lam)))
-            if level is None:
-                # windows must be nonempty on the whole interval, endpoints
-                # included, so that the selected level remains usable on a
-                # full [0, T] grid
-                level = facts.setdefault((j, L, float(lam)),
-                                         _Level(_open_windows(times, cgrid[i0:i1], lam, T)))
-            elif not level.obs or _probe_path(level.obs, L, ker, R) in level.rel:
-                reused += 1
-            if not level.obs:
-                break
-            mark = ws.top
-            rel, est = _probe_level(times, cgrid[i0:i1], lam, j, L, T, ker, V, _PROBE_TOL,
-                                    level, ws.take)
-            if est is not None:
-                spans[li] = (i0, i1)
-                estimates[li] = est
-            else:
-                ws.top = mark  # the level failed: its estimates are not kept
-                if best_bad is None or rel < best_bad[0]:
-                    best_bad = (rel, li, (i0, i1))
-        admissible = [i for i, s in enumerate(spans) if s is not None]
-        fallback = None
-        if not admissible and best_bad is not None:
-            # No level meets the moment conditions (coarse designs at high j);
-            # estimating at the least-biased level beats refusing outright.
-            _, li, (i0, i1) = best_bad
-            spans[li] = (i0, i1)
-            estimates[li] = _probe_level(times, cgrid[i0:i1], levels[li], j, L, T, ker, V,
-                                         math.inf, facts[(j, L, float(levels[li]))],
-                                         ws.take)[1]
-            admissible = [li]
-            fallback = "least_biased"
-        if not admissible:
-            raise EstimationError("no admissible bandwidth level for j=%d: %s" % (
-                j, _no_level_reason(times, T, levels, checked)))
-
+        estimates = {li: _zone_estimates(times, T, zones[li], levels[li], j, L, V, step,
+                                         ws.take) for li in admissible}
         selected = np.full(R, -1, dtype=int)
         noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
         # one buffer of the largest candidate's size; the smallest level has
@@ -949,55 +671,47 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             ok = selected < 0
             if not np.any(ok):
                 break
-            i0c, i1c = spans[ci]
+            i0c, i1c = zones[ci]
             Ec = estimates[ci]
-            tw = _trapezoid_weights(cgrid[i0c:i1c])
+            tw = _trapezoid_weights(times[i0c:i1c])
             diff2 = diff[: Ec.size].reshape(Ec.shape)
             for hi in admissible:
                 if hi <= ci:
                     continue
-                h = levels[hi]
-                i0h, _ = spans[hi]
+                i0h = zones[hi][0]
                 Eh = estimates[hi][i0c - i0h : i1c - i0h]
                 np.subtract(Ec, Eh, out=diff2)
                 np.square(diff2, out=diff2)
                 dist2 = tw @ diff2
-                ok &= dist2 <= noise_scale / h ** (2 * j + 1)
+                ok &= dist2 <= noise_scale / levels[hi] ** (2 * j + 1)
                 if not np.any(ok):
                     break
             selected[ok & (selected < 0)] = ci
         selected[selected < 0] = admissible[-1]
-    lam_hat = levels[selected]
+    i0, i1 = zones[admissible[-1]]
     details = {
         "levels": levels,
         "admissible": admissible,
         "selected_index": selected,
         "C": C,
         "hmin": (sigma * sigma * T * T / n) ** (1.0 / (2 * j + 1)),
-        "comparison_grid_size": _comparison_size(n),
-        "fallback": fallback,
-        "levels_probed": probed,
-        "levels_reused": reused,
+        "comparison_grid_size": i1 - i0,
     }
-    return lam_hat, selected, details
+    return levels[selected], selected, details
 
 
 def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = False):
     """Largest admissible bandwidth whose estimate stays within the
     noise-level threshold of every smaller admissible estimate on the grid.
 
-    A level is admissible when its design weights meet the kernel's moment
-    conditions at the level's own scale within ``_PROBE_TOL``. When no
-    level is admissible, the least-biased level (the one that misses the
-    moment conditions least) is used and ``details["fallback"]`` reads
-    "least_biased". The smallest admissible level has nothing smaller to
-    be compared with, so it is selected when no larger level passes. The
-    grid ratio (``_GRID_RATIO``) and the threshold multiplier
-    (``_THRESHOLD_MULT``) are fixed.
-    Admissibility is read from a store of design facts when the same
-    design (times and T) was selected on before, among the last 8 designs;
-    that saves time on repeated calls only and never changes the result
-    (see ``_lepski_batch``).
+    A level is admissible when its windows hold enough observations for the
+    local-polynomial rows, by exact counts (see ``_lepski_batch``); the
+    estimates are compared at the observations of each level's interior
+    zone. The smallest admissible level has nothing smaller to be compared
+    with, so it is selected when no larger level passes. The grid ratio
+    (``_GRID_RATIO``) and the threshold multiplier (``_THRESHOLD_MULT``)
+    are fixed. EstimationError when no level is admissible, naming the
+    count that refused the largest level tried.
     """
     lam_hat, _, details = _lepski_batch(
         data.times, data.T, data.values[:, None], data.sigma, j, L

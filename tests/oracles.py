@@ -22,11 +22,12 @@ can compare the two:
   consistent; the package solves once on the reference interval instead.
 - ``check_schema`` validates a JSON document against the vocabulary the
   shipped sidecar schema uses (type/required/properties/items/enum).
-- ``dense_weights`` builds the estimator's weight matrix row by row from
-  the exact coefficients of ``make_boundary_kernel``, evaluated in exact
-  rational arithmetic at the float kernel arguments; the package forms
-  the rows in float from one primitive basis per L, in blocks over each
-  row's window only and never as one matrix.
+- ``dense_weights`` builds the estimator's weight matrix row by row in
+  exact integer arithmetic: the Gram system of each local-polynomial row
+  in monomials, solved by fraction-free elimination; the package forms
+  the rows in float in an orthonormal basis, in blocks over each row's
+  window only, or as one lattice row for a whole equispaced design, and
+  never as one matrix.
 - ``convolve_terms_by_column`` is the phi1 product rule as two
   ``np.convolve`` per column; the package forms it as one blocked
   Toeplitz product over all columns.
@@ -46,7 +47,7 @@ import numpy as np
 import lapdeconv
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import _cell_moments, _convolve_terms, trimmed_window
-from lapdeconv.kernels import SmoothingKernel, make_boundary_kernel, make_kernel
+from lapdeconv.kernels import SmoothingKernel
 from lapdeconv.resolvent import (
     _CLUSTER_RADIUS,
     PoleTerm,
@@ -58,7 +59,7 @@ from lapdeconv.resolvent import (
     polished_roots,
 )
 from lapdeconv.sim import Scenario, builtin_f, builtin_g, forward_convolve
-from lapdeconv.smoother import DesignWeights, _cell_edges
+from lapdeconv.smoother import DesignWeights
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -465,78 +466,102 @@ def check_schema(value, schema: dict, path: str = "$") -> list[str]:
     return errors
 
 
-def _rho(v: float) -> float:
-    """The quantized relative endpoint distance of a boundary point."""
-    return max(round(v, 3), 1e-3)
+def _exact_solve(M: list, F: list) -> tuple[list, int]:
+    """(X, det) with M X = det F for the integer matrices M (L x L, with
+    nonzero leading principal minors) and F (L x C), by fraction-free
+    Gauss-Jordan elimination: every division is exact, and at the end each
+    pivot equals det(M)."""
+    L = len(M)
+    rows = [list(M[i]) + list(F[i]) for i in range(L)]
+    prev = 1
+    for k in range(L):
+        pivot = rows[k][k]
+        if pivot == 0:
+            raise ArithmeticError("singular Gram matrix: fewer than L observations")
+        for i in range(L):
+            if i == k:
+                continue
+            lead = rows[i][k]
+            rows[i] = [(a * pivot - lead * b) // prev for a, b in zip(rows[i], rows[k])]
+        prev = pivot
+    return [row[L:] for row in rows], prev
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_primitive(L: int, j: int, rho: float | None, right: bool):
-    """(numerators, denominator, float support) of the primitive, zero at the
-    support's left end, of the interior kernel (rho None) or of the boundary
-    kernel at rho, reflected for the right edge."""
-    ker = make_kernel(L, j) if rho is None else make_boundary_kernel(L, j, rho)
-    if right:
-        ker = ker.reflected()
-    lo = ker.support_exact[0]
-    prim = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(ker.coeffs_exact)]
-    prim[0] = -sum(p * lo**k for k, p in enumerate(prim))
-    den = math.lcm(*(p.denominator for p in prim))
-    return [p.numerator * (den // p.denominator) for p in prim], den, ker.support
+def _scaled(value: float, S: int) -> int:
+    """The float value times 2^S, an integer for S large enough."""
+    num, den = value.as_integer_ratio()
+    return num * (1 << S) // den
 
 
-def _exact_differences(nums: list[int], den: int, taus: np.ndarray) -> np.ndarray:
-    """P(taus[:-1]) - P(taus[1:]), each rounded once to a float, for
-    P(t) = sum nums[k] t^k / den at the float arguments taus.
+@functools.lru_cache(maxsize=1 << 12)
+def _exact_rows(times_bytes: bytes, T: float, x: float, L: int, lam: float):
+    """(window indices, rows (L x window)): the rows of every order j < L at
+    the point x, each weight the exact rational rounded once.
 
-    Every tau is a / 2^s exactly; over the common 2^S of the row, P is an
-    integer over den 2^(S K), formed by Horner in integers.
-    """
-    ratios = [t.as_integer_ratio() for t in taus.tolist()]
-    S = max(d for _, d in ratios).bit_length() - 1
-    K = len(nums) - 1
-    top = [c << S * (K - k) for k, c in enumerate(nums)]
-    vals = {}
-    for a, d in ratios:
-        if (a, d) not in vals:
-            acc, x = top[K], a << (S + 1 - d.bit_length())
-            for k in range(K - 1, -1, -1):
-                acc = acc * x + top[k]
-            vals[a, d] = acc
-    P = [vals[r] for r in ratios]
-    D = den << S * K
-    return np.array([(p - q) / D for p, q in zip(P[:-1], P[1:])])
-
-
-# Rows ``_dense_row`` keeps: about 20 MB, enough for the tests that repeat a
-# design's rows over shuffled grids and data column counts
-@functools.lru_cache(maxsize=1 << 13)
-def _dense_row(times_bytes: bytes, T: float, x: float, j: int, L: int, lam: float) -> np.ndarray:
-    """Row x of ``dense_weights``, kept for the designs the tests repeat."""
-    key = None, False
-    if x < lam:
-        key = _rho(x / lam), False
-    elif T - x < lam:
-        key = _rho((T - x) / lam), True
-    nums, den, support = _exact_primitive(L, j, *key)
-    edges = _cell_edges(np.frombuffer(times_bytes))
-    row = _exact_differences(nums, den, np.clip((x - edges) / lam, *support)) / lam**j
-    row.flags.writeable = False
-    return row
+    Every float is an exact rational with a power-of-two denominator, so
+    at the scale 2^S of the finest of them the design, x, lam and T are
+    integers: D_i = t_i - x, the support [Lo, Hi] = [max(-lam, -x),
+    min(lam, T - x)], N_i = 2 D_i - Lo - Hi and Den = Hi - Lo, so that
+    u_i = N_i / Den. The envelope weighs the observations with |N_i| < Den
+    by (Den^2 - N_i^2)^2 / Den^4. In the monomials u^k, scaled by Den^-k,
+    the Gram matrix is the integer Hankel matrix G_(k+l), G_p = sum_i
+    (Den^2 - N_i^2)^2 N_i^p, and the target of order j is
+    k!/(k-j)! (-(Lo + Hi))^(k-j) 2^((S+1) j) Den^4 for k >= j, since
+    u(t) = (2^(S+1) (t - x) - Lo - Hi) / Den; Den^4 cancels against the
+    envelope's."""
+    times = np.frombuffer(times_bytes)
+    lo_i = int(np.searchsorted(times, x - lam * (1 + 1e-9), side="left"))
+    hi_i = int(np.searchsorted(times, x + lam * (1 + 1e-9), side="right"))
+    near = times[lo_i:hi_i].tolist()
+    S = max(-math.frexp(v)[1] + 60 for v in near + [x, lam, T])
+    S = max(S, 0)
+    X, Lam = _scaled(x, S), _scaled(lam, S)
+    Lo, Hi = max(-Lam, -X), min(Lam, _scaled(T, S) - X)
+    Den = Hi - Lo
+    idx, N = [], []
+    for i, t in enumerate(near):
+        n_i = 2 * (_scaled(t, S) - X) - Lo - Hi
+        if abs(n_i) < Den:
+            idx.append(lo_i + i)
+            N.append(n_i)
+    env = [(Den * Den - n * n) ** 2 for n in N]
+    G = [0] * (2 * L - 1)
+    for e, n in zip(env, N):
+        acc = e
+        for p in range(2 * L - 1):
+            G[p] += acc
+            acc *= n
+    M = [[G[k + l] for l in range(L)] for k in range(L)]
+    F = [[math.perm(k, j) * (-(Lo + Hi)) ** (k - j) << ((S + 1) * j) if k >= j else 0
+          for j in range(L)] for k in range(L)]
+    Xs, det = _exact_solve(M, F)
+    rows = np.empty((L, len(N)))
+    for j in range(L):
+        for i, (e, n) in enumerate(zip(env, N)):
+            acc = 0
+            for k in range(L - 1, -1, -1):
+                acc = acc * n + Xs[k][j]
+            rows[j, i] = (e * acc) / det
+    rows.flags.writeable = False
+    return np.array(idx, dtype=int), rows
 
 
 def dense_weights(times, T, grid, j, L, lam):
-    """Oracle W: lam^-j times the exact kernel primitive differenced over
-    every cell. A point within lam of 0 takes ``make_boundary_kernel`` at
-    its relative distance rho, rounded to 1e-3 and floored at 1e-3; one
-    within lam of T the reflection of that kernel; every other point the
-    interior kernel. The primitive of the kernel's ``coeffs_exact`` is
-    evaluated exactly at the clipped float arguments (x - e)/lam and each
-    difference is rounded once, so the rows are exact up to the rounding
-    of those arguments."""
-    times_bytes = np.ascontiguousarray(times, dtype=float).tobytes()
-    return np.array([_dense_row(times_bytes, float(T), x, j, L, float(lam))
-                     for x in np.asarray(grid, dtype=float).tolist()]).reshape(len(grid), -1)
+    """Oracle W: the local-polynomial row of order j at each grid point,
+    exact. Row x weighs the observations strictly inside its support
+    [max(-1, -x/lam), min(1, (T - x)/lam)] in d = (t - x)/lam by the
+    envelope (d - lo)^2 (hi - d)^2 times the polynomial of degree below L
+    for which sum_i w_i P(t_i) = P^(j)(x) for every polynomial P of degree
+    below L. The Gram system is solved in integers at the scale of the
+    floats' common power of two (``_exact_rows``), and each weight is
+    rounded once."""
+    times = np.ascontiguousarray(times, dtype=float)
+    times_bytes = times.tobytes()
+    W = np.zeros((len(grid), times.size))
+    for r, x in enumerate(np.asarray(grid, dtype=float).tolist()):
+        idx, rows = _exact_rows(times_bytes, float(T), x, L, float(lam))
+        W[r, idx] = rows[j]
+    return W
 
 
 def convolve_terms_by_column(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndarray:

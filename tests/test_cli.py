@@ -218,7 +218,8 @@ class TestDeconvolveCommand:
         (["--bandwidth", "0.5,0.4"], [0.5, 0.4]),
     ], ids=["adaptive", "scalar", "list"])
     def test_sidecar_records_fixed_bandwidths(self, tmp_path, flags, fixed):
-        data = emit_cell(tmp_path)
+        # n = 250: at n = 100 the window (0, 0.5) holds 4 < L observations
+        data = emit_cell(tmp_path, cell="g2,f1,250,0")
         rc = main(["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
                    "--output", str(tmp_path / "f.csv")] + flags)
         assert rc == 0
@@ -313,11 +314,24 @@ class TestDeconvolveCommand:
         assert not (tmp_path / "f.csv").exists()
 
     def test_fixed_bandwidth_allows_sigma_zero(self, tmp_path):
-        data = emit_cell(tmp_path)
+        data = emit_cell(tmp_path, cell="g2,f1,250,0")
         rc = main(["deconvolve", "--input", data, "--kernel", G2,
                    "--sigma", "0", "--output", str(tmp_path / "f.csv"),
                    "--bandwidth", "0.5"])
         assert rc == 0
+
+    def test_fixed_bandwidth_below_L_observations_exits_4(self, tmp_path, capsys):
+        # n = 100 on [0, 10]: the window (0, 0.5) of x = 0 holds 4 observations
+        data = emit_cell(tmp_path)
+        capsys.readouterr()
+        rc = main(["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
+                   "--output", str(tmp_path / "f.csv"), "--bandwidth", "0.5"])
+        assert rc == 4
+        assert one_error_line(capsys) == (
+            "lapdeconv: estimator: bandwidth 0.5 for j=0: the window (x - lam, x + lam) "
+            "at x = 0 holds 4 observations in (0, T), fewer than L = 8; increase the "
+            "bandwidth or the sample size\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_empty_bandwidth_field_exits_2(self, tmp_path, capsys):
         # skipping the empty field would give order 1 the bandwidth 0.4
@@ -469,7 +483,8 @@ class TestDeconvolveCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("lapdeconv: estimator: no admissible bandwidth level")
-        assert "from t=1 to t=9.1, needs a bandwidth above 4.05" in err
+        assert ("the window (x - lam, x + lam) at x = 8.26667 holds 0 observations in "
+                "(0, T), fewer than L = 8") in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -853,3 +868,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["L"] == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["make-kernel", "--L", "4", "--j", "0"],
+    ["simulate", "--cell", "g2,f1,60,0", "--runs", "1"],
+    ["inspect-kernel", "--kernel", '{"form":"builtin","name":"g4"}'],
+], ids=["make-kernel", "simulate", "inspect-kernel"])
+def test_full_standard_output_exits_2_with_one_line(argv):
+    # standard output goes through the same OSError mapping as output files
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lapdeconv.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("lapdeconv: cannot write standard output: "
+                           "No space left on device\n")

@@ -244,15 +244,15 @@ def _g4_batch():
 
 
 class TestCallingThread:
-    """_estimate_all selects every order, then evaluates every order, in
-    order j = 0..r on the calling thread."""
+    """_estimate_all selects every order in order j = 0..r, then evaluates
+    the orders, all on the calling thread."""
 
     @staticmethod
     def _trace(monkeypatch, fail=()):
         # log each selection and evaluation with its order and thread; an
         # order in fail raises from its selection
         events = []
-        select, apply = deconv._lepski_batch, smoother.DesignWeights.apply
+        select, apply = deconv._lepski_batch, smoother.DesignWeights.apply_orders
 
         def traced_select(times, T, V, sigma, j, L):
             events.append(("select", j, threading.get_ident()))
@@ -260,15 +260,15 @@ class TestCallingThread:
                 raise EstimationError("order %d" % j)
             return select(times, T, V, sigma, j, L)
 
-        def traced_apply(self, j, *args):
-            events.append(("apply", j, threading.get_ident()))
-            return apply(self, j, *args)
+        def traced_apply(self, L, lam, grid, V, columns):
+            events.extend(("apply", j, threading.get_ident()) for j in sorted(columns))
+            return apply(self, L, lam, grid, V, columns)
 
         def no_thread(_):
             raise AssertionError("the pipeline started a thread")
 
         monkeypatch.setattr(deconv, "_lepski_batch", traced_select)
-        monkeypatch.setattr(smoother.DesignWeights, "apply", traced_apply)
+        monkeypatch.setattr(smoother.DesignWeights, "apply_orders", traced_apply)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         return events
 
@@ -280,8 +280,13 @@ class TestCallingThread:
         events = self._trace(monkeypatch)
         res = deconvolve(data, g, EstimatorConfig(fixed_bandwidths=fixed))
         adaptive = list(range(0 if fixed is None else len(fixed), g.r + 1))
-        assert [(kind, j) for kind, j, _ in events] == (
-            [("select", j) for j in adaptive] + [("apply", j) for j in range(g.r + 1)])
+        # one evaluation per order, after every selection; orders that chose
+        # the same bandwidth are evaluated by one call
+        selects = [("select", j) for j in adaptive]
+        assert [(kind, j) for kind, j, _ in events[: len(selects)]] == selects
+        assert sorted(j for kind, j, _ in events[len(selects):] if kind == "apply") == list(
+            range(g.r + 1))
+        assert len(events) == len(selects) + g.r + 1
         assert {ident for _, _, ident in events} == {threading.get_ident()}
         if fixed is not None:
             assert res.bandwidths[0] == fixed[0]
@@ -393,10 +398,10 @@ class TestProperty:
 
 
 def test_memory_of_an_estimate_at_n_2000_stays_bounded():
-    # the output grid's rows reach the data chunk by chunk, and every
-    # windowed-sum chunk keeps its arrays within smoother._WINDOW_CHUNK, so
-    # neither a first call on a design nor a repeat holds a grid_size x n
-    # weight matrix (16.4 MB here)
+    # the output grid's rows reach the data chunk by chunk, each chunk's
+    # arrays within smoother._ROW_CHUNK floats, so neither a first call on
+    # a design nor a repeat holds a grid_size x n weight matrix (16.4 MB
+    # here)
     g = builtin_g("g2")
     sigma = ladder_sigma("g2", 0)
 
@@ -407,7 +412,6 @@ def test_memory_of_an_estimate_at_n_2000_stays_bounded():
 
     deconvolve(sample(250, 0), g)  # builds every kernel
     data = [sample(2000, stream) for stream in (1, 2)]
-    smoother._design_store.cache_clear()
     peaks = []
     for d in data:  # a first call on the design, then a repeat
         tracemalloc.start()

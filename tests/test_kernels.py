@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lapdeconv.kernels import (
     SmoothingKernel,
     eval_kernel,
-    kernel_primitives,
     make_boundary_kernel,
     make_kernel,
 )
@@ -169,40 +168,12 @@ class TestEvaluation:
         assert polyval(1.0, prim) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestPrimitives:
-    """``kernel_primitives`` in the support-centred variable u against the
-    primitives of the exact kernels, evaluated in Fractions."""
-
-    @pytest.mark.parametrize("L", [4, 8])
-    def test_match_the_exact_kernels(self, L):
-        u = np.linspace(-1.0, 1.0, 21)
-        for j in range(L):
-            for rho in (1e-3, 0.25, 0.5, 0.999, 1.0):
-                left = make_boundary_kernel(L, j, rho)
-                for ker in (left, left.reflected()):
-                    lo, hi = ker.support
-                    P = kernel_primitives(L, j, np.array([lo]), np.array([hi]))[0]
-                    tau = (lo + hi) / 2 + (hi - lo) / 2 * u
-                    a = ker.support_exact[0]
-                    prim = [c / (k + 1) for k, c in enumerate(ker.coeffs_exact)]
-                    want = np.array([
-                        float(sum(p * (Fraction(t) ** (k + 1) - a ** (k + 1))
-                                  for k, p in enumerate(prim)))
-                        for t in tau.tolist()])
-                    got = np.polynomial.polynomial.polyval(u, P)
-                    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (
-                        L, j, rho, ker.support)
-
-
 class TestValidation:
     def test_j_out_of_range(self):
         with pytest.raises(ValueError):
             make_boundary_kernel(4, 4, 0.5)
         with pytest.raises(ValueError):
             make_boundary_kernel(4, -1, 0.5)
-        for j in (4, -1):
-            with pytest.raises(ValueError):
-                kernel_primitives(4, j, np.array([-1.0]), np.array([1.0]))
 
     def test_rho_out_of_range(self):
         for bad in (0.0, -0.5, 1.5, 1e-7):

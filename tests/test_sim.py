@@ -306,6 +306,11 @@ class TestTable:
             run_table(cells, runs=1)
         assert ran == []
 
+    def test_unknown_kernel_name_is_a_value_error(self):
+        # the noise ladder is read only for a known kernel name
+        with pytest.raises(ValueError, match="unknown builtin kernel 'g9'"):
+            run_table([("g9", "f1", 60, 0)], runs=1)
+
     def test_first_failing_cell_raises_and_later_cells_do_not_run(self, monkeypatch):
         ran = []
 

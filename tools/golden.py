@@ -10,9 +10,7 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `deconvolve` CSV and sidecar for g2/f1, g4/f2 and g1/f1 at n = 250,
   g5/f3 at n = 100 and g2/f1 at n = 2000, each on the first replication
   of noise level 0 at seed 0 (written by `simulate --emit-data`, and kept
-  with the outputs) with that level's sigma. The n = 2000 input is the
-  one whose wide bandwidth levels the selection estimates by windowed
-  prefix sums; at n <= 250 every level takes the band rows;
+  with the outputs) with that level's sigma;
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,

@@ -7,10 +7,10 @@ package from PATH (default: src/ of this checkout), builds g2/f1 on the
 equispaced design of [0, 10] with the noise of level 0 (seed 0), runs one
 n = 250 estimate so that every kernel is built, and then times two
 `deconvolve` calls at n on the same design with fresh noise each. The
-first call computes the design-only facts of every bandwidth level; the
-second reads them from the selection's store of design facts. It reports
-both times and the interpreter's peak resident set (import, design and
-warm-up included).
+estimator keeps nothing between calls but its kernels and its selection
+workspace, so the second call differs from the first only by warm
+caches and a workspace already sized. It reports both times and the
+interpreter's peak resident set (import, design and warm-up included).
 
 Each n is timed REPEATS = 3 times per tree, in its own interpreter each
 time, and the medians are reported. Given a second --src, the two trees
