@@ -242,8 +242,9 @@ def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float, L: int,
 _BLOCK_ROWS = 16
 
 # Elements of the basis array of one chunk of blocks in ``_row_blocks``
-# (blocks x rows x L x span): 2 MB
-_ROW_CHUNK = 1 << 18
+# (blocks x rows x L x span): 1 MB. 2^16 to 2^18 measured alike in time;
+# 2^18 raised the peak of the benchmark's in-process workloads by 4 MB
+_ROW_CHUNK = 1 << 17
 
 
 def _blocked(a: np.ndarray) -> np.ndarray:
@@ -289,25 +290,24 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     order by one stacked product."""
     orders = sorted(columns)
     union = np.array(sorted(set(np.concatenate([columns[j] for j in orders]).tolist())))
+    where = [np.searchsorted(union, columns[j]) for j in orders]
     Vu = V[:, union]
     order = np.argsort(x, kind="stable")
-    rows = -(-x.size // _BLOCK_ROWS) * _BLOCK_ROWS
-    est = np.empty((rows, len(orders), union.size))
+    out = {j: np.empty((x.size, len(columns[j]))) for j in orders}
     for b0, idx, W in _row_blocks(times, T, x[order], lam, L, orders):
-        r0, r1 = b0 * _BLOCK_ROWS, (b0 + idx.shape[0]) * _BLOCK_ROWS
-        est[r0:r1] = np.matmul(W.reshape(idx.shape[0], -1, idx.shape[1]),
-                               Vu[idx]).reshape(r1 - r0, len(orders), -1)
-    out = {}
-    for q, j in enumerate(orders):
-        out[j] = np.empty((x.size, len(columns[j])))
-        out[j][order] = est[: x.size, q, np.searchsorted(union, columns[j])]
+        nb, span = idx.shape
+        est = np.matmul(W.reshape(nb, -1, span), Vu[idx]).reshape(-1, len(orders), union.size)
+        rows = order[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
+        for q, j in enumerate(orders):
+            out[j][rows] = est[: rows.size, q, where[q]]
     return out
 
 
 class DesignWeights:
     """The local-polynomial rows of one fixed observation design.
 
-    A plain forwarder to the row builder that stores nothing between calls.
+    A plain forwarder to the row builder that stores nothing between calls;
+    every method first checks its orders and bandwidth (``check_bandwidth``).
     ``apply_orders`` evaluates the rows of several derivative orders at one
     bandwidth on data columns, forming each point's Gram once, as the
     deconvolution pipeline does for every distinct selected bandwidth;
@@ -321,6 +321,7 @@ class DesignWeights:
         self.T = float(T)
 
     def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
+        check_bandwidth(self.times, self.T, j, L, lam)
         grid = np.asarray(grid, dtype=float)
         order = np.argsort(grid, kind="stable")
         W = np.zeros((-(-grid.size // _BLOCK_ROWS) * _BLOCK_ROWS, self.times.size))
@@ -341,6 +342,8 @@ class DesignWeights:
                      columns: dict) -> dict:
         """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
         j of columns, with one Gram per grid point shared by all of them."""
+        for j in columns:
+            check_bandwidth(self.times, self.T, j, L, lam)
         return _apply_rows(self.times, self.T, np.asarray(grid, dtype=float), lam, L,
                            V, columns)
 
@@ -418,7 +421,6 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
-    check_bandwidth(data.times, data.T, j, L, lam)
     values = DesignWeights(data.times, data.T).apply(j, L, lam, grid, data.values[:, None])[:, 0]
     return DerivativeEstimate(
         j=j, grid=grid, values=values, bandwidth=float(lam), kernel_order=L

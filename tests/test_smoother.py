@@ -762,6 +762,20 @@ class TestEstimateDerivative:
 
 
 class TestDesignWeights:
+    def test_too_few_observations_is_an_estimation_error(self):
+        # n = 100 on [0, 10]: the window (0, 0.3) of x = 0 holds 2 < L
+        # observations, where a row's Gram matrix would be singular
+        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
+        grid = np.linspace(0.0, T, 50)
+        for call in (lambda: dw.apply(0, 8, 0.3, grid, np.ones((100, 1))),
+                     lambda: dw.apply_orders(8, 0.3, grid, np.ones((100, 2)),
+                                             {0: np.arange(2), 1: np.arange(1)}),
+                     lambda: dw.weight_matrix(1, 8, 0.3, grid)):
+            with pytest.raises(EstimationError, match="holds 2 observations"):
+                call()
+        with pytest.raises(ValueError):
+            dw.apply(8, 8, 1.0, grid, np.ones((100, 1)))
+
     def test_apply_is_the_weight_matrix_product(self):
         n = 200
         times = np.arange(1, n + 1) * (T / n)
