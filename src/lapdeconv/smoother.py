@@ -188,7 +188,9 @@ def _orthonormal(L: int) -> np.ndarray:
         C[k] -= (k + 3.0) / k * C[k - 2]
     h = [math.pi * math.gamma(k + 5.0) / (16.0 * math.factorial(k) * (k + 2.5)
                                           * math.gamma(2.5) ** 2) for k in range(L)]
-    return C / np.sqrt(h)[:, None]
+    Q = C / np.sqrt(h)[:, None]
+    Q.flags.writeable = False
+    return Q
 
 
 def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float, L: int,
@@ -354,7 +356,11 @@ def _fewest(times: np.ndarray, lo: float, hi: float, half: float) -> tuple[int, 
     an open window changes only where an observation crosses one of its
     ends, and is no larger there than on either side, so reading it at lo,
     hi and the points t_i -/+ half in [lo, hi] is exact; a grid of points
-    would miss a thin stretch between two of them."""
+    would miss a thin stretch between two of them. Either set of points
+    alone would do in exact arithmetic (a window of least count keeps its
+    count while it slides until an end meets an observation); reading both
+    also covers a window end x -/+ half that rounds across the observation
+    it was placed on."""
     best = None
     for x in (np.array([lo, hi]), times - half, times + half):
         x = x[(x >= lo) & (x <= hi)]
