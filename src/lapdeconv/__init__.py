@@ -1,11 +1,12 @@
 """Noisy convolution inversion on a finite window.
 
 Observations y_i = q(t_i) + sigma * eps_i of a convolution q = g * f are
-turned into an estimate of f in three stages: moment-constrained polynomial
-kernels smooth the data into estimates of q and its derivatives, a
-data-driven comparison rule picks each derivative's bandwidth, and the
-rational Laplace structure of g supplies an explicit inversion formula
-(derivative combination plus an exponential-kernel convolution term).
+turned into an estimate of f in three stages: local-polynomial weight
+rows, exact on the design, smooth the data into estimates of q and its
+derivatives, a data-driven comparison rule picks each derivative's
+bandwidth, and the rational Laplace structure of g supplies an explicit
+inversion formula (derivative combination plus an exponential-kernel
+convolution term).
 
 The sim module reproduces a benchmark grid over five built-in kernels and
 three target functions; the cli module exposes everything as a command
