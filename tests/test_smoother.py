@@ -3,6 +3,7 @@
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,45 @@ class TestRows:
             assert_rows_match_oracle(W, dense_weights(times, T, x, j, 8, 1.0))
             assert W[-1, -1] == 0.0  # t = T sits on the support's end
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 12])
+    def test_basis_is_orthonormal_for_the_envelope(self, L):
+        # Q M Q^T = I for the moments M_ab = int u^(a+b) (1 - u^2)^2 du on
+        # [-1, 1], formed in Fractions from the float coefficients of Q
+        def moment(p):
+            if p % 2:
+                return Fraction(0)
+            return Fraction(2, p + 1) - Fraction(4, p + 3) + Fraction(2, p + 5)
+
+        Q = [[Fraction(c) for c in row] for row in smoother._orthonormal(L).tolist()]
+        for a in range(L):
+            for b in range(L):
+                got = sum(Q[a][p] * Q[b][s] * moment(p + s)
+                          for p in range(L) for s in range(L))
+                assert abs(float(got) - (a == b)) <= 1e-12, (a, b)
+
+    def test_basis_is_read_only(self):
+        # one cached array serves every call, so no caller may change it
+        Q = smoother._orthonormal(8)
+        assert Q is smoother._orthonormal(8)
+        with pytest.raises(ValueError):
+            Q[0, 0] = 2.0
+
+    def test_apply_orders_keeps_each_orders_column_order(self):
+        # unsorted and repeated columns come back in the order given
+        rng = np.random.default_rng(6)
+        times = np.sort(rng.uniform(0.0, T, 400))
+        grid = np.linspace(0.0, T, 45)
+        V = rng.standard_normal((times.size, 8))
+        columns = {0: np.array([5, 2, 2]), 3: np.array([7, 0]), 1: np.array([4])}
+        dw = DesignWeights(times, T)
+        got = dw.apply_orders(8, 1.2, grid, V, columns)
+        assert sorted(got) == [0, 1, 3]
+        for j, cols in columns.items():
+            W = dw.weight_matrix(j, 8, 1.2, grid)
+            assert got[j].shape == (grid.size, cols.size)
+            err = np.abs(got[j] - W @ V[:, cols])
+            assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
+
 
 class TestLattice:
     """One row per level on an equispaced design against the per-point rows."""
@@ -376,6 +416,83 @@ class TestLattice:
         want = np.array([w @ V[k - m : k + m + 1] for k in range(k0, k1)])
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.abs(w).sum())
 
+    @pytest.mark.parametrize("j", range(8))
+    def test_lattice_row_reproduces_polynomials_with_the_parity_of_its_order(self, j):
+        # the one row of an interior observation, as _zone_estimates forms
+        # it: sum_o w_o (o step / lam)^p = j! [p = j] / lam^j for p < L, and
+        # w_-o = (-1)^j w_o on the symmetric offsets
+        step, lam = T / 250, 1.1
+        m = int(lam / step)
+        o = np.arange(-m, m + 1)
+        d = o * (step / lam)
+        w = smoother._rows_at(d[None, :], np.array([[-1.0]]), np.array([[1.0]]),
+                              lam, 8, (j,))[0, 0]
+        scale = np.abs(w).sum()
+        for p in range(8):
+            want = math.factorial(j) / lam**j if p == j else 0.0
+            assert abs(w @ d**p - want) <= 1e-12 * scale, p
+        np.testing.assert_allclose(w[::-1], (-1) ** j * w, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("kind", ["closed", "midpoint"])
+    def test_matches_per_point_rows_on_other_lattices(self, kind):
+        # lattices that include both ends, and that sit half a spacing in
+        if kind == "closed":
+            times = np.linspace(0.0, T, 401)
+        else:
+            times = (np.arange(300) + 0.5) * (T / 300)
+        step = smoother._lattice_step(times, T)
+        assert step is not None
+        V = np.random.default_rng(2).standard_normal((times.size, 3))
+        for lam in (1.0, 1.7):
+            zone = smoother._zone(times, T, lam)
+            x = times[zone[0] : zone[1]]
+            for j in range(8):
+                scale = np.abs(DesignWeights(times, T).weight_matrix(j, 8, lam, x)) @ np.abs(V)
+                got = smoother._zone_estimates(times, T, zone, lam, j, 8, V, step)
+                want = smoother._zone_estimates(times, T, zone, lam, j, 8, V, None)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (lam, j)
+
+    @pytest.mark.parametrize("n, sigma, j", [
+        (100, 0.001, 0), (250, 0.01, 1), (600, 0.01, 2), (2000, 0.05, 0)])
+    def test_selection_is_the_same_on_either_path(self, monkeypatch, n, sigma, j):
+        # the lattice row changes how the comparison estimates are formed,
+        # not which levels are selected
+        times = np.arange(1, n + 1) * (T / n)
+        rng = np.random.default_rng(n)
+        V = np.sin(np.outer(times, np.linspace(0.5, 4.0, 20)))
+        V += sigma * rng.standard_normal(V.shape)
+        on = _lepski_batch(times, T, V, sigma, j, 8)
+        monkeypatch.setattr(smoother, "_lattice_step", lambda times, T: None)
+        off = _lepski_batch(times, T, V, sigma, j, 8)
+        np.testing.assert_array_equal(on[1], off[1])
+        np.testing.assert_array_equal(on[0], off[0])
+        assert on[2]["comparison_grid_size"] == off[2]["comparison_grid_size"]
+
+    @pytest.mark.parametrize("R", [2, 100])
+    @pytest.mark.parametrize("kind", ["equispaced", "random"])
+    def test_columns_do_not_touch_each_other(self, kind, R):
+        # on the lattice path and the per-point path, a column's estimates
+        # are the same to the bit whatever the other columns hold
+        times = _design(kind, 250)
+        step = smoother._lattice_step(times, T)
+        assert (step is not None) == (kind == "equispaced")
+        rng = np.random.default_rng(R)
+        V = rng.standard_normal((times.size, R))
+        W = V.copy()
+        W[:, 1:] = 1e6 * rng.standard_normal((times.size, R - 1))
+        zone = smoother._zone(times, T, 1.2)
+        for j in (0, 3):
+            a = smoother._zone_estimates(times, T, zone, 1.2, j, 8, V, step)
+            b = smoother._zone_estimates(times, T, zone, 1.2, j, 8, W, step)
+            np.testing.assert_array_equal(a[:, 0], b[:, 0])
+
+    def test_repeated_times_are_not_a_lattice(self):
+        times = np.arange(1, 101) * (T / 100)
+        assert smoother._lattice_step(np.full(5, 2.0), T) is None
+        tied = times.copy()
+        tied[50] = tied[49]
+        assert smoother._lattice_step(tied, T) is None
+
 
 def _design(kind, n):
     if kind == "equispaced":
@@ -432,6 +549,32 @@ class TestAdmissibility:
         lam = 1.2**-3
         assert smoother._short_window(times, T, lam, 8, zone=False) is None
         assert "half window" in smoother._short_window(times, T, lam, 8)
+
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["equispaced", "random"])
+    def test_check_bandwidth_admits_the_windows_that_hold_L(self, kind, L):
+        # a fixed bandwidth passes exactly when its fewest window count over
+        # [0, T], read by a scan of the observations in (0, T), reaches L
+        times = _design(kind, 120)
+        inside = times[(times > 0) & (times < T)]
+        seen = set()
+        for lam in np.geomspace(0.02, T / 2, 40):
+            passes = _fewest_by_scan(inside, 0.0, T, lam) >= L
+            seen.add(passes)
+            if passes:
+                check_bandwidth(times, T, L - 1, L, lam)
+            else:
+                with pytest.raises(EstimationError, match="fewer than L = %d" % L):
+                    check_bandwidth(times, T, L - 1, L, lam)
+        assert seen == {False, True}
+
+    def test_zone_takes_the_observations_at_its_ends(self):
+        # n = 200 and lam = 1: the zone [1, 9] holds t = 1 and t = 9, which
+        # the spacing 0.05 reaches up to rounding
+        times = np.arange(1, 201) * (T / 200)
+        assert smoother._zone(times, T, 1.0) == (19, 180)
+        assert smoother._zone(times, T, 1.0 + 1e-9) == (20, 179)
+        assert smoother._zone(times, T, T / 2) == (99, 100)
 
     def test_grid_rises_when_its_top_level_fails(self):
         # n = 60 at T = 10: the window (0, 1) holds 5 < L observations, so
@@ -606,6 +749,38 @@ class TestWorkspace:
             assert other.bandwidth_counts == one.bandwidth_counts
 
 
+class TestNoState:
+    """A selection keeps nothing of a design between calls: a repeat, after
+    a call on another design or on other threads, is the first call."""
+
+    @pytest.mark.parametrize("R", [1, 100])
+    @pytest.mark.parametrize("kind, n, sigma", [("equispaced", 100, 0.001),
+                                                ("random", 300, 0.01)])
+    def test_a_repeat_matches_a_first_call(self, kind, n, sigma, R):
+        rng = np.random.default_rng(n + R)
+        times = _design(kind, n)
+        other = _design("random" if kind == "equispaced" else "equispaced", 2 * n)
+        V = np.sin(times)[:, None] + sigma * rng.standard_normal((n, R))
+        Vo = np.cos(other)[:, None] + sigma * rng.standard_normal((2 * n, R))
+        for j in (0, 2):
+            first = _lepski_batch(times, T, V, sigma, j, 8)
+            _lepski_batch(other, T, Vo, sigma, j, 8)
+            TestWorkspace._assert_same(_lepski_batch(times, T, V, sigma, j, 8), first)
+
+    def test_concurrent_callers_agree(self):
+        times = _design("random", 400)
+        rng = np.random.default_rng(9)
+        V = np.sin(np.outer(times, np.linspace(0.5, 4.0, 40)))
+        V += 0.01 * rng.standard_normal(V.shape)
+        parts = [V[:, k::4] for k in range(4)]
+        serial = [_lepski_batch(times, T, P, 0.01, 1, 8) for P in parts]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_lepski_batch, times, T, P, 0.01, 1, 8) for P in parts]
+            threaded = [f.result(timeout=120) for f in futures]
+        for got, want in zip(threaded, serial):
+            TestWorkspace._assert_same(got, want)
+
+
 class TestLepski:
     def test_selected_bandwidth_is_grid_member(self):
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
@@ -626,6 +801,14 @@ class TestLepski:
         lam = details["levels"][details["admissible"][-1]]
         inside = (d.times >= lam - 1e-12 * T) & (d.times <= T - lam + 1e-12 * T)
         assert details["comparison_grid_size"] == np.count_nonzero(inside)
+
+    def test_trapezoid_weights_integrate_lines_exactly(self):
+        x = np.sort(np.random.default_rng(4).uniform(1.0, 9.0, 77))
+        w = smoother._trapezoid_weights(x)
+        assert np.all(w > 0)
+        assert w.sum() == pytest.approx(x[-1] - x[0], rel=1e-14)
+        assert w @ (2.0 - 3.0 * x) == pytest.approx(
+            2.0 * (x[-1] - x[0]) - 1.5 * (x[-1] ** 2 - x[0] ** 2), rel=1e-13)
 
     def test_deterministic(self):
         d = equispaced(400, np.sin, sigma=0.05, seed=3)
