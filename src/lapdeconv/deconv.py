@@ -196,6 +196,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     for j in range(r + 1):
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
+            # refused here, before the selection of any higher order
             check_bandwidth(times, T, j, cfg.L, fixed)
             lam[j] = fixed
         else:

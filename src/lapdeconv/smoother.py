@@ -343,9 +343,11 @@ class DesignWeights:
     def apply_orders(self, L: int, lam: float, grid: np.ndarray, V: np.ndarray,
                      columns: dict) -> dict:
         """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
-        j of columns, with one Gram per grid point shared by all of them."""
+        j of columns, with one Gram per grid point shared by all of them.
+        The window count of lam, which no order changes, is read once."""
         for j in columns:
-            check_bandwidth(self.times, self.T, j, L, lam)
+            _check_range(self.T, j, L, lam)
+        _check_count(self.times, self.T, next(iter(columns)), L, lam)
         return _apply_rows(self.times, self.T, np.asarray(grid, dtype=float), lam, L,
                            V, columns)
 
@@ -375,36 +377,48 @@ def _fewest(times: np.ndarray, lo: float, hi: float, half: float) -> tuple[int, 
 
 def _short_window(times: np.ndarray, T: float, lam: float, L: int,
                   zone: bool = True) -> str | None:
-    """Why the bandwidth lam is not admissible with L observations per
+    """Why the bandwidth lam is not admissible with L observation times per
     window, or None when it is. Every window (x - lam, x + lam) of a point x
-    in [0, T] must hold at least L observations inside (0, T), where a
-    point's rows weigh them: then its Gram matrix is positive definite.
-    With ``zone``, every half window (x - lam/2, x + lam/2) of a point x in
-    the interior zone [lam, T - lam] must hold L as well, so that no
+    in [0, T] must hold at least L distinct observation times inside
+    (0, T), where a point's rows weigh them: then its Gram matrix is
+    positive definite (a repeated time adds no rank to it). With ``zone``,
+    every half window (x - lam/2, x + lam/2) of a point x in the interior
+    zone [lam, T - lam] must hold L distinct times as well, so that no
     interior estimate rests on observations at one side of a design gap
     only. Both counts are exact (``_fewest``)."""
     inside = times[(times > 0.0) & (times < T)]
+    what = "observations"
+    if np.any(inside[1:] == inside[:-1]):
+        inside, what = np.unique(inside), "distinct observation times"
     count, x = _fewest(inside, 0.0, T, lam)
     if count < L:
-        return ("the window (x - lam, x + lam) at x = %g holds %d observations in "
-                "(0, T), fewer than L = %d" % (x, count, L))
+        return ("the window (x - lam, x + lam) at x = %g holds %d %s in (0, T), "
+                "fewer than L = %d" % (x, count, what, L))
     if zone and lam <= T - lam:
         count, x = _fewest(inside, lam, T - lam, lam / 2)
         if count < L:
-            return ("the half window (x - lam/2, x + lam/2) at x = %g holds %d "
-                    "observations, fewer than L = %d" % (x, count, L))
+            return ("the half window (x - lam/2, x + lam/2) at x = %g holds %d %s, "
+                    "fewer than L = %d" % (x, count, what, L))
     return None
+
+
+def _check_range(T: float, j: int, L: int, lam: float) -> None:
+    if not 0 <= j < L:
+        raise ValueError("derivative order j=%d outside [0, L) for L=%d" % (j, L))
+    if not (0.0 < lam <= T / 2):
+        raise ValueError("bandwidth %g for j=%d outside (0, T/2]" % (lam, j))
 
 
 def check_bandwidth(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
     """ValueError unless 0 <= j < L and 0 < lam <= T/2; EstimationError
     unless the window (x - lam, x + lam) of every point x in [0, T] holds at
-    least L observations inside (0, T) (``_short_window``), which every
-    row needs."""
-    if not 0 <= j < L:
-        raise ValueError("derivative order j=%d outside [0, L) for L=%d" % (j, L))
-    if not (0.0 < lam <= T / 2):
-        raise ValueError("bandwidth %g for j=%d outside (0, T/2]" % (lam, j))
+    least L distinct observation times inside (0, T) (``_short_window``),
+    which every row needs."""
+    _check_range(T, j, L, lam)
+    _check_count(times, T, j, L, lam)
+
+
+def _check_count(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
     why = _short_window(times, T, lam, L, zone=False)
     if why is not None:
         raise EstimationError("bandwidth %g for j=%d: %s; increase the bandwidth or "
@@ -421,8 +435,8 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     polynomial of degree below L exactly on the design. Near an endpoint
     the support is cut at it. The map y -> estimate is exactly linear; no
     grid.size x n matrix is formed. ValueError unless 0 <= j < L;
-    EstimationError when a window holds fewer than L observations
-    (``check_bandwidth``).
+    EstimationError when a window holds fewer than L distinct observation
+    times (``check_bandwidth``).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:

@@ -333,6 +333,24 @@ class TestDeconvolveCommand:
             "bandwidth or the sample size\n")
         assert not (tmp_path / "f.csv").exists()
 
+    def test_tied_times_count_once(self, tmp_path, capsys):
+        # 100 times on (0, 10], each listed twice: the window (0, 0.45) of
+        # x = 0 holds 8 observations but 4 distinct times, fewer than L = 8
+        times = np.repeat(np.arange(1, 101) * 0.1, 2)
+        data = write_csv(tmp_path / "tied.csv", zip(times, np.sin(times)))
+        argv = ["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
+                "--output", str(tmp_path / "f.csv")]
+        assert main(argv + ["--bandwidth", "0.45"]) == 4
+        assert one_error_line(capsys) == (
+            "lapdeconv: estimator: bandwidth 0.45 for j=0: the window (x - lam, x + lam) "
+            "at x = 0 holds 4 distinct observation times in (0, T), fewer than L = 8; "
+            "increase the bandwidth or the sample size\n")
+        assert not (tmp_path / "f.csv").exists()
+        assert main(argv) == 0
+        with open(tmp_path / "f.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and np.all(np.isfinite(np.array(rows, dtype=float)))
+
     def test_empty_bandwidth_field_exits_2(self, tmp_path, capsys):
         # skipping the empty field would give order 1 the bandwidth 0.4
         data = emit_cell(tmp_path, cell="g2,f1,250,0")

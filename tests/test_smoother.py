@@ -568,6 +568,38 @@ class TestAdmissibility:
                     check_bandwidth(times, T, L - 1, L, lam)
         assert seen == {False, True}
 
+    def test_tied_times_count_once(self):
+        # 100 equispaced times on (0, 10], each listed twice: the window of
+        # x = 0 at lam = 0.45 holds 8 observations at 4 distinct times,
+        # whose Gram has rank 4 < L, so every row builder refuses it
+        times = np.repeat(np.arange(1, 101) * (T / 100), 2)
+        dw = DesignWeights(times, T)
+        grid = np.linspace(0.0, T, 50)
+        V = np.ones((times.size, 2))
+        for call in (lambda: check_bandwidth(times, T, 0, 8, 0.45),
+                     lambda: dw.apply(0, 8, 0.45, grid, V),
+                     lambda: dw.apply_orders(8, 0.45, grid, V, {0: np.arange(2), 1: [0]}),
+                     lambda: dw.weight_matrix(1, 8, 0.45, grid)):
+            with pytest.raises(EstimationError,
+                               match="at x = 0 holds 4 distinct observation times in"):
+                call()
+        for lam in np.geomspace(0.2, T / 2, 30):
+            for zone in (False, True):
+                assert ((smoother._short_window(times, T, lam, 8, zone) is None)
+                        == (smoother._short_window(times[::2], T, lam, 8, zone) is None))
+
+    @pytest.mark.parametrize("reps, n0", [(2, 200), (4, 100), (8, 60)])
+    def test_tied_designs_select_full_rank_levels(self, reps, n0):
+        # every time listed reps times and almost no noise, so the selection
+        # reaches down to its smallest admitted levels: each is admitted by
+        # the distinct times, and every order's estimate is near the truth
+        times = np.repeat(np.arange(1, n0 + 1) * (T / n0), reps)
+        d = NoisySample(times, np.sin(times), T, 1e-6)
+        for j, truth in enumerate((np.sin, np.cos, lambda x: -np.sin(x))):
+            est = estimate_derivative(d, j, 8)
+            assert smoother._short_window(np.unique(times), T, est.bandwidth, 8) is None
+            np.testing.assert_allclose(est.values, truth(est.grid), rtol=0, atol=1e-3)
+
     def test_zone_takes_the_observations_at_its_ends(self):
         # n = 200 and lam = 1: the zone [1, 9] holds t = 1 and t = 9, which
         # the spacing 0.05 reaches up to rounding
@@ -958,6 +990,17 @@ class TestDesignWeights:
                 call()
         with pytest.raises(ValueError):
             dw.apply(8, 8, 1.0, grid, np.ones((100, 1)))
+
+    def test_apply_orders_counts_the_windows_once(self, monkeypatch):
+        # the window count depends on lam only, so three orders read it once
+        seen = []
+        count = smoother._short_window
+        monkeypatch.setattr(smoother, "_short_window",
+                            lambda *args, **kw: seen.append(args[2]) or count(*args, **kw))
+        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
+        dw.apply_orders(8, 1.0, np.linspace(0.0, T, 20), np.ones((100, 3)),
+                        {0: np.arange(1), 1: np.arange(1, 3), 2: np.arange(3)})
+        assert seen == [1.0]
 
     def test_apply_is_the_weight_matrix_product(self):
         n = 200
