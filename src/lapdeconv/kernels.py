@@ -87,20 +87,6 @@ class SmoothingKernel:
     def __call__(self, t):
         return eval_kernel(self, t)
 
-    def antiderivative(self) -> np.ndarray:
-        """Float coefficients of the primitive with value 0 at the left
-        endpoint: one read-only array per kernel, computed on first use."""
-        return self._primitive
-
-    @functools.cached_property
-    def _primitive(self) -> np.ndarray:
-        c = np.asarray(self.coeffs, dtype=float)
-        prim = np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
-        lo = self.support[0]
-        prim[0] = -np.polynomial.polynomial.polyval(lo, prim)
-        prim.flags.writeable = False
-        return prim
-
     def reflected(self) -> "SmoothingKernel":
         """The right-edge variant K~(t) = (-1)^j K(-t) on the mirrored support."""
         sgn = -1.0 if self.j % 2 else 1.0

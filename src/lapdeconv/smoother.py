@@ -12,10 +12,8 @@ ones.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +307,8 @@ class DesignWeights:
     """The local-polynomial rows of one fixed observation design.
 
     A plain forwarder to the row builder that stores nothing between calls;
-    every method first checks its orders and bandwidth (``check_bandwidth``).
+    every method first checks its orders and bandwidth (``check_bandwidth``)
+    and its evaluation points, which must be finite and in [0, T].
     ``apply_orders`` evaluates the rows of several derivative orders at one
     bandwidth on data columns, forming each point's Gram once, as the
     deconvolution pipeline does for every distinct selected bandwidth;
@@ -324,7 +323,7 @@ class DesignWeights:
 
     def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
         check_bandwidth(self.times, self.T, j, L, lam)
-        grid = np.asarray(grid, dtype=float)
+        grid = _check_points(grid, self.T)
         order = np.argsort(grid, kind="stable")
         W = np.zeros((-(-grid.size // _BLOCK_ROWS) * _BLOCK_ROWS, self.times.size))
         for b0, idx, rows in _row_blocks(self.times, self.T, grid[order], lam, L, (j,)):
@@ -345,11 +344,26 @@ class DesignWeights:
         """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
         j of columns, with one Gram per grid point shared by all of them.
         The window count of lam, which no order changes, is read once."""
+        if not columns:
+            raise ValueError("columns must name at least one derivative order")
         for j in columns:
             _check_range(self.T, j, L, lam)
+        grid = _check_points(grid, self.T)
         _check_count(self.times, self.T, next(iter(columns)), L, lam)
-        return _apply_rows(self.times, self.T, np.asarray(grid, dtype=float), lam, L,
-                           V, columns)
+        return _apply_rows(self.times, self.T, grid, lam, L, V, columns)
+
+
+def _check_points(grid, T: float) -> np.ndarray:
+    """grid as a float array; ValueError unless it is nonempty and every
+    point is finite and in [0, T], where the rows' supports are defined."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("evaluation grid must be nonempty")
+    inside = (grid >= 0.0) & (grid <= T)
+    if not np.all(inside):
+        raise ValueError("evaluation point %g is not a finite point of [0, T] = [0, %g]"
+                         % (grid[~inside].flat[0], T))
+    return grid
 
 
 def _fewest(times: np.ndarray, lo: float, hi: float, half: float) -> tuple[int, float]:
@@ -434,13 +448,11 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     solve so that the row reproduces the j-th derivative of every
     polynomial of degree below L exactly on the design. Near an endpoint
     the support is cut at it. The map y -> estimate is exactly linear; no
-    grid.size x n matrix is formed. ValueError unless 0 <= j < L;
-    EstimationError when a window holds fewer than L distinct observation
-    times (``check_bandwidth``).
+    grid.size x n matrix is formed. ValueError unless 0 <= j < L and every
+    point of the nonempty grid is finite and in [0, T]; EstimationError
+    when a window holds fewer than L distinct observation times
+    (``check_bandwidth``).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("evaluation grid must be nonempty")
     values = DesignWeights(data.times, data.T).apply(j, L, lam, grid, data.values[:, None])[:, 0]
     return DerivativeEstimate(
         j=j, grid=grid, values=values, bandwidth=float(lam), kernel_order=L
@@ -492,10 +504,9 @@ def _zone(times: np.ndarray, T: float, lam: float) -> tuple[int, int]:
 
 
 def _zone_estimates(times: np.ndarray, T: float, zone: tuple[int, int], lam: float,
-                    j: int, L: int, V: np.ndarray, step: float | None,
-                    out=np.empty) -> np.ndarray:
+                    j: int, L: int, V: np.ndarray, step: float | None) -> np.ndarray:
     """The order-j estimates of V's columns at the observations of the
-    interior zone [i0, i1) of lam, written into ``out(shape)``.
+    interior zone [i0, i1) of lam.
 
     In the zone every support is [-1, 1], so on a lattice design (step not
     None) the row of an observation t_k depends only on the offsets i - k
@@ -510,7 +521,7 @@ def _zone_estimates(times: np.ndarray, T: float, zone: tuple[int, int], lam: flo
     """
     n = times.size
     i0, i1 = zone
-    est = out((i1 - i0, V.shape[1]))
+    est = np.empty((i1 - i0, V.shape[1]))
     rest = np.arange(i0, i1)
     if step is not None:
         x = times[i0:i1]
@@ -582,62 +593,6 @@ def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int)
         "up to T/2 = %g, %s" % (j, refused[0], T / 2, refused[1]))
 
 
-# Floats of selection workspace (``_Workspace``) a thread keeps between
-# ``_lepski_batch`` calls: 64 MB. The benchmark's mc-cells workload (n = 250,
-# 100 columns) needs about 0.4M of them
-_WORKSPACE_KEEP = 1 << 23
-
-
-class _Workspace:
-    """A bump allocator of float arrays over one buffer, for one
-    ``_lepski_batch`` call at a time on one thread.
-
-    ``take`` hands out the next ``math.prod(shape)`` floats of the buffer
-    as an array of that shape, or a fresh array once the buffer is used
-    up; ``top`` is the floats handed out so far and ``high`` its largest
-    value in the call.
-    """
-
-    def __init__(self):
-        self.buf = np.empty(0)
-        self.top = self.high = 0
-
-    def take(self, shape) -> np.ndarray:
-        start = self.top
-        self.top += math.prod(shape)
-        self.high = max(self.high, self.top)
-        if self.top > self.buf.size:
-            return np.empty(shape)
-        return self.buf[start : self.top].reshape(shape)
-
-
-_THREAD = threading.local()
-
-
-@contextlib.contextmanager
-def _workspace():
-    """The calling thread's ``_Workspace``, empty, for one selection.
-
-    A thread keeps its workspace between calls. When the last call
-    overflowed the buffer, it is replaced by one buffer of that call's
-    high-water size; when a call needs more than ``_WORKSPACE_KEEP`` floats,
-    the thread drops the workspace at its end, as it would drop fresh
-    arrays.
-    """
-    ws = getattr(_THREAD, "workspace", None)
-    if ws is None:
-        ws = _THREAD.workspace = _Workspace()
-    elif ws.high > ws.buf.size:
-        ws.buf = None  # freed before its successor is allocated
-        ws.buf = np.empty(ws.high)
-    ws.top = ws.high = 0
-    try:
-        yield ws
-    finally:
-        if ws.high > _WORKSPACE_KEEP:
-            del _THREAD.workspace
-
-
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
                   j: int, L: int):
     """Adaptive bandwidth per column of the observation matrix V (n x R).
@@ -669,11 +624,6 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     admissible level are formed in one buffer, sized for the largest
     candidate and reused for every pair of levels: ``np.subtract`` and
     ``np.square`` into it, then one product with the trapezoid weights.
-    The estimates of every level and that buffer come from a workspace the
-    calling thread keeps between calls (``_workspace``, a bump allocator
-    over one float buffer), so repeated selections, as in the Monte-Carlo
-    replications of a table, reuse the same memory; none of it is
-    returned, so it changes no result.
     """
     n = times.size
     levels, zones = _admissible(times, T, BandwidthGrid.build(j, n, sigma, T).levels, L, j)
@@ -681,35 +631,34 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     step = _lattice_step(times, T)
     R = V.shape[1]
     admissible = sorted(zones)
-    with _workspace() as ws:
-        estimates = {li: _zone_estimates(times, T, zones[li], levels[li], j, L, V, step,
-                                         ws.take) for li in admissible}
-        selected = np.full(R, -1, dtype=int)
-        noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
-        # one buffer of the largest candidate's size; the smallest level has
-        # nothing smaller to be compared with and takes the undecided columns
-        diff = ws.take((max((estimates[ci].size for ci in admissible[:-1]), default=0),))
-        for ci in admissible[:-1]:
-            ok = selected < 0
+    estimates = {li: _zone_estimates(times, T, zones[li], levels[li], j, L, V, step)
+                 for li in admissible}
+    selected = np.full(R, -1, dtype=int)
+    noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
+    # one buffer of the largest candidate's size; the smallest level has
+    # nothing smaller to be compared with and takes the undecided columns
+    diff = np.empty(max((estimates[ci].size for ci in admissible[:-1]), default=0))
+    for ci in admissible[:-1]:
+        ok = selected < 0
+        if not np.any(ok):
+            break
+        i0c, i1c = zones[ci]
+        Ec = estimates[ci]
+        tw = _trapezoid_weights(times[i0c:i1c])
+        diff2 = diff[: Ec.size].reshape(Ec.shape)
+        for hi in admissible:
+            if hi <= ci:
+                continue
+            i0h = zones[hi][0]
+            Eh = estimates[hi][i0c - i0h : i1c - i0h]
+            np.subtract(Ec, Eh, out=diff2)
+            np.square(diff2, out=diff2)
+            dist2 = tw @ diff2
+            ok &= dist2 <= noise_scale / levels[hi] ** (2 * j + 1)
             if not np.any(ok):
                 break
-            i0c, i1c = zones[ci]
-            Ec = estimates[ci]
-            tw = _trapezoid_weights(times[i0c:i1c])
-            diff2 = diff[: Ec.size].reshape(Ec.shape)
-            for hi in admissible:
-                if hi <= ci:
-                    continue
-                i0h = zones[hi][0]
-                Eh = estimates[hi][i0c - i0h : i1c - i0h]
-                np.subtract(Ec, Eh, out=diff2)
-                np.square(diff2, out=diff2)
-                dist2 = tw @ diff2
-                ok &= dist2 <= noise_scale / levels[hi] ** (2 * j + 1)
-                if not np.any(ok):
-                    break
-            selected[ok & (selected < 0)] = ci
-        selected[selected < 0] = admissible[-1]
+        selected[ok & (selected < 0)] = ci
+    selected[selected < 0] = admissible[-1]
     i0, i1 = zones[admissible[-1]]
     details = {
         "levels": levels,
@@ -745,9 +694,11 @@ def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = F
 
 
 def estimate_derivative(data: NoisySample, j: int, L: int, grid=None) -> DerivativeEstimate:
-    """Adaptive-bandwidth estimate of q^(j): select, then evaluate."""
+    """Adaptive-bandwidth estimate of q^(j): select, then evaluate. The
+    grid is checked as in ``pc_estimate`` before the selection runs."""
     if grid is None:
         grid = np.linspace(0.0, data.T, DEFAULT_GRID_SIZE)
+    grid = _check_points(grid, data.T)
     lam = lepski_select(data, j, L)
     return pc_estimate(data, j, L, lam, grid)
 

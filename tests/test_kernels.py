@@ -159,14 +159,6 @@ class TestEvaluation:
         assert eval_kernel(k, 2.0) == 0.0
         assert eval_kernel(k, 0.0) != 0.0
 
-    def test_antiderivative(self):
-        k = make_kernel(4, 0)
-        prim = k.antiderivative()
-        polyval = np.polynomial.polynomial.polyval
-        assert polyval(-1.0, prim) == pytest.approx(0.0, abs=1e-14)
-        # total mass of a j=0 kernel is 1
-        assert polyval(1.0, prim) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestValidation:
     def test_j_out_of_range(self):

@@ -1,7 +1,6 @@
 """Tests for derivative smoothing and adaptive bandwidth selection."""
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -676,109 +675,13 @@ class TestAdmissibility:
         assert admitted > draws
 
 
-def _on_new_thread(calls):
-    """Run the zero-argument calls in turn on one new thread, whose selection
-    workspace starts empty. Returns, per call, its result and the thread's
-    workspace after it as (buffer floats, high-water floats), or None when
-    the thread kept no workspace."""
-    out = []
-
-    def run():
-        for call in calls:
-            result = call()
-            ws = getattr(smoother._THREAD, "workspace", None)
-            out.append((result, None if ws is None else (ws.buf.size, ws.high)))
-
-    t = threading.Thread(target=run)
-    t.start()
-    t.join(timeout=300)
-    assert not t.is_alive() and len(out) == len(calls)
-    return out
-
-
-class TestWorkspace:
-    """``_lepski_batch`` takes its comparison estimates and its one buffer of
-    squared differences from a workspace its thread keeps (``_workspace``)."""
-
-    # (design, n, R, sigma, j): the fourth needs the most floats
-    CALLS = [("equispaced", 100, 1, 0.01, 0), ("random", 300, 100, 0.01, 1),
-             ("equispaced", 250, 100, 0.001, 2), ("random", 600, 100, 0.01, 0),
-             ("equispaced", 100, 100, 0.01, 0), ("equispaced", 100, 1, 0.001, 4)]
-
-    @staticmethod
-    def _call(kind, n, R, sigma, j):
-        """A selection, then the estimates of every column at its selected
-        level on an output grid."""
-        def call():
-            times = _design(kind, n)
-            V = np.sin(times)[:, None] + sigma * np.random.default_rng(n + R).standard_normal(
-                (n, R))
-            lam, selected, details = _lepski_batch(times, T, V, sigma, j, 8)
-            grid = np.linspace(0.0, T, 257)
-            Q = np.empty((grid.size, R))
-            for lv in np.unique(lam):
-                cols = np.flatnonzero(lam == lv)
-                Q[:, cols] = DesignWeights(times, T).apply(j, 8, lv, grid, V[:, cols])
-            return lam, selected, details, Q
-        return call
-
-    @staticmethod
-    def _assert_same(got, want):
-        for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
-            np.testing.assert_array_equal(a, b)
-        assert got[2].keys() == want[2].keys()
-        for key, value in want[2].items():
-            np.testing.assert_array_equal(got[2][key], value)
-
-    def test_calls_match_a_fresh_thread(self):
-        calls = [self._call(*c) for c in self.CALLS]
-        steps = _on_new_thread(calls)
-        buffers = [ws[0] for _, ws in steps]
-        highs = [ws[1] for _, ws in steps]
-        # the fourth call outgrew the buffer the first three left, and the
-        # fifth ran in one buffer of the fourth's high-water size
-        assert buffers[3] == max(highs[:3]) < highs[3] == buffers[4]
-        assert highs[4] < buffers[4]
-        for call, (got, _) in zip(calls, steps):
-            (want, ws), = _on_new_thread([call])
-            assert ws[0] == 0  # a fresh thread's call takes fresh arrays only
-            self._assert_same(got, want)
-
-    def test_repeats_keep_one_buffer(self):
-        call = self._call("random", 300, 100, 0.01, 1)
-        steps = _on_new_thread([call] * 3)
-        high = steps[0][1][1]
-        assert high > 0
-        assert [ws for _, ws in steps] == [(0, high), (high, high), (high, high)]
-        for got, _ in steps[1:]:
-            self._assert_same(got, steps[0][0])
-
-    def test_a_call_above_the_bound_keeps_no_workspace(self, monkeypatch):
-        call = self._call("random", 300, 100, 0.01, 1)
-        (want, (_, high)), = _on_new_thread([call])
-        monkeypatch.setattr(smoother, "_WORKSPACE_KEEP", high)
-        (_, kept), = _on_new_thread([call])
-        assert kept == (0, high)
-        monkeypatch.setattr(smoother, "_WORKSPACE_KEEP", high - 1)
-        steps = _on_new_thread([call, call])
-        assert [ws for _, ws in steps] == [None, None]
-        for got, _ in steps:
-            self._assert_same(got, want)
-
-    def test_caller_threads_match_a_serial_table(self):
-        from lapdeconv import run_table
-
-        # each thread keeps a workspace of its own: a caller's threads run
-        # one cell each, against the serial table
-        cells = [("g2", "f1", 100, 0), ("g1", "f1", 100, 2), ("g4", "f2", 100, 1)]
-        serial = run_table(cells, runs=4, seed=5)
-        with ThreadPoolExecutor(max_workers=len(cells)) as pool:
-            futures = [pool.submit(run_table, [cell], runs=4, seed=5) for cell in cells]
-            threaded = [f.result(timeout=120)[0] for f in futures]
-        for (cell, one), (got_cell, other) in zip(serial, threaded):
-            assert got_cell == cell
-            np.testing.assert_array_equal(other.per_run_mse, one.per_run_mse)
-            assert other.bandwidth_counts == one.bandwidth_counts
+def _assert_same(got, want):
+    """Two ``_lepski_batch`` results agree bit for bit, details included."""
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a, b)
+    assert got[2].keys() == want[2].keys()
+    for key, value in want[2].items():
+        np.testing.assert_array_equal(got[2][key], value)
 
 
 class TestNoState:
@@ -797,7 +700,7 @@ class TestNoState:
         for j in (0, 2):
             first = _lepski_batch(times, T, V, sigma, j, 8)
             _lepski_batch(other, T, Vo, sigma, j, 8)
-            TestWorkspace._assert_same(_lepski_batch(times, T, V, sigma, j, 8), first)
+            _assert_same(_lepski_batch(times, T, V, sigma, j, 8), first)
 
     def test_concurrent_callers_agree(self):
         times = _design("random", 400)
@@ -810,7 +713,21 @@ class TestNoState:
             futures = [pool.submit(_lepski_batch, times, T, P, 0.01, 1, 8) for P in parts]
             threaded = [f.result(timeout=120) for f in futures]
         for got, want in zip(threaded, serial):
-            TestWorkspace._assert_same(got, want)
+            _assert_same(got, want)
+
+    def test_caller_threads_match_a_serial_table(self):
+        from lapdeconv import run_table
+
+        # a caller's threads run one cell each, against the serial table
+        cells = [("g2", "f1", 100, 0), ("g1", "f1", 100, 2), ("g4", "f2", 100, 1)]
+        serial = run_table(cells, runs=4, seed=5)
+        with ThreadPoolExecutor(max_workers=len(cells)) as pool:
+            futures = [pool.submit(run_table, [cell], runs=4, seed=5) for cell in cells]
+            threaded = [f.result(timeout=120)[0] for f in futures]
+        for (cell, one), (got_cell, other) in zip(serial, threaded):
+            assert got_cell == cell
+            np.testing.assert_array_equal(other.per_run_mse, one.per_run_mse)
+            assert other.bandwidth_counts == one.bandwidth_counts
 
 
 class TestLepski:
@@ -990,6 +907,31 @@ class TestDesignWeights:
                 call()
         with pytest.raises(ValueError):
             dw.apply(8, 8, 1.0, grid, np.ones((100, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points", [[10.5], [-0.5], [5.0, 20.0], [11.0], [np.nan],
+                                        [np.inf], [2.0, -np.inf]])
+    def test_points_outside_the_interval_are_value_errors(self, points):
+        # n = 100 on [0, 10] at lam = 1, L = 8: every public entry point
+        # refuses the points before any row is formed, with no warning
+        times = np.arange(1, 101) * 0.1
+        d = NoisySample(times, np.sin(times), T, 0.01)
+        dw = DesignWeights(times, T)
+        grid = np.array(points)
+        V = d.values[:, None]
+        for call in (lambda: pc_estimate(d, 0, 8, 1.0, grid),
+                     lambda: estimate_derivative(d, 0, 8, grid=grid),
+                     lambda: dw.weight_matrix(0, 8, 1.0, grid),
+                     lambda: dw.apply(0, 8, 1.0, grid, V),
+                     lambda: dw.apply_orders(8, 1.0, grid, V,
+                                             {0: np.arange(1), 1: np.arange(1)})):
+            with pytest.raises(ValueError, match=r"not a finite point of \[0, T\]"):
+                call()
+
+    def test_apply_orders_needs_an_order(self):
+        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
+        with pytest.raises(ValueError, match="at least one derivative order"):
+            dw.apply_orders(8, 1.0, np.linspace(0.0, T, 20), np.ones((100, 1)), {})
 
     def test_apply_orders_counts_the_windows_once(self, monkeypatch):
         # the window count depends on lam only, so three orders read it once

@@ -19,10 +19,12 @@ same load, so the ratio of their pass times within a pair is the steadier figure
 report gives each side's median pass time, the B/A ratio's median and
 quartiles over the pairs, and whether the two sides' output digests agree
 on every pass. Next to each side's pass time it gives the side's median
-minor page faults per pass (the child's ``getrusage`` ``ru_minflt`` across
+minor page faults per pass (``getrusage`` ``ru_minflt`` across
 ``run_pass``), which counts the freshly mapped pages the allocator hands
-out. Standard library and numpy only; exits 1 when a pass fails an op or
-the digests differ.
+out, and its peak RSS after the last pass (``ru_maxrss``, as perfbench
+reads ``peak_rss_mb``). Both are the child's own, or on cli-cold those of
+the CLI processes it started. Standard library and numpy only; exits 1
+when a pass fails an op or the digests differ.
 """
 
 from __future__ import annotations
@@ -58,16 +60,18 @@ def serve(workload: str, seed: int, work: str) -> None:
     w.prepare()
     reply.write(json.dumps({"setup_s": time.perf_counter() - t0}) + "\n")
     reply.flush()
+    who = resource.RUSAGE_CHILDREN if workload == "cli-cold" else resource.RUSAGE_SELF
     for line in sys.stdin:
         k = int(line)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults = resource.getrusage(who).ru_minflt
         t0 = time.perf_counter()
         ops = w.run_pass(k, None)
         wall = time.perf_counter() - t0
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        faults = resource.getrusage(who).ru_minflt - faults
         reply.write(json.dumps({
             "wall_s": wall,
             "minflt": faults,
+            "peak_rss_mb": resource.getrusage(who).ru_maxrss * 1024 / 1e6,  # KiB
             "failed": sum(op.failed for op in ops),
             "errors": [e for op in ops for e in op.errors][:3],
             "digests": [op.digest for op in ops],
@@ -133,6 +137,7 @@ def main(argv=None) -> int:
                                   Path(tmp) / name))
             walls = {"A": [], "B": []}
             faults = {"A": [], "B": []}
+            peak = {}
             mismatched, failed = [], []
             for k in range(args.pairs):
                 order = sides if k % 2 == 0 else sides[::-1]
@@ -140,6 +145,7 @@ def main(argv=None) -> int:
                 for name, r in res.items():
                     walls[name].append(r["wall_s"])
                     faults[name].append(r["minflt"])
+                    peak[name] = r["peak_rss_mb"]
                     if r["failed"]:
                         failed.append((k, name, r["errors"]))
                 if res["A"]["digests"] != res["B"]["digests"]:
@@ -155,7 +161,8 @@ def main(argv=None) -> int:
     for side in sides:
         print(f"{side.name}: setup {side.setup_s:.3f} s, median pass "
               f"{statistics.median(walls[side.name]):.4f} s, "
-              f"{statistics.median(faults[side.name]):.0f} minor page faults")
+              f"{statistics.median(faults[side.name]):.0f} minor page faults, "
+              f"peak RSS {peak[side.name]:.1f} MB")
     print(f"B/A pass ratio: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"B faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
     print("digests: " + ("identical on every pass" if not mismatched
