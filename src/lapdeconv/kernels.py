@@ -87,20 +87,6 @@ class SmoothingKernel:
     def __call__(self, t):
         return eval_kernel(self, t)
 
-    def reflected(self) -> "SmoothingKernel":
-        """The right-edge variant K~(t) = (-1)^j K(-t) on the mirrored support."""
-        sgn = -1.0 if self.j % 2 else 1.0
-        co = tuple(sgn * c * (-1.0) ** i for i, c in enumerate(self.coeffs))
-        lo, hi = self.support
-        co_exact = tuple(
-            c if (self.j + i) % 2 == 0 else -c
-            for i, c in enumerate(self.coeffs_exact)
-        )
-        elo, ehi = self.support_exact
-        return SmoothingKernel(
-            self.L, self.j, (-hi, -lo), co, self.norm2, co_exact, (-ehi, -elo)
-        )
-
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)

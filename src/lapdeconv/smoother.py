@@ -343,7 +343,7 @@ class DesignWeights:
                      columns: dict) -> dict:
         """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
         j of columns, with one Gram per grid point shared by all of them.
-        The window count of lam, which no order changes, is read once."""
+        The window check of lam, which no order changes, runs once."""
         if not columns:
             raise ValueError("columns must name at least one derivative order")
         for j in columns:
@@ -366,27 +366,24 @@ def _check_points(grid, T: float) -> np.ndarray:
     return grid
 
 
-def _fewest(times: np.ndarray, lo: float, hi: float, half: float) -> tuple[int, float]:
-    """(count, x): the fewest observations strictly inside (x - half, x + half)
-    over x in [lo, hi], and a point x where that count is met. The count of
-    an open window changes only where an observation crosses one of its
-    ends, and is no larger there than on either side, so reading it at lo,
-    hi and the points t_i -/+ half in [lo, hi] is exact; a grid of points
-    would miss a thin stretch between two of them. Either set of points
-    alone would do in exact arithmetic (a window of least count keeps its
-    count while it slides until an end meets an observation); reading both
-    also covers a window end x -/+ half that rounds across the observation
-    it was placed on."""
-    best = None
-    for x in (np.array([lo, hi]), times - half, times + half):
-        x = x[(x >= lo) & (x <= hi)]
-        if x.size:
-            counts = (np.searchsorted(times, x + half, side="left")
-                      - np.searchsorted(times, x - half, side="right"))
-            i = int(np.argmin(counts))
-            if best is None or counts[i] < best[0]:
-                best = int(counts[i]), float(x[i])
-    return best
+def _pairs(times: np.ndarray, T: float, L: int):
+    """(S, full, zone, what): S holds -inf, the distinct observation times
+    s_1 < ... < s_m inside (0, T) and L times +inf; pair i = 0..m is
+    (a, b) = (S[i], S[i + L]). A window (x - h, x + h) holds fewer than L
+    of the s exactly when it fits in [a, b] for some pair. That happens for
+    a window (x - lam, x + lam) of some x in [0, T] exactly when lam <=
+    full[i] = min((b - a)/2, T - a, b) for some i, and for a half window
+    (x - lam/2, x + lam/2) of some x in [lam, T - lam], lam <= T/2, exactly
+    when lam <= zone[i] = min(b - a, 2(T - a)/3, 2b/3). what names the s."""
+    s = times[(times > 0.0) & (times < T)]
+    what = "observations"
+    if np.any(s[1:] == s[:-1]):
+        s, what = np.unique(s), "distinct observation times"
+    S = np.concatenate(([-np.inf], s, np.full(L, np.inf)))
+    a, b = S[: s.size + 1], S[L:]
+    full = np.minimum(np.minimum((b - a) / 2, T - a), b)
+    zone = np.minimum(np.minimum(b - a, 2 * (T - a) / 3), 2 * b / 3)
+    return S, full, zone, what
 
 
 def _short_window(times: np.ndarray, T: float, lam: float, L: int,
@@ -399,20 +396,29 @@ def _short_window(times: np.ndarray, T: float, lam: float, L: int,
     every half window (x - lam/2, x + lam/2) of a point x in the interior
     zone [lam, T - lam] must hold L distinct times as well, so that no
     interior estimate rests on observations at one side of a design gap
-    only. Both counts are exact (``_fewest``)."""
-    inside = times[(times > 0.0) & (times < T)]
-    what = "observations"
-    if np.any(inside[1:] == inside[:-1]):
-        inside, what = np.unique(inside), "distinct observation times"
-    count, x = _fewest(inside, 0.0, T, lam)
-    if count < L:
-        return ("the window (x - lam, x + lam) at x = %g holds %d %s in (0, T), "
-                "fewer than L = %d" % (x, count, what, L))
+    only. Each count is one threshold on lam (``_pairs``). A refusal names
+    an x whose window fits in a pair (a, b): an end of [0, T], or of the
+    zone, where a window is short, else the middle of where it fits in the
+    pair that sets the threshold. Its count is read among the pair's own
+    L - 1 times, so it stays below L whatever the rounding of x -/+ lam."""
+    S, full, inner, what = _pairs(times, T, L)
+    checks = [(full, lam, 0.0, T, "the window (x - lam, x + lam) at x = %g holds %d %s "
+                                  "in (0, T)")]
     if zone and lam <= T - lam:
-        count, x = _fewest(inside, lam, T - lam, lam / 2)
-        if count < L:
-            return ("the half window (x - lam/2, x + lam/2) at x = %g holds %d %s, "
-                    "fewer than L = %d" % (x, count, what, L))
+        checks.append((inner, lam / 2, lam, T - lam,
+                       "the half window (x - lam/2, x + lam/2) at x = %g holds %d %s"))
+    for cut, h, z0, z1, why in checks:
+        # the pairs (-inf, s_L) and (s_(m-L+1), +inf) first, then the widest
+        short = [i for i in (0, max(S.size - 2 * L, 0), int(np.argmax(cut))) if lam <= cut[i]]
+        if not short:
+            continue
+        i = short[0]
+        a, b = S[i], S[i + L]
+        lo, hi = max(a + h, z0), min(b - h, z1)
+        x = lo if a == -np.inf else hi if b == np.inf else (lo + hi) / 2
+        held = S[i + 1 : i + L]
+        count = int(np.count_nonzero((held > x - h) & (held < x + h)))
+        return (why + ", fewer than L = %d") % (x, count, what, L)
     return None
 
 
@@ -426,8 +432,8 @@ def _check_range(T: float, j: int, L: int, lam: float) -> None:
 def check_bandwidth(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
     """ValueError unless 0 <= j < L and 0 < lam <= T/2; EstimationError
     unless the window (x - lam, x + lam) of every point x in [0, T] holds at
-    least L distinct observation times inside (0, T) (``_short_window``),
-    which every row needs."""
+    least L distinct observation times inside (0, T), which every row needs:
+    lam must exceed the design's threshold lam_full (``_short_window``)."""
     _check_range(T, j, L, lam)
     _check_count(times, T, j, L, lam)
 
@@ -450,8 +456,8 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     the support is cut at it. The map y -> estimate is exactly linear; no
     grid.size x n matrix is formed. ValueError unless 0 <= j < L and every
     point of the nonempty grid is finite and in [0, T]; EstimationError
-    when a window holds fewer than L distinct observation times
-    (``check_bandwidth``).
+    when a window holds fewer than L distinct observation times, that is
+    when lam is at most the design's threshold (``check_bandwidth``).
     """
     values = DesignWeights(data.times, data.T).apply(j, L, lam, grid, data.values[:, None])[:, 0]
     return DerivativeEstimate(
@@ -541,23 +547,28 @@ def _zone_estimates(times: np.ndarray, T: float, zone: tuple[int, int], lam: flo
     return est
 
 
+def _first_level(times: np.ndarray, T: float, levels: np.ndarray) -> int:
+    """The index of the first of the descending levels that is at most T/2
+    and whose interior zone (``_zone``) holds two observations to compare
+    on, or levels.size; every later level does too."""
+    first = int(np.count_nonzero(levels > T / 2))
+    while first < levels.size and np.subtract(*_zone(times, T, levels[first])[::-1]) < 2:
+        first += 1
+    return first
+
+
 def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int):
     """(levels, zones): the grid, risen above its top where that fails, and
     the observation zone (``_zone``) of each admissible level by index.
 
-    Levels above T/2, or whose interior zone holds fewer than two
-    observations to compare on, are passed over; below them, the levels
-    that ``_short_window`` admits are a top run of the grid, since both its
-    counts only grow with lam. The end of the run is found by bisection,
-    so the counts are read at about log2(J) levels. When the top level
-    a^0 = 1 is refused, the grid rises to the first a^k <= T/2 that
-    passes, keeping a^k .. a^1 as its new top levels. EstimationError
-    names the count that refused the largest level tried, or why no level
-    was tried.
+    The admissible levels are those in (lam_min, T/2] whose zone holds two
+    observations to compare on (``_first_level``); lam_min is the larger
+    of the two thresholds of ``_pairs``, computed once. When the top level
+    a^0 = 1 is at most lam_min, the grid rises to the first a^k above it,
+    keeping a^k .. a^1 as its new top levels. EstimationError names the
+    count that refused the largest level tried, or why none was tried.
     """
-    first = int(np.count_nonzero(levels > T / 2))
-    while first < levels.size and np.subtract(*_zone(times, T, levels[first])[::-1]) < 2:
-        first += 1
+    first = _first_level(times, T, levels)
     if first == levels.size:
         if levels[-1] > T / 2:
             reason = "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
@@ -566,31 +577,21 @@ def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int)
             reason = ("the design leaves fewer than two observations in the interior "
                       "zone [lam, T - lam] of every level up to T/2 = %g" % (T / 2))
         raise EstimationError("no admissible bandwidth level for j=%d: %s" % (j, reason))
-    refused = (levels[first], _short_window(times, T, levels[first], L))
-    if refused[1] is None:
-        good, bad = first, levels.size
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            if _short_window(times, T, levels[mid], L) is None:
-                good = mid
-            else:
-                bad = mid
-        return levels, {li: _zone(times, T, levels[li]) for li in range(first, good + 1)}
-    k = 1
-    while first == 0 and levels[0] * _GRID_RATIO**k <= T / 2:
-        lam = levels[0] * _GRID_RATIO**k
-        zone = _zone(times, T, lam)
-        if zone[1] - zone[0] < 2:
-            break
-        why = _short_window(times, T, lam, L)
-        if why is None:
-            top = levels[0] * _GRID_RATIO ** np.arange(k, 0, -1, dtype=float)
-            return np.concatenate((top, levels)), {0: zone}
-        refused = (lam, why)
-        k += 1
-    raise EstimationError(
-        "no admissible bandwidth level for j=%d: at lam = %g, the largest level tried "
-        "up to T/2 = %g, %s" % (j, refused[0], T / 2, refused[1]))
+    _, full, inner, _ = _pairs(times, T, L)
+    lam_min = max(full.max(), inner.max())
+    if first == 0 and levels[0] <= lam_min:
+        # a^1 .. a^K, a^K near T, cut after the first level above lam_min
+        rise = levels[0] * _GRID_RATIO ** np.arange(1.0, math.log(T / levels[0], _GRID_RATIO) + 1)
+        rise = rise[: np.count_nonzero(rise <= lam_min) + 1]
+        levels = np.concatenate((rise[::-1], levels))
+        first = _first_level(times, T, levels)
+    last = first + int(np.count_nonzero(levels[first:] > lam_min))
+    if last == first:
+        raise EstimationError(
+            "no admissible bandwidth level for j=%d: at lam = %g, the largest level tried "
+            "up to T/2 = %g, %s" % (j, levels[first], T / 2,
+                                    _short_window(times, T, levels[first], L)))
+    return levels, {li: _zone(times, T, levels[li]) for li in range(first, last)}
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
@@ -598,14 +599,12 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     """Adaptive bandwidth per column of the observation matrix V (n x R).
 
     Returns (lam_hat (R,), selected_index (R,), details dict). Admissibility
-    of a bandwidth level is a property of the design alone, read by exact
-    counts (``_admissible``, ``_short_window``): the level fits in T/2,
-    every window (x - lam, x + lam) on [0, T] holds at least L
-    observations, and every half window in the interior zone [lam, T - lam]
-    does too. When the grid's top level fails, the grid rises to the first
-    a^k <= T/2 that passes. Nothing else is checked: the local-polynomial
-    rows (``_rows_at``) reproduce every polynomial of degree below L on the
-    design itself.
+    of a level is a property of the design alone (``_admissible``): it fits
+    in T/2 and exceeds the thresholds above which every window (x - lam,
+    x + lam) on [0, T] holds L observations, and every half window in the
+    interior zone [lam, T - lam] does too. Nothing else is checked: the
+    local-polynomial rows (``_rows_at``) reproduce every polynomial of
+    degree below L on the design itself.
 
     Each admissible level estimates V's columns at the observations in its
     interior zone (``_zone_estimates``): on a lattice design
@@ -675,14 +674,14 @@ def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = F
     """Largest admissible bandwidth whose estimate stays within the
     noise-level threshold of every smaller admissible estimate on the grid.
 
-    A level is admissible when its windows hold enough observations for the
-    local-polynomial rows, by exact counts (see ``_lepski_batch``); the
-    estimates are compared at the observations of each level's interior
-    zone. The smallest admissible level has nothing smaller to be compared
-    with, so it is selected when no larger level passes. The grid ratio
-    (``_GRID_RATIO``) and the threshold multiplier (``_THRESHOLD_MULT``)
-    are fixed. EstimationError when no level is admissible, naming the
-    count that refused the largest level tried.
+    A level is admissible when it exceeds the design's thresholds, above
+    which its windows hold enough observations for the rows (see
+    ``_lepski_batch``); the estimates are compared at the observations of
+    each level's interior zone. The smallest admissible level has nothing
+    smaller to be compared with, so it is selected when no larger level
+    passes. The grid ratio (``_GRID_RATIO``) and the threshold multiplier
+    (``_THRESHOLD_MULT``) are fixed. EstimationError when no level is
+    admissible, naming the count that refused the largest level tried.
     """
     lam_hat, _, details = _lepski_batch(
         data.times, data.T, data.values[:, None], data.sigma, j, L

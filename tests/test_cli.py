@@ -501,7 +501,7 @@ class TestDeconvolveCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("lapdeconv: estimator: no admissible bandwidth level")
-        assert ("the window (x - lam, x + lam) at x = 8.26667 holds 0 observations in "
+        assert ("the window (x - lam, x + lam) at x = 5.4 holds 0 observations in "
                 "(0, T), fewer than L = 8") in err
 
     @pytest.mark.parametrize(

@@ -128,28 +128,6 @@ class TestStructure:
         assert make_boundary_kernel(8, 2, 0.5) is make_boundary_kernel(8, 2, 0.5)
 
 
-class TestReflection:
-    @pytest.mark.parametrize("j", [0, 1, 2, 3])
-    def test_pointwise_relation(self, j):
-        k = make_boundary_kernel(8, j, 0.4)
-        r = k.reflected()
-        assert r.support == (-0.4, 1.0)
-        ts = np.linspace(-0.39, 0.99, 57)
-        np.testing.assert_allclose(r(ts), (-1.0) ** j * k(-ts), atol=1e-8)
-
-    def test_reflected_moments_exact(self):
-        # moments of the reflected kernel pick up the same targets: the
-        # substitution flips the sign of odd powers and of the kernel
-        k = make_boundary_kernel(6, 1, 0.3).reflected()
-        for power in range(6):
-            got = exact_moment(k, power)
-            assert got == moment_target(1, power), power
-
-    def test_norm_preserved(self):
-        k = make_boundary_kernel(8, 3, 0.6)
-        assert k.reflected().norm2 == k.norm2
-
-
 class TestEvaluation:
     def test_zero_outside_support(self):
         k = make_boundary_kernel(8, 0, 0.5)

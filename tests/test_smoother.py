@@ -510,21 +510,52 @@ def _fewest_by_scan(times, lo, hi, half):
 
 
 class TestAdmissibility:
-    """The two observation counts that admit a bandwidth level."""
+    """The two window thresholds that admit a bandwidth level."""
 
-    @pytest.mark.parametrize("kind", ["equispaced", "random", "gap"])
-    def test_counts_are_exact(self, kind):
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["equispaced", "random", "gap", "tied"])
+    def test_thresholds_agree_with_a_scan(self, kind, L):
+        # just below and just above each of the two thresholds, both counts
+        # refuse and admit lam as the fewest count of a scan says
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            times = _design("random" if kind == "gap" else kind, 300)
+        for n in (20, 60, 300):
+            times = _design(kind, n)
             if kind == "gap":
                 times = times[(times < 4.0) | (times > 4.0 + rng.uniform(0.2, 1.0))]
-            for half in rng.uniform(0.05, 2.0, 4):
-                got, x = smoother._fewest(times, 0.0, T, half)
-                assert got == _fewest_by_scan(times, 0.0, T, half)
-                assert np.count_nonzero((times > x - half) & (times < x + half)) == got
-                got, _ = smoother._fewest(times, half, T - half, half / 2)
-                assert got == _fewest_by_scan(times, half, T - half, half / 2)
+            elif kind == "tied":
+                times = np.repeat(times, 2)
+            inside = np.unique(times[(times > 0) & (times < T)])
+            _, full, zone, _ = smoother._pairs(times, T, L)
+            for lam in np.outer([full.max(), zone.max()], [1 - 1e-9, 1 + 1e-9]).ravel():
+                if not lam <= T / 2:
+                    continue
+                full_ok = _fewest_by_scan(inside, 0.0, T, lam) >= L
+                zone_ok = _fewest_by_scan(inside, lam, T - lam, lam / 2) >= L
+                for ok, why in ((full_ok, smoother._short_window(times, T, lam, L, False)),
+                                (full_ok and zone_ok, smoother._short_window(times, T, lam, L))):
+                    assert (why is None) == ok
+                    if why is not None:
+                        assert int(why.split(" holds ")[1].split()[0]) < L
+
+    def test_a_short_stretch_between_window_ends_is_refused(self):
+        # nine times amid the lattice i T/2000: the window of lam = 1.2^-3 at
+        # x = 4.899 fits between the first and the ninth and holds 7 < L, a
+        # stretch too short to contain a window end that sits on a time
+        nine = np.array([4.315346417566871, 4.429271166089739, 4.51047492278823,
+                         4.729981481455621, 4.838030197367243, 4.952179449185454,
+                         4.970609588284364, 5.201069445707494, 5.483015458215937])
+        lattice = np.arange(1, 2001) * (T / 2000)
+        times = np.sort(np.concatenate(
+            (lattice[(lattice < nine[0]) | (lattice > nine[-1])], nine)))
+        with pytest.raises(EstimationError,
+                           match=r"at x = 4\.89918 holds 7 observations in \(0, T\)"):
+            check_bandwidth(times, T, 0, 8, 0.5787037037037037)
+        d = NoisySample(times, np.sin(times), T, 0.01)
+        for j in range(3):
+            with pytest.raises(EstimationError, match="holds 7 observations"):
+                pc_estimate(d, j, 8, 0.5787037037037037, np.linspace(0.0, T, 1024))
+        _, _, details = _lepski_batch(times, T, d.values[:, None], 0.01, 0, 8)
+        assert np.all(details["levels"][details["admissible"]] > 0.5838345203245332)
 
     def test_a_thin_window_between_grid_points_is_found(self):
         # 600 equispaced observations with none in (4, 5): a grid of 600
@@ -536,8 +567,11 @@ class TestAdmissibility:
         lo = np.searchsorted(times, x - 0.558, side="right")
         hi = np.searchsorted(times, x + 0.558, side="left")
         assert np.min(hi - lo) == 8
-        assert smoother._fewest(times, 0.0, T, 0.558) == (7, pytest.approx(4.442))
-        assert "holds 7 observations" in smoother._short_window(times, T, 0.558, 8)
+        why = smoother._short_window(times, T, 0.558, 8, zone=False)
+        x = float(why.split("at x = ")[1].split()[0])
+        assert x == pytest.approx(4.442, abs=1e-3)
+        assert np.count_nonzero((times > x - 0.558) & (times < x + 0.558)) == 7
+        assert "holds 7 observations" in why
 
     def test_half_windows_refuse_a_level_that_bridges_a_gap(self):
         # no observation in [4, 5] of T = 10 at n = 600: every window of
@@ -783,16 +817,15 @@ class TestLepski:
         assert levels[top - 1] > 0.32 > levels[top]
         assert lam in levels[:top]
 
-    def test_counts_are_read_at_a_bisection_of_the_levels(self, monkeypatch):
-        # 233 levels, of which the top run of 7 is admitted: the end of the
-        # run is found by bisection, not by a pass over every level
+    def test_the_thresholds_are_formed_once(self, monkeypatch):
+        # 233 levels, of which the top run of 7 is admitted: the run is cut
+        # by one comparison with the design's thresholds, formed once
         d = equispaced(250, np.sin, sigma=1e-9, seed=1)
-        real, lams = smoother._short_window, []
-        monkeypatch.setattr(smoother, "_short_window",
-                            lambda *a: lams.append(a[2]) or real(*a))
+        real, calls = smoother._pairs, []
+        monkeypatch.setattr(smoother, "_pairs", lambda *a: calls.append(a) or real(*a))
         _, details = lepski_select(d, 0, 8, return_details=True)
         assert len(details["admissible"]) == 7
-        assert len(lams) <= 1 + math.ceil(math.log2(details["levels"].size))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_columns_select_as_they_do_alone(self, j):
@@ -816,13 +849,13 @@ class TestLepski:
 
     def test_gapped_design_names_the_count(self):
         # 90 points on (0, 1] and 10 on [9.1, 10]: the zone [1, 9] of lam = 1
-        # holds one observation, and the window of 8.27 at the next level
-        # none
+        # holds one observation, and the window of 5.4, the middle of the
+        # times 1.0 and 9.8, at the next level none
         times = np.concatenate([np.linspace(0.0, 1.0, 91)[1:], np.linspace(9.1, T, 10)])
         d = NoisySample(times, np.sin(times), T, 0.01)
         with pytest.raises(EstimationError,
                            match=r"j=0: at lam = 0\.833333, the largest level tried up to "
-                                 r"T/2 = 5, the window \(x - lam, x \+ lam\) at x = 8\.26667 "
+                                 r"T/2 = 5, the window \(x - lam, x \+ lam\) at x = 5\.4 "
                                  r"holds 0 observations in \(0, T\), fewer than L = 8"):
             lepski_select(d, 0, 8)
 

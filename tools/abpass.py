@@ -11,14 +11,18 @@ the Workload classes of this checkout's perfbench/worker.py; so both sides
 run the same op list. Then N pairs of timed passes run, pass k on both
 sides with the same inputs, and the side that goes first alternates
 from pair to pair. On cli-cold every op of a pass is a fresh CLI process,
-which inherits its side's package path. Only one pass runs at a time.
+which inherits its side's package path. Each pair also times one set-up
+per side, in the same order as its passes: a fresh interpreter of this
+checkout's perfbench/worker.py with --setup-only, whose setup_s runs from
+its launch through imports and the workload's set-up, as perfbench's
+setup_s does. Only one pass or set-up runs at a time.
 
 Single benchmark runs on a loaded machine spread by tens of percent, more
 than a change of about ten percent; two interleaved interpreters see the
 same load, so the ratio of their pass times within a pair is the steadier figure. The
-report gives each side's median pass time, the B/A ratio's median and
-quartiles over the pairs, and whether the two sides' output digests agree
-on every pass. Next to each side's pass time it gives the side's median
+report gives each side's median pass and set-up times, the medians and
+quartiles over the pairs of the B/A ratios of both, and whether the two
+sides' output digests agree on every pass. Next to each side's pass time it gives the side's median
 minor page faults per pass (``getrusage`` ``ru_minflt`` across
 ``run_pass``), which counts the freshly mapped pages the allocator hands
 out, and its peak RSS after the last pass (``ru_maxrss``, as perfbench
@@ -54,11 +58,10 @@ def serve(workload: str, seed: int, work: str) -> None:
 
     reply = sys.stdout
     sys.stdout = sys.stderr  # nothing the workload prints reaches the replies
-    t0 = time.perf_counter()
     w = WORKLOADS[workload](seed, Path(work))
     w.setup(None)
     w.prepare()
-    reply.write(json.dumps({"setup_s": time.perf_counter() - t0}) + "\n")
+    reply.write("{}\n")
     reply.flush()
     who = resource.RUSAGE_CHILDREN if workload == "cli-cold" else resource.RUSAGE_SELF
     for line in sys.stdin:
@@ -87,12 +90,25 @@ class Side:
         env.update({k: "1" for k in THREAD_VARS})
         env["PYTHONPATH"] = str(src)
         work.mkdir()
-        self.name = name
+        self.name, self.env, self.work = name, env, work
+        self.workload, self.seed = workload, seed
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "serve", workload,
              str(seed), str(work)],
             cwd=ROOT, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self.setup_s = self._reply()["setup_s"]
+        self._reply()
+
+    def setup(self) -> float:
+        """setup_s of one fresh set-up-only perfbench worker on this side."""
+        cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", self.workload,
+               "--seed", str(self.seed), "--seconds", "0", "--work", str(self.work),
+               "--setup-only"]
+        proc = subprocess.run([*cmd, "--launched", repr(time.monotonic())], cwd=ROOT,
+                              env=self.env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"side {self.name} set-up exited with {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
 
     def _reply(self) -> dict:
         line = self.proc.stdout.readline()
@@ -136,11 +152,14 @@ def main(argv=None) -> int:
                 sides.append(Side(name, src.resolve(), args.workload, args.seed,
                                   Path(tmp) / name))
             walls = {"A": [], "B": []}
+            setups = {"A": [], "B": []}
             faults = {"A": [], "B": []}
             peak = {}
             mismatched, failed = [], []
             for k in range(args.pairs):
                 order = sides if k % 2 == 0 else sides[::-1]
+                for side in order:
+                    setups[side.name].append(side.setup())
                 res = {side.name: side.run(k) for side in order}
                 for name, r in res.items():
                     walls[name].append(r["wall_s"])
@@ -154,17 +173,18 @@ def main(argv=None) -> int:
             for side in sides:
                 side.close()
 
-    ratios = [b / a for a, b in zip(walls["A"], walls["B"])]
-    q1, med, q3 = quartiles(ratios)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{os.cpu_count()} cores")
     for side in sides:
-        print(f"{side.name}: setup {side.setup_s:.3f} s, median pass "
-              f"{statistics.median(walls[side.name]):.4f} s, "
+        print(f"{side.name}: median setup {statistics.median(setups[side.name]):.3f} s, "
+              f"median pass {statistics.median(walls[side.name]):.4f} s, "
               f"{statistics.median(faults[side.name]):.0f} minor page faults, "
               f"peak RSS {peak[side.name]:.1f} MB")
-    print(f"B/A pass ratio: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
-          f"B faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+    for what, times in (("setup", setups), ("pass", walls)):
+        ratios = [b / a for a, b in zip(times["A"], times["B"])]
+        q1, med, q3 = quartiles(ratios)
+        print(f"B/A {what} ratio: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
+              f"B faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
     print("digests: " + ("identical on every pass" if not mismatched
                          else f"differ on passes {mismatched}"))
     for k, name, errors in failed:

@@ -13,6 +13,10 @@ outputs of another checkout can be captured by pointing --src at its src/:
   with the outputs) with that level's sigma;
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
+- `deconvolve` CSV and sidecar on two inputs that are not lattices, made
+  from emitted inputs by dropping rows: g4/f2 at n = 600 without the rows
+  4 <= t <= 5 (a design gap), and the g2/f1 n = 2000 input keeping each
+  row where `random.Random(0).random() < 0.5`, drawn row by row;
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
   g4,f2,100,1 and g5,f3,100,0, and for g2,f1,100,0 again with
   `--trim 0.2`, which pins a risk window other than the default;
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -51,6 +56,13 @@ DECONVOLVE_CELLS = (
 # (kernel, target, n, sigma, --bandwidth) of the fixed-bandwidth run; its
 # input is the one written for that cell in DECONVOLVE_CELLS
 FIXED_CELL = ("g2", "f1", 250, "0.01", "0.5,0.4")
+# (kernel, target, n, sigma, name, keep) of the inputs that are not
+# lattices: the emitted input of that cell without the rows where
+# keep(t, rng) is false, with one rng = random.Random(0) per input
+DROPPED_CELLS = (
+    ("g4", "f2", 600, "0.002", "gap", lambda t, rng: not 4.0 <= t <= 5.0),
+    ("g2", "f1", 2000, "0.01", "thinned", lambda t, rng: rng.random() < 0.5),
+)
 SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
 # (cell, --trim) of the simulate run with a non-default risk window
 TRIM_CELL = ("g2,f1,100,0", "0.2")
@@ -74,20 +86,38 @@ def cli(out_dir: Path, src: Path, *args: str) -> str:
     return proc.stdout
 
 
+def emit(out_dir: Path, src: Path, g: str, f: str, n: int) -> str:
+    """Write the first replication of cell g,f,n at noise level 0 and seed
+    0 into out_dir; its file name."""
+    name = f"{g}_{f}_{n}.in.csv"
+    cli(out_dir, src, "simulate", "--cell", f"{g},{f},{n},0", "--runs", "1",
+        "--seed", "0", "--output", os.devnull, "--emit-data", name)
+    return name
+
+
+def deconvolve(out_dir: Path, src: Path, source: str, g: str, sigma: str, output: str,
+               *args: str) -> None:
+    cli(out_dir, src, "deconvolve", "--input", source,
+        "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
+        "--output", output, *args)
+
+
 def capture(out_dir: Path, src: Path) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     for g, f, n, sigma in DECONVOLVE_CELLS:
-        stem = f"{g}_{f}_{n}"
-        cli(out_dir, src, "simulate", "--cell", f"{g},{f},{n},0", "--runs", "1",
-            "--seed", "0", "--output", os.devnull, "--emit-data", f"{stem}.in.csv")
-        cli(out_dir, src, "deconvolve", "--input", f"{stem}.in.csv",
-            "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
-            "--output", f"deconvolve_{stem}.csv")
+        deconvolve(out_dir, src, emit(out_dir, src, g, f, n), g, sigma,
+                   f"deconvolve_{g}_{f}_{n}.csv")
+    for g, f, n, sigma, name, keep in DROPPED_CELLS:
+        stem = f"{g}_{f}_{n}_{name}"
+        rng = random.Random(0)
+        header, *rows = (out_dir / emit(out_dir, src, g, f, n)).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        rows = [row for row in rows if keep(float(row.split(",")[0]), rng)]
+        (out_dir / f"{stem}.in.csv").write_text(header + "".join(rows), encoding="utf-8")
+        deconvolve(out_dir, src, f"{stem}.in.csv", g, sigma, f"deconvolve_{stem}.csv")
     g, f, n, sigma, bandwidth = FIXED_CELL
-    stem = f"{g}_{f}_{n}"
-    cli(out_dir, src, "deconvolve", "--input", f"{stem}.in.csv",
-        "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
-        "--bandwidth", bandwidth, "--output", f"deconvolve_{stem}_fixed.csv")
+    deconvolve(out_dir, src, f"{g}_{f}_{n}.in.csv", g, sigma,
+               f"deconvolve_{g}_{f}_{n}_fixed.csv", "--bandwidth", bandwidth)
     for cell in SIMULATE_CELLS:
         stem = "simulate_" + cell.replace(",", "_")
         cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
