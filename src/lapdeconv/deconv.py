@@ -201,14 +201,16 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             lam[j] = fixed
         else:
             lam[j] = _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
-    # one Gram per output point and distinct bandwidth, shared by every
-    # order that selected it in some column
-    Qs = [np.empty((grid.size, R)) for _ in range(r + 1)]
+    # one Gram per point and distinct bandwidth; an order with one bandwidth keeps its array
+    Qs = [np.empty((grid.size, R)) if np.ptp(lam[j]) else None for j in range(r + 1)]
     for lv in sorted(set(lam.ravel().tolist())):
         columns = {j: np.flatnonzero(lam[j] == lv) for j in range(r + 1)}
         columns = {j: cols for j, cols in columns.items() if cols.size}
         for j, est in design.apply_orders(cfg.L, lv, grid, V, columns).items():
-            Qs[j][:, columns[j]] = est
+            if Qs[j] is None:
+                Qs[j] = est
+            else:
+                Qs[j][:, columns[j]] = est
     derivative = Qs[r]
     linear = np.zeros_like(derivative)
     for jj in range(r):

@@ -242,9 +242,14 @@ def cell_sample(g, f, n: int, sigma: float, seed: int, runs: int,
     streams 0..runs-1, which draws them in one inverse-CDF pass per chunk;
     each column is the per-stream draw bit for bit.
     """
-    times = np.arange(1, n + 1) * (T / n)
+    return _scaled_sample(g, f, sigma, T, standard_normals(seed, range(runs), n))
+
+
+def _scaled_sample(g, f, sigma: float, T: float, Z: np.ndarray):
+    """``cell_sample`` from its noise draw Z (n x runs), left unchanged."""
+    times = np.arange(1, Z.shape[0] + 1) * (T / Z.shape[0])
     q = forward_convolve(g, f, times)
-    Y = sigma * standard_normals(seed, range(runs), n)
+    Y = sigma * Z
     Y += q[:, None]
     return times, Y
 
@@ -258,11 +263,16 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     failed instead of aborting the batch. Raises ValueError from
     ``trimmed_window(grid, sc.trim)``, the window the risks average over.
     """
+    return _run_cell(sc, standard_normals(sc.seed, range(sc.runs), sc.n))
+
+
+def _run_cell(sc: Scenario, Z: np.ndarray) -> ExperimentReport:
+    """``run_experiment`` from the scenario's noise draw Z (n x runs)."""
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
     mask = trimmed_window(grid, sc.trim)
     g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
-    times, Y = cell_sample(g, f, sc.n, sc.sigma, sc.seed, sc.runs, sc.T)
+    times, Y = _scaled_sample(g, f, sc.sigma, sc.T, Z)
     try:
         _, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config)
     except EstimationError as exc:
@@ -323,6 +333,7 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
 
     Every scenario is built first, so an invalid cell raises before any
     cell runs; then the cells run in input order on the calling thread.
+    Cells on one design n share one noise draw, scaled by each one's sigma.
     """
     config = config or EstimatorConfig()
     scenarios = [
@@ -332,7 +343,8 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
-    return [(cell, run_experiment(sc)) for cell, sc in zip(cells, scenarios)]
+    noise = {n: standard_normals(seed, range(runs), n) for n in {sc.n for sc in scenarios}}
+    return [(cell, _run_cell(sc, noise[sc.n])) for cell, sc in zip(cells, scenarios)]
 
 
 def _row_dict(cell, rep: ExperimentReport) -> dict:

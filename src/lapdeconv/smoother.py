@@ -191,8 +191,8 @@ def _orthonormal(L: int) -> np.ndarray:
     return Q
 
 
-def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float, L: int,
-             orders) -> np.ndarray:
+def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray,
+             L: int, orders) -> np.ndarray:
     """Local-polynomial weight rows of each order in orders at a stack of points.
 
     d (... x S) holds (t - x)/lam for the observations a point may see, and
@@ -278,29 +278,35 @@ def _row_blocks(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int, 
         blk = slice(b0, b0 + chunk)
         idx = first[blk, None] + np.arange(span)
         d = (times[idx][:, None, :] - xb[blk, :, None]) / lam
-        yield b0, idx, _rows_at(d, lo[blk], hi[blk], lam, L, orders)
+        try:
+            W = _rows_at(d, lo[blk], hi[blk], lam, L, orders)
+        except np.linalg.LinAlgError:
+            raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of a point x in "
+                                  "[%g, %g] gives a singular Gram matrix"
+                                  % (lam, xb[blk][0, 0], xb[blk][-1, -1])) from None
+        yield b0, idx, W
 
 
 def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
                 V: np.ndarray, columns: dict) -> dict:
     """{j: the order-j estimates at the points x of V[:, columns[j]]} for
     every order j of columns, from one Gram per point (``_row_blocks``).
-    x may be unsorted. Each chunk gathers the union of the orders' columns
-    on its observations once and reaches them with the rows of every
-    order by one stacked product."""
+    x may be unsorted. Each chunk reaches the union of the orders' columns
+    on its observations with the rows of every order by one product into
+    a buffer in sorted point order; each order is gathered from it once."""
     orders = sorted(columns)
     union = np.array(sorted(set(np.concatenate([columns[j] for j in orders]).tolist())))
-    where = [np.searchsorted(union, columns[j]) for j in orders]
     Vu = V[:, union]
     order = np.argsort(x, kind="stable")
-    out = {j: np.empty((x.size, len(columns[j]))) for j in orders}
+    est = np.empty((-(-x.size // _BLOCK_ROWS) * _BLOCK_ROWS, len(orders), union.size))
     for b0, idx, W in _row_blocks(times, T, x[order], lam, L, orders):
         nb, span = idx.shape
-        est = np.matmul(W.reshape(nb, -1, span), Vu[idx]).reshape(-1, len(orders), union.size)
-        rows = order[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
-        for q, j in enumerate(orders):
-            out[j][rows] = est[: rows.size, q, where[q]]
-    return out
+        rows = est[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
+        np.matmul(W.reshape(nb, -1, span), Vu[idx], out=rows.reshape(nb, -1, union.size))
+    back = np.argsort(order)
+    return {j: est[back, q] if np.array_equal(columns[j], union)
+            else est[back[:, None], q, np.searchsorted(union, columns[j])]
+            for q, j in enumerate(orders)}
 
 
 class DesignWeights:
@@ -329,9 +335,7 @@ class DesignWeights:
         for b0, idx, rows in _row_blocks(self.times, self.T, grid[order], lam, L, (j,)):
             r = b0 * _BLOCK_ROWS + np.arange(idx.shape[0] * _BLOCK_ROWS).reshape(-1, _BLOCK_ROWS)
             W[r[:, :, None], idx[:, None, :]] = rows[:, :, 0, :]
-        out = np.empty((grid.size, self.times.size))
-        out[order] = W[: grid.size]
-        return out
+        return W[np.argsort(order)]
 
     def apply(self, j: int, L: int, lam: float, grid: np.ndarray,
               V: np.ndarray) -> np.ndarray:
@@ -368,17 +372,20 @@ def _check_points(grid, T: float) -> np.ndarray:
 
 def _pairs(times: np.ndarray, T: float, L: int):
     """(S, full, zone, what): S holds -inf, the distinct observation times
-    s_1 < ... < s_m inside (0, T) and L times +inf; pair i = 0..m is
-    (a, b) = (S[i], S[i + L]). A window (x - h, x + h) holds fewer than L
-    of the s exactly when it fits in [a, b] for some pair. That happens for
-    a window (x - lam, x + lam) of some x in [0, T] exactly when lam <=
-    full[i] = min((b - a)/2, T - a, b) for some i, and for a half window
-    (x - lam/2, x + lam/2) of some x in [lam, T - lam], lam <= T/2, exactly
-    when lam <= zone[i] = min(b - a, 2(T - a)/3, 2b/3). what names the s."""
+    s_1 < ... < s_m inside (0, T), neighbours closer than 1e-6 T counting as
+    one (a Gram matrix needing both has a condition near (lam/gap)^2), and
+    L times +inf; pair i = 0..m is (a, b) = (S[i], S[i + L]). A window
+    (x - h, x + h) holds fewer than L of the s exactly when it fits in
+    [a, b] for some pair. That happens for a window (x - lam, x + lam) of
+    some x in [0, T] exactly when lam <= full[i] = min((b - a)/2, T - a, b)
+    for some i, and for a half window (x - lam/2, x + lam/2) of some x in
+    [lam, T - lam], lam <= T/2, exactly when lam <= zone[i] = min(b - a,
+    2(T - a)/3, 2b/3). what names the s."""
     s = times[(times > 0.0) & (times < T)]
     what = "observations"
-    if np.any(s[1:] == s[:-1]):
-        s, what = np.unique(s), "distinct observation times"
+    apart = s[1:] - s[:-1] > 1e-6 * T
+    if not np.all(apart):
+        s, what = s[np.concatenate(([True], apart))], "distinct observation times"
     S = np.concatenate(([-np.inf], s, np.full(L, np.inf)))
     a, b = S[: s.size + 1], S[L:]
     full = np.minimum(np.minimum((b - a) / 2, T - a), b)
@@ -509,41 +516,47 @@ def _zone(times: np.ndarray, T: float, lam: float) -> tuple[int, int]:
             int(np.searchsorted(times, T - lam + tol, side="right")))
 
 
-def _zone_estimates(times: np.ndarray, T: float, zone: tuple[int, int], lam: float,
-                    j: int, L: int, V: np.ndarray, step: float | None) -> np.ndarray:
-    """The order-j estimates of V's columns at the observations of the
-    interior zone [i0, i1) of lam.
+def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray, j: int,
+                    L: int, V: np.ndarray) -> dict:
+    """{li: the order-j estimates of V's columns at the observations of the
+    interior zone zones[li] = [i0, i1) of the level levels[li]}.
 
-    In the zone every support is [-1, 1], so on a lattice design (step not
-    None) the row of an observation t_k depends only on the offsets i - k
-    of the observations in its window: one row of 2m + 1 weights
-    (``_rows_at`` at d = o * step / lam) serves every observation whose
-    window lies on the design, applied by ``_toeplitz_apply``. m is the
-    widest offset of any zone window, read from the design's own
-    observations, so a bandwidth that is a whole number of spacings up to
-    rounding never reaches past the design. The other observations, and
-    all of them on any other design, get rows of their own
-    (``_apply_rows``).
+    In a zone every support is [-1, 1], so on a lattice design
+    (``_lattice_step``) the row of t_k depends only on the offsets i - k of
+    the observations in its window: one row of 2m + 1 weights (``_rows_at``
+    at d = o * step / lam), applied by ``_toeplitz_apply``, serves every t_k
+    whose window lies on the design. m, the widest offset of a zone window,
+    is read from the design, so a bandwidth of a whole number of spacings
+    up to rounding never reaches past it. One ``_rows_at`` call forms every
+    level's row, its offsets beyond the level's m at d = 1, outside the
+    support, where they weigh 0. The other observations, and all of them
+    off a lattice, get rows of their own (``_apply_rows``).
     """
-    n = times.size
-    i0, i1 = zone
-    est = np.empty((i1 - i0, V.shape[1]))
-    rest = np.arange(i0, i1)
-    if step is not None:
-        x = times[i0:i1]
-        a = np.searchsorted(times, x - lam, side="right")
-        b = np.searchsorted(times, x + lam, side="left")
-        m = int(max(np.max(rest - a), np.max(b - 1 - rest), 0))
-        k0, k1 = max(i0, m), min(i1, n - m)
-        if k1 > k0:
-            o = np.arange(-m, m + 1)
-            w = _rows_at((o * (step / lam))[None, :], np.array([[-1.0]]), np.array([[1.0]]),
-                         lam, L, (j,))[0, 0]
-            _toeplitz_apply(w, V, k0, k1, est[k0 - i0 : k1 - i0])
+    n, step, spans = times.size, _lattice_step(times, T), {}
+    for li, (i0, i1) in (zones.items() if step is not None else ()):
+        x, k = times[i0:i1], np.arange(i0, i1)
+        m = int(max(np.max(k - np.searchsorted(times, x - levels[li], side="right")),
+                    np.max(np.searchsorted(times, x + levels[li], side="left") - 1 - k), 0))
+        if max(i0, m) < min(i1, n - m):
+            spans[li] = m
+    if spans:
+        m = np.array(list(spans.values()))
+        M, lam, one = int(m.max()), levels[list(spans)][:, None], np.ones((m.size, 1))
+        o = np.arange(-M, M + 1)
+        W = _rows_at(np.where(np.abs(o) <= m[:, None], o * (step / lam), 1.0), -one, one,
+                     lam, L, (j,))[:, 0]
+        rows = {li: w[M - mi : M + mi + 1] for (li, mi), w in zip(spans.items(), W)}
+    est = {}
+    for li, (i0, i1) in zones.items():
+        est[li] = np.empty((i1 - i0, V.shape[1]))
+        rest = np.arange(i0, i1)
+        if li in spans:
+            k0, k1 = max(i0, spans[li]), min(i1, n - spans[li])
+            _toeplitz_apply(rows[li], V, k0, k1, est[li][k0 - i0 : k1 - i0])
             rest = rest[(rest < k0) | (rest >= k1)]
-    if rest.size:
-        est[rest - i0] = _apply_rows(times, T, times[rest], lam, L, V,
-                                     {j: np.arange(V.shape[1])})[j]
+        if rest.size:
+            est[li][rest - i0] = _apply_rows(times, T, times[rest], levels[li], L, V,
+                                             {j: np.arange(V.shape[1])})[j]
     return est
 
 
@@ -627,11 +640,9 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     n = times.size
     levels, zones = _admissible(times, T, BandwidthGrid.build(j, n, sigma, T).levels, L, j)
     C = math.sqrt(make_kernel(L, j).norm2)
-    step = _lattice_step(times, T)
     R = V.shape[1]
     admissible = sorted(zones)
-    estimates = {li: _zone_estimates(times, T, zones[li], levels[li], j, L, V, step)
-                 for li in admissible}
+    estimates = _zone_estimates(times, T, zones, levels, j, L, V)
     selected = np.full(R, -1, dtype=int)
     noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
     # one buffer of the largest candidate's size; the smallest level has

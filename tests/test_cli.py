@@ -333,10 +333,13 @@ class TestDeconvolveCommand:
             "bandwidth or the sample size\n")
         assert not (tmp_path / "f.csv").exists()
 
-    def test_tied_times_count_once(self, tmp_path, capsys):
-        # 100 times on (0, 10], each listed twice: the window (0, 0.45) of
-        # x = 0 holds 8 observations but 4 distinct times, fewer than L = 8
-        times = np.repeat(np.arange(1, 101) * 0.1, 2)
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-9])
+    def test_tied_times_count_once(self, tmp_path, capsys, gap):
+        # 100 times on (0, 10], each listed twice or with a copy gap earlier:
+        # the window (0, 0.45) of x = 0 holds 8 observations but 4 distinct
+        # times, fewer than L = 8
+        times = np.arange(1, 101) * 0.1
+        times = np.sort(np.concatenate((times, times - gap)))
         data = write_csv(tmp_path / "tied.csv", zip(times, np.sin(times)))
         argv = ["deconvolve", "--input", data, "--kernel", G2, "--sigma", "0.01",
                 "--output", str(tmp_path / "f.csv")]

@@ -287,19 +287,27 @@ class TestTable:
     @pytest.mark.parametrize("cells", [
         [("g4", "f2", 60, 1)],
         [("g2", "f1", 60, 2), ("g4", "f2", 60, 1), ("g2", "f2", 60, 2)],
+        [("g2", "f1", 60, 2), ("g5", "f3", 80, 1), ("g1", "f1", 60, 0), ("g5", "f3", 60, 3)],
     ])
-    def test_run_table_order(self, cells):
-        got = run_table(cells, runs=2, seed=3)
+    def test_run_table_order(self, monkeypatch, cells):
+        # cells on one design share one noise draw, each scaled by its own
+        # sigma: every report is run_experiment's bit for bit
+        draws = []
+        real = sim.standard_normals
+        monkeypatch.setattr(sim, "standard_normals", lambda *a: draws.append(a[2]) or real(*a))
+        got = run_table(cells, runs=3, seed=3)
+        assert sorted(draws) == sorted({c[2] for c in cells})
         assert [c for c, _ in got] == cells
         for (gn, fn, n, i), (_, rep) in zip(cells, got):
-            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=2, seed=3))
+            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=3, seed=3))
             assert rep.scenario == want.scenario
             np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
+            assert rep.bandwidth_counts == want.bandwidth_counts
 
     @pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
     def test_invalid_cell_raises_before_any_cell_runs(self, monkeypatch, bad):
         ran = []
-        monkeypatch.setattr(sim, "run_experiment", ran.append)
+        monkeypatch.setattr(sim, "_run_cell", lambda sc, Z: ran.append(sc))
         cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2), ("g4", "f2", 60, 1)]
         cells[bad] = cells[bad][:2] + (5,) + cells[bad][3:]
         with pytest.raises(ValueError, match="need n >= 10"):
@@ -314,13 +322,13 @@ class TestTable:
     def test_first_failing_cell_raises_and_later_cells_do_not_run(self, monkeypatch):
         ran = []
 
-        def fails_from_the_second(sc):
+        def fails_from_the_second(sc, Z):
             ran.append(sc.g_name)
             if len(ran) >= 2:
                 raise RuntimeError("cell %d" % len(ran))
             return sc
 
-        monkeypatch.setattr(sim, "run_experiment", fails_from_the_second)
+        monkeypatch.setattr(sim, "_run_cell", fails_from_the_second)
         with pytest.raises(RuntimeError, match="cell 2"):
             run_table([("g2", "f1", 60, 2), ("g4", "f2", 60, 1), ("g3", "f1", 60, 0)],
                       runs=1)

@@ -346,6 +346,26 @@ class TestRows:
             assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
 
 
+    def test_apply_orders_returns_the_columns_in_the_order_given(self):
+        # one order's columns a permutation of another's, on a permuted
+        # grid: each order's estimates are those of the sorted columns, in
+        # the order given, bit for bit, and the one-order products
+        rng = np.random.default_rng(9)
+        times = np.sort(rng.uniform(0.0, T, 400))
+        grid = rng.permutation(np.linspace(0.0, T, 77))
+        V = rng.standard_normal((times.size, 6))
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        dw = DesignWeights(times, T)
+        got = dw.apply_orders(8, 1.2, grid, V, {0: np.arange(6), 2: perm})
+        ref = dw.apply_orders(8, 1.2, grid, V, {0: np.arange(6), 2: np.arange(6)})
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[2], ref[2][:, perm])
+        for j, cols in ((0, np.arange(6)), (2, perm)):
+            W = dw.weight_matrix(j, 8, 1.2, grid)
+            err = np.abs(got[j] - dw.apply(j, 8, 1.2, grid, V[:, cols]))
+            assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
+
+
 class TestLattice:
     """One row per level on an equispaced design against the per-point rows."""
 
@@ -368,9 +388,9 @@ class TestLattice:
                 scale = np.abs(DesignWeights(times, T).weight_matrix(j, 8, lam, x)) @ np.abs(V)
                 for Vr in (V, V[:, :1]):
                     del applied[:]
-                    got = smoother._zone_estimates(times, T, zone, lam, j, 8, Vr, step)
+                    got = _on_lattice(times, zone, lam, j, Vr)
                     assert applied
-                    want = smoother._zone_estimates(times, T, zone, lam, j, 8, Vr, None)
+                    want = _per_point(times, zone, lam, j, Vr)
                     err = np.abs(got - want)
                     assert np.all(err <= 1e-12 * scale[:, : Vr.shape[1]]), (lam, j)
 
@@ -447,8 +467,8 @@ class TestLattice:
             x = times[zone[0] : zone[1]]
             for j in range(8):
                 scale = np.abs(DesignWeights(times, T).weight_matrix(j, 8, lam, x)) @ np.abs(V)
-                got = smoother._zone_estimates(times, T, zone, lam, j, 8, V, step)
-                want = smoother._zone_estimates(times, T, zone, lam, j, 8, V, None)
+                got = _on_lattice(times, zone, lam, j, V)
+                want = _per_point(times, zone, lam, j, V)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (lam, j)
 
     @pytest.mark.parametrize("n, sigma, j", [
@@ -481,9 +501,47 @@ class TestLattice:
         W[:, 1:] = 1e6 * rng.standard_normal((times.size, R - 1))
         zone = smoother._zone(times, T, 1.2)
         for j in (0, 3):
-            a = smoother._zone_estimates(times, T, zone, 1.2, j, 8, V, step)
-            b = smoother._zone_estimates(times, T, zone, 1.2, j, 8, W, step)
+            a = _on_lattice(times, zone, 1.2, j, V)
+            b = _on_lattice(times, zone, 1.2, j, W)
             np.testing.assert_array_equal(a[:, 0], b[:, 0])
+
+    @pytest.mark.parametrize("n, sigma", [(200, 0.002), (2000, 0.05)])
+    def test_one_row_build_serves_every_level(self, monkeypatch, n, sigma):
+        # one selection forms the lattice rows of all its levels by one
+        # _rows_at call; each level's row spans the 2m + 1 offsets read from
+        # the design (n = 200 with lam = 1 among them, where the spacing
+        # computes to 0.04999...) and is the row formed on those offsets
+        # alone, up to the rounding of the products over a longer row
+        times = np.arange(1, n + 1) * (T / n)
+        step = smoother._lattice_step(times, T)
+        real_rows, real_apply = smoother._rows_at, smoother._toeplitz_apply
+        calls, applied = [], []
+        monkeypatch.setattr(smoother, "_rows_at",
+                            lambda d, *a: calls.append(d.ndim) or real_rows(d, *a))
+        monkeypatch.setattr(smoother, "_toeplitz_apply", lambda w, V, k0, k1, out: applied.append(
+            (w, k0, k1)) or real_apply(w, V, k0, k1, out))
+        V = np.sin(times)[:, None] + sigma * np.random.default_rng(n).standard_normal((n, 4))
+        for j in (0, 2):
+            del calls[:], applied[:]
+            details = _lepski_batch(times, T, V, sigma, j, 8)[2]
+            served = []
+            for li in details["admissible"]:
+                lam = details["levels"][li]
+                i0, i1 = smoother._zone(times, T, lam)
+                k = np.arange(i0, i1)
+                a = np.searchsorted(times, times[i0:i1] - lam, side="right")
+                b = np.searchsorted(times, times[i0:i1] + lam, side="left")
+                m = max(np.max(k - a), np.max(b - 1 - k))
+                if max(i0, m) < min(i1, n - m):
+                    served.append((lam, m, max(i0, m), min(i1, n - m)))
+            assert calls.count(2) == 1 and len(served) == len(applied) > 1
+            assert n != 200 or served[0][0] == 1.0
+            for (lam, m, k0, k1), (w, g0, g1) in zip(served, applied):
+                assert (g0, g1, w.size) == (k0, k1, 2 * m + 1)
+                d = np.arange(-m, m + 1) * (step / lam)
+                own = real_rows(d[None, :], np.array([[-1.0]]), np.array([[1.0]]), lam, 8,
+                                (j,))[0, 0]
+                np.testing.assert_allclose(w, own, rtol=0, atol=1e-15 * np.abs(own).sum())
 
     def test_repeated_times_are_not_a_lattice(self):
         times = np.arange(1, 101) * (T / 100)
@@ -491,6 +549,17 @@ class TestLattice:
         tied = times.copy()
         tied[50] = tied[49]
         assert smoother._lattice_step(tied, T) is None
+
+
+def _on_lattice(times, zone, lam, j, V):
+    """One level's zone estimates, by the lattice row where the design is one."""
+    return smoother._zone_estimates(times, T, {0: zone}, np.array([lam]), j, 8, V)[0]
+
+
+def _per_point(times, zone, lam, j, V):
+    """One level's zone estimates by a row per observation."""
+    return smoother._apply_rows(times, T, times[zone[0] : zone[1]], lam, 8, V,
+                                {j: np.arange(V.shape[1])})[j]
 
 
 def _design(kind, n):
@@ -601,11 +670,14 @@ class TestAdmissibility:
                     check_bandwidth(times, T, L - 1, L, lam)
         assert seen == {False, True}
 
-    def test_tied_times_count_once(self):
-        # 100 equispaced times on (0, 10], each listed twice: the window of
-        # x = 0 at lam = 0.45 holds 8 observations at 4 distinct times,
-        # whose Gram has rank 4 < L, so every row builder refuses it
-        times = np.repeat(np.arange(1, 101) * (T / 100), 2)
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-9])
+    def test_tied_times_count_once(self, gap):
+        # 100 equispaced times on (0, 10], each listed twice, or with a copy
+        # gap earlier: the window of x = 0 at lam = 0.45 holds 8 observations
+        # at 4 distinct times, whose Gram has rank 4 < L, or is as good as
+        # that, so every row builder refuses it
+        times = np.arange(1, 101) * (T / 100)
+        times = np.sort(np.concatenate((times, times - gap)))
         dw = DesignWeights(times, T)
         grid = np.linspace(0.0, T, 50)
         V = np.ones((times.size, 2))
@@ -620,6 +692,17 @@ class TestAdmissibility:
             for zone in (False, True):
                 assert ((smoother._short_window(times, T, lam, 8, zone) is None)
                         == (smoother._short_window(times[::2], T, lam, 8, zone) is None))
+
+    def test_a_singular_gram_is_an_estimation_error(self):
+        # past the count, which refuses this window, a singular Gram is an
+        # estimation error that names where the window is
+        times = np.arange(1, 101) * (T / 100)
+        times = np.sort(np.concatenate((times, times - 1e-13)))
+        V = np.sin(times)[:, None]
+        with pytest.raises(EstimationError,
+                           match=r"the window \(x - lam, x \+ lam\) of a point x in \[0, .*\] "
+                                 r"gives a singular Gram"):
+            smoother._apply_rows(times, T, np.linspace(0.0, T, 201), 0.45, 8, V, {0: [0]})
 
     @pytest.mark.parametrize("reps, n0", [(2, 200), (4, 100), (8, 60)])
     def test_tied_designs_select_full_rank_levels(self, reps, n0):

@@ -27,8 +27,11 @@ minor page faults per pass (``getrusage`` ``ru_minflt`` across
 ``run_pass``), which counts the freshly mapped pages the allocator hands
 out, and its peak RSS after the last pass (``ru_maxrss``, as perfbench
 reads ``peak_rss_mb``). Both are the child's own, or on cli-cold those of
-the CLI processes it started. Standard library and numpy only; exits 1
-when a pass fails an op or the digests differ.
+the CLI processes it started. The last line is the verdict on the claim
+that B's passes are faster: it holds when B wins at least 9 of every 10
+pairs, ties counting for neither, and A's median pass exceeds B's by more
+than the distance between A's pass-time quartiles. Standard library and
+numpy only; exits 1 when a pass fails an op or the digests differ.
 """
 
 from __future__ import annotations
@@ -176,8 +179,9 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{os.cpu_count()} cores")
     for side in sides:
+        q1, med, q3 = quartiles(walls[side.name])
         print(f"{side.name}: median setup {statistics.median(setups[side.name]):.3f} s, "
-              f"median pass {statistics.median(walls[side.name]):.4f} s, "
+              f"median pass {med:.4f} s (quartiles {q1:.4f}-{q3:.4f}), "
               f"{statistics.median(faults[side.name]):.0f} minor page faults, "
               f"peak RSS {peak[side.name]:.1f} MB")
     for what, times in (("setup", setups), ("pass", walls)):
@@ -189,6 +193,13 @@ def main(argv=None) -> int:
                          else f"differ on passes {mismatched}"))
     for k, name, errors in failed:
         print(f"pass {k} side {name} failed: {errors}")
+    wins = sum(b < a for a, b in zip(walls["A"], walls["B"]))
+    q1, med_a, q3 = quartiles(walls["A"])
+    gain = med_a - statistics.median(walls["B"])
+    holds = 10 * wins >= 9 * args.pairs and gain > q3 - q1
+    print(f"claim that B passes faster: B wins {wins} of {args.pairs} pairs, medians differ "
+          f"by {gain:.4f} s against A's quartile distance {q3 - q1:.4f} s: claim "
+          + ("holds" if holds else "does not hold"))
     return 1 if mismatched or failed else 0
 
 
