@@ -59,9 +59,9 @@ from .smoother import (
     AdaptationError,
     BandwidthGrid,
     DerivativeEstimate,
-    DesignWeights,
     EstimationError,
     NoisySample,
+    apply_rows,
     estimate_derivative,
     estimate_sigma,
     lepski_select,
@@ -78,7 +78,6 @@ __all__ = [
     "BandwidthGrid",
     "DeconvolutionResult",
     "DerivativeEstimate",
-    "DesignWeights",
     "EstimationError",
     "EstimatorConfig",
     "ExpPoly",
@@ -91,6 +90,7 @@ __all__ = [
     "SIGMA0",
     "Scenario",
     "SmoothingKernel",
+    "apply_rows",
     "builtin_f",
     "builtin_g",
     "deconvolve",

@@ -20,10 +20,10 @@ from ._expalg import ExpPoly
 from .resolvent import RationalLaplaceKernel, ResolventDecomposition, decompose
 from .smoother import (
     DEFAULT_GRID_SIZE,
-    DesignWeights,
     EstimationError,
     NoisySample,
     _lepski_batch,
+    apply_rows,
     check_bandwidth,
 )
 
@@ -177,8 +177,9 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Every order is selected in order j = 0..r on the calling thread, so
     the lowest failing order raises first; then each distinct selected
     bandwidth is evaluated once for every order and column that chose it
-    (``DesignWeights.apply_orders``: one Gram per output point, solved for
-    all those orders).
+    (``apply_rows``: one Gram per output point, solved for all those
+    orders). An order whose columns all chose one bandwidth keeps the
+    array ``apply_rows`` returns; the others are gathered into one.
     """
     d = decompose(g)
     r = g.r
@@ -189,7 +190,6 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     if isinstance(cfg.fixed_bandwidths, tuple) and len(cfg.fixed_bandwidths) > r + 1:
         raise ValueError("more fixed bandwidths than the r + 1 = %d orders" % (r + 1))
     grid = np.linspace(0.0, T, cfg.grid_size)
-    design = DesignWeights(times, T)
     R = V.shape[1]
 
     lam = np.empty((r + 1, R))
@@ -206,7 +206,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     for lv in sorted(set(lam.ravel().tolist())):
         columns = {j: np.flatnonzero(lam[j] == lv) for j in range(r + 1)}
         columns = {j: cols for j, cols in columns.items() if cols.size}
-        for j, est in design.apply_orders(cfg.L, lv, grid, V, columns).items():
+        for j, est in apply_rows(times, T, cfg.L, lv, grid, V, columns).items():
             if Qs[j] is None:
                 Qs[j] = est
             else:

@@ -24,9 +24,9 @@ __all__ = [
     "AdaptationError",
     "BandwidthGrid",
     "DerivativeEstimate",
-    "DesignWeights",
     "EstimationError",
     "NoisySample",
+    "apply_rows",
     "check_bandwidth",
     "estimate_derivative",
     "estimate_sigma",
@@ -206,7 +206,8 @@ def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndar
     e_k = d^j/dt^j p_k(u(t)) at t = x. Then sum_i w_i P(t_i) = P^(j)(x) for
     every polynomial P of degree below L, and A, which does not depend on
     j, is solved once for every order. U carries sqrt(v) = 1 - u^2 on each
-    side, so A is one product. Returns ... x len(orders) x S.
+    side, so A is one product. Returns ... x len(orders) x S. A singular
+    Gram raises LinAlgError whose argument is the index of the first one.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -232,16 +233,26 @@ def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndar
         for k in range(j, L):
             E[..., k, q] = math.perm(k, j) * u0[..., 0] ** (k - j)
         E[..., q] /= (lam * half) ** j
-    C = np.linalg.solve(A, np.matmul(_orthonormal(L), E))
+    try:
+        C = np.linalg.solve(A, np.matmul(_orthonormal(L), E))
+    except np.linalg.LinAlgError:
+        # the stacked solve does not say which matrix failed: one at a time,
+        # by the LU of A alone, which the right-hand side does not enter
+        for k in np.ndindex(A.shape[:-2]):
+            try:
+                np.linalg.solve(A[k], E[k])
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(k) from None
+        raise
     W = np.matmul(np.swapaxes(C, -1, -2), Ut)
     W *= s[..., None, :]
     return W
 
 
-# Points of one block of ``_row_blocks``: they share one span of observations
+# Points of one block of ``_apply_rows``: they share one span of observations
 _BLOCK_ROWS = 16
 
-# Elements of the basis array of one chunk of blocks in ``_row_blocks``
+# Elements of the basis array of one chunk of blocks in ``_apply_rows``
 # (blocks x rows x L x span): 1 MB. 2^16 to 2^18 measured alike in time;
 # 2^18 raised the peak of the benchmark's in-process workloads by 4 MB
 _ROW_CHUNK = 1 << 17
@@ -254,19 +265,28 @@ def _blocked(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a, pad)).reshape((-1, _BLOCK_ROWS) + a.shape[1:])
 
 
-def _row_blocks(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int, orders):
-    """The rows of ``_rows_at`` at the sorted points x, a chunk of blocks at a time.
+def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
+                V: np.ndarray, columns: dict) -> dict:
+    """{j: the order-j estimates at the points x of V[:, columns[j]]} for
+    every order j of columns, from one Gram per point (``_rows_at``).
 
-    The points are cut into blocks (``_blocked``); each block sees one span
-    of observations, common in length to every block: from the first
-    observation inside its lowest point's window (x - lam, x + lam) to the
-    last inside its highest point's, shifted left where it would run past
-    the last observation. Yields (b0, idx, W): the index of the chunk's
-    first block, the observation indices of its blocks (blocks x span) and
-    their rows (blocks x ``_BLOCK_ROWS`` x len(orders) x span).
+    x may be unsorted. The sorted points are cut into blocks
+    (``_blocked``); each block sees one span of observations, common in
+    length to every block: from the first observation inside its lowest
+    point's window (x - lam, x + lam) to the last inside its highest
+    point's, shifted left where it would run past the last observation.
+    The rows are formed a chunk of blocks at a time, and each chunk reaches
+    the union of the orders' columns on its observations with the rows of
+    every order by one product into a buffer in sorted point order; each
+    order is gathered from it once. A singular Gram is an EstimationError
+    naming the first point whose window gives one.
     """
+    orders = sorted(columns)
+    union = np.array(sorted(set(np.concatenate([columns[j] for j in orders]).tolist())))
+    Vu = V[:, union]
+    order = np.argsort(x, kind="stable")
+    xb = _blocked(x[order])
     n = times.size
-    xb = _blocked(x)
     a = np.searchsorted(times, xb[:, 0] - lam, side="right")
     b = np.searchsorted(times, xb[:, -1] + lam, side="left")
     span = max(int(np.max(b - a)), 1)
@@ -274,33 +294,18 @@ def _row_blocks(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int, 
     lo = np.maximum(-1.0, -xb / lam)[..., None]
     hi = np.minimum(1.0, (T - xb) / lam)[..., None]
     chunk = max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span))
+    est = np.empty((xb.size, len(orders), union.size))
     for b0 in range(0, xb.shape[0], chunk):
         blk = slice(b0, b0 + chunk)
         idx = first[blk, None] + np.arange(span)
         d = (times[idx][:, None, :] - xb[blk, :, None]) / lam
         try:
             W = _rows_at(d, lo[blk], hi[blk], lam, L, orders)
-        except np.linalg.LinAlgError:
-            raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of a point x in "
-                                  "[%g, %g] gives a singular Gram matrix"
-                                  % (lam, xb[blk][0, 0], xb[blk][-1, -1])) from None
-        yield b0, idx, W
-
-
-def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
-                V: np.ndarray, columns: dict) -> dict:
-    """{j: the order-j estimates at the points x of V[:, columns[j]]} for
-    every order j of columns, from one Gram per point (``_row_blocks``).
-    x may be unsorted. Each chunk reaches the union of the orders' columns
-    on its observations with the rows of every order by one product into
-    a buffer in sorted point order; each order is gathered from it once."""
-    orders = sorted(columns)
-    union = np.array(sorted(set(np.concatenate([columns[j] for j in orders]).tolist())))
-    Vu = V[:, union]
-    order = np.argsort(x, kind="stable")
-    est = np.empty((-(-x.size // _BLOCK_ROWS) * _BLOCK_ROWS, len(orders), union.size))
-    for b0, idx, W in _row_blocks(times, T, x[order], lam, L, orders):
-        nb, span = idx.shape
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
+                                  "x = %g gives a singular Gram matrix"
+                                  % (lam, xb[blk][exc.args[0]])) from None
+        nb = idx.shape[0]
         rows = est[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
         np.matmul(W.reshape(nb, -1, span), Vu[idx], out=rows.reshape(nb, -1, union.size))
     back = np.argsort(order)
@@ -309,58 +314,38 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
             for q, j in enumerate(orders)}
 
 
-class DesignWeights:
-    """The local-polynomial rows of one fixed observation design.
-
-    A plain forwarder to the row builder that stores nothing between calls;
-    every method first checks its orders and bandwidth (``check_bandwidth``)
-    and its evaluation points, which must be finite and in [0, T].
-    ``apply_orders`` evaluates the rows of several derivative orders at one
-    bandwidth on data columns, forming each point's Gram once, as the
-    deconvolution pipeline does for every distinct selected bandwidth;
-    ``apply`` does it for one order, and ``weight_matrix`` returns one
-    order's rows as a dense grid.size x n matrix, which the pipeline never
-    forms.
+def apply_rows(times: np.ndarray, T: float, L: int, lam: float, grid, V: np.ndarray,
+               columns: dict) -> dict:
+    """{j: the order-j estimates at the grid points of V[:, columns[j]]}
+    for every derivative order j of columns, from the local-polynomial rows
+    at bandwidth lam on the design times of [0, T] (``_apply_rows``): each
+    point's Gram is solved once for all the orders, and no grid.size x n
+    weight matrix is formed. Checks, in this order: ValueError unless
+    columns names an order and each order j has 0 <= j < L, 0 < lam <= T/2
+    and a column; ValueError unless the grid is a nonempty 1-D array of
+    finite points of [0, T]; EstimationError when a window holds fewer than
+    L distinct observation times (``check_bandwidth``), counted once.
     """
-
-    def __init__(self, times: np.ndarray, T: float):
-        self.times = np.ascontiguousarray(times, dtype=float)
-        self.T = float(T)
-
-    def weight_matrix(self, j: int, L: int, lam: float, grid: np.ndarray) -> np.ndarray:
-        check_bandwidth(self.times, self.T, j, L, lam)
-        grid = _check_points(grid, self.T)
-        order = np.argsort(grid, kind="stable")
-        W = np.zeros((-(-grid.size // _BLOCK_ROWS) * _BLOCK_ROWS, self.times.size))
-        for b0, idx, rows in _row_blocks(self.times, self.T, grid[order], lam, L, (j,)):
-            r = b0 * _BLOCK_ROWS + np.arange(idx.shape[0] * _BLOCK_ROWS).reshape(-1, _BLOCK_ROWS)
-            W[r[:, :, None], idx[:, None, :]] = rows[:, :, 0, :]
-        return W[np.argsort(order)]
-
-    def apply(self, j: int, L: int, lam: float, grid: np.ndarray,
-              V: np.ndarray) -> np.ndarray:
-        """``weight_matrix(j, L, lam, grid) @ V`` (grid.size x R) without
-        forming the matrix, up to the rounding of the summation order."""
-        return self.apply_orders(L, lam, grid, V, {j: np.arange(V.shape[1])})[j]
-
-    def apply_orders(self, L: int, lam: float, grid: np.ndarray, V: np.ndarray,
-                     columns: dict) -> dict:
-        """{j: ``apply(j, L, lam, grid, V[:, columns[j]])``} for every order
-        j of columns, with one Gram per grid point shared by all of them.
-        The window check of lam, which no order changes, runs once."""
-        if not columns:
-            raise ValueError("columns must name at least one derivative order")
-        for j in columns:
-            _check_range(self.T, j, L, lam)
-        grid = _check_points(grid, self.T)
-        _check_count(self.times, self.T, next(iter(columns)), L, lam)
-        return _apply_rows(self.times, self.T, grid, lam, L, V, columns)
+    times = np.asarray(times, dtype=float)
+    if not columns:
+        raise ValueError("columns must name at least one derivative order")
+    for j in columns:
+        _check_range(T, j, L, lam)
+        if np.size(columns[j]) == 0:
+            raise ValueError("columns of order j=%d name no column of V" % j)
+    grid = _check_points(grid, T)
+    _check_count(times, T, next(iter(columns)), L, lam)
+    return _apply_rows(times, T, grid, lam, L, V, columns)
 
 
 def _check_points(grid, T: float) -> np.ndarray:
-    """grid as a float array; ValueError unless it is nonempty and every
-    point is finite and in [0, T], where the rows' supports are defined."""
+    """grid as a float array; ValueError unless it is 1-D and nonempty and
+    every point is finite and in [0, T], where the rows' supports are
+    defined."""
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("evaluation grid must be a 1-D array, not one of shape %s"
+                         % (grid.shape,))
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
     inside = (grid >= 0.0) & (grid <= T)
@@ -462,11 +447,12 @@ def pc_estimate(data: NoisySample, j: int, L: int, lam: float, grid) -> Derivati
     polynomial of degree below L exactly on the design. Near an endpoint
     the support is cut at it. The map y -> estimate is exactly linear; no
     grid.size x n matrix is formed. ValueError unless 0 <= j < L and every
-    point of the nonempty grid is finite and in [0, T]; EstimationError
+    point of the nonempty 1-D grid is finite and in [0, T]; EstimationError
     when a window holds fewer than L distinct observation times, that is
     when lam is at most the design's threshold (``check_bandwidth``).
     """
-    values = DesignWeights(data.times, data.T).apply(j, L, lam, grid, data.values[:, None])[:, 0]
+    values = apply_rows(data.times, data.T, L, lam, grid, data.values[:, None],
+                        {j: [0]})[j][:, 0]
     return DerivativeEstimate(
         j=j, grid=grid, values=values, bandwidth=float(lam), kernel_order=L
     )
@@ -611,7 +597,9 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
                   j: int, L: int):
     """Adaptive bandwidth per column of the observation matrix V (n x R).
 
-    Returns (lam_hat (R,), selected_index (R,), details dict). Admissibility
+    Returns (lam_hat (R,), selected_index (R,), details), details holding
+    the grid ("levels") and the indices of its admissible levels
+    ("admissible"), with C and the comparison size below. Admissibility
     of a level is a property of the design alone (``_admissible``): it fits
     in T/2 and exceeds the thresholds above which every window (x - lam,
     x + lam) on [0, T] holds L observations, and every half window in the
@@ -673,15 +661,13 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     details = {
         "levels": levels,
         "admissible": admissible,
-        "selected_index": selected,
         "C": C,
-        "hmin": (sigma * sigma * T * T / n) ** (1.0 / (2 * j + 1)),
         "comparison_grid_size": i1 - i0,
     }
     return levels[selected], selected, details
 
 
-def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = False):
+def lepski_select(data: NoisySample, j: int, L: int) -> float:
     """Largest admissible bandwidth whose estimate stays within the
     noise-level threshold of every smaller admissible estimate on the grid.
 
@@ -694,13 +680,8 @@ def lepski_select(data: NoisySample, j: int, L: int, *, return_details: bool = F
     (``_THRESHOLD_MULT``) are fixed. EstimationError when no level is
     admissible, naming the count that refused the largest level tried.
     """
-    lam_hat, _, details = _lepski_batch(
-        data.times, data.T, data.values[:, None], data.sigma, j, L
-    )
-    lam = float(lam_hat[0])
-    if return_details:
-        return lam, details
-    return lam
+    lam_hat = _lepski_batch(data.times, data.T, data.values[:, None], data.sigma, j, L)[0]
+    return float(lam_hat[0])
 
 
 def estimate_derivative(data: NoisySample, j: int, L: int, grid=None) -> DerivativeEstimate:

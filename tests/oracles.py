@@ -28,6 +28,8 @@ can compare the two:
   the rows in float in an orthonormal basis, in blocks over each row's
   window only, or as one lattice row for a whole equispaced design, and
   never as one matrix.
+- ``weight_matrix`` is one order's rows as a dense grid.size x n matrix,
+  the package's ``apply_rows`` on the identity; the package never forms it.
 - ``convolve_terms_by_column`` is the phi1 product rule as two
   ``np.convolve`` per column; the package forms it as one blocked
   Toeplitz product over all columns.
@@ -59,7 +61,7 @@ from lapdeconv.resolvent import (
     polished_roots,
 )
 from lapdeconv.sim import Scenario, builtin_f, builtin_g, forward_convolve
-from lapdeconv.smoother import DesignWeights
+from lapdeconv.smoother import apply_rows
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -586,12 +588,21 @@ def convolve_terms_by_column(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -
     return out
 
 
+def weight_matrix(times: np.ndarray, T: float, j: int, L: int, lam: float,
+                  grid) -> np.ndarray:
+    """The order-j rows at bandwidth lam on the grid as a dense grid.size x n
+    matrix: ``apply_rows`` on the columns of the identity, each of whose
+    estimates is one row weight times 1 plus exact zeros."""
+    n = len(times)
+    return apply_rows(times, T, L, lam, grid, np.eye(n), {j: np.arange(n)})[j]
+
+
 def fixed_bandwidth_risk(sc: Scenario) -> float:
     """Expected trimmed risk of the cell sc at its fixed bandwidths, exactly.
 
     Every order j of the estimate has a fixed bandwidth (sc.config), so f_hat
     = A y is linear in the data: with W_j the order-j weight rows on the
-    evaluation grid (``DesignWeights.weight_matrix``), b and B_r from
+    evaluation grid (``weight_matrix``), b and B_r from
     ``decompose`` and Phi the product-rule convolution with phi1^(r)
     (``deconv._convolve_terms``, linear in each column it is applied to),
     A = (W_r - sum_j b_j W_(r-1-j) - Phi W_0) / B_r. The cell's data are
@@ -605,8 +616,7 @@ def fixed_bandwidth_risk(sc: Scenario) -> float:
     r = d.r
     times = np.arange(1, sc.n + 1) * (sc.T / sc.n)
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
-    design = DesignWeights(times, sc.T)
-    W = [design.weight_matrix(j, sc.config.L, sc.config.fixed_bandwidth(j), grid)
+    W = [weight_matrix(times, sc.T, j, sc.config.L, sc.config.fixed_bandwidth(j), grid)
          for j in range(r + 1)]
     A = W[r].copy()
     for jj in range(r):

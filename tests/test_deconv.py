@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lapdeconv import deconv, kernels, smoother
+from lapdeconv import deconv, kernels
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
     DeconvolutionResult,
@@ -252,7 +252,7 @@ class TestCallingThread:
         # log each selection and evaluation with its order and thread; an
         # order in fail raises from its selection
         events = []
-        select, apply = deconv._lepski_batch, smoother.DesignWeights.apply_orders
+        select, apply = deconv._lepski_batch, deconv.apply_rows
 
         def traced_select(times, T, V, sigma, j, L):
             events.append(("select", j, threading.get_ident()))
@@ -260,15 +260,15 @@ class TestCallingThread:
                 raise EstimationError("order %d" % j)
             return select(times, T, V, sigma, j, L)
 
-        def traced_apply(self, L, lam, grid, V, columns):
+        def traced_apply(times, T, L, lam, grid, V, columns):
             events.extend(("apply", j, threading.get_ident()) for j in sorted(columns))
-            return apply(self, L, lam, grid, V, columns)
+            return apply(times, T, L, lam, grid, V, columns)
 
         def no_thread(_):
             raise AssertionError("the pipeline started a thread")
 
         monkeypatch.setattr(deconv, "_lepski_batch", traced_select)
-        monkeypatch.setattr(smoother.DesignWeights, "apply_orders", traced_apply)
+        monkeypatch.setattr(deconv, "apply_rows", traced_apply)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         return events
 

@@ -4,7 +4,7 @@ helpers.
 The allowlist holds the two private crossings that perfbench patches to time
 the selection and the batched pipeline: ``smoother._lepski_batch`` as imported
 by ``deconv``, and ``deconv._estimate_all`` as imported by ``sim``. ROADMAP
-item 5b replaces both with one public entry point and empties the list.
+item 6b replaces both with one public entry point and empties the list.
 """
 
 import ast

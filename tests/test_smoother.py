@@ -14,19 +14,24 @@ from lapdeconv.kernels import make_kernel
 from lapdeconv.smoother import (
     AdaptationError,
     BandwidthGrid,
-    DesignWeights,
     EstimationError,
     NoisySample,
     _lepski_batch,
+    apply_rows,
     check_bandwidth,
     estimate_derivative,
     estimate_sigma,
     lepski_select,
     pc_estimate,
 )
-from oracles import dense_weights
+from oracles import dense_weights, weight_matrix
 
 T = 10.0
+
+
+def _apply(times, j, L, lam, grid, V):
+    """The order-j estimates of every column of V at the grid points."""
+    return apply_rows(times, T, L, lam, grid, V, {j: np.arange(V.shape[1])})[j]
 
 
 def equispaced(n, fn, sigma=0.0, seed=None):
@@ -101,8 +106,8 @@ class TestPcEstimate:
         n = 2000
         times = np.arange(1, n + 1) * (T / n)
         for j in (0, 1):
-            W1 = DesignWeights(times, T).weight_matrix(j, 4, 0.4, np.array([5.0]))
-            W2 = DesignWeights(times, T).weight_matrix(j, 4, 0.8, np.array([5.0]))
+            W1 = weight_matrix(times, T, j, 4, 0.4, np.array([5.0]))
+            W2 = weight_matrix(times, T, j, 4, 0.8, np.array([5.0]))
             assert np.sum(W2**2) / np.sum(W1**2) == pytest.approx(
                 2.0 ** (-(2 * j + 1)), rel=1e-2
             )
@@ -207,7 +212,7 @@ class TestRows:
         for j in (0, 1, 3, 4):
             for lam in ORACLE_LAMS:
                 check_bandwidth(times, T, j, 8, lam)
-                W = DesignWeights(times, T).weight_matrix(j, 8, lam, grid)
+                W = weight_matrix(times, T, j, 8, lam, grid)
                 assert_rows_match_oracle(W, dense_weights(times, T, grid, j, 8, lam))
 
     @pytest.mark.parametrize("R", [1, 3, 100])
@@ -226,7 +231,7 @@ class TestRows:
                     ("interior", (grid >= lam) & (grid <= T - lam)),
                     ("left", grid < lam), ("right", grid > T - lam)) if member.any()}
                 W = dense_weights(times, T, grid, j, 8, lam)
-                got = DesignWeights(times, T).apply(j, 8, lam, grid, V)
+                got = _apply(times, j, 8, lam, grid, V)
                 assert got.shape == (grid.size, R)
                 err = np.abs(got - W @ V)
                 assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V)) + 1e-300), (j, lam)
@@ -238,14 +243,14 @@ class TestRows:
         times = np.sort(np.random.default_rng(5).uniform(0.0, T, 400))
         x = np.array([0.0, 0.3, 1.1, 5.0, 9.2, T])
         for j in range(4):
-            W = DesignWeights(times, T).weight_matrix(j, 8, 1.4, x)
+            W = weight_matrix(times, T, j, 8, 1.4, x)
             for p in range(8):
                 want = math.perm(p, j) * (x / T) ** max(p - j, 0) / T**j if p >= j else 0 * x
                 np.testing.assert_allclose(W @ (times / T) ** p, want, rtol=0,
                                            atol=1e-10 * (T / 1.4) ** j)
 
     def test_orders_share_one_gram_per_point(self, monkeypatch):
-        # apply_orders solves each point's Gram once for every order it is
+        # apply_rows solves each point's Gram once for every order it is
         # given, each order on its own columns
         calls = []
         real = smoother._rows_at
@@ -256,7 +261,7 @@ class TestRows:
         grid = np.linspace(0.0, T, 61)
         V = rng.standard_normal((times.size, 10))
         columns = {0: np.array([0, 4, 7]), 2: np.arange(10), 3: np.array([9])}
-        got = DesignWeights(times, T).apply_orders(8, 1.1, grid, V, columns)
+        got = apply_rows(times, T, 8, 1.1, grid, V, columns)
         assert calls and set(calls) == {(0, 2, 3)}
         for j, cols in columns.items():
             O = dense_weights(times, T, grid, j, 8, 1.1)
@@ -274,8 +279,8 @@ class TestRows:
         got = []
         for bound in (1, 1 << 40):
             monkeypatch.setattr(smoother, "_ROW_CHUNK", bound)
-            dw = DesignWeights(times, T)
-            got.append((dw.apply(3, 8, 0.9, grid, V), dw.weight_matrix(3, 8, 0.9, grid)))
+            got.append((_apply(times, 3, 8, 0.9, grid, V),
+                        weight_matrix(times, T, 3, 8, 0.9, grid)))
         for a, b in zip(*got):
             np.testing.assert_array_equal(a, b)
 
@@ -291,7 +296,7 @@ class TestRows:
         monkeypatch.setattr(smoother, "_rows_at", spy)
         times = np.arange(1, 4001) * (T / 4000)
         grid = np.linspace(0.0, T, 1024)
-        DesignWeights(times, T).apply(0, 8, 0.5, grid, np.ones((times.size, 1)))
+        _apply(times, 0, 8, 0.5, grid, np.ones((times.size, 1)))
         assert len(sizes) > 1
         assert sum(k for k, _ in sizes) == -(-grid.size // smoother._BLOCK_ROWS)
         assert max(size for _, size in sizes) <= smoother._ROW_CHUNK
@@ -302,7 +307,7 @@ class TestRows:
         times = np.arange(1, 201) * (T / 200)
         x = np.array([0.0, times[40], times[41] + 1e-3, T])
         for j in (0, 2):
-            W = DesignWeights(times, T).weight_matrix(j, 8, 1.0, x)
+            W = weight_matrix(times, T, j, 8, 1.0, x)
             assert_rows_match_oracle(W, dense_weights(times, T, x, j, 8, 1.0))
             assert W[-1, -1] == 0.0  # t = T sits on the support's end
 
@@ -329,24 +334,23 @@ class TestRows:
         with pytest.raises(ValueError):
             Q[0, 0] = 2.0
 
-    def test_apply_orders_keeps_each_orders_column_order(self):
+    def test_apply_rows_keeps_each_orders_column_order(self):
         # unsorted and repeated columns come back in the order given
         rng = np.random.default_rng(6)
         times = np.sort(rng.uniform(0.0, T, 400))
         grid = np.linspace(0.0, T, 45)
         V = rng.standard_normal((times.size, 8))
         columns = {0: np.array([5, 2, 2]), 3: np.array([7, 0]), 1: np.array([4])}
-        dw = DesignWeights(times, T)
-        got = dw.apply_orders(8, 1.2, grid, V, columns)
+        got = apply_rows(times, T, 8, 1.2, grid, V, columns)
         assert sorted(got) == [0, 1, 3]
         for j, cols in columns.items():
-            W = dw.weight_matrix(j, 8, 1.2, grid)
+            W = weight_matrix(times, T, j, 8, 1.2, grid)
             assert got[j].shape == (grid.size, cols.size)
             err = np.abs(got[j] - W @ V[:, cols])
             assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
 
 
-    def test_apply_orders_returns_the_columns_in_the_order_given(self):
+    def test_apply_rows_returns_the_columns_in_the_order_given(self):
         # one order's columns a permutation of another's, on a permuted
         # grid: each order's estimates are those of the sorted columns, in
         # the order given, bit for bit, and the one-order products
@@ -355,14 +359,13 @@ class TestRows:
         grid = rng.permutation(np.linspace(0.0, T, 77))
         V = rng.standard_normal((times.size, 6))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        dw = DesignWeights(times, T)
-        got = dw.apply_orders(8, 1.2, grid, V, {0: np.arange(6), 2: perm})
-        ref = dw.apply_orders(8, 1.2, grid, V, {0: np.arange(6), 2: np.arange(6)})
+        got = apply_rows(times, T, 8, 1.2, grid, V, {0: np.arange(6), 2: perm})
+        ref = apply_rows(times, T, 8, 1.2, grid, V, {0: np.arange(6), 2: np.arange(6)})
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[2], ref[2][:, perm])
         for j, cols in ((0, np.arange(6)), (2, perm)):
-            W = dw.weight_matrix(j, 8, 1.2, grid)
-            err = np.abs(got[j] - dw.apply(j, 8, 1.2, grid, V[:, cols]))
+            W = weight_matrix(times, T, j, 8, 1.2, grid)
+            err = np.abs(got[j] - _apply(times, j, 8, 1.2, grid, V[:, cols]))
             assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
 
 
@@ -385,7 +388,7 @@ class TestLattice:
             zone = smoother._zone(times, T, lam)
             x = times[zone[0] : zone[1]]
             for j in range(8):
-                scale = np.abs(DesignWeights(times, T).weight_matrix(j, 8, lam, x)) @ np.abs(V)
+                scale = np.abs(weight_matrix(times, T, j, 8, lam, x)) @ np.abs(V)
                 for Vr in (V, V[:, :1]):
                     del applied[:]
                     got = _on_lattice(times, zone, lam, j, Vr)
@@ -466,7 +469,7 @@ class TestLattice:
             zone = smoother._zone(times, T, lam)
             x = times[zone[0] : zone[1]]
             for j in range(8):
-                scale = np.abs(DesignWeights(times, T).weight_matrix(j, 8, lam, x)) @ np.abs(V)
+                scale = np.abs(weight_matrix(times, T, j, 8, lam, x)) @ np.abs(V)
                 got = _on_lattice(times, zone, lam, j, V)
                 want = _per_point(times, zone, lam, j, V)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (lam, j)
@@ -678,13 +681,12 @@ class TestAdmissibility:
         # that, so every row builder refuses it
         times = np.arange(1, 101) * (T / 100)
         times = np.sort(np.concatenate((times, times - gap)))
-        dw = DesignWeights(times, T)
         grid = np.linspace(0.0, T, 50)
         V = np.ones((times.size, 2))
         for call in (lambda: check_bandwidth(times, T, 0, 8, 0.45),
-                     lambda: dw.apply(0, 8, 0.45, grid, V),
-                     lambda: dw.apply_orders(8, 0.45, grid, V, {0: np.arange(2), 1: [0]}),
-                     lambda: dw.weight_matrix(1, 8, 0.45, grid)):
+                     lambda: _apply(times, 0, 8, 0.45, grid, V),
+                     lambda: apply_rows(times, T, 8, 0.45, grid, V, {0: np.arange(2), 1: [0]}),
+                     lambda: pc_estimate(NoisySample(times, V[:, 0], T, 0.1), 1, 8, 0.45, grid)):
             with pytest.raises(EstimationError,
                                match="at x = 0 holds 4 distinct observation times in"):
                 call()
@@ -695,14 +697,17 @@ class TestAdmissibility:
 
     def test_a_singular_gram_is_an_estimation_error(self):
         # past the count, which refuses this window, a singular Gram is an
-        # estimation error that names where the window is
+        # estimation error that names the first point whose Gram is: of the
+        # 201 points, in one chunk, those at 9.8 and 9.95 are singular alone
         times = np.arange(1, 101) * (T / 100)
         times = np.sort(np.concatenate((times, times - 1e-13)))
         V = np.sin(times)[:, None]
-        with pytest.raises(EstimationError,
-                           match=r"the window \(x - lam, x \+ lam\) of a point x in \[0, .*\] "
-                                 r"gives a singular Gram"):
-            smoother._apply_rows(times, T, np.linspace(0.0, T, 201), 0.45, 8, V, {0: [0]})
+        grid = np.linspace(0.0, T, 201)
+        for x in (grid, grid[::-1]):
+            with pytest.raises(EstimationError,
+                               match=r"the window \(x - lam, x \+ lam\) of the point x = 9\.8 "
+                                     r"gives a singular Gram"):
+                smoother._apply_rows(times, T, x, 0.45, 8, V, {0: [0]})
 
     @pytest.mark.parametrize("reps, n0", [(2, 200), (4, 100), (8, 60)])
     def test_tied_designs_select_full_rank_levels(self, reps, n0):
@@ -847,23 +852,28 @@ class TestNoState:
             assert other.bandwidth_counts == one.bandwidth_counts
 
 
+def _select(d, j):
+    """(lam, selected index, details) of one data column's selection."""
+    lam, selected, details = _lepski_batch(d.times, d.T, d.values[:, None], d.sigma, j, 8)
+    return float(lam[0]), int(selected[0]), details
+
+
 class TestLepski:
     def test_selected_bandwidth_is_grid_member(self):
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
-        lam, details = lepski_select(d, 0, 8, return_details=True)
-        assert any(np.isclose(lam, details["levels"]).tolist())
-        assert details["selected_index"][0] in details["admissible"]
+        lam, selected, details = _select(d, 0)
+        assert lam == lepski_select(d, 0, 8) == details["levels"][selected]
+        assert selected in details["admissible"]
 
     def test_details_fields(self):
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
-        _, details = lepski_select(d, 1, 8, return_details=True)
-        assert set(details) == {"levels", "admissible", "selected_index", "C", "hmin",
-                                "comparison_grid_size"}
+        details = _select(d, 1)[2]
+        assert set(details) == {"levels", "admissible", "C", "comparison_grid_size"}
 
     @pytest.mark.parametrize("n", [100, 250, 2000])
     def test_comparison_runs_over_the_observations_of_the_widest_zone(self, n):
         d = equispaced(n, np.sin, sigma=0.05, seed=7)
-        _, details = lepski_select(d, 0, 8, return_details=True)
+        details = _select(d, 0)[2]
         lam = details["levels"][details["admissible"][-1]]
         inside = (d.times >= lam - 1e-12 * T) & (d.times <= T - lam + 1e-12 * T)
         assert details["comparison_grid_size"] == np.count_nonzero(inside)
@@ -883,7 +893,7 @@ class TestLepski:
     @pytest.mark.parametrize("j", range(4))
     def test_C_is_the_kernel_norm(self, j):
         d = equispaced(500, np.sin, sigma=0.05, seed=7)
-        _, details = lepski_select(d, j, 8, return_details=True)
+        details = _select(d, j)[2]
         assert details["C"] == math.sqrt(make_kernel(8, j).norm2)
 
     def test_small_sigma_admits_the_levels_the_design_resolves(self):
@@ -891,7 +901,7 @@ class TestLepski:
         # the run from the top down to the last whose windows hold L = 8
         # observations, above 8 spacings of 0.04
         d = equispaced(250, np.sin, sigma=1e-9, seed=1)
-        lam, details = lepski_select(d, 0, 8, return_details=True)
+        lam, _, details = _select(d, 0)
         levels = details["levels"]
         assert levels.size == 233
         passing = [smoother._short_window(d.times, T, lv, 8) is None for lv in levels]
@@ -906,7 +916,7 @@ class TestLepski:
         d = equispaced(250, np.sin, sigma=1e-9, seed=1)
         real, calls = smoother._pairs, []
         monkeypatch.setattr(smoother, "_pairs", lambda *a: calls.append(a) or real(*a))
-        _, details = lepski_select(d, 0, 8, return_details=True)
+        details = _select(d, 0)[2]
         assert len(details["admissible"]) == 7
         assert len(calls) == 1
 
@@ -1009,66 +1019,68 @@ class TestEstimateDerivative:
         assert est.grid[0] == 0.0 and est.grid[-1] == T
 
 
-class TestDesignWeights:
+class TestApplyRows:
     def test_too_few_observations_is_an_estimation_error(self):
         # n = 100 on [0, 10]: the window (0, 0.3) of x = 0 holds 2 < L
         # observations, where a row's Gram matrix would be singular
-        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
+        times = np.arange(1, 101) * 0.1
         grid = np.linspace(0.0, T, 50)
-        for call in (lambda: dw.apply(0, 8, 0.3, grid, np.ones((100, 1))),
-                     lambda: dw.apply_orders(8, 0.3, grid, np.ones((100, 2)),
-                                             {0: np.arange(2), 1: np.arange(1)}),
-                     lambda: dw.weight_matrix(1, 8, 0.3, grid)):
+        for call in (lambda: _apply(times, 0, 8, 0.3, grid, np.ones((100, 1))),
+                     lambda: apply_rows(times, T, 8, 0.3, grid, np.ones((100, 2)),
+                                        {0: np.arange(2), 1: np.arange(1)})):
             with pytest.raises(EstimationError, match="holds 2 observations"):
                 call()
         with pytest.raises(ValueError):
-            dw.apply(8, 8, 1.0, grid, np.ones((100, 1)))
+            _apply(times, 8, 8, 1.0, grid, np.ones((100, 1)))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("points", [[10.5], [-0.5], [5.0, 20.0], [11.0], [np.nan],
-                                        [np.inf], [2.0, -np.inf]])
-    def test_points_outside_the_interval_are_value_errors(self, points):
+    @pytest.mark.parametrize("points, columns, match", [
+        *[(p, None, r"not a finite point of \[0, T\]")
+          for p in ([10.5], [-0.5], [5.0, 20.0], [11.0], [np.nan], [np.inf], [2.0, -np.inf])],
+        (5.0, None, r"1-D array, not one of shape \(\)"),
+        ([[1.0, 2.0]], None, r"1-D array, not one of shape \(1, 2\)"),
+        ([[1.0], [2.0]], None, r"1-D array, not one of shape \(2, 1\)"),
+        ([1.0, 2.0], {0: np.arange(1), 1: []}, r"columns of order j=1 name no column")],
+        ids=[*("points%d" % k for k in range(7)), "scalar", "row", "column", "no-column"])
+    def test_points_outside_the_interval_are_value_errors(self, points, columns, match):
         # n = 100 on [0, 10] at lam = 1, L = 8: every public entry point
-        # refuses the points before any row is formed, with no warning
+        # refuses the points, or an order without columns, before any row
+        # is formed, with no warning
         times = np.arange(1, 101) * 0.1
         d = NoisySample(times, np.sin(times), T, 0.01)
-        dw = DesignWeights(times, T)
-        grid = np.array(points)
         V = d.values[:, None]
-        for call in (lambda: pc_estimate(d, 0, 8, 1.0, grid),
-                     lambda: estimate_derivative(d, 0, 8, grid=grid),
-                     lambda: dw.weight_matrix(0, 8, 1.0, grid),
-                     lambda: dw.apply(0, 8, 1.0, grid, V),
-                     lambda: dw.apply_orders(8, 1.0, grid, V,
-                                             {0: np.arange(1), 1: np.arange(1)})):
-            with pytest.raises(ValueError, match=r"not a finite point of \[0, T\]"):
+        calls = [lambda: apply_rows(times, T, 8, 1.0, points, V,
+                                    columns or {0: np.arange(1), 1: np.arange(1)})]
+        if columns is None:
+            calls += [lambda: pc_estimate(d, 0, 8, 1.0, points),
+                      lambda: estimate_derivative(d, 0, 8, grid=points)]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
                 call()
 
-    def test_apply_orders_needs_an_order(self):
-        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
+    def test_apply_rows_needs_an_order(self):
         with pytest.raises(ValueError, match="at least one derivative order"):
-            dw.apply_orders(8, 1.0, np.linspace(0.0, T, 20), np.ones((100, 1)), {})
+            apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
+                       np.ones((100, 1)), {})
 
-    def test_apply_orders_counts_the_windows_once(self, monkeypatch):
+    def test_apply_rows_counts_the_windows_once(self, monkeypatch):
         # the window count depends on lam only, so three orders read it once
         seen = []
         count = smoother._short_window
         monkeypatch.setattr(smoother, "_short_window",
                             lambda *args, **kw: seen.append(args[2]) or count(*args, **kw))
-        dw = DesignWeights(np.arange(1, 101) * 0.1, T)
-        dw.apply_orders(8, 1.0, np.linspace(0.0, T, 20), np.ones((100, 3)),
-                        {0: np.arange(1), 1: np.arange(1, 3), 2: np.arange(3)})
+        apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
+                   np.ones((100, 3)), {0: np.arange(1), 1: np.arange(1, 3), 2: np.arange(3)})
         assert seen == [1.0]
 
     def test_apply_is_the_weight_matrix_product(self):
         n = 200
         times = np.arange(1, n + 1) * (T / n)
-        dw = DesignWeights(times, T)
         grid = np.linspace(0.0, T, 50)
-        W = dw.weight_matrix(1, 4, 0.5, grid)
+        W = weight_matrix(times, T, 1, 4, 0.5, grid)
         assert_rows_match_oracle(W, dense_weights(times, T, grid, 1, 4, 0.5))
         V = np.random.default_rng(1).standard_normal((n, 3))
-        np.testing.assert_allclose(dw.apply(1, 4, 0.5, grid, V), W @ V, rtol=0,
+        np.testing.assert_allclose(_apply(times, 1, 4, 0.5, grid, V), W @ V, rtol=0,
                                    atol=1e-13 * np.max(np.abs(W) @ np.abs(V)))
 
 
