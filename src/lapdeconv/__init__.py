@@ -57,7 +57,6 @@ from .sim import (
 )
 from .smoother import (
     AdaptationError,
-    BandwidthGrid,
     DerivativeEstimate,
     EstimationError,
     NoisySample,
@@ -75,7 +74,6 @@ __all__ = [
     "AdaptationError",
     "BUILTIN_F_NAMES",
     "BUILTIN_G_NAMES",
-    "BandwidthGrid",
     "DeconvolutionResult",
     "DerivativeEstimate",
     "EstimationError",

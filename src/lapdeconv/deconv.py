@@ -172,8 +172,10 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     """Batched pipeline core over the columns of V (n x R).
 
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
-    Column results are identical to running the pipeline per column; the
-    batch exists so Monte-Carlo replications share design-dependent work.
+    Each column selects the bandwidths it selects alone, and its estimates
+    match a run of the pipeline on that column alone up to rounding (the
+    batch's products may sum in another order); the batch exists so
+    Monte-Carlo replications share design-dependent work.
     Every order is selected in order j = 0..r on the calling thread, so
     the lowest failing order raises first; then each distinct selected
     bandwidth is evaluated once for every order and column that chose it

@@ -398,7 +398,9 @@ def phi_tilde(g: RationalLaplaceKernel) -> tuple[Polynomial, Polynomial]:
 
 @dataclass(frozen=True)
 class PoleTerm:
-    """One pole s_l of phi~ away from the origin, with its coefficients.
+    """One pole s_l of phi~ with its coefficients: a pole away from the
+    origin, or the origin itself when g~(0) = 0 raises its order above r,
+    with a[i] = 0 for i < r (those coefficients are a0).
 
     a[i] multiplies x^i e^{s_l x} / i! in phi1; equivalently it is the
     coefficient of (s - s_l)^{-(i+1)} in the partial fraction expansion.
@@ -414,8 +416,9 @@ class ResolventDecomposition:
     """Partial-fraction data of phi~ plus the derived inversion constants.
 
     a0[j] is the coefficient of t^j/j! in the polynomial part of phi;
-    b[j] multiplies q^{(r-1-j)} in the inversion formula; poles carry the
-    exponential part phi1.
+    b[j] multiplies q^{(r-1-j)} in the inversion formula; poles carry
+    phi1, the rest of phi: its exponential part and, when g~(0) = 0, the
+    terms t^j/j! with j >= r of the pole at the origin.
     """
 
     a0: np.ndarray
@@ -478,8 +481,10 @@ def decompose(g: RationalLaplaceKernel) -> ResolventDecomposition:
     """Full pole decomposition of phi~ and the inversion constants b_j.
 
     The pole at the origin (order r, reduced when den(0) = 0 cancels part
-    of it) yields a0; every zero s_l of the numerator of g~ contributes an
-    exponential term. b_j combines both:
+    of it) yields a0, and its coefficients of index >= r, present when a
+    zero of g~ at 0 raises its order above r, a PoleTerm at 0; every other
+    zero s_l of the numerator of g~ contributes an exponential term. b_j
+    combines both:
 
         b_j = a0[j] + sum_l sum_{i <= min(j, alpha_l - 1)}
               C(j, i) a_{l,i} s_l^{j - i}.
@@ -519,6 +524,9 @@ def decompose(g: RationalLaplaceKernel) -> ResolventDecomposition:
         if s_l == 0.0:
             take = min(alpha, r)
             a0[:take] = coeffs[:take]
+            if alpha > r:
+                # g~(0) = 0: phi's polynomial part of degree >= r stays in phi1
+                pole_terms.append(PoleTerm(s_l, alpha, (0.0,) * r + tuple(coeffs[r:])))
         else:
             pole_terms.append(PoleTerm(s_l, alpha, tuple(coeffs)))
 

@@ -22,7 +22,6 @@ from .kernels import make_kernel
 
 __all__ = [
     "AdaptationError",
-    "BandwidthGrid",
     "DerivativeEstimate",
     "EstimationError",
     "NoisySample",
@@ -34,7 +33,7 @@ __all__ = [
     "pc_estimate",
 ]
 
-# Ratio a of the geometric bandwidth grid (``BandwidthGrid``); a finite
+# Ratio a of the geometric bandwidth grid (``_admissible``); a finite
 # n / (sigma^2 T^2) keeps the depth J below log_a(DBL_MAX) = 3893.2
 _GRID_RATIO = 1.2
 
@@ -97,22 +96,6 @@ class NoisySample:
     @property
     def n(self) -> int:
         return self.times.size
-
-
-@dataclass(frozen=True)
-class BandwidthGrid:
-    """Geometric bandwidth grid a^0 > a^-1 > ... > a^-J for derivative order j,
-    a = ``_GRID_RATIO``."""
-
-    j: int
-    levels: np.ndarray
-
-    @classmethod
-    def build(cls, j: int, n: int, sigma: float, T: float) -> "BandwidthGrid":
-        """The levels a^-k for k = 0..J, J from ``_grid_depth``."""
-        depth = _grid_depth(j, n, sigma, T)
-        levels = _GRID_RATIO ** (-np.arange(depth + 1, dtype=float))
-        return cls(j=int(j), levels=levels)
 
 
 def _grid_depth(j: int, n: int, sigma: float, T: float) -> int:
@@ -494,12 +477,12 @@ def _toeplitz_apply(w: np.ndarray, V: np.ndarray, k0: int, k1: int, out: np.ndar
         np.matmul(band[:b, : b + 2 * m], V[r0 - m : r0 + b + m], out=out[r0 - k0 : r0 - k0 + b])
 
 
-def _zone(times: np.ndarray, T: float, lam: float) -> tuple[int, int]:
+def _zone(times: np.ndarray, T: float, lam: float | np.ndarray):
     """[i0, i1): the observations in the interior zone [lam, T - lam], up to
-    a rounding margin of 1e-12 T."""
+    a rounding margin of 1e-12 T; lam a level or an array of them."""
     tol = 1e-12 * T
-    return (int(np.searchsorted(times, lam - tol, side="left")),
-            int(np.searchsorted(times, T - lam + tol, side="right")))
+    return (np.searchsorted(times, lam - tol, side="left"),
+            np.searchsorted(times, T - lam + tol, side="right"))
 
 
 def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray, j: int,
@@ -546,28 +529,31 @@ def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray
     return est
 
 
-def _first_level(times: np.ndarray, T: float, levels: np.ndarray) -> int:
-    """The index of the first of the descending levels that is at most T/2
-    and whose interior zone (``_zone``) holds two observations to compare
-    on, or levels.size; every later level does too."""
-    first = int(np.count_nonzero(levels > T / 2))
-    while first < levels.size and np.subtract(*_zone(times, T, levels[first])[::-1]) < 2:
-        first += 1
-    return first
-
-
-def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int):
-    """(levels, zones): the grid, risen above its top where that fails, and
-    the observation zone (``_zone``) of each admissible level by index.
+def _admissible(times: np.ndarray, T: float, j: int, sigma: float, L: int):
+    """(levels, zones): the bandwidth grid a^top > ... > a^-J of order j,
+    a = ``_GRID_RATIO`` and J from ``_grid_depth``, and the observation
+    zone (``_zone``) of each admissible level by index.
 
     The admissible levels are those in (lam_min, T/2] whose zone holds two
-    observations to compare on (``_first_level``); lam_min is the larger
-    of the two thresholds of ``_pairs``, computed once. When the top level
-    a^0 = 1 is at most lam_min, the grid rises to the first a^k above it,
-    keeping a^k .. a^1 as its new top levels. EstimationError names the
+    observations to compare on; lam_min is the larger of the two
+    thresholds of ``_pairs``, computed once. top is 0 unless the level
+    a^0 = 1 would be admissible but for lam_min >= 1: then it is the first
+    k >= 1 with a^k > lam_min, at most log_a T. EstimationError names the
     count that refused the largest level tried, or why none was tried.
     """
-    first = _first_level(times, T, levels)
+    depth = _grid_depth(j, times.size, sigma, T)
+    _, full, inner, _ = _pairs(times, T, L)
+    lam_min = max(full.max(), inner.max())
+    top = 0
+    i0, i1 = _zone(times, T, 1.0)
+    if 1.0 <= min(T / 2, lam_min) and i1 - i0 >= 2:
+        # a^0 fits in T/2 and its zone, but its windows are short
+        rise = _GRID_RATIO ** np.arange(1.0, math.log(T, _GRID_RATIO) + 1)
+        top = min(int(np.count_nonzero(rise <= lam_min)) + 1, rise.size)
+    levels = _GRID_RATIO ** np.arange(float(top), -depth - 1.0, -1.0)
+    i0, i1 = _zone(times, T, levels)
+    # both conditions hold from some level down: zones grow as levels fall
+    first = levels.size - int(np.count_nonzero((levels <= T / 2) & (i1 - i0 >= 2)))
     if first == levels.size:
         if levels[-1] > T / 2:
             reason = "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
@@ -576,21 +562,13 @@ def _admissible(times: np.ndarray, T: float, levels: np.ndarray, L: int, j: int)
             reason = ("the design leaves fewer than two observations in the interior "
                       "zone [lam, T - lam] of every level up to T/2 = %g" % (T / 2))
         raise EstimationError("no admissible bandwidth level for j=%d: %s" % (j, reason))
-    _, full, inner, _ = _pairs(times, T, L)
-    lam_min = max(full.max(), inner.max())
-    if first == 0 and levels[0] <= lam_min:
-        # a^1 .. a^K, a^K near T, cut after the first level above lam_min
-        rise = levels[0] * _GRID_RATIO ** np.arange(1.0, math.log(T / levels[0], _GRID_RATIO) + 1)
-        rise = rise[: np.count_nonzero(rise <= lam_min) + 1]
-        levels = np.concatenate((rise[::-1], levels))
-        first = _first_level(times, T, levels)
     last = first + int(np.count_nonzero(levels[first:] > lam_min))
     if last == first:
         raise EstimationError(
             "no admissible bandwidth level for j=%d: at lam = %g, the largest level tried "
             "up to T/2 = %g, %s" % (j, levels[first], T / 2,
                                     _short_window(times, T, levels[first], L)))
-    return levels, {li: _zone(times, T, levels[li]) for li in range(first, last)}
+    return levels, {li: (int(i0[li]), int(i1[li])) for li in range(first, last)}
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
@@ -626,7 +604,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     ``np.square`` into it, then one product with the trapezoid weights.
     """
     n = times.size
-    levels, zones = _admissible(times, T, BandwidthGrid.build(j, n, sigma, T).levels, L, j)
+    levels, zones = _admissible(times, T, j, sigma, L)
     C = math.sqrt(make_kernel(L, j).norm2)
     R = V.shape[1]
     admissible = sorted(zones)

@@ -29,7 +29,13 @@ can compare the two:
   window only, or as one lattice row for a whole equispaced design, and
   never as one matrix.
 - ``weight_matrix`` is one order's rows as a dense grid.size x n matrix,
-  the package's ``apply_rows`` on the identity; the package never forms it.
+  or a stack of several orders' from one call, the package's
+  ``apply_rows`` on the identity; the package never forms it.
+- ``admissible_levels`` is the admission of bandwidth levels by a scan:
+  the grid 1.2^0 .. 1.2^-J, risen by a second grid above 1 when its top
+  level fits but is refused, and each level's interior zone counted one
+  at a time; the package forms one exponent range and counts every zone
+  at once.
 - ``convolve_terms_by_column`` is the phi1 product rule as two
   ``np.convolve`` per column; the package forms it as one blocked
   Toeplitz product over all columns.
@@ -61,7 +67,8 @@ from lapdeconv.resolvent import (
     polished_roots,
 )
 from lapdeconv.sim import Scenario, builtin_f, builtin_g, forward_convolve
-from lapdeconv.smoother import apply_rows
+from lapdeconv import smoother
+from lapdeconv.smoother import EstimationError, apply_rows
 
 SIDECAR_SCHEMA_PATH = (
     Path(lapdeconv.__file__).resolve().parent / "schema" / "sidecar.schema.json"
@@ -588,13 +595,65 @@ def convolve_terms_by_column(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -
     return out
 
 
-def weight_matrix(times: np.ndarray, T: float, j: int, L: int, lam: float,
+def weight_matrix(times: np.ndarray, T: float, j, L: int, lam: float,
                   grid) -> np.ndarray:
     """The order-j rows at bandwidth lam on the grid as a dense grid.size x n
     matrix: ``apply_rows`` on the columns of the identity, each of whose
-    estimates is one row weight times 1 plus exact zeros."""
+    estimates is one row weight times 1 plus exact zeros. For a sequence
+    of orders j, their matrices stacked in that order, from one call that
+    solves each point's Gram once for all of them."""
     n = len(times)
-    return apply_rows(times, T, L, lam, grid, np.eye(n), {j: np.arange(n)})[j]
+    orders = [int(k) for k in np.atleast_1d(j)]
+    W = apply_rows(times, T, L, lam, grid, np.eye(n), {k: np.arange(n) for k in orders})
+    return W[j] if np.ndim(j) == 0 else np.stack([W[k] for k in orders])
+
+
+def admissible_levels(times: np.ndarray, T: float, j: int, sigma: float, L: int):
+    """(levels, zones) of order j as ``smoother._admissible`` returns them,
+    by a scan: the grid a^0 > ... > a^-J, a = 1.2 and J from
+    ``_grid_depth``; the first level at most T/2 whose zone holds two
+    observations, found level by level; when that is a^0 = 1 and 1 is at
+    most lam_min, the larger threshold of ``_pairs``, the levels a^1 ..
+    a^K up to the first above lam_min (K at most log_a T) prepended and the
+    scan run again; then the levels above lam_min from there."""
+    levels = 1.2 ** (-np.arange(smoother._grid_depth(j, times.size, sigma, T) + 1.0))
+
+    def first_level(levels):
+        first = int(np.count_nonzero(levels > T / 2))
+        while first < levels.size:
+            i0, i1 = smoother._zone(times, T, levels[first])
+            if i1 - i0 >= 2:
+                break
+            first += 1
+        return first
+
+    first = first_level(levels)
+    if first == levels.size:
+        if levels[-1] > T / 2:
+            reason = "every level of the grid, from %g down to %g, exceeds T/2 = %g" % (
+                levels[0], levels[-1], T / 2)
+        else:
+            reason = ("the design leaves fewer than two observations in the interior "
+                      "zone [lam, T - lam] of every level up to T/2 = %g" % (T / 2))
+        raise EstimationError("no admissible bandwidth level for j=%d: %s" % (j, reason))
+    _, full, inner, _ = smoother._pairs(times, T, L)
+    lam_min = max(full.max(), inner.max())
+    if first == 0 and levels[0] <= lam_min:
+        rise = levels[0] * 1.2 ** np.arange(1.0, math.log(T / levels[0], 1.2) + 1)
+        rise = rise[: np.count_nonzero(rise <= lam_min) + 1]
+        levels = np.concatenate((rise[::-1], levels))
+        first = first_level(levels)
+    last = first + int(np.count_nonzero(levels[first:] > lam_min))
+    if last == first:
+        raise EstimationError(
+            "no admissible bandwidth level for j=%d: at lam = %g, the largest level tried "
+            "up to T/2 = %g, %s" % (j, levels[first], T / 2,
+                                    smoother._short_window(times, T, levels[first], L)))
+    zones = {}
+    for li in range(first, last):
+        i0, i1 = smoother._zone(times, T, levels[li])
+        zones[li] = (int(i0), int(i1))
+    return levels, zones
 
 
 def fixed_bandwidth_risk(sc: Scenario) -> float:

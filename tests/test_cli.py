@@ -773,6 +773,17 @@ class TestInspectKernel:
         assert "b_0=1" in out
         assert "-3" in out and "mult 1" in out
 
+    @pytest.mark.parametrize("num, den, mult", [([0, 1], [1, 3, 3, 1], 3),
+                                                ([0, 0, 1], [1, 4, 6, 4, 1], 4),
+                                                ([0, 3, 1], [1, 4, 6, 4, 1], 3)])
+    def test_kernel_vanishing_at_the_origin_names_its_pole(self, num, den, mult, capsys):
+        # r = 2 for each, and the pole of phi~ at 0 adds the zeros of g~ there
+        spec = json.dumps({"form": "rational", "num": num, "den": den})
+        with pytest.warns(RuntimeWarning):
+            assert main(["inspect-kernel", "--kernel", spec]) == 0
+        out = capsys.readouterr().out
+        assert "r: 2" in out and "0+0i (mult %d)" % mult in out
+
     def test_stiff_kernel_keeps_its_order(self, capsys):
         assert main(["inspect-kernel", "--kernel", STIFF_G]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["r: 8", "B_r: 1"]

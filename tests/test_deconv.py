@@ -143,6 +143,25 @@ class TestNoiselessRoundTrip:
         assert rel < 1e-4
         assert np.any(res.terms["integral"] != 0.0)
 
+    @pytest.mark.parametrize("num, den", [([0, 1], [1, 3, 3, 1]), ([0, 0, 1], [1, 4, 6, 4, 1]),
+                                          ([0, 3, 1], [1, 4, 6, 4, 1])],
+                             ids=["s/(s+1)^3", "s^2/(s+1)^4", "s(s+3)/(s+1)^4"])
+    def test_kernel_vanishing_at_the_origin(self, num, den):
+        # g~(0) = 0 puts a pole of phi~ at 0 of order above r, whose part of
+        # degree >= r (for s/(s+1)^3 the term int q of f = q'' + 3q' + 3q +
+        # int q) is carried by the convolution term
+        with pytest.warns(RuntimeWarning):
+            g = rational_kernel(num, den)
+        f = builtin_f("f1")
+        times = np.arange(1, 4001) * (T / 4000)
+        data = NoisySample(times, forward_convolve(g, f, times), T, 0.0)
+        res = deconvolve(data, g, EstimatorConfig(fixed_bandwidths=0.5))
+        m = (res.grid >= 1.0) & (res.grid <= 9.0)
+        truth = f(res.grid[m])
+        rel = np.sqrt(np.mean((res.f_hat[m] - truth) ** 2) / np.mean(truth**2))
+        assert rel < 1e-4
+        assert any(t.s == 0.0 and t.alpha > g.r for t in res.decomposition.poles)
+
     def test_terms_recombine_to_estimate(self):
         res, _ = noiseless("g3", "f1", 500, 0.4)
         d = res.decomposition
@@ -212,6 +231,22 @@ class TestBatchConsistency:
         )
         _, F, _, lam, _ = _estimate_all(times, T, V, 0.01, g, EstimatorConfig())
         for c in range(3):
+            res = deconvolve(NoisySample(times, V[:, c], T, 0.01), g)
+            np.testing.assert_allclose(F[:, c], res.f_hat, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(lam[:, c], res.bandwidths)
+
+    def test_mixed_bandwidth_columns_match_single_runs(self):
+        # frequencies 1..8 make the columns of each order select different
+        # bandwidths, so every order's estimates are scattered into one array
+        n = 250
+        times = np.arange(1, n + 1) * (T / n)
+        g = builtin_g("g2")
+        rng = np.random.default_rng(3)
+        V = np.sin(np.outer(times, np.linspace(1.0, 8.0, 6)))
+        V += 0.01 * rng.standard_normal(V.shape)
+        _, F, _, lam, _ = _estimate_all(times, T, V, 0.01, g, EstimatorConfig())
+        assert np.all(np.ptp(lam, axis=1) > 0)
+        for c in range(V.shape[1]):
             res = deconvolve(NoisySample(times, V[:, c], T, 0.01), g)
             np.testing.assert_allclose(F[:, c], res.f_hat, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(lam[:, c], res.bandwidths)

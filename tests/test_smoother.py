@@ -13,7 +13,6 @@ from lapdeconv import smoother
 from lapdeconv.kernels import make_kernel
 from lapdeconv.smoother import (
     AdaptationError,
-    BandwidthGrid,
     EstimationError,
     NoisySample,
     _lepski_batch,
@@ -24,7 +23,7 @@ from lapdeconv.smoother import (
     lepski_select,
     pc_estimate,
 )
-from oracles import dense_weights, weight_matrix
+from oracles import admissible_levels, dense_weights, weight_matrix
 
 T = 10.0
 
@@ -138,21 +137,22 @@ class TestPcEstimate:
 
 class TestBandwidthGrid:
     def test_levels_shape_and_order(self):
-        g = BandwidthGrid.build(0, 1000, 0.1, T)
+        d = equispaced(1000, np.sin, sigma=0.1, seed=0)
+        levels = _select(d, 0)[2]["levels"]
         depth = int(np.floor(np.log(1000 / (0.01 * 100)) / np.log(1.2)))
-        assert g.levels.size == depth + 1
-        assert g.levels[0] == 1.0
-        assert np.all(np.diff(g.levels) < 0)
-        np.testing.assert_allclose(g.levels, 1.2 ** (-np.arange(depth + 1)))
+        assert smoother._grid_depth(0, 1000, 0.1, T) == depth
+        assert levels.size == depth + 1
+        assert levels[0] == 1.0
+        assert np.all(np.diff(levels) < 0)
+        np.testing.assert_allclose(levels, 1.2 ** (-np.arange(depth + 1)))
 
     def test_higher_order_shrinks_grid(self):
-        g0 = BandwidthGrid.build(0, 1000, 0.1, T)
-        g4 = BandwidthGrid.build(4, 1000, 0.1, T)
-        assert g4.levels.size < g0.levels.size
+        d = equispaced(1000, np.sin, sigma=0.1, seed=0)
+        assert _select(d, 4)[2]["levels"].size < _select(d, 0)[2]["levels"].size
 
     def test_sigma_zero_raises(self):
         with pytest.raises(AdaptationError):
-            BandwidthGrid.build(0, 1000, 0.0, T)
+            smoother._grid_depth(0, 1000, 0.0, T)
 
     @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
     def test_tiny_sigma_raises(self, sigma):
@@ -168,11 +168,11 @@ class TestBandwidthGrid:
     def test_noise_dominated_raises(self):
         # sigma^2 T^2 = 100 >= n leaves no grid at all
         with pytest.raises(AdaptationError):
-            BandwidthGrid.build(0, 100, 1.0, T)
+            smoother._grid_depth(0, 100, 1.0, T)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BandwidthGrid.build(-1, 1000, 0.1, T)
+            smoother._grid_depth(-1, 1000, 0.1, T)
 
 
 def assert_rows_match_oracle(W, O):
@@ -387,8 +387,10 @@ class TestLattice:
         for lam in (1.0, 1.44, 2.5):
             zone = smoother._zone(times, T, lam)
             x = times[zone[0] : zone[1]]
-            for j in range(8):
-                scale = np.abs(weight_matrix(times, T, j, 8, lam, x)) @ np.abs(V)
+            # every order's oracle rows at once, a quarter of the zone at a time
+            scales = np.concatenate([np.abs(weight_matrix(times, T, range(8), 8, lam, xc))
+                                     @ np.abs(V) for xc in np.array_split(x, 4)], axis=1)
+            for j, scale in enumerate(scales):
                 for Vr in (V, V[:, :1]):
                     del applied[:]
                     got = _on_lattice(times, zone, lam, j, Vr)
@@ -581,6 +583,16 @@ def _fewest_by_scan(times, lo, hi, half):
     return min(counts)
 
 
+def _admission(admit, *args):
+    """(the levels' bytes, the zones) of admit(*args), or (the type, the
+    message) of the EstimationError it raises."""
+    try:
+        levels, zones = admit(*args)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    return levels.tobytes(), zones
+
+
 class TestAdmissibility:
     """The two window thresholds that admit a bandwidth level."""
 
@@ -741,6 +753,33 @@ class TestAdmissibility:
         np.testing.assert_allclose(details["levels"][:3], [1.44, 1.2, 1.0])
         assert details["admissible"] == [0]
         assert lam[0] == pytest.approx(1.44) and selected[0] == 0
+
+    def test_admission_matches_the_level_scan(self):
+        # seeded lattice, uniform, gapped and doubled-time designs over T,
+        # n, L, j and sigma: the grid and the zones of its admitted levels,
+        # or the refusal, are those of the level-by-level scan, bit for bit
+        rng = np.random.default_rng(32)
+        refused = risen = 0
+        for _ in range(600):
+            T_, n = float(rng.choice([0.5, 1.5, 2.0, 3.0, 10.0, 40.0])), int(rng.integers(3, 401))
+            kind = rng.choice(["lattice", "uniform", "gap", "doubled"])
+            if kind == "uniform":
+                times = np.sort(rng.uniform(0.0, T_, n))
+            else:
+                times = np.arange(1, n + 1) * (T_ / n)
+                if kind == "gap":
+                    a = rng.uniform(0.0, T_)
+                    times = times[(times < a) | (times > a + rng.uniform(0.05, 0.3) * T_)]
+                elif kind == "doubled":
+                    times = np.repeat(times[: max(n // 2, 2)], 2)
+            L = int(rng.choice([2, 4, 8]))
+            j, sigma = int(rng.integers(0, min(L, 5))), float(10 ** rng.uniform(-6, 0))
+            args = (times, T_, j, sigma, L)
+            got = _admission(smoother._admissible, *args)
+            assert got == _admission(admissible_levels, *args), (kind, args[1:])
+            refused += isinstance(got[1], str)
+            risen += isinstance(got[1], dict) and np.frombuffer(got[0])[0] > 1.0
+        assert 100 < refused < 500 and risen > 50
 
     def test_gapped_design_selects_a_level_that_bridges_the_gap(self):
         # g4/f2 at level 0 on n = 600 with no observation in [0.4T, 0.5T]:

@@ -10,7 +10,9 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `deconvolve` CSV and sidecar for g2/f1, g4/f2 and g1/f1 at n = 250,
   g5/f3 at n = 100 and g2/f1 at n = 2000, each on the first replication
   of noise level 0 at seed 0 (written by `simulate --emit-data`, and kept
-  with the outputs) with that level's sigma;
+  with the outputs) with that level's sigma, and the same for two sparse
+  inputs whose windows at the bandwidth 1 hold too few observations, so
+  that the grid rises above 1: g2/f1 at n = 60 and g5/f3 at n = 40;
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
 - `deconvolve` CSV and sidecar on two inputs that are not lattices, made
@@ -52,6 +54,8 @@ DECONVOLVE_CELLS = (
     ("g1", "f1", 250, "0.001"),
     ("g5", "f3", 100, "0.002"),
     ("g2", "f1", 2000, "0.01"),
+    ("g2", "f1", 60, "0.01"),
+    ("g5", "f3", 40, "0.002"),
 )
 # (kernel, target, n, sigma, --bandwidth) of the fixed-bandwidth run; its
 # input is the one written for that cell in DECONVOLVE_CELLS
