@@ -318,6 +318,8 @@ def cmd_deconvolve(args, outputs: _Outputs) -> int:
             probe = NoisySample(times=times, values=values, T=T, sigma=0.0)
             sigma = estimate_sigma(probe)
         data = NoisySample(times=times, values=values, T=T, sigma=sigma)
+    except EstimationError as exc:
+        raise CliError(EXIT_ESTIMATOR, f"estimator: {exc}") from None
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"input: {exc}") from None
 
@@ -470,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="known noise standard deviation")
     group.add_argument("--estimate-sigma", action="store_true",
                        dest="estimate_sigma",
-                       help="estimate sigma from first differences")
+                       help="estimate sigma from differences of order 8 "
+                            "(needs at least 9 rows)")
     _add_estimator_flags(p_dec)
     p_dec.set_defaults(func=cmd_deconvolve)
 

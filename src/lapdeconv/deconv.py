@@ -168,7 +168,7 @@ def _convolve_terms(Q0: np.ndarray, phi_r: ExpPoly, grid: np.ndarray) -> np.ndar
 
 
 def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
-                  g: RationalLaplaceKernel, cfg: EstimatorConfig):
+                  g: RationalLaplaceKernel, cfg: EstimatorConfig, rows=None):
     """Batched pipeline core over the columns of V (n x R).
 
     Returns (grid, F (G x R), terms dict of (G x R), bandwidths (r+1 x R), d).
@@ -181,7 +181,9 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     bandwidth is evaluated once for every order and column that chose it
     (``apply_rows``: one Gram per output point, solved for all those
     orders). An order whose columns all chose one bandwidth keeps the
-    array ``apply_rows`` returns; the others are gathered into one.
+    array ``apply_rows`` returns; the others are gathered into one. rows,
+    a ``RowStore`` of the design and cfg's grid, lends its kept rows to
+    the evaluation and keeps the ones it builds.
     """
     d = decompose(g)
     r = g.r
@@ -208,7 +210,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     for lv in sorted(set(lam.ravel().tolist())):
         columns = {j: np.flatnonzero(lam[j] == lv) for j in range(r + 1)}
         columns = {j: cols for j, cols in columns.items() if cols.size}
-        for j, est in apply_rows(times, T, cfg.L, lv, grid, V, columns).items():
+        for j, est in apply_rows(times, T, cfg.L, lv, grid, V, columns, rows).items():
             if Qs[j] is None:
                 Qs[j] = est
             else:

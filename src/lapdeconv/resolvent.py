@@ -299,7 +299,13 @@ def partial_fraction_terms(num: Polynomial, poles) -> list[tuple[complex, np.nda
 
 @dataclass(frozen=True)
 class RationalLaplaceKernel:
-    """Convolution kernel described by its rational Laplace transform."""
+    """Convolution kernel described by its rational Laplace transform.
+
+    stable is True when every zero of the numerator has negative real part,
+    so that the resolvent kernel phi decays; a zero with real part 0 (phi
+    does not decay) or positive real part (phi grows exponentially) makes
+    it False (``rational_kernel``).
+    """
 
     num: Polynomial
     den: Polynomial
@@ -318,9 +324,12 @@ def rational_kernel(num, den, description: str = "") -> RationalLaplaceKernel:
 
     Requires r = deg(den) - deg(num) >= 1 (the kernel must vanish to order
     r - 1 at zero with a nonzero r-th derivative there, which is what makes
-    the inversion formula explicit). Zeros of the numerator with
-    nonnegative real part make the resolvent kernel grow exponentially;
-    that is recorded in the stability flag and warned about, not rejected.
+    the inversion formula explicit). A zero of the numerator with positive
+    real part makes the resolvent kernel phi grow exponentially, and one
+    with real part 0 keeps it from decaying: a zero at 0 gives phi a
+    polynomial part, a pair on the imaginary axis an undamped oscillation.
+    Either is recorded in the stability flag and warned about, not rejected;
+    the warning names the worse of the two.
     """
     pnum = num if isinstance(num, Polynomial) else Polynomial(num)
     pden = den if isinstance(den, Polynomial) else Polynomial(den)
@@ -349,12 +358,20 @@ def rational_kernel(num, den, description: str = "") -> RationalLaplaceKernel:
                 "numerator and denominator share a root (within 1e-8); "
                 "reduce the fraction first"
             )
-    stable = bool(np.all(nroots.real < 0.0)) if nroots.size else True
-    if not stable:
+    stable = bool(np.all(nroots.real < 0.0))
+    if np.any(nroots.real > 0.0):
         warnings.warn(
-            "numerator has zeros with nonnegative real part: the resolvent "
+            "numerator has zeros with positive real part: the resolvent "
             "kernel phi grows exponentially and the inversion is numerically "
             "unstable at large t",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    elif not stable:
+        warnings.warn(
+            "numerator has zeros with real part 0: the resolvent kernel phi "
+            "does not decay at large t (a polynomial part for a zero at 0, an "
+            "undamped oscillation for a pair on the imaginary axis)",
             RuntimeWarning,
             stacklevel=2,
         )

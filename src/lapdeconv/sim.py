@@ -19,7 +19,7 @@ import numpy as np
 from ._expalg import ExpPoly
 from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
-from .smoother import EstimationError
+from .smoother import EstimationError, RowStore
 from .special import reg_lower_gamma, standard_normals
 
 __all__ = [
@@ -266,15 +266,16 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     return _run_cell(sc, standard_normals(sc.seed, range(sc.runs), sc.n))
 
 
-def _run_cell(sc: Scenario, Z: np.ndarray) -> ExperimentReport:
-    """``run_experiment`` from the scenario's noise draw Z (n x runs)."""
+def _run_cell(sc: Scenario, Z: np.ndarray, rows: RowStore | None = None) -> ExperimentReport:
+    """``run_experiment`` from the scenario's noise draw Z (n x runs), with
+    the output-grid rows of rows, a store of the cell's design, if given."""
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
     mask = trimmed_window(grid, sc.trim)
     g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
     times, Y = _scaled_sample(g, f, sc.sigma, sc.T, Z)
     try:
-        _, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config)
+        _, F, _, lam, _ = _estimate_all(times, sc.T, Y, sc.sigma, g, sc.config, rows)
     except EstimationError as exc:
         return ExperimentReport(
             scenario=sc,
@@ -333,7 +334,13 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
 
     Every scenario is built first, so an invalid cell raises before any
     cell runs; then the cells run in input order on the calling thread.
-    Cells on one design n share one noise draw, scaled by each one's sigma.
+    Cells on one design n share one noise draw, scaled by each one's sigma,
+    and one ``RowStore`` of output-grid rows for the orders 0..r_max, r_max
+    the largest inversion order among the design's kernels (below L): at
+    each bandwidth a design's cells evaluate, its rows are built once and
+    applied to every cell's columns, up to the store's byte budget. The
+    store is dropped after the design's last cell, so nothing is kept
+    between calls, and every report is ``run_experiment``'s bit for bit.
     """
     config = config or EstimatorConfig()
     scenarios = [
@@ -344,7 +351,18 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         for (gn, fn, n, i) in cells
     ]
     noise = {n: standard_normals(seed, range(runs), n) for n in {sc.n for sc in scenarios}}
-    return [(cell, _run_cell(sc, noise[sc.n])) for cell, sc in zip(cells, scenarios)]
+    r = {gn: builtin_g(gn).r for gn in {sc.g_name for sc in scenarios}}
+    top, last = {}, {}
+    for k, sc in enumerate(scenarios):
+        top[sc.n] = max(top.get(sc.n, 0), r[sc.g_name])
+        last[sc.n] = k
+    stores = {n: RowStore(range(min(top[n] + 1, config.L))) for n in top}
+    results = []
+    for k, (cell, sc) in enumerate(zip(cells, scenarios)):
+        results.append((cell, _run_cell(sc, noise[sc.n], stores[sc.n])))
+        if last[sc.n] == k:
+            del stores[sc.n]
+    return results
 
 
 def _row_dict(cell, rep: ExperimentReport) -> dict:

@@ -456,6 +456,14 @@ class TestDeconvolveCommand:
         assert rc == 2
         assert "sigma must be" in one_error_line(capsys)
 
+    def test_estimate_sigma_on_too_few_rows_exits_4(self, tmp_path, capsys):
+        # eight rows leave no difference of order 8 to estimate sigma from
+        data = write_csv(tmp_path / "short.csv", [("%g" % t, "0") for t in range(1, 9)])
+        rc = main(["deconvolve", "--input", data, "--kernel", G2, "--estimate-sigma",
+                   "--output", str(tmp_path / "f.csv")])
+        assert rc == 4
+        assert "needs more than 8 observations" in one_error_line(capsys)
+
     def test_estimate_sigma_on_huge_values_is_one_line(self, tmp_path):
         # squaring differences near 1e200 overflows; the estimate must not
         # warn, and the failure must be the CLI's one-line diagnostic

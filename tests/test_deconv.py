@@ -295,9 +295,9 @@ class TestCallingThread:
                 raise EstimationError("order %d" % j)
             return select(times, T, V, sigma, j, L)
 
-        def traced_apply(times, T, L, lam, grid, V, columns):
+        def traced_apply(times, T, L, lam, grid, V, columns, store=None):
             events.extend(("apply", j, threading.get_ident()) for j in sorted(columns))
-            return apply(times, T, L, lam, grid, V, columns)
+            return apply(times, T, L, lam, grid, V, columns, store)
 
         def no_thread(_):
             raise AssertionError("the pipeline started a thread")

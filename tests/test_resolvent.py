@@ -147,6 +147,33 @@ class TestRationalKernel:
         assert g.stable is False
         assert any("unstable" in str(w.message) for w in rec)
 
+    @pytest.mark.parametrize("num, den, says", [
+        ([-1.0, 1.0], [1.0, 2.0, 1.0], "positive real part: the resolvent kernel phi grows "
+                                        "exponentially"),
+        ([1.0, -1.0, 1.0], [1.0, 3.0, 3.0, 1.0], "positive real part: the resolvent kernel "
+                                                   "phi grows exponentially"),
+        ([0.0, 1.0], [1.0, 3.0, 3.0, 1.0], "real part 0: the resolvent kernel phi does not "
+                                            "decay"),
+        ([4.0, 0.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0], "real part 0: the resolvent kernel phi "
+                                                      "does not decay"),
+        ([0.0, 1.0, -1.0], [1.0, 3.0, 3.0, 1.0], "positive real part"),
+    ], ids=["growing", "growing-pair", "origin", "imaginary-pair", "origin-and-growing"])
+    def test_the_warning_names_how_phi_behaves(self, num, den, says):
+        # a zero with real part 0 keeps phi from decaying; only one with
+        # positive real part makes it grow, and that one is named first
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            g = rational_kernel(num, den)
+        assert g.stable is False
+        assert [str(w.message) for w in rec if says in str(w.message)]
+        assert len(rec) == 1
+
+    def test_zeros_left_of_the_axis_are_stable_and_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rational_kernel([2.0, 1.0], [1.0, 3.0, 3.0, 1.0]).stable is True
+            assert rational_kernel([1.0], [1.0, 1.0]).stable is True
+
     @pytest.mark.parametrize("a,m", [(50.0, 8), (1000.0, 5)])
     @pytest.mark.parametrize("form", ["rational", "exp-poly"])
     def test_stiff_denominator_keeps_its_order(self, a, m, form):

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lapdeconv import sim
+from lapdeconv import sim, smoother
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import EstimatorConfig, deconvolve, risk_mse
 from lapdeconv.sim import (
@@ -29,7 +29,7 @@ from lapdeconv.sim import (
     write_report_csv,
     write_report_json,
 )
-from lapdeconv.smoother import NoisySample
+from lapdeconv.smoother import NoisySample, estimate_sigma
 from lapdeconv.special import standard_normals
 from oracles import convolve_exp_poly, fixed_bandwidth_risk
 
@@ -274,6 +274,23 @@ class TestCellSample:
         assert Y.tobytes() == want.tobytes()
 
 
+def test_estimated_sigma_on_every_table_cell():
+    # the mean sigma_hat / sigma over 50 runs, for every builtin (g, f) at
+    # both n and every noise level; first differences read up to 1.5e4
+    for n in (100, 250):
+        times = np.arange(1, n + 1) * (10.0 / n)
+        Z = standard_normals(0, range(50), n)
+        for gn in BUILTIN_G_NAMES:
+            g = builtin_g(gn)
+            for fn in BUILTIN_F_NAMES:
+                q = forward_convolve(g, builtin_f(fn), times)
+                for i in range(5):
+                    sigma = ladder_sigma(gn, i)
+                    ratio = np.mean([estimate_sigma(NoisySample(times, q + sigma * z, 10.0, 0.0))
+                                     for z in Z.T]) / sigma
+                    assert 0.9 <= ratio <= 1.1, (gn, fn, n, i, ratio)
+
+
 class TestTable:
     def test_cell_count_and_order(self):
         cells = table_cells()
@@ -304,10 +321,40 @@ class TestTable:
             np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
             assert rep.bandwidth_counts == want.bandwidth_counts
 
+    @pytest.mark.parametrize("budget,config", [
+        (None, None), (0, None), (None, EstimatorConfig(fixed_bandwidths=1.0)),
+    ], ids=["shared", "streamed", "fixed"])
+    def test_cells_on_a_design_share_its_rows(self, monkeypatch, budget, config):
+        # the designs interleave and the kernels have r = 1, 3 and 4; with a
+        # zero budget every chunk streams. Either way every report is
+        # run_experiment's bit for bit
+        if budget is not None:
+            monkeypatch.setattr(smoother, "_ROW_KEEP", budget)
+        stores = []
+
+        class Recorded(smoother.RowStore):
+            def __init__(self, orders):
+                super().__init__(orders)
+                stores.append(self)
+
+        monkeypatch.setattr(sim, "RowStore", Recorded)
+        cells = [("g2", "f1", 100, 0), ("g4", "f2", 250, 1), ("g1", "f1", 100, 2),
+                 ("g1", "f3", 250, 4), ("g5", "f3", 100, 3), ("g3", "f2", 250, 0)]
+        cfg = config or EstimatorConfig()
+        got = run_table(cells, runs=4, seed=5, config=config)
+        assert [s.orders for s in stores] == [(0, 1, 2, 3, 4)] * 2
+        assert all((s.nbytes > 0) == (budget is None) for s in stores)
+        for (gn, fn, n, i), (cell, rep) in zip(cells, got):
+            assert cell == (gn, fn, n, i)
+            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=4, seed=5,
+                                           config=cfg))
+            assert rep.per_run_mse.tobytes() == want.per_run_mse.tobytes()
+            assert rep.bandwidth_counts == want.bandwidth_counts
+
     @pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
     def test_invalid_cell_raises_before_any_cell_runs(self, monkeypatch, bad):
         ran = []
-        monkeypatch.setattr(sim, "_run_cell", lambda sc, Z: ran.append(sc))
+        monkeypatch.setattr(sim, "_run_cell", lambda sc, Z, rows: ran.append(sc))
         cells = [("g2", "f1", 60, 2), ("g2", "f2", 60, 2), ("g4", "f2", 60, 1)]
         cells[bad] = cells[bad][:2] + (5,) + cells[bad][3:]
         with pytest.raises(ValueError, match="need n >= 10"):
@@ -322,7 +369,7 @@ class TestTable:
     def test_first_failing_cell_raises_and_later_cells_do_not_run(self, monkeypatch):
         ran = []
 
-        def fails_from_the_second(sc, Z):
+        def fails_from_the_second(sc, Z, rows):
             ran.append(sc.g_name)
             if len(ran) >= 2:
                 raise RuntimeError("cell %d" % len(ran))

@@ -1123,17 +1123,132 @@ class TestApplyRows:
                                    atol=1e-13 * np.max(np.abs(W) @ np.abs(V)))
 
 
+class TestRowStore:
+    """A store keeps a design's output-grid rows between apply_rows calls;
+    the estimates are those of calls without one, bit for bit."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        # the orders of every _rows_at call
+        calls = []
+        real = smoother._rows_at
+        monkeypatch.setattr(smoother, "_rows_at",
+                            lambda *a: calls.append(tuple(a[-1])) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("budget", [None, 0, 1 << 20])
+    def test_a_store_changes_no_bit(self, monkeypatch, budget):
+        # orders that are a prefix of the store's, all of them, and two with
+        # columns that are a subset of the union, on two data matrices at
+        # two bandwidths; the budget keeps every chunk, none or some
+        if budget is not None:
+            monkeypatch.setattr(smoother, "_ROW_KEEP", budget)
+        rng = np.random.default_rng(12)
+        times = np.sort(rng.uniform(0.0, T, 700))
+        grid = np.linspace(0.0, T, 1024)
+        calls = [(1.1, {0: np.arange(6), 1: np.arange(6)}, 0),
+                 (1.1, {j: np.arange(9) for j in range(5)}, 1),
+                 (0.8, {1: np.array([4, 0]), 3: np.arange(9)}, 1),
+                 (1.1, {0: np.array([2, 5, 1]), 2: np.array([3])}, 0),
+                 (0.8, {j: np.arange(6) for j in range(4)}, 0)]
+        V = [rng.standard_normal((times.size, 6)), rng.standard_normal((times.size, 9))]
+        want = [apply_rows(times, T, 8, lam, grid, V[k], cols) for lam, cols, k in calls]
+        builds = self._builds(monkeypatch)
+        store = smoother.RowStore(range(5))
+        built = []
+        for (lam, cols, k), ref in zip(calls, want):
+            got = apply_rows(times, T, 8, lam, grid, V[k], cols, store)
+            built.append(builds[:])
+            builds.clear()
+            assert sorted(got) == sorted(ref)
+            for j in ref:
+                assert got[j].tobytes() == ref[j].tobytes(), (lam, j)
+        assert store.nbytes <= smoother._ROW_KEEP
+        if budget is None:
+            # the first call at each bandwidth builds every chunk for every
+            # order, and the later calls build nothing
+            assert [set(b) for b in built] == [{(0, 1, 2, 3, 4)}, set(),
+                                               {(0, 1, 2, 3, 4)}, set(), set()]
+        elif budget == 0:
+            # each chunk is built for its call's orders alone
+            assert store.nbytes == 0
+            assert [set(b) for b in built] == [{tuple(sorted(cols))} for _, cols, _ in calls]
+        else:
+            # the first chunks are kept, the rest stream
+            assert 0 < store.nbytes
+            assert set(built[0]) == {(0, 1, 2, 3, 4), (0, 1)}
+
+    def test_a_one_order_call_streams(self, monkeypatch):
+        # one order's rows round apart from a many-order build, so a call
+        # of one order neither keeps nor takes the store's rows
+        times = np.arange(1, 251) * (T / 250)
+        grid = np.linspace(0.0, T, 300)
+        V = np.sin(times)[:, None]
+        store = smoother.RowStore(range(3))
+        one = apply_rows(times, T, 8, 1.0, grid, V, {1: [0]}, store)
+        assert store.nbytes == 0
+        apply_rows(times, T, 8, 1.0, grid, V, {0: [0], 1: [0]}, store)
+        kept = store.nbytes
+        again = apply_rows(times, T, 8, 1.0, grid, V, {1: [0]}, store)
+        assert kept > 0 and store.nbytes == kept
+        assert one[1].tobytes() == again[1].tobytes()
+        assert one[1].tobytes() == apply_rows(times, T, 8, 1.0, grid, V, {1: [0]})[1].tobytes()
+
+    def test_a_store_serves_one_design(self):
+        times = np.arange(1, 251) * (T / 250)
+        grid = np.linspace(0.0, T, 300)
+        V = np.ones((250, 1))
+        cols = {0: [0], 1: [0]}
+        store = smoother.RowStore((0, 1, 2))
+        apply_rows(times, T, 8, 1.0, grid, V, cols, store)
+        for call, match in [
+                (lambda: apply_rows(times, T, 8, 1.0, grid, V, {0: [0], 3: [0]}, store),
+                 r"order j=3 is not one of the RowStore's orders \[0, 1, 2\]"),
+                (lambda: apply_rows(times * 0.99, T, 8, 1.0, grid, V, cols, store),
+                 "design of its first call"),
+                (lambda: apply_rows(times, T, 8, 1.0, grid[:-1], V, cols, store),
+                 "design of its first call"),
+                (lambda: apply_rows(times, T, 9, 1.0, grid, V, cols, store),
+                 "design of its first call"),
+                (lambda: apply_rows(times, T, 2, 1.0, grid, V, cols, smoother.RowStore(range(3))),
+                 r"orders \[0, 1, 2\] are not all in \[0, L\) for L=2")]:
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_a_singular_gram_is_an_estimation_error_with_a_store(self):
+        # the store's build solves the same Gram, so it fails alike and
+        # counts no block of the failing chunk as built
+        times = np.arange(1, 101) * (T / 100)
+        times = np.sort(np.concatenate((times, times - 1e-13)))
+        V = np.sin(times)[:, None]
+        grid = np.linspace(0.0, T, 201)
+        store = smoother.RowStore((0, 1))
+        with pytest.raises(EstimationError, match=r"of the point x = 9\.8 gives a singular Gram"):
+            smoother._apply_rows(times, T, grid, 0.45, 8, V, {0: [0], 1: [0]}, store)
+        assert store._rows[0.45][1] == 0
+
+
 class TestEstimateSigma:
     def test_exact_small_case(self):
-        d = NoisySample([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0], T, 0.1)
-        assert estimate_sigma(d) == pytest.approx(np.sqrt(3.0 / 6.0))
+        # ten alternating values: the two 8th differences are -128 and 128,
+        # and C(16, 8) = 12870
+        d = NoisySample(np.arange(1.0, 11.0), [0.0, 1.0] * 5, T, 0.1)
+        assert estimate_sigma(d) == pytest.approx(np.sqrt(2 * 128.0**2 / (12870 * 2)))
 
     def test_values_beyond_the_square_range(self):
-        # squares of differences near 1e200 overflow; the scaled form does not
-        values = 1e200 * np.array([0.0, 1.0, 0.0, 1.0])
-        d = NoisySample([1.0, 2.0, 3.0, 4.0], values, T, 0.1)
-        with np.errstate(over="raise"):
-            assert estimate_sigma(d) == pytest.approx(1e200 * np.sqrt(3.0 / 6.0))
+        # 8th differences near 1e200 overflow when squared, and near 1e306
+        # when formed; the scaled form does neither
+        for top in (1e200, 1e306):
+            d = NoisySample(np.arange(1.0, 11.0), top * np.array([0.0, 1.0] * 5), T, 0.1)
+            with np.errstate(over="raise", invalid="raise"):
+                assert estimate_sigma(d) == pytest.approx(
+                    top * np.sqrt(2 * 128.0**2 / (12870 * 2)))
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_too_few_values_for_the_differences(self, n):
+        d = NoisySample(np.arange(1.0, n + 1), np.zeros(n), T, 0.1)
+        with pytest.raises(EstimationError, match="order 8 needs more than 8 observations"):
+            estimate_sigma(d)
 
     def test_recovers_noise_scale(self):
         d = equispaced(5000, np.sin, sigma=0.05, seed=3)

@@ -22,6 +22,9 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `simulate --runs 20 --seed 3` CSV and JSON for the cells g2,f1,100,0,
   g4,f2,100,1 and g5,f3,100,0, and for g2,f1,100,0 again with
   `--trim 0.2`, which pins a risk window other than the default;
+- `simulate --full --runs 2 --seed 3` CSV and JSON: the 150-cell table,
+  whose cells on one design share its output-grid rows across kernels of
+  inversion order r = 1, 3 and 4;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV,
   and the same command's stdout without `--json`;
 - the stdout of `inspect-kernel` on the g4 kernel in exp-poly form.
@@ -130,6 +133,8 @@ def capture(out_dir: Path, src: Path) -> list[str]:
     stem = "simulate_" + cell.replace(",", "_") + "_trim" + trim
     cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
         "--trim", trim, "--output", f"{stem}.csv", "--json", f"{stem}.json")
+    cli(out_dir, src, "simulate", "--full", "--runs", "2", "--seed", "3",
+        "--output", "simulate_full.csv", "--json", "simulate_full.json")
     cli(out_dir, src, "make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234",
         "--output", "make_kernel.csv", "--json", "make_kernel.json")
     stdout = {
