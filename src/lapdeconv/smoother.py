@@ -176,7 +176,7 @@ def _orthonormal(L: int) -> np.ndarray:
 
 
 def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray,
-             L: int, orders) -> np.ndarray:
+             L: int, orders, out: np.ndarray | None = None) -> np.ndarray:
     """Local-polynomial weight rows of each order in orders at a stack of points.
 
     d (... x S) holds (t - x)/lam for the observations a point may see, and
@@ -190,8 +190,9 @@ def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndar
     e_k = d^j/dt^j p_k(u(t)) at t = x. Then sum_i w_i P(t_i) = P^(j)(x) for
     every polynomial P of degree below L, and A, which does not depend on
     j, is solved once for every order. U carries sqrt(v) = 1 - u^2 on each
-    side, so A is one product. Returns ... x len(orders) x S. A singular
-    Gram raises LinAlgError whose argument is the index of the first one.
+    side, so A is one product. Returns ... x len(orders) x S, written into
+    out when given. A singular Gram raises LinAlgError whose argument is
+    the index of the first one.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -228,7 +229,7 @@ def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndar
             except np.linalg.LinAlgError:
                 raise np.linalg.LinAlgError(k) from None
         raise
-    W = np.matmul(np.swapaxes(C, -1, -2), Ut)
+    W = np.matmul(np.swapaxes(C, -1, -2), Ut, out=out)
     W *= s[..., None, :]
     return W
 
@@ -348,13 +349,13 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
             keep = kept is not None and b0 + nb <= len(kept[0])
             d = (times[idx][:, None, :] - xb[blk, :, None]) / lam
             try:
-                Wk = _rows_at(d, lo[blk], hi[blk], lam, L, store.orders if keep else orders)
+                Wk = (_rows_at(d, lo[blk], hi[blk], lam, L, store.orders, kept[0][blk]) if keep
+                      else _rows_at(d, lo[blk], hi[blk], lam, L, orders))
             except np.linalg.LinAlgError as exc:
                 raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
                                       "x = %g gives a singular Gram matrix"
                                       % (lam, xb[blk][exc.args[0]])) from None
             if keep:
-                kept[0][blk] = Wk
                 kept[1] = b0 + nb
         W = Wk if Wk.shape[2] == len(orders) else Wk[:, :, pick]
         rows = est[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
