@@ -20,36 +20,27 @@ from .resolvent import (
     pole_multiset,
 )
 
-_MERGE_RADIUS = 1e-9
+
+def _t_coefficients(a) -> np.ndarray:
+    """The coefficients a_i / i! of t^i e^(s t) from those a_i of
+    (s - s_l)^-(i+1) in a partial fraction expansion."""
+    return np.array([c / math.factorial(i) for i, c in enumerate(a)], dtype=complex)
 
 
 class ExpPoly:
     """Finite sum of terms p_l(t) * exp(s_l t).
 
-    terms is a list of (s_l, coeffs) with coeffs ascending in t. Terms
-    with (numerically) equal rates are merged on construction.
+    terms is a list of (s_l, coeffs) with coeffs ascending in t, kept
+    sorted by rate, which fixes the order in which ``__call__`` sums them.
+    Terms of one rate are not merged: each is summed on its own.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        merged: list[tuple[complex, np.ndarray]] = []
-        for s, c in terms:
-            c = np.atleast_1d(np.asarray(c, dtype=complex))
-            placed = False
-            for i, (sm, cm) in enumerate(merged):
-                if abs(s - sm) <= _MERGE_RADIUS * max(1.0, abs(sm)):
-                    n = max(cm.size, c.size)
-                    acc = np.zeros(n, dtype=complex)
-                    acc[: cm.size] += cm
-                    acc[: c.size] += c
-                    merged[i] = (sm, acc)
-                    placed = True
-                    break
-            if not placed:
-                merged.append((complex(s), c.copy()))
-        merged.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9)))
-        self.terms = merged
+        self.terms = sorted(((complex(s), np.array(c, dtype=complex, ndmin=1))
+                             for s, c in terms),
+                            key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9)))
 
     @classmethod
     def from_rational(cls, num, den) -> "ExpPoly":
@@ -63,27 +54,12 @@ class ExpPoly:
         lead = pden.coeffs[-1]
         pf = partial_fraction_terms(Polynomial(pnum.coeffs / lead),
                                     pole_multiset(pden, warn=False))
-        terms = []
-        for s_l, coeffs in pf:
-            # c / (s - s_l)^(i+1)  <->  c t^i e^{s_l t} / i!
-            poly = np.array(
-                [coeffs[i] / math.factorial(i) for i in range(coeffs.size)],
-                dtype=complex,
-            )
-            terms.append((s_l, poly))
-        return cls(terms)
+        return cls((s_l, _t_coefficients(coeffs)) for s_l, coeffs in pf)
 
     @classmethod
     def phi1_from_decomposition(cls, d: ResolventDecomposition) -> "ExpPoly":
         """Only the exponential part phi1 of the resolvent kernel."""
-        terms = []
-        for term in d.poles:
-            poly = np.array(
-                [term.a[i] / math.factorial(i) for i in range(term.alpha)],
-                dtype=complex,
-            )
-            terms.append((term.s, poly))
-        return cls(terms)
+        return cls((term.s, _t_coefficients(term.a)) for term in d.poles)
 
     def __call__(self, t):
         ts = np.asarray(t, dtype=float)

@@ -178,10 +178,11 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Monte-Carlo replications share design-dependent work.
     Every order is selected in order j = 0..r on the calling thread, so
     the lowest failing order raises first; then each distinct selected
-    bandwidth is evaluated once for every order and column that chose it
-    (``apply_rows``: one Gram per output point, solved for all those
-    orders). An order whose columns all chose one bandwidth keeps the
-    array ``apply_rows`` returns; the others are gathered into one. rows,
+    bandwidth is evaluated once (``apply_rows``: one Gram per output
+    point, solved for the orders that chose it) on V, or on V's columns
+    that chose it for some order when not all did. Each order takes its
+    own columns of the estimates; one whose columns all chose one
+    bandwidth keeps the array ``apply_rows`` returns. rows,
     a ``RowStore`` of the design and cfg's grid, lends its kept rows to
     the evaluation and keeps the ones it builds.
     """
@@ -208,13 +209,16 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     # one Gram per point and distinct bandwidth; an order with one bandwidth keeps its array
     Qs = [np.empty((grid.size, R)) if np.ptp(lam[j]) else None for j in range(r + 1)]
     for lv in sorted(set(lam.ravel().tolist())):
-        columns = {j: np.flatnonzero(lam[j] == lv) for j in range(r + 1)}
-        columns = {j: cols for j, cols in columns.items() if cols.size}
-        for j, est in apply_rows(times, T, cfg.L, lv, grid, V, columns, rows).items():
+        chose = lam == lv
+        orders = [j for j in range(r + 1) if chose[j].any()]
+        cols = np.flatnonzero(chose.any(axis=0))
+        est = apply_rows(times, T, cfg.L, lv, grid, V if cols.size == R else V[:, cols],
+                         orders, rows)
+        for j in orders:
             if Qs[j] is None:
-                Qs[j] = est
+                Qs[j] = est[j]
             else:
-                Qs[j][:, columns[j]] = est
+                Qs[j][:, chose[j]] = est[j][:, chose[j, cols]]
     derivative = Qs[r]
     linear = np.zeros_like(derivative)
     for jj in range(r):

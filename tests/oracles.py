@@ -604,7 +604,7 @@ def weight_matrix(times: np.ndarray, T: float, j, L: int, lam: float,
     solves each point's Gram once for all of them."""
     n = len(times)
     orders = [int(k) for k in np.atleast_1d(j)]
-    W = apply_rows(times, T, L, lam, grid, np.eye(n), {k: np.arange(n) for k in orders})
+    W = apply_rows(times, T, L, lam, grid, np.eye(n), orders)
     return W[j] if np.ndim(j) == 0 else np.stack([W[k] for k in orders])
 
 

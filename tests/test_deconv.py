@@ -162,6 +162,22 @@ class TestNoiselessRoundTrip:
         assert rel < 1e-4
         assert any(t.s == 0.0 and t.alpha > g.r for t in res.decomposition.poles)
 
+    @pytest.mark.parametrize("num, den", [([1], [0, 1, 1]), ([1], [0, 0, 1]),
+                                          ([2, 1], [0, 0, 1, 1])],
+                             ids=["1/(s(s+1))", "1/s^2", "(s+2)/(s^2(s+1))"])
+    def test_kernel_with_a_pole_at_the_origin(self, num, den):
+        # den(0) = 0, which phi_tilde cancels, and for 1/s^2 no phi~ at all:
+        # f = q'' + q', f = q'' and f = q'' - q' + 2q - 4 int e^(-2x) q(t - x)
+        g = rational_kernel(num, den)
+        f = builtin_f("f1")
+        times = np.arange(1, 4001) * (T / 4000)
+        data = NoisySample(times, forward_convolve(g, f, times), T, 0.0)
+        res = deconvolve(data, g, EstimatorConfig(fixed_bandwidths=0.5))
+        m = (res.grid >= 1.0) & (res.grid <= 9.0)
+        truth = f(res.grid[m])
+        rel = np.sqrt(np.mean((res.f_hat[m] - truth) ** 2) / np.mean(truth**2))
+        assert rel < 1e-4
+
     def test_terms_recombine_to_estimate(self):
         res, _ = noiseless("g3", "f1", 500, 0.4)
         d = res.decomposition
@@ -295,9 +311,9 @@ class TestCallingThread:
                 raise EstimationError("order %d" % j)
             return select(times, T, V, sigma, j, L)
 
-        def traced_apply(times, T, L, lam, grid, V, columns, store=None):
-            events.extend(("apply", j, threading.get_ident()) for j in sorted(columns))
-            return apply(times, T, L, lam, grid, V, columns, store)
+        def traced_apply(times, T, L, lam, grid, V, orders, store=None):
+            events.extend(("apply", j, threading.get_ident()) for j in sorted(orders))
+            return apply(times, T, L, lam, grid, V, orders, store)
 
         def no_thread(_):
             raise AssertionError("the pipeline started a thread")

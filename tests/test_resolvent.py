@@ -232,6 +232,25 @@ class TestDecompose:
         n, dden = phi_tilde(builtin_g("g4"))
         assert n.degree < dden.degree
 
+    @pytest.mark.parametrize("num, den, phi, a0, b, poles", [
+        ([1], [0, 1, 1], ([-1], [0, 1]), [-1.0, 0.0], [-1.0, 0.0], []),
+        ([1], [0, 0, 1], ([0], [0, 0, 1]), [0.0, 0.0], [0.0, 0.0], []),
+        ([2, 1], [0, 0, 1, 1], ([1], [2, 1]), [0.0, 0.0], [1.0, -2.0], [-2.0])],
+        ids=["1/(s(s+1))", "1/s^2", "(s+2)/(s^2(s+1))"])
+    def test_pole_of_g_at_the_origin(self, num, den, phi, a0, b, poles):
+        # den(0) = 0: phi_tilde cancels the powers of s common to s^r num -
+        # B_r den and s^r num, leaving phi~ = -1/s and 1/(s+2); for 1/s^2,
+        # phi~ is identically 0 and decompose has no pole part
+        g = rational_kernel(num, den)
+        assert g.r == 2 and g.B_r == 1.0
+        for got, want in zip(phi_tilde(g), phi):
+            np.testing.assert_allclose(got.coeffs, want, atol=1e-12)
+        d = decompose(g)
+        np.testing.assert_allclose(d.a0, a0, atol=1e-12)
+        np.testing.assert_allclose(d.b, b, atol=1e-12)
+        assert [t.s for t in d.poles] == pytest.approx(poles)
+        assert [t.alpha for t in d.poles] == [1] * len(poles)
+
     def test_b_matches_phi1_initial_values(self):
         # b_j = a0_j + phi1^{(j)}(0) ties the two representations together
         d = decompose(builtin_g("g5"))

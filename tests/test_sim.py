@@ -409,6 +409,30 @@ class TestTable:
             np.testing.assert_array_equal(rep.per_run_mse, want.per_run_mse)
 
 
+class TestGrowingInterval:
+    """The paper lets the interval grow with the sample, T_n^2 / n bounded.
+    The integrated risk over the risk window, mean_mse * 0.8 T (mean_mse
+    averages the squared error over the grid points of [0.1 T, 0.9 T]),
+    then stays level along T^2 / n = 1, and at a fixed T it falls like 1/n
+    (the slope band of acceptance criterion 3). This checks the scaling,
+    not the quality: a cell passes with a risk above the zero estimate's."""
+
+    @staticmethod
+    def _risk(g, f, n, T):
+        rep = run_experiment(Scenario(g, f, n, 0.01, runs=20, seed=0, T=T))
+        assert rep.failures == 0
+        return rep.mean_mse * 0.8 * T
+
+    @pytest.mark.parametrize("g, f", [("g2", "f1"), ("g4", "f2")])
+    def test_risk_along_a_growing_interval(self, g, f):
+        level = [self._risk(g, f, n, T) for n, T in ((100, 10.0), (400, 20.0), (1600, 40.0))]
+        assert max(level) <= 3.0 * min(level), level
+        ns = np.array([100, 400, 1600])
+        fixed = [self._risk(g, f, n, 10.0) for n in ns]
+        slope = np.polyfit(np.log(ns), np.log(fixed), 1)[0]
+        assert -1.3 <= slope <= -0.3, (slope, fixed)
+
+
 class TestWriters:
     def _results(self):
         cells = [("g2", "f1", 60, 2)]

@@ -1,6 +1,7 @@
 """Tests for derivative smoothing and adaptive bandwidth selection."""
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ T = 10.0
 
 def _apply(times, j, L, lam, grid, V):
     """The order-j estimates of every column of V at the grid points."""
-    return apply_rows(times, T, L, lam, grid, V, {j: np.arange(V.shape[1])})[j]
+    return apply_rows(times, T, L, lam, grid, V, (j,))[j]
 
 
 def equispaced(n, fn, sigma=0.0, seed=None):
@@ -251,7 +252,7 @@ class TestRows:
 
     def test_orders_share_one_gram_per_point(self, monkeypatch):
         # apply_rows solves each point's Gram once for every order it is
-        # given, each order on its own columns
+        # given, each order on every column of V
         calls = []
         real = smoother._rows_at
         monkeypatch.setattr(smoother, "_rows_at",
@@ -260,13 +261,14 @@ class TestRows:
         times = np.sort(rng.uniform(0.0, T, 500))
         grid = np.linspace(0.0, T, 61)
         V = rng.standard_normal((times.size, 10))
-        columns = {0: np.array([0, 4, 7]), 2: np.arange(10), 3: np.array([9])}
-        got = apply_rows(times, T, 8, 1.1, grid, V, columns)
+        got = apply_rows(times, T, 8, 1.1, grid, V, (3, 0, 2))
         assert calls and set(calls) == {(0, 2, 3)}
-        for j, cols in columns.items():
+        assert sorted(got) == [0, 2, 3]
+        for j in (0, 2, 3):
             O = dense_weights(times, T, grid, j, 8, 1.1)
-            err = np.abs(got[j] - O @ V[:, cols])
-            assert np.all(err <= 1e-12 * (np.abs(O) @ np.abs(V[:, cols])))
+            assert got[j].shape == (grid.size, 10)
+            err = np.abs(got[j] - O @ V)
+            assert np.all(err <= 1e-12 * (np.abs(O) @ np.abs(V)))
 
     @pytest.mark.parametrize("R", [1, 100])
     def test_chunks_do_not_change_a_bit(self, monkeypatch, R):
@@ -334,39 +336,26 @@ class TestRows:
         with pytest.raises(ValueError):
             Q[0, 0] = 2.0
 
-    def test_apply_rows_keeps_each_orders_column_order(self):
-        # unsorted and repeated columns come back in the order given
-        rng = np.random.default_rng(6)
-        times = np.sort(rng.uniform(0.0, T, 400))
-        grid = np.linspace(0.0, T, 45)
-        V = rng.standard_normal((times.size, 8))
-        columns = {0: np.array([5, 2, 2]), 3: np.array([7, 0]), 1: np.array([4])}
-        got = apply_rows(times, T, 8, 1.2, grid, V, columns)
-        assert sorted(got) == [0, 1, 3]
-        for j, cols in columns.items():
-            W = weight_matrix(times, T, j, 8, 1.2, grid)
-            assert got[j].shape == (grid.size, cols.size)
-            err = np.abs(got[j] - W @ V[:, cols])
-            assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
-
-
     def test_apply_rows_returns_the_columns_in_the_order_given(self):
-        # one order's columns a permutation of another's, on a permuted
-        # grid: each order's estimates are those of the sorted columns, in
-        # the order given, bit for bit, and the one-order products
+        # on a permuted grid, each order's estimates are those of the sorted
+        # grid in the order given, bit for bit, and the one-order products;
+        # permuted columns of V give the estimates' columns permuted
         rng = np.random.default_rng(9)
         times = np.sort(rng.uniform(0.0, T, 400))
-        grid = rng.permutation(np.linspace(0.0, T, 77))
+        sorted_grid = np.linspace(0.0, T, 77)
+        shuffle = rng.permutation(sorted_grid.size)
+        grid = sorted_grid[shuffle]
         V = rng.standard_normal((times.size, 6))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        got = apply_rows(times, T, 8, 1.2, grid, V, {0: np.arange(6), 2: perm})
-        ref = apply_rows(times, T, 8, 1.2, grid, V, {0: np.arange(6), 2: np.arange(6)})
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[2], ref[2][:, perm])
-        for j, cols in ((0, np.arange(6)), (2, perm)):
+        got = apply_rows(times, T, 8, 1.2, grid, V, (0, 2))
+        ref = apply_rows(times, T, 8, 1.2, sorted_grid, V, (0, 2))
+        swapped = apply_rows(times, T, 8, 1.2, grid, V[:, perm], (0, 2))
+        for j in (0, 2):
+            np.testing.assert_array_equal(got[j], ref[j][shuffle])
             W = weight_matrix(times, T, j, 8, 1.2, grid)
-            err = np.abs(got[j] - _apply(times, j, 8, 1.2, grid, V[:, cols]))
-            assert np.all(err <= 1e-12 * (np.abs(W) @ np.abs(V[:, cols]))), j
+            bound = 1e-12 * (np.abs(W) @ np.abs(V))
+            assert np.all(np.abs(got[j] - _apply(times, j, 8, 1.2, grid, V)) <= bound), j
+            assert np.all(np.abs(swapped[j] - got[j][:, perm]) <= bound[:, perm]), j
 
 
 class TestLattice:
@@ -563,8 +552,7 @@ def _on_lattice(times, zone, lam, j, V):
 
 def _per_point(times, zone, lam, j, V):
     """One level's zone estimates by a row per observation."""
-    return smoother._apply_rows(times, T, times[zone[0] : zone[1]], lam, 8, V,
-                                {j: np.arange(V.shape[1])})[j]
+    return smoother._apply_rows(times, T, times[zone[0] : zone[1]], lam, 8, V, (j,))[j]
 
 
 def _design(kind, n):
@@ -697,7 +685,7 @@ class TestAdmissibility:
         V = np.ones((times.size, 2))
         for call in (lambda: check_bandwidth(times, T, 0, 8, 0.45),
                      lambda: _apply(times, 0, 8, 0.45, grid, V),
-                     lambda: apply_rows(times, T, 8, 0.45, grid, V, {0: np.arange(2), 1: [0]}),
+                     lambda: apply_rows(times, T, 8, 0.45, grid, V, (0, 1)),
                      lambda: pc_estimate(NoisySample(times, V[:, 0], T, 0.1), 1, 8, 0.45, grid)):
             with pytest.raises(EstimationError,
                                match="at x = 0 holds 4 distinct observation times in"):
@@ -719,7 +707,7 @@ class TestAdmissibility:
             with pytest.raises(EstimationError,
                                match=r"the window \(x - lam, x \+ lam\) of the point x = 9\.8 "
                                      r"gives a singular Gram"):
-                smoother._apply_rows(times, T, x, 0.45, 8, V, {0: [0]})
+                smoother._apply_rows(times, T, x, 0.45, 8, V, (0,))
 
     @pytest.mark.parametrize("reps, n0", [(2, 200), (4, 100), (8, 60)])
     def test_tied_designs_select_full_rank_levels(self, reps, n0):
@@ -1065,42 +1053,56 @@ class TestApplyRows:
         times = np.arange(1, 101) * 0.1
         grid = np.linspace(0.0, T, 50)
         for call in (lambda: _apply(times, 0, 8, 0.3, grid, np.ones((100, 1))),
-                     lambda: apply_rows(times, T, 8, 0.3, grid, np.ones((100, 2)),
-                                        {0: np.arange(2), 1: np.arange(1)})):
+                     lambda: apply_rows(times, T, 8, 0.3, grid, np.ones((100, 2)), (0, 1))):
             with pytest.raises(EstimationError, match="holds 2 observations"):
                 call()
         with pytest.raises(ValueError):
             _apply(times, 8, 8, 1.0, grid, np.ones((100, 1)))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("points, columns, match", [
-        *[(p, None, r"not a finite point of \[0, T\]")
+    @pytest.mark.parametrize("points, match", [
+        *[(p, r"not a finite point of \[0, T\]")
           for p in ([10.5], [-0.5], [5.0, 20.0], [11.0], [np.nan], [np.inf], [2.0, -np.inf])],
-        (5.0, None, r"1-D array, not one of shape \(\)"),
-        ([[1.0, 2.0]], None, r"1-D array, not one of shape \(1, 2\)"),
-        ([[1.0], [2.0]], None, r"1-D array, not one of shape \(2, 1\)"),
-        ([1.0, 2.0], {0: np.arange(1), 1: []}, r"columns of order j=1 name no column")],
-        ids=[*("points%d" % k for k in range(7)), "scalar", "row", "column", "no-column"])
-    def test_points_outside_the_interval_are_value_errors(self, points, columns, match):
+        (5.0, r"1-D array, not one of shape \(\)"),
+        ([[1.0, 2.0]], r"1-D array, not one of shape \(1, 2\)"),
+        ([[1.0], [2.0]], r"1-D array, not one of shape \(2, 1\)")],
+        ids=[*("points%d" % k for k in range(7)), "scalar", "row", "column"])
+    def test_points_outside_the_interval_are_value_errors(self, points, match):
         # n = 100 on [0, 10] at lam = 1, L = 8: every public entry point
-        # refuses the points, or an order without columns, before any row
-        # is formed, with no warning
+        # refuses the points before any row is formed, with no warning
         times = np.arange(1, 101) * 0.1
         d = NoisySample(times, np.sin(times), T, 0.01)
-        V = d.values[:, None]
-        calls = [lambda: apply_rows(times, T, 8, 1.0, points, V,
-                                    columns or {0: np.arange(1), 1: np.arange(1)})]
-        if columns is None:
-            calls += [lambda: pc_estimate(d, 0, 8, 1.0, points),
-                      lambda: estimate_derivative(d, 0, 8, grid=points)]
+        calls = [lambda: apply_rows(times, T, 8, 1.0, points, d.values[:, None], (0, 1)),
+                 lambda: pc_estimate(d, 0, 8, 1.0, points),
+                 lambda: estimate_derivative(d, 0, 8, grid=points)]
         for call in calls:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    @pytest.mark.parametrize("shape", [(105, 2), (95, 2), (100,), (100, 0)],
+                             ids=["more-rows", "fewer-rows", "one-dimensional", "no-column"])
+    def test_data_without_a_row_per_time_is_a_value_error(self, monkeypatch, shape):
+        # n = 100: V needs one row per observation time and a column; a
+        # taller V is not cut to its first rows, and no row is formed
+        monkeypatch.setattr(smoother, "_rows_at", None)
+        with pytest.raises(ValueError, match=r"one row per observation time \(100\) and at "
+                                             r"least one column, not one of shape "
+                                             + re.escape(str(shape))):
+            apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
+                       np.ones(shape), (0, 1))
+
     def test_apply_rows_needs_an_order(self):
         with pytest.raises(ValueError, match="at least one derivative order"):
             apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
-                       np.ones((100, 1)), {})
+                       np.ones((100, 1)), ())
+
+    def test_a_mapping_of_orders_to_columns_is_refused(self):
+        # every order applies to every column of V, so a mapping of orders
+        # to columns would be silently widened to all of them: it is refused
+        with pytest.raises(ValueError, match=r"not a mapping of orders to columns.*"
+                                             r"pass V\[:, columns\]"):
+            apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
+                       np.ones((100, 2)), {0: [0], 1: [0, 1]})
 
     def test_apply_rows_counts_the_windows_once(self, monkeypatch):
         # the window count depends on lam only, so three orders read it once
@@ -1109,7 +1111,7 @@ class TestApplyRows:
         monkeypatch.setattr(smoother, "_short_window",
                             lambda *args, **kw: seen.append(args[2]) or count(*args, **kw))
         apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
-                   np.ones((100, 3)), {0: np.arange(1), 1: np.arange(1, 3), 2: np.arange(3)})
+                   np.ones((100, 3)), (0, 1, 2))
         assert seen == [1.0]
 
     def test_apply_is_the_weight_matrix_product(self):
@@ -1138,26 +1140,26 @@ class TestRowStore:
 
     @pytest.mark.parametrize("budget", [None, 0, 1 << 20])
     def test_a_store_changes_no_bit(self, monkeypatch, budget):
-        # orders that are a prefix of the store's, all of them, and two with
-        # columns that are a subset of the union, on two data matrices at
-        # two bandwidths; the budget keeps every chunk, none or some
+        # orders that are a prefix of the store's, all of them, and two
+        # others, on two data matrices and some of their columns, at two
+        # bandwidths; the budget keeps every chunk, none or some
         if budget is not None:
             monkeypatch.setattr(smoother, "_ROW_KEEP", budget)
         rng = np.random.default_rng(12)
         times = np.sort(rng.uniform(0.0, T, 700))
         grid = np.linspace(0.0, T, 1024)
-        calls = [(1.1, {0: np.arange(6), 1: np.arange(6)}, 0),
-                 (1.1, {j: np.arange(9) for j in range(5)}, 1),
-                 (0.8, {1: np.array([4, 0]), 3: np.arange(9)}, 1),
-                 (1.1, {0: np.array([2, 5, 1]), 2: np.array([3])}, 0),
-                 (0.8, {j: np.arange(6) for j in range(4)}, 0)]
         V = [rng.standard_normal((times.size, 6)), rng.standard_normal((times.size, 9))]
-        want = [apply_rows(times, T, 8, lam, grid, V[k], cols) for lam, cols, k in calls]
+        calls = [(1.1, (0, 1), V[0]),
+                 (1.1, tuple(range(5)), V[1]),
+                 (0.8, (1, 3), V[1][:, [0, 4, 7]]),
+                 (1.1, (0, 2), V[0][:, [1, 2, 3, 5]]),
+                 (0.8, tuple(range(4)), V[0])]
+        want = [apply_rows(times, T, 8, lam, grid, Vk, orders) for lam, orders, Vk in calls]
         builds = self._builds(monkeypatch)
         store = smoother.RowStore(range(5))
         built = []
-        for (lam, cols, k), ref in zip(calls, want):
-            got = apply_rows(times, T, 8, lam, grid, V[k], cols, store)
+        for (lam, orders, Vk), ref in zip(calls, want):
+            got = apply_rows(times, T, 8, lam, grid, Vk, orders, store)
             built.append(builds[:])
             builds.clear()
             assert sorted(got) == sorted(ref)
@@ -1172,7 +1174,7 @@ class TestRowStore:
         elif budget == 0:
             # each chunk is built for its call's orders alone
             assert store.nbytes == 0
-            assert [set(b) for b in built] == [{tuple(sorted(cols))} for _, cols, _ in calls]
+            assert [set(b) for b in built] == [{orders} for _, orders, _ in calls]
         else:
             # the first chunks are kept, the rest stream
             assert 0 < store.nbytes
@@ -1185,32 +1187,32 @@ class TestRowStore:
         grid = np.linspace(0.0, T, 300)
         V = np.sin(times)[:, None]
         store = smoother.RowStore(range(3))
-        one = apply_rows(times, T, 8, 1.0, grid, V, {1: [0]}, store)
+        one = apply_rows(times, T, 8, 1.0, grid, V, (1,), store)
         assert store.nbytes == 0
-        apply_rows(times, T, 8, 1.0, grid, V, {0: [0], 1: [0]}, store)
+        apply_rows(times, T, 8, 1.0, grid, V, (0, 1), store)
         kept = store.nbytes
-        again = apply_rows(times, T, 8, 1.0, grid, V, {1: [0]}, store)
+        again = apply_rows(times, T, 8, 1.0, grid, V, (1,), store)
         assert kept > 0 and store.nbytes == kept
         assert one[1].tobytes() == again[1].tobytes()
-        assert one[1].tobytes() == apply_rows(times, T, 8, 1.0, grid, V, {1: [0]})[1].tobytes()
+        assert one[1].tobytes() == apply_rows(times, T, 8, 1.0, grid, V, (1,))[1].tobytes()
 
     def test_a_store_serves_one_design(self):
         times = np.arange(1, 251) * (T / 250)
         grid = np.linspace(0.0, T, 300)
         V = np.ones((250, 1))
-        cols = {0: [0], 1: [0]}
+        orders = (0, 1)
         store = smoother.RowStore((0, 1, 2))
-        apply_rows(times, T, 8, 1.0, grid, V, cols, store)
+        apply_rows(times, T, 8, 1.0, grid, V, orders, store)
         for call, match in [
-                (lambda: apply_rows(times, T, 8, 1.0, grid, V, {0: [0], 3: [0]}, store),
+                (lambda: apply_rows(times, T, 8, 1.0, grid, V, (0, 3), store),
                  r"order j=3 is not one of the RowStore's orders \[0, 1, 2\]"),
-                (lambda: apply_rows(times * 0.99, T, 8, 1.0, grid, V, cols, store),
+                (lambda: apply_rows(times * 0.99, T, 8, 1.0, grid, V, orders, store),
                  "design of its first call"),
-                (lambda: apply_rows(times, T, 8, 1.0, grid[:-1], V, cols, store),
+                (lambda: apply_rows(times, T, 8, 1.0, grid[:-1], V, orders, store),
                  "design of its first call"),
-                (lambda: apply_rows(times, T, 9, 1.0, grid, V, cols, store),
+                (lambda: apply_rows(times, T, 9, 1.0, grid, V, orders, store),
                  "design of its first call"),
-                (lambda: apply_rows(times, T, 2, 1.0, grid, V, cols, smoother.RowStore(range(3))),
+                (lambda: apply_rows(times, T, 2, 1.0, grid, V, orders, smoother.RowStore(range(3))),
                  r"orders \[0, 1, 2\] are not all in \[0, L\) for L=2")]:
             with pytest.raises(ValueError, match=match):
                 call()
@@ -1224,7 +1226,7 @@ class TestRowStore:
         grid = np.linspace(0.0, T, 201)
         store = smoother.RowStore((0, 1))
         with pytest.raises(EstimationError, match=r"of the point x = 9\.8 gives a singular Gram"):
-            smoother._apply_rows(times, T, grid, 0.45, 8, V, {0: [0], 1: [0]}, store)
+            smoother._apply_rows(times, T, grid, 0.45, 8, V, (0, 1), store)
         assert store._rows[0.45][1] == 0
 
 

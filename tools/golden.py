@@ -15,6 +15,8 @@ outputs of another checkout can be captured by pointing --src at its src/:
   that the grid rises above 1: g2/f1 at n = 60 and g5/f3 at n = 40;
 - `deconvolve --bandwidth 0.5,0.4` CSV and sidecar on the g2/f1 input,
   which takes the fixed-bandwidth path instead of the selection;
+- `deconvolve --estimate-sigma` CSV and sidecar on the g4/f2 input, whose
+  noise scale comes from the data instead of `--sigma`;
 - `deconvolve` CSV and sidecar on two inputs that are not lattices, made
   from emitted inputs by dropping rows: g4/f2 at n = 600 without the rows
   4 <= t <= 5 (a design gap), and the g2/f1 n = 2000 input keeping each
@@ -27,7 +29,9 @@ outputs of another checkout can be captured by pointing --src at its src/:
   inversion order r = 1, 3 and 4;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV,
   and the same command's stdout without `--json`;
-- the stdout of `inspect-kernel` on the g4 kernel in exp-poly form.
+- the stdout of `inspect-kernel` on the g4 kernel in exp-poly form, and on
+  three rational kernels with a pole at the origin: 1/(s(s+1)), 1/s^2
+  and (s+2)/(s^2(s+1)).
 
 Every command runs inside DIR with relative file names, so the paths the
 sidecars record are the same for every capture. `compare` prints one line
@@ -63,6 +67,9 @@ DECONVOLVE_CELLS = (
 # (kernel, target, n, sigma, --bandwidth) of the fixed-bandwidth run; its
 # input is the one written for that cell in DECONVOLVE_CELLS
 FIXED_CELL = ("g2", "f1", 250, "0.01", "0.5,0.4")
+# (kernel, target, n) of the run with an estimated sigma, on its input of
+# DECONVOLVE_CELLS
+SIGMA_CELL = ("g4", "f2", 250)
 # (kernel, target, n, sigma, name, keep) of the inputs that are not
 # lattices: the emitted input of that cell without the rows where
 # keep(t, rng) is false, with one rng = random.Random(0) per input
@@ -76,6 +83,12 @@ TRIM_CELL = ("g2,f1,100,0", "0.2")
 # g4 as an exp-poly spec, the form inspect-kernel is captured on
 G4_EXP_POLY = ('{"form": "exp-poly", "a": 1.0, "r": 3, '
                '"rho": [1.0, 5.5, 14.5625, 6.25, 35.265625]}')
+# name -> (num, den) of the rational kernels with a pole at the origin
+ORIGIN_POLES = {
+    "s_s1": ("[1]", "[0, 1, 1]"),
+    "s2": ("[1]", "[0, 0, 1]"),
+    "s2_s1": ("[2, 1]", "[0, 0, 1, 1]"),
+}
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
@@ -102,10 +115,13 @@ def emit(out_dir: Path, src: Path, g: str, f: str, n: int) -> str:
     return name
 
 
-def deconvolve(out_dir: Path, src: Path, source: str, g: str, sigma: str, output: str,
-               *args: str) -> None:
+def deconvolve(out_dir: Path, src: Path, source: str, g: str, sigma: str | None,
+               output: str, *args: str) -> None:
+    """deconvolve source with builtin g at sigma, or with an estimated
+    sigma when it is None."""
     cli(out_dir, src, "deconvolve", "--input", source,
-        "--kernel", '{"form":"builtin","name":"%s"}' % g, "--sigma", sigma,
+        "--kernel", '{"form":"builtin","name":"%s"}' % g,
+        *(("--sigma", sigma) if sigma is not None else ("--estimate-sigma",)),
         "--output", output, *args)
 
 
@@ -125,6 +141,9 @@ def capture(out_dir: Path, src: Path) -> list[str]:
     g, f, n, sigma, bandwidth = FIXED_CELL
     deconvolve(out_dir, src, f"{g}_{f}_{n}.in.csv", g, sigma,
                f"deconvolve_{g}_{f}_{n}_fixed.csv", "--bandwidth", bandwidth)
+    g, f, n = SIGMA_CELL
+    deconvolve(out_dir, src, f"{g}_{f}_{n}.in.csv", g, None,
+               f"deconvolve_{g}_{f}_{n}_estimate_sigma.csv")
     for cell in SIMULATE_CELLS:
         stem = "simulate_" + cell.replace(",", "_")
         cli(out_dir, src, "simulate", "--cell", cell, "--runs", "20", "--seed", "3",
@@ -140,6 +159,9 @@ def capture(out_dir: Path, src: Path) -> list[str]:
     stdout = {
         "make_kernel.stdout": ("make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234"),
         "inspect_kernel_g4.stdout": ("inspect-kernel", "--kernel", G4_EXP_POLY),
+        **{f"inspect_kernel_{name}.stdout": (
+            "inspect-kernel", "--kernel", '{"form": "rational", "num": %s, "den": %s}' % nd)
+           for name, nd in ORIGIN_POLES.items()},
     }
     for name, args in stdout.items():
         (out_dir / name).write_text(cli(out_dir, src, *args), encoding="utf-8")

@@ -11,8 +11,10 @@ n = 250 estimate so that every kernel is built, and then times two
 sorted uniform random times on [0, 10] drawn by numpy's
 `default_rng(DESIGN_SEED)`, DESIGN_SEED = 0, and n stops at 4000: off the
 lattice every output point and zone observation gets a row of its own. The
-estimator keeps nothing between calls but its kernels, so the second
-call differs from the first only by warm caches. It reports both times and the
+estimator keeps nothing between calls but three read-only caches (the
+smoothing kernels, one orthonormal basis per kernel order in
+`smoother._orthonormal` and the time-domain kernels of `sim._expfun`), so
+the second call differs from the first only by warm caches. It reports both times and the
 interpreter's peak resident set (import, design and warm-up included).
 
 Each n is timed REPEATS = 3 times per tree, in its own interpreter each
