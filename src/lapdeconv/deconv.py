@@ -46,9 +46,9 @@ class EstimatorConfig:
     selection's fixed grid ratio and threshold multiplier (``smoother``).
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
-    of at most the r + 1 orders, the rest staying adaptive. grid_size must
-    be at least 2; a smaller value raises ValueError. The risk window is
-    the harness's (``sim.Scenario.trim``).
+    of at most the r + 1 orders, the rest staying adaptive. ValueError
+    unless L is an integer (not a bool) and grid_size is at least 2. The
+    risk window is the harness's (``sim.Scenario.trim``).
     """
 
     L: int = 8
@@ -56,6 +56,8 @@ class EstimatorConfig:
     fixed_bandwidths: object = None
 
     def __post_init__(self):
+        if isinstance(self.L, (bool, np.bool_)) or not isinstance(self.L, (int, np.integer)):
+            raise ValueError("kernel order L must be an integer, not %r" % (self.L,))
         if self.grid_size < 2:
             raise ValueError("evaluation grid size must be at least 2")
         fb = self.fixed_bandwidths

@@ -146,9 +146,15 @@ def forward_convolve(g, f, times) -> np.ndarray:
     The quadrature runs on the observation grid refined by a fixed factor of
     8 (``_REFINEMENT``). Designs equispaced from 0 use a single convolution
     pass; general designs fall back to a per-point rule on the refined mesh.
+    ValueError unless times is a 1-D array of finite, nondecreasing,
+    nonnegative times; an empty one gives an empty array.
     """
     times = np.asarray(times, dtype=float)
     gfun = _time_domain(g)
+    if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0)
+            and np.all(times[:1] >= 0)):
+        raise ValueError("times must be a 1-D array of finite, nondecreasing, nonnegative "
+                         "times")
     if times.size == 0:
         return np.zeros(0)
     tn = times[-1]
@@ -333,14 +339,15 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
     input order. trim is every cell's ``Scenario.trim``.
 
     Every scenario is built first, so an invalid cell raises before any
-    cell runs; then the cells run in input order on the calling thread.
-    Cells on one design n share one noise draw, scaled by each one's sigma,
-    and one ``RowStore`` of output-grid rows for the orders 0..r_max, r_max
-    the largest inversion order among the design's kernels (below L): at
-    each bandwidth a design's cells evaluate, its rows are built once and
-    applied to every cell's columns, up to the store's byte budget. The
-    store is dropped after the design's last cell, so nothing is kept
-    between calls, and every report is ``run_experiment``'s bit for bit.
+    cell runs; then the cells run on the calling thread, each design n's
+    cells together, in input order, designs in the order of their first
+    cell. A design's cells share one noise draw, scaled by each one's
+    sigma, and one ``RowStore`` of output-grid rows for the orders
+    0..r_max, r_max the largest inversion order among the design's kernels
+    (below L): each bandwidth whose rows fit the store's byte budget is
+    built once and applied to every cell's columns. Both are dropped once
+    the design's cells have run, so nothing is kept between calls, and
+    every report is ``run_experiment``'s bit for bit.
     """
     config = config or EstimatorConfig()
     scenarios = [
@@ -350,19 +357,15 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
-    noise = {n: standard_normals(seed, range(runs), n) for n in {sc.n for sc in scenarios}}
-    r = {gn: builtin_g(gn).r for gn in {sc.g_name for sc in scenarios}}
-    top, last = {}, {}
-    for k, sc in enumerate(scenarios):
-        top[sc.n] = max(top.get(sc.n, 0), r[sc.g_name])
-        last[sc.n] = k
-    stores = {n: RowStore(range(min(top[n] + 1, config.L))) for n in top}
-    results = []
-    for k, (cell, sc) in enumerate(zip(cells, scenarios)):
-        results.append((cell, _run_cell(sc, noise[sc.n], stores[sc.n])))
-        if last[sc.n] == k:
-            del stores[sc.n]
-    return results
+    reports = [None] * len(scenarios)
+    for n in dict.fromkeys(sc.n for sc in scenarios):
+        ks = [k for k, sc in enumerate(scenarios) if sc.n == n]
+        top = max(builtin_g(gn).r for gn in {scenarios[k].g_name for k in ks})
+        noise = standard_normals(seed, range(runs), n)
+        store = RowStore(range(min(top + 1, config.L)))
+        for k in ks:
+            reports[k] = _run_cell(scenarios[k], noise, store)
+    return list(zip(cells, reports))
 
 
 def _row_dict(cell, rep: ExperimentReport) -> dict:

@@ -82,12 +82,9 @@ class NoisySample:
             raise ValueError("need at least two observations")
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be positive and finite")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("times and values must be finite")
-        if np.any(np.diff(times) < 0):
-            raise ValueError("times must be sorted in increasing order")
-        if times[0] < 0 or times[-1] > self.T * (1 + 1e-12):
-            raise ValueError("times must lie in [0, T]")
+        _check_times(times, self.T)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be a nonnegative finite number")
         object.__setattr__(self, "times", times)
@@ -100,6 +97,29 @@ class NoisySample:
         return self.times.size
 
 
+def _check_times(times, T: float) -> np.ndarray:
+    """times as a float array; ValueError unless it is 1-D, finite,
+    nondecreasing and in [0, T], up to a rounding margin of 1e-12 T at T."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array, not one of shape %s" % (times.shape,))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be sorted in increasing order")
+    if times.size and (times[0] < 0 or times[-1] > T * (1 + 1e-12)):
+        raise ValueError("times must lie in [0, T] = [0, %g]" % T)
+    return times
+
+
+def _check_integer(value, name: str) -> int:
+    """value as an int; ValueError unless it is an integer, a numpy one
+    included, and not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, not %r" % (name, value))
+    return int(value)
+
+
 def _grid_depth(j: int, n: int, sigma: float, T: float) -> int:
     """Grid depth J = floor(log_a(n / (sigma^2 T^2)) / (2j+1)), clamped at 0,
     with a = ``_GRID_RATIO``.
@@ -109,6 +129,7 @@ def _grid_depth(j: int, n: int, sigma: float, T: float) -> int:
     n / (sigma^2 T^2) overflows (it diverges): in either case the caller
     must supply a fixed bandwidth instead of adapting.
     """
+    _check_integer(j, "derivative order j")
     if j < 0:
         raise ValueError("derivative order j must be nonnegative")
     if sigma == 0.0:
@@ -243,7 +264,7 @@ _BLOCK_ROWS = 16
 # 2^18 raised the peak of the benchmark's in-process workloads by 4 MB
 _ROW_CHUNK = 1 << 17
 
-# Bytes of rows one ``RowStore`` keeps; a chunk past them streams
+# Bytes of rows one ``RowStore`` keeps; a bandwidth whose rows pass them streams
 _ROW_KEEP = 32 << 20
 
 
@@ -252,23 +273,21 @@ class RowStore:
 
     A caller that applies the rows of one design (times, T, L and grid) to
     several data matrices passes one store to each call. At each bandwidth,
-    the first call of two or more orders makes room for as many whole
-    chunks of rows, from the first, as keep the store within ``_ROW_KEEP``
-    bytes, builds them for every order of ``orders`` and keeps them; every
-    later such call applies them without a build. The chunks past that
-    room, and every chunk of a one-order call (one order's rows round apart
-    from a many-order build), are built for the call's orders and dropped
-    once applied, as without a store. The store is bound to the design of
-    its first call and refuses another; it lives as long as its owner keeps
-    it.
+    the first call of two or more orders whose rows, for every order of
+    ``orders``, fit in what is left of ``_ROW_KEEP`` bytes builds them
+    whole and keeps them; every later such call applies them without a
+    build. A bandwidth that does not fit, and every call of one order (one
+    order's rows round apart from a many-order build), is built for the
+    call's orders and dropped once applied, as without a store. The store
+    is bound to the design of its first call and refuses another; it lives
+    as long as its owner keeps it.
     """
 
     def __init__(self, orders):
-        self.orders = tuple(sorted({int(j) for j in orders}))
+        self.orders = tuple(sorted({_check_integer(j, "derivative order j") for j in orders}))
         self.nbytes = 0
         self._design = None
-        # bandwidth -> [rows (blocks x rows x orders x span) of the first
-        # chunks, allocated at once; the number of blocks built so far]
+        # bandwidth -> rows (blocks x rows x orders x span) of every block
         self._rows = {}
 
     def _bind(self, times: np.ndarray, T: float, L: int, grid: np.ndarray) -> None:
@@ -308,10 +327,11 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     V on its observations with the rows of every order by one product into
     a buffer in sorted point order, from which each order is gathered once
     by whole rows. With a store, a call of two or more orders applies the
-    chunks the store keeps at lam, building those not yet built for all of
-    the store's orders (``RowStore``); every other chunk is built for the
-    call's orders and dropped once applied. A singular Gram is an
-    EstimationError naming the first point whose window gives one.
+    rows the store keeps at lam; when it keeps none and they fit, they are
+    first built whole for the store's orders, then kept (``RowStore``).
+    Otherwise each chunk is built for the call's orders and dropped once
+    applied. A singular Gram is an EstimationError naming the first point
+    whose window gives one.
     """
     order = np.argsort(x, kind="stable")
     xb = _blocked(x[order])
@@ -324,37 +344,35 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     hi = np.minimum(1.0, (T - xb) / lam)[..., None]
     chunk = max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span))
     nblocks = xb.shape[0]
+
+    def build(blk, orders, *out):
+        d = (times[first[blk, None] + np.arange(span)][:, None, :] - xb[blk, :, None]) / lam
+        try:
+            return _rows_at(d, lo[blk], hi[blk], lam, L, orders, *out)
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
+                                  "x = %g gives a singular Gram matrix"
+                                  % (lam, xb[blk][exc.args[0]])) from None
+
     kept = None
     if store is not None and len(orders) > 1:
         kept = store._rows.get(float(lam))
-        if kept is None:
-            # whole chunks, from the first, as many as the budget leaves room for
-            fit = max(_ROW_KEEP - store.nbytes, 0) // (8 * _BLOCK_ROWS * len(store.orders) * span)
-            nkeep = nblocks if fit >= nblocks else fit // chunk * chunk
-            kept = store._rows[float(lam)] = [
-                np.empty((nkeep, _BLOCK_ROWS, len(store.orders), span)), 0]
-            store.nbytes += kept[0].nbytes
+        size = 8 * nblocks * _BLOCK_ROWS * len(store.orders) * span
+        if kept is None and store.nbytes + size <= _ROW_KEEP:
+            kept = np.empty((nblocks, _BLOCK_ROWS, len(store.orders), span))
+            for b0 in range(0, nblocks, chunk):
+                build(slice(b0, b0 + chunk), store.orders, kept[b0 : b0 + chunk])
+            store._rows[float(lam)] = kept
+            store.nbytes += size
         pick = [store.orders.index(j) for j in orders]
     est = np.empty((nblocks * _BLOCK_ROWS, len(orders), V.shape[1]))
     for b0 in range(0, nblocks, chunk):
         blk = slice(b0, b0 + chunk)
         idx = first[blk, None] + np.arange(span)
         nb = idx.shape[0]
-        if kept is not None and b0 + nb <= kept[1]:
-            Wk = kept[0][blk]
-        else:
-            keep = kept is not None and b0 + nb <= len(kept[0])
-            d = (times[idx][:, None, :] - xb[blk, :, None]) / lam
-            try:
-                Wk = (_rows_at(d, lo[blk], hi[blk], lam, L, store.orders, kept[0][blk]) if keep
-                      else _rows_at(d, lo[blk], hi[blk], lam, L, orders))
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
-                                      "x = %g gives a singular Gram matrix"
-                                      % (lam, xb[blk][exc.args[0]])) from None
-            if keep:
-                kept[1] = b0 + nb
-        W = Wk if Wk.shape[2] == len(orders) else Wk[:, :, pick]
+        W = build(blk, orders) if kept is None else kept[blk]
+        if W.shape[2] != len(orders):
+            W = W[:, :, pick]
         rows = est[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
         np.matmul(W.reshape(nb, -1, span), V[idx], out=rows.reshape(nb, -1, V.shape[1]))
     back = np.argsort(order)
@@ -368,19 +386,20 @@ def apply_rows(times: np.ndarray, T: float, L: int, lam: float, grid, V: np.ndar
     at bandwidth lam on the design times of [0, T] (``_apply_rows``): each
     point's Gram is solved once for all the orders, and no grid.size x n
     weight matrix is formed. A caller that wants some columns only passes
-    them as V. A store (``RowStore``) keeps the rows between calls on one
-    design, so later calls at lam apply them without a build; the estimates
-    are the same bit for bit. Checks, in this order: ValueError when orders
-    is a mapping or names no order, or unless each order j has 0 <= j < L
-    and 0 < lam <= T/2; ValueError unless V is 2-D with one row per
-    observation time and a column; ValueError unless the grid is a
-    nonempty 1-D array of finite points of [0, T]; with a store,
+    them as V. A store (``RowStore``) keeps the rows of a whole bandwidth
+    between calls on one design, so later calls at lam apply them without
+    a build; the estimates are the same bit for bit. Checks, in this order:
+    ValueError when orders is a mapping or names no order, or unless each
+    order j and L are integers with 0 <= j < L and 0 < lam <= T/2;
+    ValueError unless the times are a 1-D array of finite, nondecreasing
+    points of [0, T], as in ``NoisySample``; ValueError unless V is 2-D
+    with one row per observation time and a column; ValueError unless the
+    grid is a nonempty 1-D array of finite points of [0, T]; with a store,
     ValueError unless every order is one of the store's, the store's
     orders are below L and the design is the one of its first call;
     EstimationError when a window holds fewer than L distinct observation
     times (``check_bandwidth``), counted once.
     """
-    times = np.asarray(times, dtype=float)
     if isinstance(orders, Mapping):
         raise ValueError("orders must be a sequence, not a mapping of orders to columns: "
                          "every order applies to every column of V; pass V[:, columns]")
@@ -389,6 +408,7 @@ def apply_rows(times: np.ndarray, T: float, L: int, lam: float, grid, V: np.ndar
         raise ValueError("orders must name at least one derivative order")
     for j in orders:
         _check_range(T, j, L, lam)
+    times = _check_times(times, T)
     V = np.asarray(V)
     if V.ndim != 2 or V.shape[0] != times.size or V.shape[1] == 0:
         raise ValueError("V must be a 2-D array of one row per observation time (%d) and at "
@@ -481,6 +501,8 @@ def _short_window(times: np.ndarray, T: float, lam: float, L: int,
 
 
 def _check_range(T: float, j: int, L: int, lam: float) -> None:
+    _check_integer(j, "derivative order j")
+    _check_integer(L, "kernel order L")
     if not 0 <= j < L:
         raise ValueError("derivative order j=%d outside [0, L) for L=%d" % (j, L))
     if not (0.0 < lam <= T / 2):
@@ -488,12 +510,13 @@ def _check_range(T: float, j: int, L: int, lam: float) -> None:
 
 
 def check_bandwidth(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
-    """ValueError unless 0 <= j < L and 0 < lam <= T/2; EstimationError
-    unless the window (x - lam, x + lam) of every point x in [0, T] holds at
-    least L distinct observation times inside (0, T), which every row needs:
-    lam must exceed the design's threshold lam_full (``_short_window``)."""
+    """ValueError unless the integers j and L have 0 <= j < L, 0 < lam <= T/2
+    and the times follow ``NoisySample``'s rule; EstimationError unless the
+    window (x - lam, x + lam) of every point x in [0, T] holds at least L
+    distinct observation times inside (0, T), which every row needs: lam
+    must exceed the design's threshold lam_full (``_short_window``)."""
     _check_range(T, j, L, lam)
-    _check_count(times, T, j, L, lam)
+    _check_count(_check_times(times, T), T, j, L, lam)
 
 
 def _check_count(times: np.ndarray, T: float, j: int, L: int, lam: float) -> None:
@@ -626,6 +649,7 @@ def _admissible(times: np.ndarray, T: float, j: int, sigma: float, L: int):
     count that refused the largest level tried, or why none was tried.
     """
     depth = _grid_depth(j, times.size, sigma, T)
+    _check_integer(L, "kernel order L")
     _, full, inner, _ = _pairs(times, T, L)
     lam_min = max(full.max(), inner.max())
     top = 0

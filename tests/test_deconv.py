@@ -67,6 +67,12 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(**kw)
 
+    @pytest.mark.parametrize("L", [8.0, True, "8"])
+    def test_a_kernel_order_that_is_not_an_integer_is_refused(self, L):
+        with pytest.raises(ValueError, match="kernel order L must be an integer, not %r" % L):
+            EstimatorConfig(L=L)
+        assert EstimatorConfig(L=np.int64(6)).L == 6
+
 
 class TestConvolutionTerm:
     @pytest.mark.parametrize("name", ["g3", "g4", "g5"])

@@ -139,6 +139,18 @@ class TestForwardConvolve:
         q = forward_convolve(g, builtin_f("f1"), times)
         np.testing.assert_allclose(q, exact, atol=1e-4)
 
+    @pytest.mark.parametrize("case", ["permuted", "negative", "nan", "two-dimensional"])
+    def test_a_design_it_cannot_integrate_is_a_value_error(self, case):
+        # a permuted design read its knots out of order (off by up to 1.8e18
+        # on 100 points of [0, 10]), and [-1, 0.5, 1] gave q(-1) = -3.5
+        times = {"permuted": np.random.default_rng(0).permutation(np.arange(1, 101) * 0.1),
+                 "negative": np.array([-1.0, 0.5, 1.0]),
+                 "nan": np.array([0.5, np.nan, 1.0]),
+                 "two-dimensional": np.arange(1, 7).reshape(2, 3) * 0.1}[case]
+        with pytest.raises(ValueError, match="finite, nondecreasing, nonnegative"):
+            forward_convolve(builtin_g("g2"), builtin_f("f1"), times)
+        assert forward_convolve(builtin_g("g2"), builtin_f("f1"), []).shape == (0,)
+
     def test_callable_kernel_accepted(self):
         times = np.arange(1, 51) * 0.2
         qa = forward_convolve(builtin_g("g2"), builtin_f("f1"), times)
@@ -307,13 +319,17 @@ class TestTable:
         [("g2", "f1", 60, 2), ("g5", "f3", 80, 1), ("g1", "f1", 60, 0), ("g5", "f3", 60, 3)],
     ])
     def test_run_table_order(self, monkeypatch, cells):
-        # cells on one design share one noise draw, each scaled by its own
-        # sigma: every report is run_experiment's bit for bit
-        draws = []
-        real = sim.standard_normals
+        # each design's cells run together, designs in the order of their
+        # first cell, on one noise draw, each scaled by its own sigma; the
+        # reports come back in input order, each run_experiment's bit for bit
+        draws, ran = [], []
+        real, real_cell = sim.standard_normals, sim._run_cell
         monkeypatch.setattr(sim, "standard_normals", lambda *a: draws.append(a[2]) or real(*a))
+        monkeypatch.setattr(sim, "_run_cell", lambda sc, *a: ran.append(sc.n) or real_cell(sc, *a))
         got = run_table(cells, runs=3, seed=3)
-        assert sorted(draws) == sorted({c[2] for c in cells})
+        designs = list(dict.fromkeys(c[2] for c in cells))
+        assert draws == designs
+        assert ran == sorted((c[2] for c in cells), key=designs.index)
         assert [c for c, _ in got] == cells
         for (gn, fn, n, i), (_, rep) in zip(cells, got):
             want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=3, seed=3))
@@ -326,7 +342,7 @@ class TestTable:
     ], ids=["shared", "streamed", "fixed"])
     def test_cells_on_a_design_share_its_rows(self, monkeypatch, budget, config):
         # the designs interleave and the kernels have r = 1, 3 and 4; with a
-        # zero budget every chunk streams. Either way every report is
+        # zero budget every bandwidth streams. Either way every report is
         # run_experiment's bit for bit
         if budget is not None:
             monkeypatch.setattr(smoother, "_ROW_KEEP", budget)

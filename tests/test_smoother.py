@@ -388,6 +388,41 @@ class TestLattice:
                     err = np.abs(got - want)
                     assert np.all(err <= 1e-12 * scale[:, : Vr.shape[1]]), (lam, j)
 
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_a_lattice_that_does_not_span_the_interval(self, monkeypatch, n):
+        # the equispaced design without its first two samples: a lattice
+        # whose first three zone observations of each level sit fewer than
+        # m spacings from its first time, so they take rows of their own
+        # next to the lattice row of the rest. The selections are those of the
+        # per-point path, and the zone estimates agree with its own within
+        # the bound of test_matches_per_point_rows
+        times = (np.arange(1, n + 1) * (T / n))[2:]
+        assert smoother._lattice_step(times, T) is not None
+        V = np.sin(np.outer(times, np.linspace(0.5, 4.0, 6)))
+        V += 0.01 * np.random.default_rng(n).standard_normal(V.shape)
+        own = []
+        real = smoother._apply_rows
+        monkeypatch.setattr(smoother, "_apply_rows",
+                            lambda t, T_, x, *a: own.append(x.size) or real(t, T_, x, *a))
+        for lam in (1.0, 1.44, 2.5):
+            zone = smoother._zone(times, T, lam)
+            x = times[zone[0] : zone[1]]
+            scales = np.concatenate([np.abs(weight_matrix(times, T, range(8), 8, lam, xc))
+                                     @ np.abs(V) for xc in np.array_split(x, 4)], axis=1)
+            for j in (0, 3):
+                del own[:]
+                got = _on_lattice(times, zone, lam, j, V)
+                assert own == [3]
+                err = np.abs(got - _per_point(times, zone, lam, j, V))
+                assert np.all(err <= 1e-12 * scales[j]), (lam, j)
+        for j in (0, 2):
+            on = _lepski_batch(times, T, V, 0.01, j, 8)
+            with monkeypatch.context() as m:
+                m.setattr(smoother, "_lattice_step", lambda times, T: None)
+                off = _lepski_batch(times, T, V, 0.01, j, 8)
+            np.testing.assert_array_equal(on[1], off[1])
+            np.testing.assert_array_equal(on[0], off[0])
+
     def test_tolerance_is_relative_to_T(self):
         n = 300
         times = np.arange(1, n + 1) * (T / n)
@@ -1091,6 +1126,53 @@ class TestApplyRows:
             apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
                        np.ones(shape), (0, 1))
 
+    @pytest.mark.parametrize("case, match", [
+        ("nan", "times must be finite"), ("past-T", r"times must lie in \[0, T\]"),
+        ("permuted", "times must be sorted")])
+    def test_a_design_outside_the_time_rule_is_a_value_error(self, monkeypatch, case, match):
+        # n = 100 equispaced on [0, 10]: apply_rows and check_bandwidth hold
+        # the times to the rule of NoisySample, before any row is formed
+        times = np.arange(1, 101) * 0.1
+        if case == "nan":
+            times[40] = np.nan
+        elif case == "past-T":
+            times[-1] = 12.0
+        else:
+            times = np.random.default_rng(0).permutation(times)
+        with pytest.raises(ValueError, match=match):
+            NoisySample(times, np.sin(np.nan_to_num(times)), T, 0.01)
+        with pytest.raises(ValueError, match=match):
+            check_bandwidth(times, T, 0, 8, 1.0)
+        monkeypatch.setattr(smoother, "_rows_at", None)
+        with pytest.raises(ValueError, match=match):
+            apply_rows(times, T, 8, 1.0, np.linspace(0.0, T, 20), np.ones((100, 2)), (0, 1))
+
+    @pytest.mark.parametrize("name, value", [("j", 1.0), ("j", True), ("j", 1.5),
+                                             ("L", 8.0), ("L", True)])
+    def test_orders_that_are_not_integers_are_value_errors(self, name, value):
+        # a float or bool order j or kernel order L is named, where it would
+        # reach math.perm, make_kernel or a shape, or pass as 1; numpy
+        # integers are integers
+        times = np.arange(1, 101) * 0.1
+        d = NoisySample(times, np.sin(times), T, 0.01)
+        grid = np.linspace(0.0, T, 20)
+        j, L = (value, 8) if name == "j" else (0, value)
+        calls = [lambda: apply_rows(times, T, L, 1.0, grid, d.values[:, None], (j,)),
+                 lambda: pc_estimate(d, j, L, 1.0, grid),
+                 lambda: check_bandwidth(times, T, j, L, 1.0),
+                 lambda: lepski_select(d, j, L)]
+        if name == "j":
+            calls.append(lambda: smoother.RowStore([0, j]))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"%s must be an integer, not %s"
+                                                 % (name, re.escape(repr(value)))):
+                call()
+        got = apply_rows(times, T, np.int64(8), 1.0, grid, d.values[:, None], (np.int64(1),))
+        assert got[1].tobytes() == apply_rows(times, T, 8, 1.0, grid, d.values[:, None],
+                                              (1,))[1].tobytes()
+        assert lepski_select(d, np.int64(1), np.int64(8)) == lepski_select(d, 1, 8)
+        assert smoother.RowStore(np.arange(3)).orders == (0, 1, 2)
+
     def test_apply_rows_needs_an_order(self):
         with pytest.raises(ValueError, match="at least one derivative order"):
             apply_rows(np.arange(1, 101) * 0.1, T, 8, 1.0, np.linspace(0.0, T, 20),
@@ -1138,13 +1220,13 @@ class TestRowStore:
                             lambda *a: calls.append(tuple(a[5])) or real(*a))
         return calls
 
-    @pytest.mark.parametrize("budget", [None, 0, 1 << 20])
+    @pytest.mark.parametrize("budget", [None, 0, "short", "first"])
     def test_a_store_changes_no_bit(self, monkeypatch, budget):
         # orders that are a prefix of the store's, all of them, and two
         # others, on two data matrices and some of their columns, at two
-        # bandwidths; the budget keeps every chunk, none or some
-        if budget is not None:
-            monkeypatch.setattr(smoother, "_ROW_KEEP", budget)
+        # bandwidths; the budget keeps both bandwidths, none, the smaller
+        # (it falls short of the first), or the first (the second does not
+        # fit what is left)
         rng = np.random.default_rng(12)
         times = np.sort(rng.uniform(0.0, T, 700))
         grid = np.linspace(0.0, T, 1024)
@@ -1155,6 +1237,14 @@ class TestRowStore:
                  (1.1, (0, 2), V[0][:, [1, 2, 3, 5]]),
                  (0.8, tuple(range(4)), V[0])]
         want = [apply_rows(times, T, 8, lam, grid, Vk, orders) for lam, orders, Vk in calls]
+        probe = smoother.RowStore(range(5))
+        for lam, orders, Vk in calls:
+            apply_rows(times, T, 8, lam, grid, Vk, orders, probe)
+        size = {lam: rows.nbytes for lam, rows in probe._rows.items()}
+        assert sorted(size) == [0.8, 1.1] and size[0.8] < size[1.1]
+        if budget is not None:
+            monkeypatch.setattr(smoother, "_ROW_KEEP", {
+                0: 0, "short": size[1.1] - 8, "first": size[1.1] + size[0.8] - 8}[budget])
         builds = self._builds(monkeypatch)
         store = smoother.RowStore(range(5))
         built = []
@@ -1165,20 +1255,25 @@ class TestRowStore:
             assert sorted(got) == sorted(ref)
             for j in ref:
                 assert got[j].tobytes() == ref[j].tobytes(), (lam, j)
-        assert store.nbytes <= smoother._ROW_KEEP
+        # every kept bandwidth is kept whole
+        assert {lam: rows.nbytes for lam, rows in store._rows.items()} == {
+            lam: size[lam] for lam in {None: (1.1, 0.8), 0: (), "short": (0.8,),
+                                       "first": (1.1,)}[budget]}
+        assert store.nbytes == sum(size[lam] for lam in store._rows) <= smoother._ROW_KEEP
+        every = (0, 1, 2, 3, 4)
         if budget is None:
             # the first call at each bandwidth builds every chunk for every
             # order, and the later calls build nothing
-            assert [set(b) for b in built] == [{(0, 1, 2, 3, 4)}, set(),
-                                               {(0, 1, 2, 3, 4)}, set(), set()]
+            assert [set(b) for b in built] == [{every}, set(), {every}, set(), set()]
         elif budget == 0:
             # each chunk is built for its call's orders alone
-            assert store.nbytes == 0
             assert [set(b) for b in built] == [{orders} for _, orders, _ in calls]
+        elif budget == "short":
+            # 1.1 streams at every call, 0.8 is built once for every order
+            assert [set(b) for b in built] == [{(0, 1)}, {every}, {every}, {(0, 2)}, set()]
         else:
-            # the first chunks are kept, the rest stream
-            assert 0 < store.nbytes
-            assert set(built[0]) == {(0, 1, 2, 3, 4), (0, 1)}
+            # 1.1 is built once for every order, 0.8 streams at every call
+            assert [set(b) for b in built] == [{every}, set(), {(1, 3)}, set(), {(0, 1, 2, 3)}]
 
     def test_a_one_order_call_streams(self):
         # one order's rows round apart from a many-order build, so a call
@@ -1219,7 +1314,7 @@ class TestRowStore:
 
     def test_a_singular_gram_is_an_estimation_error_with_a_store(self):
         # the store's build solves the same Gram, so it fails alike and
-        # counts no block of the failing chunk as built
+        # keeps no entry at the failing bandwidth
         times = np.arange(1, 101) * (T / 100)
         times = np.sort(np.concatenate((times, times - 1e-13)))
         V = np.sin(times)[:, None]
@@ -1227,7 +1322,7 @@ class TestRowStore:
         store = smoother.RowStore((0, 1))
         with pytest.raises(EstimationError, match=r"of the point x = 9\.8 gives a singular Gram"):
             smoother._apply_rows(times, T, grid, 0.45, 8, V, (0, 1), store)
-        assert store._rows[0.45][1] == 0
+        assert 0.45 not in store._rows and store.nbytes == 0
 
 
 class TestEstimateSigma:

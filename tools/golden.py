@@ -27,6 +27,10 @@ outputs of another checkout can be captured by pointing --src at its src/:
 - `simulate --full --runs 2 --seed 3` CSV and JSON: the 150-cell table,
   whose cells on one design share its output-grid rows across kernels of
   inversion order r = 1, 3 and 4;
+- the same table with `--bandwidth 1.1,1.3` (FULL_FIXED_BANDWIDTH), CSV
+  and JSON: orders 0 and 1 are fixed at two bandwidths, each applied by
+  a call of one order, which streams past the shared rows, while orders
+  2..r stay adaptive and apply some of the shared rows' orders;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV,
   and the same command's stdout without `--json`;
 - the stdout of `inspect-kernel` on the g4 kernel in exp-poly form, and on
@@ -80,6 +84,8 @@ DROPPED_CELLS = (
 SIMULATE_CELLS = ("g2,f1,100,0", "g4,f2,100,1", "g5,f3,100,0")
 # (cell, --trim) of the simulate run with a non-default risk window
 TRIM_CELL = ("g2,f1,100,0", "0.2")
+# --bandwidth of the second run of the full table
+FULL_FIXED_BANDWIDTH = "1.1,1.3"
 # g4 as an exp-poly spec, the form inspect-kernel is captured on
 G4_EXP_POLY = ('{"form": "exp-poly", "a": 1.0, "r": 3, '
                '"rho": [1.0, 5.5, 14.5625, 6.25, 35.265625]}')
@@ -154,6 +160,9 @@ def capture(out_dir: Path, src: Path) -> list[str]:
         "--trim", trim, "--output", f"{stem}.csv", "--json", f"{stem}.json")
     cli(out_dir, src, "simulate", "--full", "--runs", "2", "--seed", "3",
         "--output", "simulate_full.csv", "--json", "simulate_full.json")
+    cli(out_dir, src, "simulate", "--full", "--runs", "2", "--seed", "3",
+        "--bandwidth", FULL_FIXED_BANDWIDTH,
+        "--output", "simulate_full_fixed.csv", "--json", "simulate_full_fixed.json")
     cli(out_dir, src, "make-kernel", "--L", "8", "--j", "3", "--rho", "0.1234",
         "--output", "make_kernel.csv", "--json", "make_kernel.json")
     stdout = {
