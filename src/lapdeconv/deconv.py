@@ -25,6 +25,7 @@ from .smoother import (
     _lepski_batch,
     apply_rows,
     check_bandwidth,
+    check_integer,
 )
 
 __all__ = [
@@ -47,8 +48,9 @@ class EstimatorConfig:
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. ValueError
-    unless L is an integer (not a bool) and grid_size is at least 2. The
-    risk window is the harness's (``sim.Scenario.trim``).
+    unless L and grid_size are integers (``smoother.check_integer``) and
+    grid_size is at least 2. The risk window is the harness's
+    (``sim.Scenario.trim``).
     """
 
     L: int = 8
@@ -56,9 +58,8 @@ class EstimatorConfig:
     fixed_bandwidths: object = None
 
     def __post_init__(self):
-        if isinstance(self.L, (bool, np.bool_)) or not isinstance(self.L, (int, np.integer)):
-            raise ValueError("kernel order L must be an integer, not %r" % (self.L,))
-        if self.grid_size < 2:
+        check_integer(self.L, "kernel order L")
+        if check_integer(self.grid_size, "evaluation grid size") < 2:
             raise ValueError("evaluation grid size must be at least 2")
         fb = self.fixed_bandwidths
         if fb is not None and not np.isscalar(fb):

@@ -19,7 +19,7 @@ import numpy as np
 from ._expalg import ExpPoly
 from .deconv import DEFAULT_TRIM, EstimatorConfig, _estimate_all, trimmed_window
 from .resolvent import Polynomial, RationalLaplaceKernel, rational_kernel
-from .smoother import EstimationError, RowStore
+from .smoother import EstimationError, RowStore, check_integer
 from .special import reg_lower_gamma, standard_normals
 
 __all__ = [
@@ -126,16 +126,6 @@ def _time_domain(g) -> "callable":
     raise TypeError("g must be a RationalLaplaceKernel or a callable")
 
 
-def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution; FFT above the size where direct is cheap."""
-    n = a.size + b.size - 1
-    if n <= 4096:
-        return np.convolve(a, b)
-    size = 1 << (n - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-    return out[:n]
-
-
 # Quadrature points per observation interval in ``forward_convolve``
 _REFINEMENT = 8
 
@@ -144,8 +134,9 @@ def forward_convolve(g, f, times) -> np.ndarray:
     """q(t_i) = int_0^{t_i} g(t_i - tau) f(tau) dtau by composite trapezoid.
 
     The quadrature runs on the observation grid refined by a fixed factor of
-    8 (``_REFINEMENT``). Designs equispaced from 0 use a single convolution
-    pass; general designs fall back to a per-point rule on the refined mesh.
+    8 (``_REFINEMENT``). Designs equispaced from 0 take every sum at once, as
+    one FFT product of the sampled g and f on the refined grid, at every
+    size; general designs fall back to a per-point rule on the refined mesh.
     ValueError unless times is a 1-D array of finite, nondecreasing,
     nonnegative times; an empty one gives an empty array.
     """
@@ -167,7 +158,9 @@ def forward_convolve(g, f, times) -> np.ndarray:
         gv = np.asarray(gfun(fine), dtype=float)
         fv = np.asarray(f(fine), dtype=float)
         dx = tn / N
-        q_fine = (_linear_convolve(gv, fv)[: N + 1] - 0.5 * (gv * fv[0] + gv[0] * fv)) * dx
+        size = 1 << (2 * N).bit_length()  # holds the 2N + 1 terms of gv * fv unwrapped
+        conv = np.fft.irfft(np.fft.rfft(gv, size) * np.fft.rfft(fv, size), size)[: N + 1]
+        q_fine = (conv - 0.5 * (gv * fv[0] + gv[0] * fv)) * dx
         return q_fine[_REFINEMENT::_REFINEMENT].copy()
     pieces = [np.array([0.0])]
     knots = np.concatenate([[0.0], times])
@@ -188,7 +181,8 @@ def forward_convolve(g, f, times) -> np.ndarray:
 @dataclass(frozen=True)
 class Scenario:
     """One Monte-Carlo cell: a (kernel, target) pair at one noise level,
-    whose risks drop the boundary fraction trim (``trimmed_window``)."""
+    whose risks drop the boundary fraction trim (``trimmed_window``).
+    ValueError unless n, runs and seed are integers (``check_integer``)."""
 
     g_name: str
     f_name: str
@@ -205,6 +199,8 @@ class Scenario:
             raise ValueError("unknown builtin kernel %r" % self.g_name)
         if self.f_name not in BUILTIN_F_NAMES:
             raise ValueError("unknown builtin target %r" % self.f_name)
+        for name in ("n", "runs", "seed"):
+            check_integer(getattr(self, name), name)
         if self.n < 10:
             raise ValueError("need n >= 10")
         if self.runs < 1:
@@ -269,15 +265,15 @@ def run_experiment(sc: Scenario) -> ExperimentReport:
     failed instead of aborting the batch. Raises ValueError from
     ``trimmed_window(grid, sc.trim)``, the window the risks average over.
     """
-    return _run_cell(sc, standard_normals(sc.seed, range(sc.runs), sc.n))
+    return _run_cell(sc, builtin_g(sc.g_name), standard_normals(sc.seed, range(sc.runs), sc.n))
 
 
-def _run_cell(sc: Scenario, Z: np.ndarray, rows: RowStore | None = None) -> ExperimentReport:
-    """``run_experiment`` from the scenario's noise draw Z (n x runs), with
-    the output-grid rows of rows, a store of the cell's design, if given."""
+def _run_cell(sc: Scenario, g: RationalLaplaceKernel, Z: np.ndarray,
+              rows: RowStore | None = None) -> ExperimentReport:
+    """``run_experiment`` from the scenario's kernel g and noise draw Z (n x
+    runs), with the output-grid rows of rows, a store of the design, if given."""
     grid = np.linspace(0.0, sc.T, sc.config.grid_size)
     mask = trimmed_window(grid, sc.trim)
-    g = builtin_g(sc.g_name)
     f = builtin_f(sc.f_name)
     times, Y = _scaled_sample(g, f, sc.sigma, sc.T, Z)
     try:
@@ -312,10 +308,11 @@ def _run_cell(sc: Scenario, Z: np.ndarray, rows: RowStore | None = None) -> Expe
 
 
 def ladder_sigma(g_name: str, i: int) -> float:
-    """Noise level i of the benchmark ladder: sigma_0(g) / 2^i."""
+    """Noise level i of the benchmark ladder: sigma_0(g) / 2^i. ValueError
+    unless g_name is a builtin kernel and i an integer in 0..4."""
     if g_name not in SIGMA0:
         raise ValueError("unknown builtin kernel %r" % g_name)
-    if not 0 <= i <= 4:
+    if not 0 <= check_integer(i, "ladder index i") <= 4:
         raise ValueError("ladder index must be in 0..4")
     return SIGMA0[g_name] / 2.0**i
 
@@ -339,7 +336,8 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
     input order. trim is every cell's ``Scenario.trim``.
 
     Every scenario is built first, so an invalid cell raises before any
-    cell runs; then the cells run on the calling thread, each design n's
+    cell runs, and each distinct kernel is built once per call and handed
+    to its cells; then the cells run on the calling thread, each design n's
     cells together, in input order, designs in the order of their first
     cell. A design's cells share one noise draw, scaled by each one's
     sigma, and one ``RowStore`` of output-grid rows for the orders
@@ -357,14 +355,15 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
         )
         for (gn, fn, n, i) in cells
     ]
+    kernels = {gn: builtin_g(gn) for gn in {sc.g_name for sc in scenarios}}
     reports = [None] * len(scenarios)
     for n in dict.fromkeys(sc.n for sc in scenarios):
         ks = [k for k, sc in enumerate(scenarios) if sc.n == n]
-        top = max(builtin_g(gn).r for gn in {scenarios[k].g_name for k in ks})
+        top = max(kernels[scenarios[k].g_name].r for k in ks)
         noise = standard_normals(seed, range(runs), n)
         store = RowStore(range(min(top + 1, config.L)))
         for k in ks:
-            reports[k] = _run_cell(scenarios[k], noise, store)
+            reports[k] = _run_cell(scenarios[k], kernels[scenarios[k].g_name], noise, store)
     return list(zip(cells, reports))
 
 

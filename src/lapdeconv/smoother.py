@@ -29,6 +29,7 @@ __all__ = [
     "RowStore",
     "apply_rows",
     "check_bandwidth",
+    "check_integer",
     "estimate_derivative",
     "estimate_sigma",
     "lepski_select",
@@ -112,9 +113,9 @@ def _check_times(times, T: float) -> np.ndarray:
     return times
 
 
-def _check_integer(value, name: str) -> int:
-    """value as an int; ValueError unless it is an integer, a numpy one
-    included, and not a bool."""
+def check_integer(value, name: str) -> int:
+    """value as an int; ValueError naming it unless it is an integer, a
+    numpy one included, and not a bool."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError("%s must be an integer, not %r" % (name, value))
     return int(value)
@@ -129,7 +130,7 @@ def _grid_depth(j: int, n: int, sigma: float, T: float) -> int:
     n / (sigma^2 T^2) overflows (it diverges): in either case the caller
     must supply a fixed bandwidth instead of adapting.
     """
-    _check_integer(j, "derivative order j")
+    check_integer(j, "derivative order j")
     if j < 0:
         raise ValueError("derivative order j must be nonnegative")
     if sigma == 0.0:
@@ -284,7 +285,7 @@ class RowStore:
     """
 
     def __init__(self, orders):
-        self.orders = tuple(sorted({_check_integer(j, "derivative order j") for j in orders}))
+        self.orders = tuple(sorted({check_integer(j, "derivative order j") for j in orders}))
         self.nbytes = 0
         self._design = None
         # bandwidth -> rows (blocks x rows x orders x span) of every block
@@ -501,8 +502,8 @@ def _short_window(times: np.ndarray, T: float, lam: float, L: int,
 
 
 def _check_range(T: float, j: int, L: int, lam: float) -> None:
-    _check_integer(j, "derivative order j")
-    _check_integer(L, "kernel order L")
+    check_integer(j, "derivative order j")
+    check_integer(L, "kernel order L")
     if not 0 <= j < L:
         raise ValueError("derivative order j=%d outside [0, L) for L=%d" % (j, L))
     if not (0.0 < lam <= T / 2):
@@ -649,7 +650,7 @@ def _admissible(times: np.ndarray, T: float, j: int, sigma: float, L: int):
     count that refused the largest level tried, or why none was tried.
     """
     depth = _grid_depth(j, times.size, sigma, T)
-    _check_integer(L, "kernel order L")
+    check_integer(L, "kernel order L")
     _, full, inner, _ = _pairs(times, T, L)
     lam_min = max(full.max(), inner.max())
     top = 0

@@ -1,6 +1,7 @@
 """Tests for the full deconvolution pipeline."""
 
 import math
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,13 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="kernel order L must be an integer, not %r" % L):
             EstimatorConfig(L=L)
         assert EstimatorConfig(L=np.int64(6)).L == 6
+
+    @pytest.mark.parametrize("size", [100.0, True, np.float64(64.0)])
+    def test_a_grid_size_that_is_not_an_integer_is_refused(self, size):
+        with pytest.raises(ValueError, match="^evaluation grid size must be an integer, not %s"
+                           % re.escape(repr(size))):
+            EstimatorConfig(grid_size=size)
+        assert EstimatorConfig(grid_size=np.int64(64)).grid_size == 64
 
 
 class TestConvolutionTerm:
@@ -425,28 +433,58 @@ def stable_transforms(draw):
 
 @st.composite
 def designs(draw):
-    """Sorted designs in (0, T] with 2..200 points: a blend, by a drawn
-    weight, of the equispaced design and sorted uniform draws."""
+    """(times, T): T log-uniform in [1e-3, 1e4] and a sorted design in
+    (0, T] with 2..200 points, one of: a blend, by a drawn weight, of the
+    equispaced design and sorted uniform draws; the equispaced design on
+    m <= n points with each drawn a random number of times (ties); or two
+    clusters of drawn centres and widths."""
+    T_ = 10.0 ** draw(st.floats(min_value=-3.0, max_value=4.0))
     n = draw(st.integers(min_value=2, max_value=200))
-    mix = draw(st.floats(min_value=0.0, max_value=1.0))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
-    uniform = np.sort(rng.uniform(0.0, T, n))
-    return (1.0 - mix) * np.arange(1, n + 1) * (T / n) + mix * uniform
+    kind = draw(st.sampled_from(["blend", "tied", "clusters"]))
+    if kind == "blend":
+        mix = draw(st.floats(min_value=0.0, max_value=1.0))
+        u = (1.0 - mix) * np.arange(1, n + 1) / n + mix * np.sort(rng.uniform(0.0, 1.0, n))
+    elif kind == "tied":
+        m = draw(st.integers(min_value=1, max_value=n))
+        u = np.sort(rng.integers(1, m + 1, n)) / m
+    else:
+        centres = draw(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+        width = draw(st.floats(min_value=1e-3, max_value=0.1))
+        half = rng.integers(1, n, endpoint=True)
+        u = np.concatenate([rng.normal(centres[0], width, half),
+                            rng.normal(centres[1], width, n - half)])
+        u = np.sort(np.clip(u, 0.0, 1.0))
+    return u * T_, T_
 
 
 class TestProperty:
-    @given(transform=stable_transforms(), times=designs(),
+    @given(transform=stable_transforms(), design=designs(),
            sigma=st.floats(min_value=1e-4, max_value=0.1),
            freq=st.floats(min_value=0.0, max_value=3.0),
-           seed=st.integers(min_value=0, max_value=2**16))
+           seed=st.integers(min_value=0, max_value=2**16),
+           choice=st.data())
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_finite_estimate_or_typed_error(self, transform, times, sigma, freq, seed):
-        y = np.sin(freq * times) + sigma * standard_normals(seed, 0, times.size)
-        data = NoisySample(times, y, T, sigma)
+    def test_finite_estimate_or_typed_error(self, transform, design, sigma, freq, seed,
+                                            choice):
+        times, T_ = design
+        num, den = transform
+        # L from r + 1 to 10, grid sizes from 2 to 1024, and in about 30%
+        # of draws one fixed bandwidth, a fraction of T up to past T/2
+        L = choice.draw(st.integers(min_value=den.size - num.size + 1, max_value=10), label="L")
+        grid_size = choice.draw(st.integers(min_value=2, max_value=1024), label="grid_size")
+        fixed = None
+        if choice.draw(st.floats(min_value=0.0, max_value=1.0), label="u") < 0.3:
+            fixed = T_ * 10.0 ** choice.draw(st.floats(min_value=-3.0, max_value=-0.2),
+                                             label="bandwidth")
+        # up to 3T/(2 pi) cycles on [0, T_], whatever T_
+        y = np.sin(freq * T * times / T_) + sigma * standard_normals(seed, 0, times.size)
+        data = NoisySample(times, y, T_, sigma)
         try:
             # a draw whose zero meets a pole is refused with ValueError
-            result = deconvolve(data, rational_kernel(*transform))
+            result = deconvolve(data, rational_kernel(num, den),
+                                EstimatorConfig(L=L, grid_size=grid_size, fixed_bandwidths=fixed))
         except (EstimationError, ValueError) as exc:
             event(type(exc).__name__)
             return
