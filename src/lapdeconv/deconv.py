@@ -180,7 +180,10 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     batch's products may sum in another order); the batch exists so
     Monte-Carlo replications share design-dependent work.
     Every order is selected in order j = 0..r on the calling thread, so
-    the lowest failing order raises first; then each distinct selected
+    the lowest failing order raises first. The adaptive orders share one
+    dict for the call (``_zone_estimates``), so each selection level's
+    zone rows are formed once for all of them, one Gram per level and
+    point; the dict goes with the call. Then each distinct selected
     bandwidth is evaluated once (``apply_rows``: one Gram per output
     point, solved for the orders that chose it) on V, or on V's columns
     that chose it for some order when not all did. Each order takes its
@@ -201,6 +204,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     R = V.shape[1]
 
     lam = np.empty((r + 1, R))
+    shared = {"orders": [j for j in range(r + 1) if cfg.fixed_bandwidth(j) is None]}
     for j in range(r + 1):
         fixed = cfg.fixed_bandwidth(j)
         if fixed is not None:
@@ -208,7 +212,7 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
             check_bandwidth(times, T, j, cfg.L, fixed)
             lam[j] = fixed
         else:
-            lam[j] = _lepski_batch(times, T, V, sigma, j, cfg.L)[0]
+            lam[j] = _lepski_batch(times, T, V, sigma, j, cfg.L, shared)[0]
     # one Gram per point and distinct bandwidth; an order with one bandwidth keeps its array
     Qs = [np.empty((grid.size, R)) if np.ptp(lam[j]) else None for j in range(r + 1)]
     for lv in sorted(set(lam.ravel().tolist())):

@@ -316,8 +316,8 @@ def _blocked(a: np.ndarray) -> np.ndarray:
 def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
                 V: np.ndarray, orders, store: RowStore | None = None) -> dict:
     """{j: the order-j estimates at the points x of every column of V} for
-    each j of the sorted, distinct orders, from one Gram per point
-    (``_rows_at``).
+    each j of the sorted orders, from one Gram per point (``_rows_at``); a
+    repeated order is built as often as it is named.
 
     x may be unsorted. The sorted points are cut into blocks
     (``_blocked``); each block sees one span of observations, common in
@@ -573,12 +573,17 @@ def _toeplitz_apply(w: np.ndarray, V: np.ndarray, k0: int, k1: int, out: np.ndar
     every block. ``np.correlate`` takes one 1-D column, so many columns
     would take a call each, where the band product serves them all at BLAS
     speed; for one column it is the faster (1.4-61 us against 23-183 us at
-    n = 250-2000 and m = 5-200, one BLAS thread on a 2-core Xeon)."""
+    n = 250-2000 and m = 5-200, one BLAS thread on a 2-core Xeon). A block
+    of B rows multiplies B + 2m weights per row, of which 2m + 1 are not
+    0, so B = 2m does a third fewer products than B = 4m for one more
+    call per 4m rows: at n = 250, R = 100 columns and m = 25-30 a call took
+    146-159 us against 226-234 us at 4m, and at m <= 10, where B is 32
+    either way, the same."""
     m = (w.size - 1) // 2
     if V.shape[1] == 1:
         out[:, 0] = np.correlate(V[k0 - m : k1 + m, 0], w, "valid")
         return
-    B = min(max(4 * m, 32), 256, k1 - k0)
+    B = min(max(2 * m, 32), 256, k1 - k0)
     z = np.concatenate((np.zeros(B - 1), w, np.zeros(B - 1)))
     band = np.lib.stride_tricks.sliding_window_view(z, B + 2 * m)[::-1].copy()
     for r0 in range(k0, k1, B):
@@ -595,7 +600,7 @@ def _zone(times: np.ndarray, T: float, lam: float | np.ndarray):
 
 
 def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray, j: int,
-                    L: int, V: np.ndarray) -> dict:
+                    L: int, V: np.ndarray, shared: dict | None = None) -> dict:
     """{li: the order-j estimates of V's columns at the observations of the
     interior zone zones[li] = [i0, i1) of the level levels[li]}.
 
@@ -605,13 +610,33 @@ def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray
     at d = o * step / lam), applied by ``_toeplitz_apply``, serves every t_k
     whose window lies on the design. m, the widest offset of a zone window,
     is read from the design, so a bandwidth of a whole number of spacings
-    up to rounding never reaches past it. One ``_rows_at`` call forms every
-    level's row, its offsets beyond the level's m at d = 1, outside the
-    support, where they weigh 0. The other observations, and all of them
-    off a lattice, get rows of their own (``_apply_rows``).
+    up to rounding never reaches past it. One ``_rows_at`` call forms the
+    row of every level not yet formed, its offsets beyond the level's m at
+    d = 1, outside the support, where they weigh 0. The other ("rest")
+    observations, and all of them off a lattice, get rows of their own
+    (``_apply_rows``).
+
+    All but the Toeplitz product depends on the design and the level, not
+    on j. shared, a dict one caller passes to the selection of each order
+    of shared["orders"] once, keeps it for them under the level's value:
+    the first order to reach a level forms its row and its rest estimates
+    for every one of them, and each order takes its rest estimates out, so
+    off a lattice the dict holds the zone estimates of the orders still to
+    come. Rows are built for two orders or more, a lone order twice, since
+    a one-order build rounds apart from a many-order one (numpy's
+    one-column products): an order's estimates are the same bit for bit
+    whichever orders share the dict, or none.
     """
-    n, step, spans = times.size, _lattice_step(times, T), {}
-    for li, (i0, i1) in (zones.items() if step is not None else ()):
+    if shared is None:
+        shared = {"orders": (j,)}
+    if "step" not in shared:
+        shared["step"] = _lattice_step(times, T)
+    n, step, orders = times.size, shared["step"], tuple(shared["orders"])
+    orders *= 2 if len(orders) == 1 else 1
+    new = {li: float(levels[li]) for li in zones if float(levels[li]) not in shared}
+    spans, rows = {}, {}
+    for li in (new if step is not None else ()):
+        i0, i1 = zones[li]
         x, k = times[i0:i1], np.arange(i0, i1)
         m = int(max(np.max(k - np.searchsorted(times, x - levels[li], side="right")),
                     np.max(np.searchsorted(times, x + levels[li], side="left") - 1 - k), 0))
@@ -622,18 +647,23 @@ def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray
         M, lam, one = int(m.max()), levels[list(spans)][:, None], np.ones((m.size, 1))
         o = np.arange(-M, M + 1)
         W = _rows_at(np.where(np.abs(o) <= m[:, None], o * (step / lam), 1.0), -one, one,
-                     lam, L, (j,))[:, 0]
-        rows = {li: w[M - mi : M + mi + 1] for (li, mi), w in zip(spans.items(), W)}
-    est = {}
+                     lam, L, orders)
+        rows = {li: w[:, M - mi : M + mi + 1] for (li, mi), w in zip(spans.items(), W)}
+    for li, key in new.items():
+        m, rest = spans.get(li), np.arange(*zones[li])
+        if m is not None:
+            rest = rest[(rest < m) | (rest >= n - m)]
+        own = _apply_rows(times, T, times[rest], levels[li], L, V, orders) if rest.size else {}
+        shared[key] = (m, rows.get(li), rest, own)
+    est, q = {}, orders.index(j)
     for li, (i0, i1) in zones.items():
+        m, w, rest, own = shared[float(levels[li])]
         est[li] = np.empty((i1 - i0, V.shape[1]))
-        rest = np.arange(i0, i1)
-        if li in spans:
-            k0, k1 = max(i0, spans[li]), min(i1, n - spans[li])
-            _toeplitz_apply(rows[li], V, k0, k1, est[li][k0 - i0 : k1 - i0])
-            rest = rest[(rest < k0) | (rest >= k1)]
+        if m is not None:
+            k0, k1 = max(i0, m), min(i1, n - m)
+            _toeplitz_apply(w[q], V, k0, k1, est[li][k0 - i0 : k1 - i0])
         if rest.size:
-            est[li][rest - i0] = _apply_rows(times, T, times[rest], levels[li], L, V, (j,))[j]
+            est[li][rest - i0] = own.pop(j)
     return est
 
 
@@ -681,7 +711,7 @@ def _admissible(times: np.ndarray, T: float, j: int, sigma: float, L: int):
 
 
 def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
-                  j: int, L: int):
+                  j: int, L: int, shared: dict | None = None):
     """Adaptive bandwidth per column of the observation matrix V (n x R).
 
     Returns (lam_hat (R,), selected_index (R,), details), details holding
@@ -697,14 +727,15 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     Each admissible level estimates V's columns at the observations in its
     interior zone (``_zone_estimates``): on a lattice design
     (``_lattice_step``) by one row of 2m + 1 weights for all of them, else
-    by a row per observation. Distances between estimates are integrated
-    over the observations in the interior zone of the larger bandwidth,
-    with trapezoid weights on the t_i, where neither estimate is
-    boundary-affected, against ``_THRESHOLD_MULT`` * C^2 sigma^2 T^2 /
-    (n h^(2j+1)) with C = ||K_j|| (``details["C"]``), the paper's mu ||K_j||
-    at mesh ratio mu = 1. ``details["comparison_grid_size"]`` is the number
-    of observations in the widest zone compared, that of the smallest
-    admissible level.
+    by a row per observation; with shared, once per level for the orders
+    of one call, with the same bits as without. Distances between
+    estimates are integrated over the observations in the interior zone
+    of the larger bandwidth, with trapezoid weights on the t_i, where
+    neither estimate is boundary-affected, against ``_THRESHOLD_MULT`` *
+    C^2 sigma^2 T^2 / (n h^(2j+1)) with C = ||K_j|| (``details["C"]``), the
+    paper's mu ||K_j|| at mesh ratio mu = 1.
+    ``details["comparison_grid_size"]`` is the number of observations in
+    the widest zone compared, that of the smallest admissible level.
 
     The comparisons run candidate by candidate, largest level first. Each
     candidate's squared differences (Ec - Eh)^2 against every smaller
@@ -717,7 +748,7 @@ def _lepski_batch(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     C = math.sqrt(make_kernel(L, j).norm2)
     R = V.shape[1]
     admissible = sorted(zones)
-    estimates = _zone_estimates(times, T, zones, levels, j, L, V)
+    estimates = _zone_estimates(times, T, zones, levels, j, L, V, shared)
     selected = np.full(R, -1, dtype=int)
     noise_scale = _THRESHOLD_MULT * C * C * sigma * sigma * T * T / n
     # one buffer of the largest candidate's size; the smallest level has

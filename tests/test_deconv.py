@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lapdeconv import deconv, kernels
+from lapdeconv import deconv, kernels, smoother
 from lapdeconv._expalg import ExpPoly
 from lapdeconv.deconv import (
     DeconvolutionResult,
@@ -319,11 +319,11 @@ class TestCallingThread:
         events = []
         select, apply = deconv._lepski_batch, deconv.apply_rows
 
-        def traced_select(times, T, V, sigma, j, L):
+        def traced_select(times, T, V, sigma, j, L, shared=None):
             events.append(("select", j, threading.get_ident()))
             if j in fail:
                 raise EstimationError("order %d" % j)
-            return select(times, T, V, sigma, j, L)
+            return select(times, T, V, sigma, j, L, shared)
 
         def traced_apply(times, T, L, lam, grid, V, orders, store=None):
             events.extend(("apply", j, threading.get_ident()) for j in sorted(orders))
@@ -366,6 +366,102 @@ class TestCallingThread:
             _estimate_all(times, T, V, 0.002, g, EstimatorConfig())
         assert [(kind, j) for kind, j, _ in events] == [
             ("select", j) for j in range(min(fail) + 1)]
+
+
+def _g1_batch(times, runs=4):
+    """runs replications of g1 * f1 on the design times, at noise level 1;
+    g1 has r = 4, so five orders."""
+    g = builtin_g("g1")
+    sigma = ladder_sigma("g1", 1)
+    q = forward_convolve(g, builtin_f("f1"), times)
+    V = np.column_stack([q + sigma * standard_normals(5, run, times.size)
+                         for run in range(runs)])
+    return V, sigma, g
+
+
+class TestSharedZonePass:
+    """The selections of one _estimate_all call share the work that
+    depends on the design and the level alone."""
+
+    def test_design_and_level_work_runs_once_per_call(self, monkeypatch):
+        # the lattice test once per call, one build of every order's
+        # lattice rows (order 0's levels hold every other order's), and
+        # one rest _apply_rows per level, for all five orders
+        times = np.arange(1, 251) * (T / 250)
+        V, sigma, g = _g1_batch(times)
+        select = deconv._lepski_batch
+        real_step, real_rows, real_apply = (smoother._lattice_step, smoother._rows_at,
+                                            smoother._apply_rows)
+        running, steps, builds, rest = [], [], [], []
+
+        def selecting(*a):
+            running.append(a[4])
+            try:
+                return select(*a)
+            finally:
+                running.pop()
+
+        def step(*a):
+            steps.append(running[-1])
+            return real_step(*a)
+
+        def rows(d, *a):
+            if d.ndim == 2:  # a stack of lattice rows, one per level
+                builds.append((running[-1], d.shape[0], tuple(a[-1])))
+            return real_rows(d, *a)
+
+        def apply(times, T_, x, lam, L, V, orders, *a):
+            if running:
+                rest.append((lam, tuple(orders)))
+            return real_apply(times, T_, x, lam, L, V, orders, *a)
+
+        monkeypatch.setattr(deconv, "_lepski_batch", selecting)
+        monkeypatch.setattr(smoother, "_lattice_step", step)
+        monkeypatch.setattr(smoother, "_rows_at", rows)
+        monkeypatch.setattr(smoother, "_apply_rows", apply)
+        _estimate_all(times, T, V, sigma, g, EstimatorConfig())
+        assert steps == [0]
+        levels = smoother._admissible(times, T, 0, sigma, 8)[1]
+        assert builds == [(0, len(levels), (0, 1, 2, 3, 4))]
+        lams = [lam for lam, _ in rest]
+        assert rest and len(set(lams)) == len(lams) <= len(levels)
+        assert {orders for _, orders in rest} == {(0, 1, 2, 3, 4)}
+
+    @pytest.mark.parametrize("kind", ["equispaced", "shifted", "uniform"])
+    def test_every_order_estimates_as_a_lone_selection(self, monkeypatch, kind):
+        # each order's zone estimates are those of its own _lepski_batch
+        # call to the byte, and so are its selections: on the lattice, on
+        # the lattice without its first two samples (rest rows next to the
+        # lattice row) and off a lattice (rest rows only)
+        if kind == "equispaced":
+            times = np.arange(1, 251) * (T / 250)
+        elif kind == "shifted":
+            times = (np.arange(1, 1001) * (T / 1000))[2:]
+        else:
+            times = np.sort(np.random.default_rng(3).uniform(0.0, T, 250))
+        assert (smoother._lattice_step(times, T) is None) == (kind == "uniform")
+        V, sigma, g = _g1_batch(times)
+        real = smoother._zone_estimates
+        seen = []
+
+        def record(times, T_, zones, levels, j, L, V, shared=None):
+            seen.append((j, shared, real(times, T_, zones, levels, j, L, V, shared)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(smoother, "_zone_estimates", record)
+        lam = _estimate_all(times, T, V, sigma, g, EstimatorConfig())[3]
+        # one dict served every order of the call
+        assert len({id(d) for _, d, _ in seen}) == 1 and seen[0][1] is not None
+        shared = {j: est for j, _, est in seen}
+        del seen[:]
+        for j in range(g.r + 1):
+            np.testing.assert_array_equal(
+                smoother._lepski_batch(times, T, V, sigma, j, 8)[0], lam[j])
+        assert [j for j, _, _ in seen] == list(shared) == list(range(g.r + 1))
+        for j, _, alone in seen:
+            assert list(alone) == list(shared[j])
+            for li, est in alone.items():
+                assert est.tobytes() == shared[j][li].tobytes(), (j, li)
 
 
 class TestRiskMse:
@@ -422,10 +518,21 @@ class TestResultValidation:
 
 @st.composite
 def stable_transforms(draw):
-    """(num, den) with real negative poles and zeros and 1 <= r <= 4."""
+    """(num, den) with real negative poles and zeros and 1 <= r <= 4. A
+    drawn zero within 1e-4 of a pole (hypothesis repeats float values, so
+    it often meets one exactly) steps up by 1e-3 until it is clear of them
+    all, far past the 1e-8 tolerance of ``rational_kernel``, so every draw
+    reaches the estimator; the refusal of a shared root has its own test
+    (test_resolvent.py)."""
     rate = st.floats(min_value=0.1, max_value=20.0)
     poles = draw(st.lists(rate, min_size=1, max_size=4))
-    zeros = draw(st.lists(rate, max_size=len(poles) - 1))
+
+    def apart(z):
+        while min(abs(z - p) for p in poles) <= 1e-4:
+            z += 1e-3
+        return z
+
+    zeros = [apart(z) for z in draw(st.lists(rate, max_size=len(poles) - 1))]
     num = np.polynomial.polynomial.polyfromroots([-z for z in zeros])
     den = np.polynomial.polynomial.polyfromroots([-p for p in poles])
     return num, den
@@ -482,7 +589,6 @@ class TestProperty:
         y = np.sin(freq * T * times / T_) + sigma * standard_normals(seed, 0, times.size)
         data = NoisySample(times, y, T_, sigma)
         try:
-            # a draw whose zero meets a pole is refused with ValueError
             result = deconvolve(data, rational_kernel(num, den),
                                 EstimatorConfig(L=L, grid_size=grid_size, fixed_bandwidths=fixed))
         except (EstimationError, ValueError) as exc:

@@ -19,7 +19,10 @@ setup_s does. Only one pass or set-up runs at a time.
 
 Single benchmark runs on a loaded machine spread by tens of percent, more
 than a change of about ten percent; two interleaved interpreters see the
-same load, so the ratio of their pass times within a pair is the steadier figure. The
+same load, so the ratio of their pass times within a pair is the steadier figure.
+Beside an A/B run, run an A/A control with the same seed and pairs, B a
+byte-identical copy of A's tree at another path: an A/B ratio inside the
+A/A quartiles is no evidence of a change. The
 report gives each side's median pass and set-up times, the medians and
 quartiles over the pairs of the B/A ratios of both, and whether the two
 sides' output digests agree on every pass. Next to each side's pass time it gives the side's median
