@@ -589,6 +589,7 @@ class TestProperty:
         y = np.sin(freq * T * times / T_) + sigma * standard_normals(seed, 0, times.size)
         data = NoisySample(times, y, T_, sigma)
         try:
+            # a fixed bandwidth past T/2 is refused with ValueError
             result = deconvolve(data, rational_kernel(num, den),
                                 EstimatorConfig(L=L, grid_size=grid_size, fixed_bandwidths=fixed))
         except (EstimationError, ValueError) as exc:
