@@ -16,6 +16,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,57 +199,92 @@ def _orthonormal(L: int) -> np.ndarray:
     return Q
 
 
-def _rows_at(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray,
-             L: int, orders, out: np.ndarray | None = None) -> np.ndarray:
-    """Local-polynomial weight rows of each order in orders at a stack of points.
+class _Targets(NamedTuple):
+    """What ``_rows_at`` needs of a stack of points beside their offsets,
+    formed once per call (``_targets``); ``take`` slices it by the
+    leading axes, as a chunk of the points needs it."""
 
-    d (... x S) holds (t - x)/lam for the observations a point may see, and
-    lo, hi (... x 1) its support, [max(-1, -x/lam), min(1, (T - x)/lam)];
-    d is overwritten. In u = (d - mid)/half, the support's centred
-    variable, the envelope (d - lo)^2 (hi - d)^2 is half^4 v with
-    v = (1 - u^2)^2 strictly inside the support and 0 outside (half^4 is
-    dropped: no row depends on the envelope's scale). With U the values
-    p_k(u_i) of the orthonormal basis of ``_orthonormal``, the row of order
-    j is w = v o (U^T c), where A c = e for the Gram A = U diag(v) U^T and
-    e_k = d^j/dt^j p_k(u(t)) at t = x. Then sum_i w_i P(t_i) = P^(j)(x) for
-    every polynomial P of degree below L, and A, which does not depend on
-    j, is solved once for every order. U carries sqrt(v) = 1 - u^2 on each
-    side, so A is one product. Returns ... x len(orders) x S, written into
-    out when given. A singular Gram raises LinAlgError whose argument is
-    the index of the first one.
-    """
+    orders: tuple  # the derivative orders, one column of rhs each
+    mid: np.ndarray  # ... x 1: the centre of each point's support
+    half: np.ndarray  # ... x 1: its half width
+    rhs: np.ndarray  # ... x L x len(orders): the Gram solve's right-hand sides
+    cut: np.ndarray  # ...: whether the support is other than [-1, 1]
+
+    def take(self, at) -> _Targets:
+        return _Targets(self.orders, self.mid[at], self.half[at], self.rhs[at], self.cut[at])
+
+
+def _targets(lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray, L: int,
+             orders) -> _Targets:
+    """The targets of ``_rows_at`` at points whose supports are [lo, hi]
+    (... x 1) at bandwidth lam, for each order j of orders: each support's
+    centre mid and half width half, whether it is cut (other than
+    [-1, 1]), and Q e, Q the basis of ``_orthonormal`` and e_k the j-th
+    derivative of u^k at the point, u0 = -mid/half, over (lam half)^j, as
+    d/dt = d/du / (lam half)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    u = d
-    u -= mid
-    u /= half
-    s = u * u
-    np.subtract(1.0, s, out=s)
-    np.maximum(s, 0.0, out=s)
-    # the powers s u^k, k < L, each one contiguous slab, then the basis
-    # values by one product with Q; Ut views them point by point
-    powers = np.empty((L,) + u.shape)
-    powers[0] = s
-    for k in range(1, L):
-        np.multiply(powers[k - 1], u, out=powers[k])
-    Us = np.matmul(_orthonormal(L), powers.reshape(L, -1)).reshape(powers.shape)
-    Ut = np.moveaxis(Us, 0, -2)
-    A = np.matmul(Ut, np.swapaxes(Ut, -1, -2))
-    # d^j/du^j u^k at u0 = -mid/half, then d/dt = d/du / (lam half)
     u0 = -mid / half
     E = np.zeros(u0.shape[:-1] + (L, len(orders)))
     for q, j in enumerate(orders):
         for k in range(j, L):
             E[..., k, q] = math.perm(k, j) * u0[..., 0] ** (k - j)
         E[..., q] /= (lam * half) ** j
+    cut = (lo != -1.0)[..., 0] | (hi != 1.0)[..., 0]
+    return _Targets(tuple(orders), mid, half, np.matmul(_orthonormal(L), E), cut)
+
+
+def _rows_at(d: np.ndarray, targets: _Targets, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Local-polynomial weight rows of each order of targets at a stack of points.
+
+    d (... x S) holds (t - x)/lam for the observations a point may see, and
+    targets (``_targets``) the points' supports, [max(-1, -x/lam),
+    min(1, (T - x)/lam)], and orders; d is overwritten. In u = (d - mid)/half,
+    the support's centred variable (u = d when every support is [-1, 1]),
+    the envelope (d - lo)^2 (hi - d)^2 is half^4 v with v = (1 - u^2)^2
+    strictly inside the support and 0 outside (half^4 is dropped: no row
+    depends on the envelope's scale). With U the values p_k(u_i) of the
+    orthonormal basis of ``_orthonormal``, the row of order j is
+    w = v o (U^T c), where A c = e for the Gram A = U diag(v) U^T and
+    e_k = d^j/dt^j p_k(u(t)) at t = x, so that Q e is targets.rhs. Then
+    sum_i w_i P(t_i) = P^(j)(x) for every polynomial P of degree below L,
+    and A, which does not depend on j, is solved once for every order. U
+    carries sqrt(v) = 1 - u^2 on each side, so A is one product. Returns
+    ... x len(orders) x S, written into out when given; work, a float
+    array of at least 2 L d.size elements, holds the powers of u and the
+    basis values when given. A singular Gram raises LinAlgError whose
+    argument is the index of the first one.
+    """
+    L = targets.rhs.shape[-2]
+    u = d
+    if targets.cut.any():
+        u -= targets.mid
+        u /= targets.half
+    # the powers s u^k, k < L, each one contiguous slab, then the basis
+    # values by one product with Q; Ut views them point by point
+    size = L * u.size
+    if work is None:
+        work = np.empty(2 * size)
+    powers = work[:size].reshape((L,) + u.shape)
+    Us = work[size : 2 * size].reshape(powers.shape)
+    s = powers[0]
+    np.multiply(u, u, out=s)
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    for k in range(1, L):
+        np.multiply(powers[k - 1], u, out=powers[k])
+    np.matmul(_orthonormal(L), powers.reshape(L, -1), out=Us.reshape(L, -1))
+    Ut = Us.transpose(tuple(range(1, u.ndim)) + (0, u.ndim))
+    A = np.matmul(Ut, np.swapaxes(Ut, -1, -2))
     try:
-        C = np.linalg.solve(A, np.matmul(_orthonormal(L), E))
+        C = np.linalg.solve(A, targets.rhs)
     except np.linalg.LinAlgError:
         # the stacked solve does not say which matrix failed: one at a time,
         # by the LU of A alone, which the right-hand side does not enter
         for k in np.ndindex(A.shape[:-2]):
             try:
-                np.linalg.solve(A[k], E[k])
+                np.linalg.solve(A[k], targets.rhs[k])
             except np.linalg.LinAlgError:
                 raise np.linalg.LinAlgError(k) from None
         raise
@@ -324,18 +360,22 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     length to every block: from the first observation inside its lowest
     point's window (x - lam, x + lam) to the last inside its highest
     point's, shifted left where it would run past the last observation.
-    The rows are formed a chunk of blocks at a time, and each chunk reaches
-    V on its observations with the rows of every order by one product into
-    a buffer in sorted point order, from which each order is gathered once
-    by whole rows. With a store, a call of two or more orders applies the
-    rows the store keeps at lam; when it keeps none and they fit, they are
-    first built whole for the store's orders, then kept (``RowStore``).
-    Otherwise each chunk is built for the call's orders and dropped once
-    applied. A singular Gram is an EstimationError naming the first point
-    whose window gives one.
+    The rows are formed a chunk of blocks at a time: each point's support
+    and the right-hand sides of its Gram solve (``_targets``) once per
+    call, the chunk's offsets, powers, basis values and rows in arrays of
+    one chunk's size, allocated once per call and written by every chunk
+    in turn. Each chunk reaches V on its observations with the rows of
+    every order by one product into a buffer in sorted point order; each
+    order is returned from it by a slice when x is sorted, else gathered
+    once by whole rows. With a store, a call of two or more orders applies
+    the rows the store keeps at lam; when it keeps none and they fit, they
+    are first built whole for the store's orders, then kept
+    (``RowStore``). Otherwise each chunk is built for the call's orders
+    and dropped once applied. A singular Gram is an EstimationError naming
+    the first point whose window gives one.
     """
-    order = np.argsort(x, kind="stable")
-    xb = _blocked(x[order])
+    order = None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable")
+    xb = _blocked(x if order is None else x[order])
     n = times.size
     a = np.searchsorted(times, xb[:, 0] - lam, side="right")
     b = np.searchsorted(times, xb[:, -1] + lam, side="left")
@@ -343,17 +383,33 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     first = np.minimum(a, n - span)
     lo = np.maximum(-1.0, -xb / lam)[..., None]
     hi = np.minimum(1.0, (T - xb) / lam)[..., None]
-    chunk = max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span))
     nblocks = xb.shape[0]
+    chunk = min(max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span)), nblocks)
 
-    def build(blk, orders, *out):
-        d = (times[first[blk, None] + np.arange(span)][:, None, :] - xb[blk, :, None]) / lam
-        try:
-            return _rows_at(d, lo[blk], hi[blk], lam, L, orders, *out)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
-                                  "x = %g gives a singular Gram matrix"
-                                  % (lam, xb[blk][exc.args[0]])) from None
+    def built(orders, out=None):
+        """(blk, rows) for each chunk of blocks: the rows of orders, into
+        out[blk] when given, else into one chunk's array that every chunk
+        writes in turn, as are the offsets, powers and basis values."""
+        targets = _targets(lo, hi, lam, L, orders)
+        d = np.empty(chunk * _BLOCK_ROWS * span)
+        work = np.empty(2 * L * d.size)
+        streamed = np.empty(d.size * len(orders)) if out is None else None
+        for b0 in range(0, nblocks, chunk):
+            blk = slice(b0, b0 + chunk)
+            idx = first[blk, None] + np.arange(span)
+            shape = (idx.shape[0], _BLOCK_ROWS)
+            dk = d[: idx.size * _BLOCK_ROWS].reshape(shape + (span,))
+            np.subtract(times[idx][:, None, :], xb[blk, :, None], out=dk)
+            dk /= lam
+            W = out[blk] if out is not None else streamed[: dk.size * len(orders)].reshape(
+                shape + (len(orders), span))
+            try:
+                _rows_at(dk, targets.take(blk), W, work)
+            except np.linalg.LinAlgError as exc:
+                raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
+                                      "x = %g gives a singular Gram matrix"
+                                      % (lam, xb[blk][exc.args[0]])) from None
+            yield blk, W
 
     kept = None
     if store is not None and len(orders) > 1:
@@ -361,21 +417,26 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
         size = 8 * nblocks * _BLOCK_ROWS * len(store.orders) * span
         if kept is None and store.nbytes + size <= _ROW_KEEP:
             kept = np.empty((nblocks, _BLOCK_ROWS, len(store.orders), span))
-            for b0 in range(0, nblocks, chunk):
-                build(slice(b0, b0 + chunk), store.orders, kept[b0 : b0 + chunk])
+            for _ in built(store.orders, kept):
+                pass
             store._rows[float(lam)] = kept
             store.nbytes += size
         pick = [store.orders.index(j) for j in orders]
+    if kept is None:
+        parts = built(orders)
+    else:
+        parts = ((slice(b0, b0 + chunk), kept[b0 : b0 + chunk]) for b0 in range(0, nblocks, chunk))
     est = np.empty((nblocks * _BLOCK_ROWS, len(orders), V.shape[1]))
-    for b0 in range(0, nblocks, chunk):
-        blk = slice(b0, b0 + chunk)
+    for blk, W in parts:
         idx = first[blk, None] + np.arange(span)
         nb = idx.shape[0]
-        W = build(blk, orders) if kept is None else kept[blk]
         if W.shape[2] != len(orders):
             W = W[:, :, pick]
-        rows = est[b0 * _BLOCK_ROWS : (b0 + nb) * _BLOCK_ROWS]
+        rows = est[blk.start * _BLOCK_ROWS : (blk.start + nb) * _BLOCK_ROWS]
         np.matmul(W.reshape(nb, -1, span), V[idx], out=rows.reshape(nb, -1, V.shape[1]))
+    if order is None:
+        # the points' own order: each order's estimates without a gather
+        return {j: np.ascontiguousarray(est[: x.size, q]) for q, j in enumerate(orders)}
     back = np.argsort(order)
     return {j: est[back, q] for q, j in enumerate(orders)}
 
@@ -649,8 +710,8 @@ def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray
         m = np.array(list(spans.values()))
         M, lam, one = int(m.max()), levels[list(spans)][:, None], np.ones((m.size, 1))
         o = np.arange(-M, M + 1)
-        W = _rows_at(np.where(np.abs(o) <= m[:, None], o * (step / lam), 1.0), -one, one,
-                     lam, L, orders)
+        W = _rows_at(np.where(np.abs(o) <= m[:, None], o * (step / lam), 1.0),
+                     _targets(-one, one, lam, L, orders))
         rows = {li: w[:, M - mi : M + mi + 1] for (li, mi), w in zip(spans.items(), W)}
     for li, key in new.items():
         m, rest = spans.get(li), np.arange(*zones[li])

@@ -405,10 +405,10 @@ class TestSharedZonePass:
             steps.append(running[-1])
             return real_step(*a)
 
-        def rows(d, *a):
+        def rows(d, targets, *a):
             if d.ndim == 2:  # a stack of lattice rows, one per level
-                builds.append((running[-1], d.shape[0], tuple(a[-1])))
-            return real_rows(d, *a)
+                builds.append((running[-1], d.shape[0], targets.orders))
+            return real_rows(d, targets, *a)
 
         def apply(times, T_, x, lam, L, V, orders, *a):
             if running:
@@ -578,13 +578,18 @@ class TestProperty:
         times, T_ = design
         num, den = transform
         # L from r + 1 to 10, grid sizes from 2 to 1024, and in about 30%
-        # of draws one fixed bandwidth, a fraction of T up to past T/2
+        # of examples one fixed bandwidth, a fraction of T up to past T/2.
+        # hypothesis draws the low end of a range far more often than the
+        # rest, so the fixed branch takes the upper half of 0..9: 32% of
+        # 800 examples (20 seeds), where a float below 0.3 took 67% and an
+        # integer below 3 took 47%
         L = choice.draw(st.integers(min_value=den.size - num.size + 1, max_value=10), label="L")
         grid_size = choice.draw(st.integers(min_value=2, max_value=1024), label="grid_size")
         fixed = None
-        if choice.draw(st.floats(min_value=0.0, max_value=1.0), label="u") < 0.3:
+        if choice.draw(st.integers(min_value=0, max_value=9), label="fixed") >= 5:
             fixed = T_ * 10.0 ** choice.draw(st.floats(min_value=-3.0, max_value=-0.2),
                                              label="bandwidth")
+        event("fixed bandwidth" if fixed is not None else "adaptive bandwidths")
         # up to 3T/(2 pi) cycles on [0, T_], whatever T_
         y = np.sin(freq * T * times / T_) + sigma * standard_normals(seed, 0, times.size)
         data = NoisySample(times, y, T_, sigma)

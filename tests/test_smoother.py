@@ -256,7 +256,8 @@ class TestRows:
         calls = []
         real = smoother._rows_at
         monkeypatch.setattr(smoother, "_rows_at",
-                            lambda *a: calls.append(tuple(a[-1])) or real(*a))
+                            lambda d, targets, *a: calls.append(targets.orders)
+                            or real(d, targets, *a))
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0.0, T, 500))
         grid = np.linspace(0.0, T, 61)
@@ -271,29 +272,68 @@ class TestRows:
             assert np.all(err <= 1e-12 * (np.abs(O) @ np.abs(V)))
 
     @pytest.mark.parametrize("R", [1, 100])
-    def test_chunks_do_not_change_a_bit(self, monkeypatch, R):
-        # blocks are formed and solved one by one, so how many go into a
-        # chunk changes no result: one block per chunk against one chunk
+    @pytest.mark.parametrize("case", ["random", "lattice", "shuffled", "cut", "store"])
+    def test_chunks_do_not_change_a_bit(self, monkeypatch, case, R):
+        # blocks are formed and solved one by one, in arrays of one chunk's
+        # size that every chunk writes in turn, so how many go into a chunk
+        # changes no result: one block per chunk against one chunk, on a
+        # random design and a lattice, on a shuffled grid, on a grid whose
+        # supports are all cut at an end of [0, T], and through a store as
+        # it fills and as it serves
         rng = np.random.default_rng(8)
-        times = np.sort(rng.uniform(0.0, T, 500))
+        if case == "lattice":
+            times = np.arange(1, 501) * (T / 500)
+        else:
+            times = np.sort(rng.uniform(0.0, T, 500))
         grid = np.linspace(0.0, T, 301)
+        if case == "shuffled":
+            grid = rng.permutation(grid)
+        elif case == "cut":
+            grid = grid[(grid < 0.9) | (grid > T - 0.9)]
         V = rng.standard_normal((times.size, R))
         got = []
         for bound in (1, 1 << 40):
             monkeypatch.setattr(smoother, "_ROW_CHUNK", bound)
-            got.append((_apply(times, 3, 8, 0.9, grid, V),
-                        weight_matrix(times, T, 3, 8, 0.9, grid)))
+            if case == "store":
+                store = smoother.RowStore(range(4))
+                calls = [apply_rows(times, T, 8, 0.9, grid, V, (0, 3), store) for _ in "ab"]
+                assert store.nbytes > 0
+                got.append([est[j] for est in calls for j in (0, 3)])
+            else:
+                got.append((_apply(times, 3, 8, 0.9, grid, V),
+                            weight_matrix(times, T, 3, 8, 0.9, grid)))
         for a, b in zip(*got):
             np.testing.assert_array_equal(a, b)
+
+    def test_successive_calls_give_the_bits_of_fresh_ones(self):
+        # nothing of one call's arrays reaches the next: calls on two data
+        # matrices at two bandwidths (two spans and chunk sizes), made in
+        # turn and again in the reverse order, give the same bits, and
+        # overwriting what a call returned changes no later result
+        rng = np.random.default_rng(4)
+        times = np.sort(rng.uniform(0.0, T, 600))
+        grid = np.linspace(0.0, T, 1024)
+        calls = [(rng.standard_normal((times.size, 3)), 0.7),
+                 (rng.standard_normal((times.size, 1)), 2.1)]
+        first = [apply_rows(times, T, 8, lam, grid, V, (0, 1, 2)) for V, lam in calls]
+        want = [{j: est.copy() for j, est in out.items()} for out in first]
+        for out in first:
+            for est in out.values():
+                est.fill(np.nan)
+        again = [apply_rows(times, T, 8, lam, grid, V, (0, 1, 2)) for V, lam in calls[::-1]]
+        for out, ref in zip(again[::-1], want):
+            for j in ref:
+                assert out[j].flags.c_contiguous
+                assert out[j].tobytes() == ref[j].tobytes(), j
 
     def test_chunk_arrays_stay_within_the_bound(self, monkeypatch):
         # the basis array of a chunk holds blocks x rows x L x span floats
         sizes = []
         real = smoother._rows_at
 
-        def spy(d, *a):
+        def spy(d, targets, *a):
             sizes.append((d.shape[0], d.size * 8))
-            return real(d, *a)
+            return real(d, targets, *a)
 
         monkeypatch.setattr(smoother, "_rows_at", spy)
         times = np.arange(1, 4001) * (T / 4000)
@@ -473,8 +513,7 @@ class TestLattice:
         m = int(lam / step)
         o = np.arange(-m, m + 1)
         d = o * (step / lam)
-        w = smoother._rows_at(d[None, :], np.array([[-1.0]]), np.array([[1.0]]),
-                              lam, 8, (j,))[0, 0]
+        w = smoother._rows_at(d[None, :], _interior(lam, (j,)))[0, 0]
         scale = np.abs(w).sum()
         for p in range(8):
             want = math.factorial(j) / lam**j if p == j else 0.0
@@ -545,8 +584,8 @@ class TestLattice:
         step = smoother._lattice_step(times, T)
         real_rows, real_apply = smoother._rows_at, smoother._toeplitz_apply
         calls, applied = [], []
-        monkeypatch.setattr(smoother, "_rows_at",
-                            lambda d, *a: calls.append(d.ndim) or real_rows(d, *a))
+        monkeypatch.setattr(smoother, "_rows_at", lambda d, targets, *a: calls.append(
+            d.ndim) or real_rows(d, targets, *a))
         monkeypatch.setattr(smoother, "_toeplitz_apply", lambda w, V, k0, k1, out: applied.append(
             (w, k0, k1)) or real_apply(w, V, k0, k1, out))
         V = np.sin(times)[:, None] + sigma * np.random.default_rng(n).standard_normal((n, 4))
@@ -568,8 +607,7 @@ class TestLattice:
             for (lam, m, k0, k1), (w, g0, g1) in zip(served, applied):
                 assert (g0, g1, w.size) == (k0, k1, 2 * m + 1)
                 d = np.arange(-m, m + 1) * (step / lam)
-                own = real_rows(d[None, :], np.array([[-1.0]]), np.array([[1.0]]), lam, 8,
-                                (j,))[0, 0]
+                own = real_rows(d[None, :], _interior(lam, (j,)))[0, 0]
                 np.testing.assert_allclose(w, own, rtol=0, atol=1e-15 * np.abs(own).sum())
 
     def test_repeated_times_are_not_a_lattice(self):
@@ -578,6 +616,11 @@ class TestLattice:
         tied = times.copy()
         tied[50] = tied[49]
         assert smoother._lattice_step(tied, T) is None
+
+
+def _interior(lam, orders):
+    """The targets of one point whose support is [-1, 1]."""
+    return smoother._targets(np.array([[-1.0]]), np.array([[1.0]]), lam, 8, orders)
 
 
 def _on_lattice(times, zone, lam, j, V):
@@ -1217,7 +1260,8 @@ class TestRowStore:
         calls = []
         real = smoother._rows_at
         monkeypatch.setattr(smoother, "_rows_at",
-                            lambda *a: calls.append(tuple(a[5])) or real(*a))
+                            lambda d, targets, *a: calls.append(targets.orders)
+                            or real(d, targets, *a))
         return calls
 
     @pytest.mark.parametrize("budget", [None, 0, "short", "first"])

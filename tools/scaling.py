@@ -23,7 +23,11 @@ are timed in pairs: for each n, REPEATS pairs of interpreters, one per tree,
 with the tree that goes first alternating from pair to pair, so that drift
 of the host's speed falls on both trees alike. Then each line also gives
 the median and the quartiles over the pairs of the second tree's time
-over the first's.
+over the first's. Those ratios carry a bias of about 7% from where a tree
+sits: a tree against a byte-identical copy of itself at another path read
+a first call 0.935 and a repeat 1.067 of its own time at n = 2000 on the
+uniform design, 12 pairs on a 2-core Xeon. So a ratio says something only
+beside an A/A control, the first tree against such a copy, run alike.
 
 One line per n is printed, then the least-squares slope of log median time
 against log n for each of the two columns and each tree. Only one
