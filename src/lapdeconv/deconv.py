@@ -12,6 +12,7 @@ derivative gets its own adaptively selected bandwidth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,9 @@ class EstimatorConfig:
     fixed_bandwidths bypasses adaptive selection: a scalar applies to every
     derivative order, a sequence (kept as a tuple) to orders j = 0, 1, ...
     of at most the r + 1 orders, the rest staying adaptive. ValueError
-    unless L and grid_size are integers (``smoother.check_integer``) and
-    grid_size is at least 2. The risk window is the harness's
-    (``sim.Scenario.trim``).
+    unless L and grid_size are integers (``smoother.check_integer``),
+    grid_size is at least 2 and each fixed bandwidth is a real number and
+    not a bool. The risk window is the harness's (``sim.Scenario.trim``).
     """
 
     L: int = 8
@@ -62,10 +63,17 @@ class EstimatorConfig:
         if check_integer(self.grid_size, "evaluation grid size") < 2:
             raise ValueError("evaluation grid size must be at least 2")
         fb = self.fixed_bandwidths
-        if fb is not None and not np.isscalar(fb):
-            if isinstance(fb, dict):
-                raise ValueError("fixed_bandwidths must be a number or a sequence")
-            object.__setattr__(self, "fixed_bandwidths", tuple(float(v) for v in fb))
+        if fb is None:
+            return
+        try:
+            values = (fb,) if isinstance(fb, (numbers.Real, bytes, dict)) else tuple(fb)
+        except TypeError:
+            values = (fb,)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            raise ValueError("fixed_bandwidths must be a real number or a sequence of them, "
+                             "not %r" % (fb,))
+        if not isinstance(fb, numbers.Real):
+            object.__setattr__(self, "fixed_bandwidths", tuple(float(v) for v in values))
 
     def fixed_bandwidth(self, j: int):
         fb = self.fixed_bandwidths
@@ -186,11 +194,11 @@ def _estimate_all(times: np.ndarray, T: float, V: np.ndarray, sigma: float,
     point; the dict goes with the call. Then each distinct selected
     bandwidth is evaluated once (``apply_rows``: one Gram per output
     point, solved for the orders that chose it) on V, or on V's columns
-    that chose it for some order when not all did. Each order takes its
-    own columns of the estimates; one whose columns all chose one
-    bandwidth keeps the array ``apply_rows`` returns. rows,
-    a ``RowStore`` of the design and cfg's grid, lends its kept rows to
-    the evaluation and keeps the ones it builds.
+    that chose it for some order when not all did, each order's estimates
+    the same bits whichever orders chose it too. Each order takes its own
+    columns; one whose columns all chose one bandwidth keeps the array
+    ``apply_rows`` returns. rows, a ``RowStore`` of the design and cfg's
+    grid, lends its kept rows to every evaluation and keeps those it builds.
     """
     d = decompose(g)
     r = g.r

@@ -235,7 +235,7 @@ def make_boundary_kernel(L: int, j: int, rho: float) -> SmoothingKernel:
     rho = 1 reproduces the interior kernel. Results are memoized with rho
     rounded to 1e-6; a rho that rounds to 0 is rejected.
     """
-    if not isinstance(L, (int, np.integer)) or not isinstance(j, (int, np.integer)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (L, j)):
         raise TypeError("L and j must be integers")
     if not 0 <= j < L:
         raise ValueError(f"need 0 <= j < L, got (L, j) = ({L}, {j})")

@@ -205,10 +205,10 @@ class Scenario:
             raise ValueError("need n >= 10")
         if self.runs < 1:
             raise ValueError("need runs >= 1")
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if not (self.T > 0):
-            raise ValueError("T must be positive")
+        for name in ("sigma", "T"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError("%s must be positive and finite, not %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -343,9 +343,9 @@ def run_table(cells, runs: int = Scenario.runs, seed: int = Scenario.seed,
     sigma, and one ``RowStore`` of output-grid rows for the orders
     0..r_max, r_max the largest inversion order among the design's kernels
     (below L): each bandwidth whose rows fit the store's byte budget is
-    built once and applied to every cell's columns. Both are dropped once
-    the design's cells have run, so nothing is kept between calls, and
-    every report is ``run_experiment``'s bit for bit.
+    built once and applied to every cell's columns, of one order or
+    several. Both are dropped once the design's cells have run, so nothing
+    is kept between calls; every report is ``run_experiment``'s bit for bit.
     """
     config = config or EstimatorConfig()
     scenarios = [

@@ -221,7 +221,11 @@ def _targets(lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray, L: int,
     centre mid and half width half, whether it is cut (other than
     [-1, 1]), and Q e, Q the basis of ``_orthonormal`` and e_k the j-th
     derivative of u^k at the point, u0 = -mid/half, over (lam half)^j, as
-    d/dt = d/du / (lam half)."""
+    d/dt = d/du / (lam half). A lone order is solved as two identical
+    columns, (j, j): numpy's one-column solve and products round apart from
+    its many-column ones, which agree bit for bit, so an order's rows are
+    the same bits whichever orders are built beside it."""
+    orders = tuple(orders) * (2 if len(orders) == 1 else 1)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     u0 = -mid / half
@@ -231,7 +235,7 @@ def _targets(lo: np.ndarray, hi: np.ndarray, lam: float | np.ndarray, L: int,
             E[..., k, q] = math.perm(k, j) * u0[..., 0] ** (k - j)
         E[..., q] /= (lam * half) ** j
     cut = (lo != -1.0)[..., 0] | (hi != 1.0)[..., 0]
-    return _Targets(tuple(orders), mid, half, np.matmul(_orthonormal(L), E), cut)
+    return _Targets(orders, mid, half, np.matmul(_orthonormal(L), E), cut)
 
 
 def _rows_at(d: np.ndarray, targets: _Targets, out: np.ndarray | None = None,
@@ -310,14 +314,13 @@ class RowStore:
 
     A caller that applies the rows of one design (times, T, L and grid) to
     several data matrices passes one store to each call. At each bandwidth,
-    the first call of two or more orders whose rows, for every order of
-    ``orders``, fit in what is left of ``_ROW_KEEP`` bytes builds them
-    whole and keeps them; every later such call applies them without a
-    build. A bandwidth that does not fit, and every call of one order (one
-    order's rows round apart from a many-order build), is built for the
-    call's orders and dropped once applied, as without a store. The store
-    is bound to the design of its first call and refuses another; it lives
-    as long as its owner keeps it.
+    the first call whose rows, for every order of ``orders``, fit in what
+    is left of ``_ROW_KEEP`` bytes builds them whole, applies them and
+    keeps them; every later call applies them without a build. A
+    bandwidth that does not fit is built for the call's orders and dropped
+    once applied, as without a store. The store is bound to the design of
+    its first call and refuses another; it lives as long as its owner
+    keeps it.
     """
 
     def __init__(self, orders):
@@ -352,8 +355,7 @@ def _blocked(a: np.ndarray) -> np.ndarray:
 def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
                 V: np.ndarray, orders, store: RowStore | None = None) -> dict:
     """{j: the order-j estimates at the points x of every column of V} for
-    each j of the sorted orders, from one Gram per point (``_rows_at``); a
-    repeated order is built as often as it is named.
+    each j of the sorted orders, from one Gram per point (``_rows_at``).
 
     x may be unsorted. The sorted points are cut into blocks
     (``_blocked``); each block sees one span of observations, common in
@@ -361,18 +363,20 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     point's window (x - lam, x + lam) to the last inside its highest
     point's, shifted left where it would run past the last observation.
     The rows are formed a chunk of blocks at a time: each point's support
-    and the right-hand sides of its Gram solve (``_targets``) once per
-    call, the chunk's offsets, powers, basis values and rows in arrays of
-    one chunk's size, allocated once per call and written by every chunk
-    in turn. Each chunk reaches V on its observations with the rows of
-    every order by one product into a buffer in sorted point order; each
-    order is returned from it by a slice when x is sorted, else gathered
-    once by whole rows. With a store, a call of two or more orders applies
-    the rows the store keeps at lam; when it keeps none and they fit, they
-    are first built whole for the store's orders, then kept
-    (``RowStore``). Otherwise each chunk is built for the call's orders
-    and dropped once applied. A singular Gram is an EstimationError naming
-    the first point whose window gives one.
+    and the right-hand sides of its Gram solve (``_targets``) once per call,
+    the chunk's offsets, powers, basis values and rows in arrays of one
+    chunk's size, allocated once per call and written by every chunk in
+    turn. Each chunk reaches V on its observations by one product per order
+    (one of several orders' rows rounds by its row count), so an order's
+    estimates are the same bits whichever orders are applied beside it; they
+    fill an order-major buffer in sorted point order, whence each order is
+    returned by a slice when x is sorted, else gathered once by whole rows.
+    With a store, a call applies the rows the store keeps at lam; when it
+    keeps none and they fit, they are built whole for the store's orders as
+    the call applies them, and kept once the last chunk is built
+    (``RowStore``). Otherwise each chunk is built for the call's orders and
+    dropped once applied. A singular Gram is an EstimationError naming the
+    first point whose window gives one.
     """
     order = None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable")
     xb = _blocked(x if order is None else x[order])
@@ -386,59 +390,50 @@ def _apply_rows(times: np.ndarray, T: float, x: np.ndarray, lam: float, L: int,
     nblocks = xb.shape[0]
     chunk = min(max(1, _ROW_CHUNK // (_BLOCK_ROWS * L * span)), nblocks)
 
-    def built(orders, out=None):
-        """(blk, rows) for each chunk of blocks: the rows of orders, into
-        out[blk] when given, else into one chunk's array that every chunk
-        writes in turn, as are the offsets, powers and basis values."""
-        targets = _targets(lo, hi, lam, L, orders)
+    def built(targets, store=None):
+        """(blk, rows) per chunk of blocks: targets' rows, in one chunk's array
+        that every chunk writes in turn, as are its offsets, powers and basis
+        values; with a store, in one array of all blocks, kept at lam last."""
         d = np.empty(chunk * _BLOCK_ROWS * span)
         work = np.empty(2 * L * d.size)
-        streamed = np.empty(d.size * len(orders)) if out is None else None
+        W = np.empty((nblocks if store is not None else chunk, _BLOCK_ROWS,
+                      len(targets.orders), span))
         for b0 in range(0, nblocks, chunk):
             blk = slice(b0, b0 + chunk)
             idx = first[blk, None] + np.arange(span)
-            shape = (idx.shape[0], _BLOCK_ROWS)
-            dk = d[: idx.size * _BLOCK_ROWS].reshape(shape + (span,))
+            dk = d[: idx.size * _BLOCK_ROWS].reshape(idx.shape[0], _BLOCK_ROWS, span)
             np.subtract(times[idx][:, None, :], xb[blk, :, None], out=dk)
             dk /= lam
-            W = out[blk] if out is not None else streamed[: dk.size * len(orders)].reshape(
-                shape + (len(orders), span))
+            Wk = W[blk] if store is not None else W[: idx.shape[0]]
             try:
-                _rows_at(dk, targets.take(blk), W, work)
+                _rows_at(dk, targets.take(blk), Wk, work)
             except np.linalg.LinAlgError as exc:
                 raise EstimationError("bandwidth %g: the window (x - lam, x + lam) of the point "
                                       "x = %g gives a singular Gram matrix"
                                       % (lam, xb[blk][exc.args[0]])) from None
-            yield blk, W
+            yield blk, Wk
+        if store is not None:
+            store._rows[float(lam)] = W
+            store.nbytes += W.nbytes
 
-    kept = None
-    if store is not None and len(orders) > 1:
-        kept = store._rows.get(float(lam))
-        size = 8 * nblocks * _BLOCK_ROWS * len(store.orders) * span
-        if kept is None and store.nbytes + size <= _ROW_KEEP:
-            kept = np.empty((nblocks, _BLOCK_ROWS, len(store.orders), span))
-            for _ in built(store.orders, kept):
-                pass
-            store._rows[float(lam)] = kept
-            store.nbytes += size
-        pick = [store.orders.index(j) for j in orders]
-    if kept is None:
-        parts = built(orders)
-    else:
+    kept = None if store is None else store._rows.get(float(lam))
+    if kept is not None:
         parts = ((slice(b0, b0 + chunk), kept[b0 : b0 + chunk]) for b0 in range(0, nblocks, chunk))
-    est = np.empty((nblocks * _BLOCK_ROWS, len(orders), V.shape[1]))
+    else:
+        targets = _targets(lo, hi, lam, L, orders if store is None else store.orders)
+        if store is not None and (store.nbytes + 8 * nblocks * _BLOCK_ROWS
+                                  * len(targets.orders) * span > _ROW_KEEP):
+            store, targets = None, _targets(lo, hi, lam, L, orders)
+        parts = built(targets, store)
+    have = targets.orders if store is None else store.orders
+    est = np.empty((len(orders), nblocks, _BLOCK_ROWS, V.shape[1]))
     for blk, W in parts:
-        idx = first[blk, None] + np.arange(span)
-        nb = idx.shape[0]
-        if W.shape[2] != len(orders):
-            W = W[:, :, pick]
-        rows = est[blk.start * _BLOCK_ROWS : (blk.start + nb) * _BLOCK_ROWS]
-        np.matmul(W.reshape(nb, -1, span), V[idx], out=rows.reshape(nb, -1, V.shape[1]))
-    if order is None:
-        # the points' own order: each order's estimates without a gather
-        return {j: np.ascontiguousarray(est[: x.size, q]) for q, j in enumerate(orders)}
-    back = np.argsort(order)
-    return {j: est[back, q] for q, j in enumerate(orders)}
+        Vb = V[first[blk, None] + np.arange(span)]
+        for q, j in enumerate(orders):
+            np.matmul(W[:, :, have.index(j)], Vb, out=est[q, blk])
+    est = est.reshape(len(orders), -1, V.shape[1])
+    at = slice(0, x.size) if order is None else np.argsort(order)
+    return {j: est[q, at] for q, j in enumerate(orders)}
 
 
 def apply_rows(times: np.ndarray, T: float, L: int, lam: float, grid, V: np.ndarray,
@@ -686,17 +681,14 @@ def _zone_estimates(times: np.ndarray, T: float, zones: dict, levels: np.ndarray
     the first order to reach a level forms its row and its rest estimates
     for every one of them, and each order takes its rest estimates out, so
     off a lattice the dict holds the zone estimates of the orders still to
-    come. Rows are built for two orders or more, a lone order twice, since
-    a one-order build rounds apart from a many-order one (numpy's
-    one-column products): an order's estimates are the same bit for bit
-    whichever orders share the dict, or none.
+    come. An order's estimates are the same bit for bit whichever orders
+    share the dict, or none (``_targets``, ``_apply_rows``).
     """
     if shared is None:
         shared = {"orders": (j,)}
     if "step" not in shared:
         shared["step"] = _lattice_step(times, T)
     n, step, orders = times.size, shared["step"], tuple(shared["orders"])
-    orders *= 2 if len(orders) == 1 else 1
     new = {li: float(levels[li]) for li in zones if float(levels[li]) not in shared}
     spans, rows = {}, {}
     for li in (new if step is not None else ()):

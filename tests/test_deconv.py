@@ -63,6 +63,18 @@ class TestEstimatorConfig:
         assert cfg.fixed_bandwidth(1) == 0.4
         assert cfg.fixed_bandwidth(2) is None
 
+    @pytest.mark.parametrize("fixed", [np.array(0.5), (0.5, None), True, np.True_,
+                                       [np.True_], "a"],
+                             ids=["0-d-array", "none-in-sequence", "bool", "numpy-bool",
+                                  "numpy-bool-in-sequence", "string"])
+    def test_a_fixed_bandwidth_that_is_not_a_real_number_is_refused(self, fixed):
+        # refused at construction, where a bool would pass as the bandwidth
+        # 1.0 and a string would fail only when used
+        with pytest.raises(ValueError, match="^fixed_bandwidths must be a real number or a "
+                                             "sequence of them, not %s$" % re.escape(repr(fixed))):
+            EstimatorConfig(fixed_bandwidths=fixed)
+        assert EstimatorConfig(fixed_bandwidths=(np.float64(0.5), 1)).fixed_bandwidths == (0.5, 1.0)
+
     @pytest.mark.parametrize("kw", [dict(grid_size=1), dict(grid_size=0)])
     def test_rejects_grid_or_trim_without_risk(self, kw):
         with pytest.raises(ValueError):

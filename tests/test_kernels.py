@@ -153,3 +153,9 @@ class TestValidation:
     def test_non_integer_orders(self):
         with pytest.raises(TypeError):
             make_boundary_kernel(4.0, 1, 0.5)
+
+    @pytest.mark.parametrize("L, j", [(True, 0), (8, True), (8, np.True_)])
+    def test_bool_orders(self, L, j):
+        # a bool would pass as the integer 1: an L = 1 kernel, or j = 1
+        with pytest.raises(TypeError, match="L and j must be integers"):
+            make_boundary_kernel(L, j, 1.0)

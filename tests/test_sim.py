@@ -195,6 +195,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(**kw)
 
+    @pytest.mark.parametrize("name", ["sigma", "T"])
+    def test_an_infinite_scale_is_refused(self, name):
+        # refused by name, not later inside forward_convolve
+        kw = dict(g_name="g2", f_name="f1", n=100, sigma=0.01)
+        kw[name] = math.inf
+        with pytest.raises(ValueError, match=r"^%s must be positive and finite, not inf$" % name):
+            Scenario(**kw)
+
     @pytest.mark.parametrize("call,name", [
         (lambda: Scenario("g2", "f1", n=100.0, sigma=0.01), "n"),
         (lambda: Scenario("g2", "f1", n=True, sigma=0.01), "n"),
@@ -365,10 +373,10 @@ class TestTable:
     def test_cells_on_a_design_share_its_rows(self, monkeypatch, budget, config):
         # the designs interleave and the kernels have r = 1, 3 and 4; with a
         # zero budget every bandwidth streams. Either way every report is
-        # run_experiment's bit for bit. From about 2.5 on, an order's
-        # estimates move at round-off with the other orders one product
-        # applies, so the wide fixed bandwidths pin that the store gathers
-        # a call's orders before its product, as a call without one does
+        # run_experiment's bit for bit. From about 2.5 on, one product of
+        # several orders' rows would round apart from one order's own, so
+        # the wide fixed bandwidths pin that each order is applied by a
+        # product of its own, with a store as without one
         if budget is not None:
             monkeypatch.setattr(smoother, "_ROW_KEEP", budget)
         stores = []
@@ -389,6 +397,16 @@ class TestTable:
             assert cell == (gn, fn, n, i)
             want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=4, seed=5,
                                            config=cfg))
+            assert rep.per_run_mse.tobytes() == want.per_run_mse.tobytes()
+            assert rep.bandwidth_counts == want.bandwidth_counts
+
+    def test_a_large_design_shares_its_rows_bit_for_bit(self):
+        # one design of 1000 points and 100 runs, kernels of r = 4 and 1:
+        # the shared rows and zone pass give each report run_experiment's bits
+        cells = [("g1", "f1", 1000, 0), ("g2", "f1", 1000, 0)]
+        for (gn, fn, n, i), (_, rep) in zip(cells, run_table(cells, runs=100, seed=7)):
+            want = run_experiment(Scenario(gn, fn, n, ladder_sigma(gn, i), runs=100, seed=7))
+            assert rep.failures == 0
             assert rep.per_run_mse.tobytes() == want.per_run_mse.tobytes()
             assert rep.bandwidth_counts == want.bandwidth_counts
 

@@ -957,6 +957,30 @@ class TestNoState:
             assert other.bandwidth_counts == one.bandwidth_counts
 
 
+class TestOrderSet:
+    """An order's estimates are the same bits whichever orders are formed
+    beside it, as its own selection by Lepski's rule needs."""
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_zone_estimates_alone_match_a_shared_pass(self, n, j):
+        # the equispaced design without its first two samples: the lattice
+        # row and the rest rows next to it; 100 columns, where one product
+        # of several orders' rows rounds apart from one order's own. The
+        # lower orders visit the shared dict first, as _estimate_all runs them
+        times = (np.arange(1, n + 1) * (T / n))[2:]
+        V = np.random.default_rng(n).standard_normal((times.size, 100))
+        levels, zones = smoother._admissible(times, T, j, 0.01, 8)
+        alone = smoother._zone_estimates(times, T, zones, levels, j, 8, V)
+        shared = {"orders": list(range(5))}
+        for k in range(j + 1):
+            lv, zn = smoother._admissible(times, T, k, 0.01, 8)
+            got = smoother._zone_estimates(times, T, zn, lv, k, 8, V, shared)
+        assert list(got) == list(alone)
+        for li, est in alone.items():
+            assert got[li].tobytes() == est.tobytes(), li
+
+
 def _select(d, j):
     """(lam, selected index, details) of one data column's selection."""
     lam, selected, details = _lepski_batch(d.times, d.T, d.values[:, None], d.sigma, j, 8)
@@ -1319,21 +1343,26 @@ class TestRowStore:
             # 1.1 is built once for every order, 0.8 streams at every call
             assert [set(b) for b in built] == [{every}, set(), {(1, 3)}, set(), {(0, 1, 2, 3)}]
 
-    def test_a_one_order_call_streams(self):
-        # one order's rows round apart from a many-order build, so a call
-        # of one order neither keeps nor takes the store's rows
+    @pytest.mark.parametrize("R", [1, 100])
+    def test_a_one_order_call_fills_the_store(self, monkeypatch, R):
+        # a call of one order fills the store, a later call of other orders
+        # takes its rows, and each equals the same call without a store,
+        # bit for bit
         times = np.arange(1, 251) * (T / 250)
         grid = np.linspace(0.0, T, 300)
-        V = np.sin(times)[:, None]
+        V = np.random.default_rng(R).standard_normal((times.size, R))
+        want = [apply_rows(times, T, 8, 1.0, grid, V, orders) for orders in ((1,), (0, 2))]
+        builds = self._builds(monkeypatch)
         store = smoother.RowStore(range(3))
         one = apply_rows(times, T, 8, 1.0, grid, V, (1,), store)
-        assert store.nbytes == 0
-        apply_rows(times, T, 8, 1.0, grid, V, (0, 1), store)
-        kept = store.nbytes
-        again = apply_rows(times, T, 8, 1.0, grid, V, (1,), store)
-        assert kept > 0 and store.nbytes == kept
-        assert one[1].tobytes() == again[1].tobytes()
-        assert one[1].tobytes() == apply_rows(times, T, 8, 1.0, grid, V, (1,))[1].tobytes()
+        assert store.nbytes > 0 and set(builds) == {(0, 1, 2)}
+        builds.clear()
+        other = apply_rows(times, T, 8, 1.0, grid, V, (0, 2), store)
+        assert builds == []
+        for got, ref in zip((one, other), want):
+            assert sorted(got) == sorted(ref)
+            for j in ref:
+                assert got[j].tobytes() == ref[j].tobytes(), j
 
     def test_a_store_serves_one_design(self):
         times = np.arange(1, 251) * (T / 250)

@@ -29,8 +29,9 @@ outputs of another checkout can be captured by pointing --src at its src/:
   inversion order r = 1, 3 and 4;
 - the same table with `--bandwidth 1.1,1.3` (FULL_FIXED_BANDWIDTH), CSV
   and JSON: orders 0 and 1 are fixed at two bandwidths, each applied by
-  a call of one order, which streams past the shared rows, while orders
-  2..r stay adaptive and apply some of the shared rows' orders;
+  a call of one order, which fills or takes the shared rows like any
+  other call, while orders 2..r stay adaptive and apply some of the
+  shared rows' orders;
 - `make-kernel --L 8 --j 3 --rho 0.1234`, coefficient JSON and profile CSV,
   and the same command's stdout without `--json`;
 - the stdout of `inspect-kernel` on the g4 kernel in exp-poly form, and on
@@ -41,13 +42,19 @@ Every command runs inside DIR with relative file names, so the paths the
 sidecars record are the same for every capture. `compare` prints one line
 per file name found in A or B: "identical" when the bytes agree, otherwise
 the largest relative difference between corresponding numbers, or why the
-files cannot be matched number by number. It exits 0 only when every file
-is identical. Standard library only.
+files cannot be matched number by number. For a sidecar, whose
+`bandwidths` hold each order's selection, and a simulate JSON, whose
+`bandwidth_counts` hold each cell's and order's, a file that differs also
+reads "selections identical" or names the cells and orders whose
+selection moved, so that a moved selection is not lost in the round-off
+of the risks. It exits 0 only when every file is identical. Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import random
@@ -195,6 +202,37 @@ def difference(a: bytes, b: bytes) -> str:
     return f"max relative difference {worst:.3g}"
 
 
+def selections(data: bytes) -> dict | None:
+    """{(cell, order): selection} of a sidecar's `bandwidths` (cell "") or a
+    simulate JSON's `bandwidth_counts` (cell "g,f,n,i"); None for any other
+    file."""
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    if "bandwidths" in doc:
+        return {("", int(j)): lam for j, lam in doc["bandwidths"].items()}
+    if "rows" in doc:
+        return {("{g},{f},{n},{i}".format(**row), j): counts
+                for row in doc["rows"] for j, counts in enumerate(row["bandwidth_counts"])}
+    return None
+
+
+def moved(a: bytes, b: bytes) -> str | None:
+    """'selections identical', the cells and orders whose selection moved,
+    or None when a and b are not both files of selections."""
+    sa, sb = selections(a), selections(b)
+    if sa is None or sb is None:
+        return None
+    keys = sorted(k for k in sa.keys() | sb.keys() if sa.get(k) != sb.get(k))
+    if not keys:
+        return "selections identical"
+    return "selections moved: " + ", ".join(
+        f"{cell} order {j}".lstrip() for cell, j in keys)
+
+
 def compare(a_dir: Path, b_dir: Path) -> bool:
     names = sorted({p.name for p in a_dir.iterdir()} | {p.name for p in b_dir.iterdir()})
     same = True
@@ -203,7 +241,10 @@ def compare(a_dir: Path, b_dir: Path) -> bool:
         if not pa.is_file() or not pb.is_file():
             verdict = f"only in {a_dir if pa.is_file() else b_dir}"
         else:
-            verdict = difference(pa.read_bytes(), pb.read_bytes())
+            a, b = pa.read_bytes(), pb.read_bytes()
+            verdict = difference(a, b)
+            if verdict != "identical":
+                verdict = "; ".join(filter(None, (verdict, moved(a, b))))
         same = same and verdict == "identical"
         print(f"{name}: {verdict}")
     return same
